@@ -29,9 +29,8 @@ from .data import (DataError, GRID_DT, SCENARIO_KINDS, Scene, SynthParams,
                    synth_scenario)
 from .evalkit import EvalReport, ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
-from .pipeline import (CheckpointError, RolloutMode, atomic_write_text,
-                       load_checkpoint, rollout, save_checkpoint, train_epoch,
-                       window_truth_nabs)
+from .pipeline import (CheckpointError, atomic_write_text, load_checkpoint,
+                       rollout, save_checkpoint, train_epoch)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,6 +45,7 @@ class UsageError(Exception):
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
+    model_given: bool = False      # the config file or --strategy set the model
     lr: float = 1e-3
     epochs: int = 300
     seed: int = 1
@@ -90,25 +90,31 @@ def build_run_config(args) -> RunConfig:
         model = ModelConfig.from_dict(model_d) if model_d else ModelConfig()
     except ValueError as e:
         raise UsageError(f"bad model config: {e}") from e
-    cfg = RunConfig(model=model)
+    cfg = RunConfig(model=model, model_given=bool(model_d))
     known_train = {"learning_rate", "epochs", "seed", "clip_norm", "save_every", "augment"}
     unknown = set(train_d) - known_train
     if unknown:
         raise UsageError(f"unknown train config keys: {sorted(unknown)}")
-    cfg.lr = float(train_d.get("learning_rate", cfg.lr))
+    cfg.lr = _positive_number("learning_rate", train_d.get("learning_rate", cfg.lr))
     cfg.epochs = train_d.get("epochs", cfg.epochs)
     cfg.seed = train_d.get("seed", cfg.seed)
-    cfg.clip_norm = float(train_d.get("clip_norm", cfg.clip_norm))
+    cfg.clip_norm = _positive_number("clip_norm", train_d.get("clip_norm", cfg.clip_norm))
     cfg.save_every = train_d.get("save_every", cfg.save_every)
-    cfg.augment = bool(train_d.get("augment", cfg.augment))
+    cfg.augment = train_d.get("augment", cfg.augment)
+    if not isinstance(cfg.augment, bool):
+        raise UsageError(f"augment must be true or false, got {cfg.augment!r}")
     known_data = {"scenes", "held_out", "stride", "source_timestep"}
     unknown = set(data_d) - known_data
     if unknown:
         raise UsageError(f"unknown data config keys: {sorted(unknown)}")
-    cfg.scenes = dict(data_d.get("scenes", {}))
+    cfg.scenes = data_d.get("scenes", {})
+    if not isinstance(cfg.scenes, dict) or not all(
+            isinstance(v, str) for v in cfg.scenes.values()):
+        raise UsageError(f"data.scenes must map scene names to file paths, got {cfg.scenes!r}")
     cfg.held_out = data_d.get("held_out")
     cfg.stride = data_d.get("stride", cfg.stride)
-    cfg.source_timestep = float(data_d.get("source_timestep", cfg.source_timestep))
+    cfg.source_timestep = _positive_number(
+        "source_timestep", data_d.get("source_timestep", cfg.source_timestep))
     cfg.out_dir = file_cfg.get("out_dir", cfg.out_dir)
     if getattr(args, "epochs", None) is not None:
         cfg.epochs = args.epochs
@@ -126,9 +132,15 @@ def build_run_config(args) -> RunConfig:
         raise UsageError("epochs must be at least 1")
     if cfg.stride < 1:
         raise UsageError("stride must be at least 1")
-    if cfg.lr <= 0 or cfg.clip_norm <= 0:
-        raise UsageError("learning_rate and clip_norm must be positive")
     return cfg
+
+
+def _positive_number(name: str, value) -> float:
+    """A JSON number that is finite and greater than 0, as a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise UsageError(f"{name} must be a finite number greater than 0, got {value!r}")
+    return float(value)
 
 
 def _load_scene(cfg: RunConfig, name: str, path: str) -> Scene:
@@ -199,18 +211,15 @@ def _meta(cfg: RunConfig, epoch: int, history) -> dict:
             "loss_history": list(history)}
 
 
-def _params_from_checkpoint(args, cfg: RunConfig, file_model_given: bool):
+def _params_from_checkpoint(args, cfg: RunConfig, model_given: bool):
     ckpt = load_checkpoint(args.checkpoint)
-    expected = cfg.model if file_model_given else None
-    params = ckpt.to_params(expected)
+    params = ckpt.to_params(cfg.model if model_given else None)
     return ckpt, params
 
 
 def cmd_eval(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
     cfg = build_run_config(args)
-    ckpt, params = _params_from_checkpoint(
-        args, cfg, bool(file_cfg.get("model")) or bool(getattr(args, "strategy", None)))
+    ckpt, params = _params_from_checkpoint(args, cfg, cfg.model_given)
     cfg = replace(cfg, model=params.config)
     if not cfg.held_out:
         cfg.held_out = ckpt.metadata.get("held_out")
@@ -290,7 +299,7 @@ def _predict_window(args, cfg: RunConfig, model: ModelConfig) -> TrajectoryWindo
             return chosen[0]
     where = f"at frame {start}" if start is not None else "anywhere"
     raise DataError(f"no usable window {where} in {scene.name!r} "
-                    f"(needs {obs} consecutive fully-present frames)")
+                    f"(needs a pedestrian tracked through {obs} consecutive frames)")
 
 
 def cmd_predict(args) -> int:
@@ -299,8 +308,7 @@ def cmd_predict(args) -> int:
     window = _predict_window(args, cfg, params.config)
     emit = set(args.emit or ["trajectories"])
     has_truth = window.n_frames == params.config.window_len
-    mode = RolloutMode.TEACHER_FORCED_OBS if has_truth else RolloutMode.FREE
-    result = rollout(params, window, mode, record_attention="attention" in emit)
+    result = rollout(params, window, record_attention="attention" in emit)
     obs = params.config.obs_len
     lines = ["# scene\twindow_start\tped_id\tframe\tkind\tx\ty"]
     for k, p in enumerate(window.ped_ids):
@@ -358,18 +366,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, *, emit=False):
+_FLAGS = {
+    "held_out": ("--held-out", dict(dest="held_out", help="scene to hold out")),
+    "seed": ("--seed", dict(type=int, help="RNG seed")),
+    "epochs": ("--epochs", dict(type=int, help="training epochs")),
+    "strategy": ("--strategy", dict(choices=[s.value for s in AttentionStrategy],
+                                    help="attention strategy")),
+}
+
+
+def _add_common(sub, *flags):
+    """--config and --out, which every verb reads, plus the named _FLAGS."""
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--held-out", dest="held_out", help="scene to hold out")
-    sub.add_argument("--seed", type=int, help="RNG seed")
-    sub.add_argument("--epochs", type=int, help="training epochs")
-    sub.add_argument("--strategy", choices=[s.value for s in AttentionStrategy],
-                     help="attention strategy")
+    for name in flags:
+        flag, kwargs = _FLAGS[name]
+        sub.add_argument(flag, **kwargs)
     sub.add_argument("--out", help="output directory")
-    if emit:
-        sub.add_argument("--emit", action="append",
-                         choices=["trajectories", "attention", "loss"],
-                         help="outputs to produce (repeatable)")
 
 
 def _add_synth_shape(sub):
@@ -385,20 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
 
     p = subs.add_parser("train", help="leave-one-out training run")
-    _add_common(p, emit=True)
+    _add_common(p, "held_out", "seed", "epochs", "strategy")
     p.set_defaults(handler=cmd_train)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on the held-out scene")
-    _add_common(p)
+    _add_common(p, "held_out", "strategy")
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.set_defaults(handler=cmd_eval)
 
     p = subs.add_parser("ablate", help="train and compare all attention strategies")
-    _add_common(p)
+    _add_common(p, "held_out", "seed", "epochs")
     p.set_defaults(handler=cmd_ablate)
 
     p = subs.add_parser("predict", help="roll one window forward and emit trajectories")
-    _add_common(p, emit=True)
+    _add_common(p, "seed")
+    p.add_argument("--emit", action="append", choices=["trajectories", "attention"],
+                   help="outputs to produce (repeatable)")
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
     p.add_argument("--scene-file", dest="scene_file", help="annotation file to predict from")
     p.add_argument("--window-start", dest="window_start", type=int,
@@ -409,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_predict)
 
     p = subs.add_parser("synth", help="generate a synthetic scene annotation file")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--scenario", required=True, choices=list(SCENARIO_KINDS),
                    help="scenario kind")
     _add_synth_shape(p)

@@ -78,7 +78,7 @@ class Scene:
 
 @dataclass
 class TrajectoryWindow:
-    """A fixed-length slice of a scene with only fully-present pedestrians.
+    """A fixed-length slice of a scene with only pedestrians tracked throughout.
 
     positions[k] holds 20 (obs + pred) frames for ped_ids[k]; every value
     is finite and every pedestrian spans the whole window.
@@ -192,10 +192,10 @@ def regrid(annotations: Sequence[RawAnnotation], source_timestep: float,
 
 def build_windows(scene: Scene, obs_len: int = 8, pred_len: int = 12,
                   stride: int = 1) -> list:
-    """All fixed-length windows of a scene, keeping fully-present pedestrians.
+    """All fixed-length windows of a scene, keeping pedestrians tracked throughout.
 
     A scene with F frames yields floor((F - obs_len - pred_len) / stride) + 1
-    starts; windows with no fully-present pedestrian are dropped.
+    starts; windows where no pedestrian is tracked throughout are dropped.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")

@@ -6,19 +6,14 @@ hand-derived gradients anywhere else.
 
 Conventions:
   * all values are float64 numpy arrays, row-major;
-  * binary elementwise ops require identical shapes (no broadcasting);
+  * binary entrywise ops require identical shapes (no broadcasting);
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
     plain forward values otherwise.
-
-A tape and the tensors it references form a single-threaded unit of work.
-The active tape is thread-local, so distinct tapes (e.g. independent
-evaluation windows) may run on distinct threads concurrently.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -92,11 +87,7 @@ class _Node:
         self.vjp = vjp
 
 
-_tls = threading.local()
-
-
-def _active_tape():
-    return getattr(_tls, "tape", None)
+_active_tape = None  # the open Tape, if any
 
 
 class Tape:
@@ -110,13 +101,15 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
-            raise RuntimeError("a tape is already active on this thread")
-        _tls.tape = self
+        global _active_tape
+        if _active_tape is not None:
+            raise RuntimeError("a tape is already active")
+        _active_tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tls.tape = None
+        global _active_tape
+        _active_tape = None
         return False
 
     def __len__(self) -> int:
@@ -128,9 +121,8 @@ class Tape:
 
 
 def _record(inputs, output, vjp) -> None:
-    tape = _active_tape()
-    if tape is not None:
-        tape.nodes.append(_Node(inputs, output, vjp))
+    if _active_tape is not None:
+        _active_tape.nodes.append(_Node(inputs, output, vjp))
 
 
 def _require_2d(op: str, t: Tensor) -> None:
@@ -213,26 +205,6 @@ def exp(x: Tensor) -> Tensor:
     return out
 
 
-_ELEMENTWISE = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "exp": exp,
-    "add": add,
-    "mul": mul,
-    "sub": sub,
-}
-
-
-def elementwise(op: str, *operands: Tensor) -> Tensor:
-    """Dispatch an elementwise primitive by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*operands)
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeMismatchError("concat of zero tensors")
@@ -262,9 +234,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def masked_softmax(logits: Tensor, mask) -> Tensor:
     """Softmax over the unmasked entries of a vector; masked entries are 0.
 
-    The max-shift keeps exp in range, and the denominator accumulates the
-    exp terms in sorted order so the result is invariant to the order in
-    which neighbors are listed, bit for bit.
+    The max-shift keeps exp in range.
     """
     if logits.values.ndim > 2 or (logits.values.ndim == 2 and 1 not in logits.shape):
         raise ShapeMismatchError(f"masked_softmax needs a vector, got shape {logits.shape}")
@@ -278,7 +248,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
         raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
     shifted = np.zeros_like(flat)
     shifted[m] = np.exp(flat[m] - flat[m].max())
-    total = float(np.sum(np.sort(shifted[m])))
+    total = float(np.sum(shifted[m]))
     out = _fresh((shifted / total).reshape(logits.shape))
     s = out.values.reshape(-1)
 
@@ -293,11 +263,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
 
 
 def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
-    """Sum of matrix columns scaled by per-column weights.
-
-    Accumulation runs in sorted order per output component, so permuting
-    (weights, columns) pairs cannot change the result even in the last bit.
-    """
+    """Sum of matrix columns scaled by per-column weights: columns @ weights."""
     _require_2d("weighted_sum", columns)
     w = weights.values.reshape(-1)
     if weights.values.ndim > 2:
@@ -306,9 +272,8 @@ def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"weighted_sum: {w.size} weights for {columns.shape[1]} columns"
         )
-    terms = columns.values * w[np.newaxis, :]
-    out = _fresh(np.sum(np.sort(terms, axis=1), axis=1).reshape(columns.shape[0], 1))
     cv = columns.values
+    out = _fresh((cv @ w).reshape(cv.shape[0], 1))
     wshape = weights.shape
 
     def vjp(g):

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .data import TrajectoryWindow
+from .data import DataError, TrajectoryWindow
 from .model import ModelConfig, ModelParams
-from .pipeline import RolloutMode, rollout, train_epoch
+from .pipeline import rollout, train_epoch
 
 
 def _displacements(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -99,8 +99,11 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow],
     steps = 0
     elapsed = 0.0
     for w in windows:
+        if w.n_frames < cfg.window_len:
+            raise DataError(
+                f"window has {w.n_frames} frames; scoring needs {cfg.window_len}")
         t0 = time.perf_counter()
-        result = rollout(params, w, RolloutMode.TEACHER_FORCED_OBS)
+        result = rollout(params, w)
         elapsed += time.perf_counter() - t0
         steps += cfg.window_len - 1
         truth = w.positions[:, cfg.obs_len:]

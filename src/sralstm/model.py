@@ -3,7 +3,7 @@
 The predictor couples three pieces, each advanced once per time step:
 
   * a relationship encoder: an LSTM over the embedded displacement between
-    every ordered pair of co-present pedestrians;
+    every ordered pair of pedestrians in the window;
   * social attention: per pedestrian, a softmax over its neighbors scoring
     how much each neighbor's motion state should influence it, followed by
     a weighted sum of neighbor hidden states (the social context);
@@ -251,12 +251,14 @@ def param_count(config: ModelConfig) -> int:
 
 @dataclass
 class SceneState:
-    """Recurrent state for one window: per-pedestrian motion LSTM states,
-    per-ordered-pair relationship encoder states, and presence flags.
+    """Recurrent state for one window: per-pedestrian motion LSTM states and
+    per-ordered-pair relationship encoder states, all zero at the start.
 
-    Pair states appear at first co-presence (zero-initialized) and freeze
-    while either pedestrian is absent; absent pedestrians never appear in
-    any neighbor set.
+    The roster is fixed: a window holds only pedestrians tracked through
+    its whole span, so every state exists from the first step. ``ped_ids`` is
+    sorted once here, and every loop and reduction follows that canonical
+    order, so listing the pedestrians in another order cannot change a
+    result bit.
     """
 
     ped_ids: list
@@ -265,35 +267,27 @@ class SceneState:
     c: dict = field(default_factory=dict)
     r: dict = field(default_factory=dict)
     cr: dict = field(default_factory=dict)
-    present: dict = field(default_factory=dict)
 
     @classmethod
-    def initial(cls, ped_ids: Sequence, hidden_dim: int, present=None) -> "SceneState":
-        ids = list(ped_ids)
+    def initial(cls, ped_ids: Sequence, hidden_dim: int) -> "SceneState":
+        ids = sorted(ped_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate pedestrian ids in scene state")
         state = cls(ped_ids=ids, hidden_dim=hidden_dim)
         for i in ids:
             state.h[i] = Tensor.zeros((hidden_dim, 1))
             state.c[i] = Tensor.zeros((hidden_dim, 1))
-            state.present[i] = True if present is None else bool(present[i])
+            for j in ids:
+                if j != i:
+                    state.r[(i, j)] = Tensor.zeros((hidden_dim, 1))
+                    state.cr[(i, j)] = Tensor.zeros((hidden_dim, 1))
         return state
 
-    def ensure_pair(self, pair) -> None:
-        """Create a zero pair state at first co-presence."""
-        i, j = pair
-        for p in (i, j):
-            if p not in self.h:
-                raise UnknownPedestrianError(p)
-        if pair not in self.r:
-            self.r[pair] = Tensor.zeros((self.hidden_dim, 1))
-            self.cr[pair] = Tensor.zeros((self.hidden_dim, 1))
-
     def neighbors(self, ped) -> list:
-        """Present pedestrians other than ped, in scene order."""
+        """Every pedestrian other than ped, in canonical order."""
         if ped not in self.h:
             raise UnknownPedestrianError(ped)
-        return [j for j in self.ped_ids if j != ped and self.present[j]]
+        return [j for j in self.ped_ids if j != ped]
 
 
 # ---------------------------------------------------------------------------
@@ -365,21 +359,15 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
         if e_rel is None:
             raise ValueError("RA attention needs the embedded relative position")
         return dc.matmul(params.w_ra, dc.concat([e_rel, h_i, h_j], axis=0))
-    # NONE: any logit is ignored downstream
-    return Tensor.zeros((1, 1))
+    raise ValueError(f"strategy {strategy.value!r} scores no neighbors")
 
 
-def attention_weights(logits, mask=None) -> Tensor:
+def attention_weights(logits: Sequence[Tensor]) -> Tensor:
     """Normalize per-neighbor logits into weights that sum to one."""
-    if isinstance(logits, Tensor):
-        vec = logits
-    else:
-        if len(logits) == 0:
-            raise dc.EmptyNeighborSetError("no neighbor logits to normalize")
-        vec = dc.concat(list(logits), axis=0)
-    if mask is None:
-        mask = np.ones(vec.size, dtype=bool)
-    return dc.masked_softmax(vec, mask)
+    if len(logits) == 0:
+        raise dc.EmptyNeighborSetError("no neighbor logits to normalize")
+    vec = dc.concat(list(logits), axis=0)
+    return dc.masked_softmax(vec, np.ones(vec.size, dtype=bool))
 
 
 def social_context(state: SceneState, ped, weights: Optional[Tensor],
@@ -389,7 +377,7 @@ def social_context(state: SceneState, ped, weights: Optional[Tensor],
     if strategy is AttentionStrategy.NONE or not neigh:
         return Tensor.zeros((state.hidden_dim, 1))
     if weights is None:
-        raise ValueError("attention weights required when neighbors are present")
+        raise ValueError(f"attention weights required: {ped!r} has neighbors")
     if weights.size != len(neigh):
         raise dc.ShapeMismatchError(
             f"{weights.size} weights for {len(neigh)} neighbors of {ped!r}"

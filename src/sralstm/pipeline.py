@@ -5,7 +5,11 @@ phase every input is ground truth, and from the first prediction step on
 the model consumes its own decoded predictions, both for a pedestrian's
 own offsets and for the displacements between pedestrians. Predictions
 emitted during the observation phase are by-products and are never
-consumed or scored.
+consumed or scored. A rollout reads only the observation frames, so it
+runs the same on a window with or without future truth; the callers that
+score against the future (``train_step``, ``evalkit.evaluate``) check
+that the window carries it. Every pedestrian of the window takes part in
+every step, in the canonical order of ``SceneState``.
 
 Checkpoint byte layout (version 1, all integers little-endian):
 
@@ -31,7 +35,6 @@ import struct
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -43,15 +46,6 @@ from .diffcore import Tensor
 from .model import AttentionStrategy, ModelConfig, ModelParams, SceneState
 
 CLIP_NORM = 10.0
-
-
-class RolloutMode(Enum):
-    """TEACHER_FORCED_OBS requires the window to carry future truth (training
-    and evaluation); FREE runs from observations alone. Both feed ground
-    truth during the observation phase and model feedback afterward."""
-
-    TEACHER_FORCED_OBS = "teacher_forced_obs"
-    FREE = "free"
 
 
 @dataclass
@@ -66,15 +60,15 @@ class RolloutResult:
 
 def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
                abs_pos: Mapping, record_attention: bool = False):
-    """Advance every present pedestrian by one time step.
+    """Advance every pedestrian of the scene state by one time step.
 
-    nabs and abs_pos map present pedestrians to (2, 1) tensors. Relation
+    nabs and abs_pos map each pedestrian to a (2, 1) tensor. Relation
     states update first; attention and social context then read the motion
     states of the previous step; motion updates and offset predictions run
-    last. Returns (predictions, attention) dicts for present pedestrians.
+    last. Returns (predictions, attention) dicts keyed by pedestrian.
     """
     strategy = params.config.strategy
-    peds = [p for p in state.ped_ids if state.present[p]]
+    peds = state.ped_ids
     for p in peds:
         if p not in nabs or p not in abs_pos:
             raise md.UnknownPedestrianError(p)
@@ -84,10 +78,8 @@ def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
             for j in peds:
                 if i == j:
                     continue
-                pair = (i, j)
-                state.ensure_pair(pair)
                 e_ij = md.embed_relative(params, abs_pos[i], abs_pos[j])
-                md.relation_step(params, state, pair, e_ij)
+                md.relation_step(params, state, (i, j), e_ij)
     contexts = {}
     attention = {} if record_attention else None
     for i in peds:
@@ -115,7 +107,6 @@ def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
 
 
 def rollout(params: ModelParams, window: TrajectoryWindow,
-            mode: RolloutMode = RolloutMode.TEACHER_FORCED_OBS,
             record_attention: bool = False) -> RolloutResult:
     """Run the recurrence over one window and decode predictions.
 
@@ -123,20 +114,19 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
     including through the fed-back positions.
     """
     cfg = params.config
-    peds = list(window.ped_ids)
-    if not peds:
+    if not window.ped_ids:
         raise DataError("rollout needs at least one pedestrian")
     if window.obs_len != cfg.obs_len:
         raise DataError(
             f"window observation length {window.obs_len} != model's {cfg.obs_len}")
-    needed = cfg.window_len if mode is RolloutMode.TEACHER_FORCED_OBS else cfg.obs_len
-    if window.n_frames < needed:
+    if window.n_frames < cfg.obs_len:
         raise DataError(
-            f"window has {window.n_frames} frames; mode {mode.value} needs {needed}")
+            f"window has {window.n_frames} frames; a rollout needs {cfg.obs_len}")
+    state = SceneState.initial(window.ped_ids, cfg.hidden_dim)
+    peds = state.ped_ids
     anchor_idx = cfg.obs_len - 1
     anchors = {p: window.track(p)[anchor_idx].copy() for p in peds}
     anchor_tensors = {p: Tensor(anchors[p].reshape(2, 1)) for p in peds}
-    state = SceneState.initial(peds, cfg.hidden_dim)
     total = cfg.window_len
     cur_nabs = {}
     cur_abs = {}
@@ -215,9 +205,10 @@ def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,
                clip_norm: float = CLIP_NORM) -> float:
     """One optimization step on one window; returns the loss value."""
     named = params.tensors()
+    truth = window_truth_nabs(window)
     with dc.Tape() as tape:
-        result = rollout(params, window, RolloutMode.TEACHER_FORCED_OBS)
-        loss = l2_loss(result, window_truth_nabs(window))
+        result = rollout(params, window)
+        loss = l2_loss(result, truth)
         dc.backward(tape, loss)
     value = loss.item()
     tensors = list(named.values())
@@ -377,16 +368,21 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("config", "metadata", "arrays"):
         if key not in header:
             raise CheckpointCorruptError(f"{path} header lacks {key!r}")
+    if not isinstance(header["metadata"], dict):
+        raise CheckpointCorruptError(f"{path} has non-object metadata")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointCorruptError(f"{path} has a non-list array directory")
     offset = 16 + header_len
     arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64))
+        name, shape = _directory_entry(path, entry)
+        nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(blob):
-            raise CheckpointCorruptError(
-                f"{path} is truncated inside array {entry['name']!r}")
+            raise CheckpointCorruptError(f"{path} is truncated inside array {name!r}")
         flat = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=offset)
-        arrays[entry["name"]] = flat.reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise CheckpointCorruptError(f"{path} has non-finite values in array {name!r}")
+        arrays[name] = flat.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointCorruptError(f"{path} has {len(blob) - offset} trailing bytes")
@@ -405,3 +401,16 @@ def load_checkpoint(path) -> Checkpoint:
                           if n.startswith("adam.v.")}
     return Checkpoint(config=config, params=params, optimizer=optimizer,
                       metadata=dict(header["metadata"]))
+
+
+def _directory_entry(path, entry) -> tuple:
+    """(name, shape) of one array directory entry, or CheckpointCorruptError."""
+    if not isinstance(entry, dict):
+        raise CheckpointCorruptError(f"{path} has a non-object array entry {entry!r}")
+    name, shape = entry.get("name"), entry.get("shape")
+    if not isinstance(name, str):
+        raise CheckpointCorruptError(f"{path} has an array entry without a name: {entry!r}")
+    if not isinstance(shape, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+        raise CheckpointCorruptError(f"{path} array {name!r} has a malformed shape {shape!r}")
+    return name, tuple(shape)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from sralstm.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main)
+from sralstm.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                         UsageError, build_parser, build_run_config, main)
 from sralstm.data import (build_windows, parse_annotations, regrid,
                           scene_to_annotation_text, synth_scenario)
 from sralstm.model import AttentionStrategy
@@ -299,6 +300,67 @@ def test_predict_without_input_is_a_usage_error(trained, capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["train", "--bogus"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,rejected", [
+    (["train", "--emit", "trajectories"], "--emit"),
+    (["eval", "--checkpoint", "c.ckpt", "--seed", "1"], "--seed"),
+    (["eval", "--checkpoint", "c.ckpt", "--epochs", "1"], "--epochs"),
+    (["ablate", "--strategy", "sra"], "--strategy"),
+    (["predict", "--checkpoint", "c.ckpt", "--emit", "loss"], "'loss'"),
+    (["predict", "--checkpoint", "c.ckpt", "--held-out", "A"], "--held-out"),
+    (["predict", "--checkpoint", "c.ckpt", "--epochs", "1"], "--epochs"),
+    (["predict", "--checkpoint", "c.ckpt", "--strategy", "sra"], "--strategy"),
+    (["synth", "--scenario", "parallel", "--held-out", "A"], "--held-out"),
+    (["synth", "--scenario", "parallel", "--epochs", "1"], "--epochs"),
+    (["synth", "--scenario", "parallel", "--strategy", "sra"], "--strategy"),
+], ids=["train-emit", "eval-seed", "eval-epochs", "ablate-strategy",
+        "predict-emit-loss", "predict-held-out", "predict-epochs",
+        "predict-strategy", "synth-held-out", "synth-epochs", "synth-strategy"])
+def test_flags_a_verb_never_reads_are_usage_errors(argv, rejected, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert rejected in capsys.readouterr().err
+
+
+def train_args(tmp_path, cfg):
+    return build_parser().parse_args(
+        ["train", "--config", write_config(tmp_path / "c.json", cfg)])
+
+
+def test_string_learning_rate_is_usage_error(data_dir, tmp_path):
+    cfg = base_config(data_dir, tmp_path / "x")
+    cfg["train"]["learning_rate"] = "fast"
+    with pytest.raises(UsageError, match="learning_rate"):
+        build_run_config(train_args(tmp_path, cfg))
+
+
+def test_string_source_timestep_is_usage_error(data_dir, tmp_path):
+    cfg = base_config(data_dir, tmp_path / "x")
+    cfg["data"]["source_timestep"] = "0.4"
+    with pytest.raises(UsageError, match="source_timestep"):
+        build_run_config(train_args(tmp_path, cfg))
+
+
+def test_nan_clip_norm_is_usage_error(data_dir, tmp_path):
+    cfg = base_config(data_dir, tmp_path / "x")
+    cfg["train"]["clip_norm"] = float("nan")
+    with pytest.raises(UsageError, match="clip_norm"):
+        build_run_config(train_args(tmp_path, cfg))
+
+
+def test_non_boolean_augment_is_usage_error(data_dir, tmp_path):
+    cfg = base_config(data_dir, tmp_path / "x")
+    cfg["train"]["augment"] = "no"
+    with pytest.raises(UsageError, match="augment"):
+        build_run_config(train_args(tmp_path, cfg))
+
+
+def test_non_string_scene_path_is_usage_error(data_dir, tmp_path):
+    # open(0) would read stdin and block the run
+    cfg = base_config(data_dir, tmp_path / "x")
+    cfg["data"]["scenes"]["A"] = 0
+    with pytest.raises(UsageError, match="scenes"):
+        build_run_config(train_args(tmp_path, cfg))
 
 
 def test_unknown_config_key_is_usage_error(data_dir, tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_unary_gradients(op):
     fn = {"sigmoid": lambda v: 1 / (1 + np.exp(-v)), "tanh": np.tanh,
           "relu": lambda v: np.maximum(v, 0.0), "exp": np.exp}[op]
     with Tape() as tape:
-        dc.backward(tape, dc.sum_all(dc.elementwise(op, x)))
+        dc.backward(tape, dc.sum_all(getattr(dc, op)(x)))
     assert fd_check(lambda: float(fn(x.values).sum()), x) < FD_TOL
 
 
@@ -122,7 +122,7 @@ def test_binary_gradients(op, combine):
     a = Tensor(rng.normal(size=(2, 3)))
     b = Tensor(rng.normal(size=(2, 3)))
     with Tape() as tape:
-        dc.backward(tape, dc.sum_all(dc.elementwise(op, a, b)))
+        dc.backward(tape, dc.sum_all(getattr(dc, op)(a, b)))
     f = lambda: float(combine(a.values, b.values).sum())
     assert fd_check(f, a) < FD_TOL
     assert fd_check(f, b) < FD_TOL
@@ -133,11 +133,6 @@ def test_binary_ops_reject_shape_mismatch():
         dc.add(Tensor(np.ones((2, 1))), Tensor(np.ones((1, 2))))
     msg = str(e.value)
     assert "(2, 1)" in msg and "(1, 2)" in msg
-
-
-def test_elementwise_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        dc.elementwise("softplus", Tensor([[1.0]]))
 
 
 def test_non_finite_op_output_raises():
@@ -383,7 +378,7 @@ def test_tape_reusable_after_exception():
             raise KeyError("boom")
     except KeyError:
         pass
-    with Tape() as tape:   # the thread-local slot was released
+    with Tape() as tape:   # the active-tape slot was released
         dc.mul(Tensor([[1.0]]), Tensor([[1.0]]))
         assert len(tape) == 1
 

@@ -213,25 +213,29 @@ def test_scene_state_rejects_duplicate_ids():
         SceneState.initial([1, 2, 2], hidden_dim=4)
 
 
-def test_scene_state_zero_start_and_presence():
-    state = SceneState.initial([1, 2, 3], hidden_dim=4, present={1: True, 2: False, 3: True})
-    assert np.array_equal(state.h[1].values, np.zeros((4, 1)))
-    assert state.neighbors(1) == [3]
-    assert state.neighbors(3) == [1]
+def test_scene_state_zero_start_and_canonical_roster():
+    state = SceneState.initial([3, 1, 2], hidden_dim=4)
+    assert state.ped_ids == [1, 2, 3]
+    assert sorted(state.h) == sorted(state.c) == [1, 2, 3]
+    pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    assert sorted(state.r) == sorted(state.cr) == pairs
+    for t in [*state.h.values(), *state.c.values(),
+              *state.r.values(), *state.cr.values()]:
+        assert np.array_equal(t.values, np.zeros((4, 1)))
+    assert state.neighbors(1) == [2, 3]
+    assert state.neighbors(3) == [1, 2]
 
 
 def test_scene_state_unknown_ped_errors():
     state = SceneState.initial([1, 2], hidden_dim=4)
     with pytest.raises(md.UnknownPedestrianError):
         state.neighbors(99)
-    with pytest.raises(md.UnknownPedestrianError):
-        state.ensure_pair((1, 99))
+    assert (1, 99) not in state.r
+    assert (1, 1) not in state.r
 
 
 def test_pair_store_keeps_directions_distinct():
     state = SceneState.initial([1, 2], hidden_dim=4)
-    state.ensure_pair((1, 2))
-    state.ensure_pair((2, 1))
     assert state.r[(1, 2)] is not state.r[(2, 1)]
     state.r[(1, 2)] = Tensor(np.ones((4, 1)))
     assert np.array_equal(state.r[(2, 1)].values, np.zeros((4, 1)))
@@ -243,7 +247,6 @@ def test_pair_store_keeps_directions_distinct():
 def test_relation_step_zero_weights_yields_zero_state():
     params = zeroed_params(SMALL)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    state.ensure_pair((1, 2))
     r, cr = md.relation_step(params, state, (1, 2), Tensor(np.ones((6, 1))))
     assert np.array_equal(r.values, np.zeros((8, 1)))
     assert np.array_equal(cr.values, np.zeros((8, 1)))
@@ -252,8 +255,6 @@ def test_relation_step_zero_weights_yields_zero_state():
 def test_relation_step_shares_weights_across_pairs():
     params = ModelParams.init(SMALL, seed=8)
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
-    state.ensure_pair((1, 2))
-    state.ensure_pair((3, 1))
     e = Tensor(np.linspace(0.0, 1.0, 6).reshape(6, 1))
     r_a, _ = md.relation_step(params, state, (1, 2), e)
     r_b, _ = md.relation_step(params, state, (3, 1), Tensor(e.values.copy()))
@@ -264,7 +265,6 @@ def test_relation_step_matches_lstm_oracle():
     params = ModelParams.init(SMALL, seed=8)
     rng = np.random.default_rng(21)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    state.ensure_pair((1, 2))
     state.r[(1, 2)] = Tensor(rng.normal(size=(8, 1)))
     state.cr[(1, 2)] = Tensor(rng.normal(size=(8, 1)))
     x = rng.normal(size=(6, 1))
@@ -280,8 +280,9 @@ def test_relation_step_matches_lstm_oracle():
 def test_relation_step_unknown_pair():
     params = ModelParams.init(SMALL, seed=8)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    with pytest.raises(md.UnknownPedestrianError):
-        md.relation_step(params, state, (1, 2), Tensor(np.zeros((6, 1))))
+    for pair in ((1, 3), (1, 1)):
+        with pytest.raises(md.UnknownPedestrianError):
+            md.relation_step(params, state, pair, Tensor(np.zeros((6, 1))))
 
 
 def test_motion_step_matches_lstm_oracle_and_mutates():

@@ -1,6 +1,8 @@
 """Rollout orchestration, loss, training loop, and checkpoint persistence."""
 
+import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from sralstm.diffcore import Tensor
 from sralstm.model import AttentionStrategy, ModelConfig, ModelParams, SceneState
 from sralstm.pipeline import (Checkpoint, CheckpointCorruptError,
                               CheckpointError, CheckpointVersionError,
-                              RolloutMode, l2_loss, load_checkpoint, rollout,
+                              l2_loss, load_checkpoint, rollout,
                               save_checkpoint, scene_step, train_epoch,
                               train_step, window_truth_nabs)
 
@@ -62,12 +64,28 @@ def test_rollout_rejects_wrong_observation_length():
         rollout(params, window)
 
 
-def test_rollout_teacher_mode_needs_future_frames():
+def test_rollout_needs_observation_frames():
     params = small_params()
+    window = cv_window()
+    short = replace(window, positions=window.positions[:, :5])
+    with pytest.raises(DataError, match="frames"):
+        rollout(params, short)
+
+
+def test_scoring_rejects_observation_only_window():
+    from sralstm.evalkit import evaluate
+
+    params = small_params()
+    opt = dc.AdamState(params.tensors())
     scene = synth_scenario("parallel", seed=1)
     obs_only = build_windows(scene, obs_len=8, pred_len=0)[0]
-    with pytest.raises(DataError, match="teacher_forced_obs"):
-        rollout(params, obs_only, RolloutMode.TEACHER_FORCED_OBS)
+    with pytest.raises(DataError, match="frames"):
+        evaluate(params, [obs_only])
+    with pytest.raises(DataError, match="truth"):
+        train_step(params, opt, obs_only)
+    with pytest.raises(DataError, match="truth"):
+        window_truth_nabs(obs_only)
+    assert opt.step == 0
 
 
 def test_rollout_rejects_empty_window():
@@ -79,15 +97,15 @@ def test_rollout_rejects_empty_window():
         rollout(params, window)
 
 
-def test_free_mode_matches_teacher_mode_predictions():
-    # both feed truth through the observation phase and themselves after,
+def test_observation_only_window_predicts_like_full_window():
+    # a rollout reads only the observation frames and feeds itself after,
     # so an observation-only window must predict identically
     params = small_params(seed=5)
     scene = synth_scenario("meeting", seed=9)
     full = build_windows(scene, obs_len=8, pred_len=12)[0]
     obs_only = build_windows(scene, obs_len=8, pred_len=0)[0]
-    a = rollout(params, full, RolloutMode.TEACHER_FORCED_OBS)
-    b = rollout(params, obs_only, RolloutMode.FREE)
+    a = rollout(params, full)
+    b = rollout(params, obs_only)
     for p in a.ped_ids:
         assert np.array_equal(a.predicted_nabs[p], b.predicted_nabs[p])
 
@@ -139,7 +157,6 @@ def _scripted_rollout_abs(params, window):
             for j in peds:
                 if i == j:
                     continue
-                state.ensure_pair((i, j))
                 e = md.embed_relative(params, cur_abs[i], cur_abs[j])
                 md.relation_step(params, state, (i, j), e)
         contexts = {}
@@ -218,7 +235,7 @@ def test_rollout_non_finite_failure_names_the_step():
 
 
 # ---------------------------------------------------------------------------
-# scene_step presence handling
+# scene_step inputs
 
 def test_scene_step_requires_positions_for_present_peds():
     params = small_params()
@@ -227,29 +244,6 @@ def test_scene_step_requires_positions_for_present_peds():
     with pytest.raises(md.UnknownPedestrianError):
         scene_step(params, state, pos, pos)
 
-
-def test_scene_step_freezes_absent_pedestrians():
-    params = small_params(seed=19)
-    state = SceneState.initial([1, 2, 3], hidden_dim=8)
-
-    def positions(peds):
-        nabs = {p: Tensor(np.full((2, 1), 0.1 * p)) for p in peds}
-        ab = {p: Tensor(np.full((2, 1), 1.0 * p)) for p in peds}
-        return nabs, ab
-
-    scene_step(params, state, *positions([1, 2, 3]))
-    frozen_h = state.h[3]
-    frozen_r = state.r[(1, 3)]
-    state.present[3] = False
-    preds, _ = scene_step(params, state, *positions([1, 2]))
-    assert sorted(preds) == [1, 2]
-    assert state.h[3] is frozen_h              # untouched object
-    assert state.r[(1, 3)] is frozen_r
-    assert state.neighbors(1) == [2]
-    state.present[3] = True
-    scene_step(params, state, *positions([1, 2, 3]))
-    assert state.r[(1, 3)] is not frozen_r     # resumed from the frozen state
-    assert state.h[3] is not frozen_h
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +324,18 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
         result = rollout(params, window)
         dc.backward(tape, l2_loss(result, window_truth_nabs(window)))
     assert np.all(params.w_at.grad == 0.0)
+
+
+@pytest.mark.parametrize("strategy,n,nodes", [
+    ("sra", 2, 2096), ("sra", 4, 7840), ("sra", 8, 30272), ("none", 2, 1032)])
+def test_tape_nodes_per_window(strategy, n, nodes):
+    # the recorded work of one train step on the default model; this may
+    # tighten as the recurrence records fewer nodes, and must never loosen
+    params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
+    window = random_walk_window(n, seed=n)
+    with dc.Tape() as tape:
+        l2_loss(rollout(params, window), window_truth_nabs(window))
+    assert len(tape) == nodes
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +486,34 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
     header = b"{{{{"
     path.write_bytes(pl.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
     with pytest.raises(CheckpointCorruptError, match="header"):
+        load_checkpoint(path)
+
+
+def _nan_first_value(header, payload):
+    payload[:8] = struct.pack("<d", float("nan"))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h, p: h["arrays"][0].pop("name"), id="entry-without-name"),
+    pytest.param(lambda h, p: h["arrays"][0].pop("shape"), id="entry-without-shape"),
+    pytest.param(lambda h, p: h["arrays"][0].update(shape=["x", 1]), id="non-integer-shape"),
+    pytest.param(lambda h, p: h["arrays"][0].update(shape=[-1, 2]), id="negative-shape"),
+    pytest.param(lambda h, p: h.update(arrays=5), id="non-list-arrays"),
+    pytest.param(lambda h, p: h.update(metadata=5), id="non-object-metadata"),
+    pytest.param(_nan_first_value, id="nan-payload"),
+])
+def test_checkpoint_malformed_directory_or_payload_is_corrupt(tmp_path, edit):
+    params = small_params(seed=61)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + n])
+    payload = bytearray(blob[16 + n:])
+    edit(header, payload)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + bytes(payload))
+    with pytest.raises(CheckpointCorruptError):
         load_checkpoint(path)
 
 
