@@ -10,10 +10,26 @@ Conventions:
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
     plain forward values otherwise.
+
+A train step records tens of thousands of nodes on small column vectors,
+so per-node Python overhead, not arithmetic, sets the speed. The tape is
+kept lean accordingly:
+  * a node is a plain ``(inputs, output, vjp)`` tuple;
+  * a primitive builds its vjp closure only while a tape is open, so a
+    tape-free forward pass allocates no closures;
+  * ``backward`` owns only the adjoints it allocates itself during the
+    pass (the sum of two contributions) and adds later contributions into
+    those in place. It never writes an array a vjp returned: that may be
+    the incoming adjoint itself (``add``), a view of it (``concat``) or the
+    root's seed of ones;
+  * an open ``Tape`` pauses the cyclic garbage collector and restores its
+    previous state on exit. Nodes form no reference cycles, so a
+    collection while recording would only re-walk the growing tape.
 """
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +58,7 @@ class Tensor:
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor constructed from non-finite values")
         self.values = arr
         self.grad = None
@@ -71,20 +87,11 @@ class Tensor:
 def _fresh(arr: np.ndarray) -> Tensor:
     """Wrap an op output without copying; outputs must stay finite."""
     t = Tensor.__new__(Tensor)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("operation produced non-finite values")
     t.values = arr
     t.grad = None
     return t
-
-
-class _Node:
-    __slots__ = ("inputs", "output", "vjp")
-
-    def __init__(self, inputs, output, vjp):
-        self.inputs = inputs
-        self.output = output
-        self.vjp = vjp
 
 
 _active_tape = None  # the open Tape, if any
@@ -94,22 +101,28 @@ class Tape:
     """Ordered record of executed primitives for one forward pass.
 
     Execution order is a valid topological order, so ``backward`` replays
-    the record once, in reverse. Tapes do not nest.
+    the record once, in reverse. Tapes do not nest. The cyclic garbage
+    collector is paused while the tape is open.
     """
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple] = []   # (inputs, output, vjp)
+        self._gc_was_enabled = False
 
     def __enter__(self) -> "Tape":
         global _active_tape
         if _active_tape is not None:
             raise RuntimeError("a tape is already active")
         _active_tape = self
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         global _active_tape
         _active_tape = None
+        if self._gc_was_enabled:
+            gc.enable()
         return False
 
     def __len__(self) -> int:
@@ -118,11 +131,6 @@ class Tape:
     def clear(self) -> None:
         """Drop all recorded nodes; tensors stay valid."""
         self.nodes.clear()
-
-
-def _record(inputs, output, vjp) -> None:
-    if _active_tape is not None:
-        _active_tape.nodes.append(_Node(inputs, output, vjp))
 
 
 def _require_2d(op: str, t: Tensor) -> None:
@@ -137,39 +145,68 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # primitives
+#
+# Each primitive records ``(inputs, output, vjp)`` on the open tape, if any,
+# and builds its vjp closure only then.
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for an inner size of 1, as a broadcast multiply.
+
+    A K=1 ``@`` sums each product onto +0.0, so a -0.0 product reads +0.0;
+    adding 0.0 does the same, which keeps the result byte-identical.
+    """
+    out = x * y
+    out += 0.0
+    return out
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d("matmul", a)
     _require_2d("matmul", b)
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+    av, bv = a.values, b.values
     # inf/nan products are caught by the finite check, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _fresh(a.values @ b.values)
-    av, bv = a.values, b.values
-    _record((a, b), out, lambda g: (g @ bv.T, av.T @ g))
+        out = _fresh(av @ bv)
+    if _active_tape is not None:
+        at, bt = av.T, bv.T
+        grad_a = _outer if bt.shape[0] == 1 else np.matmul   # g @ b.T
+        grad_b = _outer if at.shape[1] == 1 else np.matmul   # a.T @ g
+        _active_tape.nodes.append(((a, b), out, lambda g: (grad_a(g, bt), grad_b(at, g))))
     return out
+
+
+def _add_vjp(g):
+    return g, g
+
+
+def _sub_vjp(g):
+    return g, -g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
     out = _fresh(a.values + b.values)
-    _record((a, b), out, lambda g: (g, g))
+    if _active_tape is not None:
+        _active_tape.nodes.append(((a, b), out, _add_vjp))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
     out = _fresh(a.values - b.values)
-    _record((a, b), out, lambda g: (g, -g))
+    if _active_tape is not None:
+        _active_tape.nodes.append(((a, b), out, _sub_vjp))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
-    out = _fresh(a.values * b.values)
     av, bv = a.values, b.values
-    _record((a, b), out, lambda g: (g * bv, g * av))
+    out = _fresh(av * bv)
+    if _active_tape is not None:
+        _active_tape.nodes.append(((a, b), out, lambda g: (g * bv, g * av)))
     return out
 
 
@@ -177,22 +214,25 @@ def sigmoid(x: Tensor) -> Tensor:
     # exp may overflow to inf for very negative inputs; 1/(1+inf) -> 0 is exact
     with np.errstate(over="ignore"):
         out = _fresh(1.0 / (1.0 + np.exp(-x.values)))
-    s = out.values
-    _record((x,), out, lambda g: (g * s * (1.0 - s),))
+    if _active_tape is not None:
+        s = out.values
+        _active_tape.nodes.append(((x,), out, lambda g: (g * s * (1.0 - s),)))
     return out
 
 
 def tanh(x: Tensor) -> Tensor:
     out = _fresh(np.tanh(x.values))
-    t = out.values
-    _record((x,), out, lambda g: (g * (1.0 - t * t),))
+    if _active_tape is not None:
+        t = out.values
+        _active_tape.nodes.append(((x,), out, lambda g: (g * (1.0 - t * t),)))
     return out
 
 
 def relu(x: Tensor) -> Tensor:
     out = _fresh(np.maximum(x.values, 0.0))
-    mask = x.values > 0.0
-    _record((x,), out, lambda g: (g * mask,))
+    if _active_tape is not None:
+        mask = x.values > 0.0
+        _active_tape.nodes.append(((x,), out, lambda g: (g * mask,)))
     return out
 
 
@@ -200,8 +240,9 @@ def exp(x: Tensor) -> Tensor:
     # overflow to inf is caught by the finite check, not warned about
     with np.errstate(over="ignore"):
         out = _fresh(np.exp(x.values))
-    e = out.values
-    _record((x,), out, lambda g: (g * e,))
+    if _active_tape is not None:
+        e = out.values
+        _active_tape.nodes.append(((x,), out, lambda g: (g * e,)))
     return out
 
 
@@ -209,7 +250,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeMismatchError("concat of zero tensors")
     _require_2d("concat", tensors[0])
-    ndim = tensors[0].values.ndim
     if axis not in (0, 1):
         raise ShapeMismatchError(f"concat: axis {axis} out of range for 2-D tensors")
     other = 1 - axis
@@ -221,13 +261,16 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 f"concat: shapes {tensors[0].shape} and {t.shape} disagree off-axis"
             )
     out = _fresh(np.concatenate([t.values for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(piece.copy() for piece in np.split(g, bounds, axis=axis))
-
-    _record(tuple(tensors), out, vjp)
+    if _active_tape is not None:
+        # the vjp hands out views of the incoming adjoint, one per input
+        pieces = []
+        lo = 0
+        for t in tensors:
+            hi = lo + t.shape[axis]
+            pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
+            lo = hi
+        _active_tape.nodes.append(
+            (tuple(tensors), out, lambda g: tuple([g[p] for p in pieces])))
     return out
 
 
@@ -250,15 +293,17 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     shifted[m] = np.exp(flat[m] - flat[m].max())
     total = float(np.sum(shifted[m]))
     out = _fresh((shifted / total).reshape(logits.shape))
-    s = out.values.reshape(-1)
+    if _active_tape is not None:
+        s = out.values.reshape(-1)
+        shape = logits.shape
 
-    def vjp(g):
-        gf = g.reshape(-1)
-        inner = float(np.dot(gf, s))
-        # s is exactly 0 on masked entries, so they get exactly 0 gradient
-        return ((s * (gf - inner)).reshape(logits.shape),)
+        def vjp(g):
+            gf = g.reshape(-1)
+            inner = float(np.dot(gf, s))
+            # s is exactly 0 on masked entries, so they get exactly 0 gradient
+            return ((s * (gf - inner)).reshape(shape),)
 
-    _record((logits,), out, vjp)
+        _active_tape.nodes.append(((logits,), out, vjp))
     return out
 
 
@@ -274,26 +319,27 @@ def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
         )
     cv = columns.values
     out = _fresh((cv @ w).reshape(cv.shape[0], 1))
-    wshape = weights.shape
-
-    def vjp(g):
-        return ((cv.T @ g).reshape(wshape), g @ w[np.newaxis, :])
-
-    _record((weights, columns), out, vjp)
+    if _active_tape is not None:
+        wshape = weights.shape
+        _active_tape.nodes.append(
+            ((weights, columns), out,
+             lambda g: ((cv.T @ g).reshape(wshape), g @ w[np.newaxis, :])))
     return out
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = _fresh(np.asarray(np.sum(x.values)))
-    shape = x.shape
-    _record((x,), out, lambda g: (np.full(shape, float(g)),))
+    if _active_tape is not None:
+        shape = x.shape
+        _active_tape.nodes.append(((x,), out, lambda g: (np.full(shape, float(g)),)))
     return out
 
 
 def scale(x: Tensor, alpha: float) -> Tensor:
     a = float(alpha)
     out = _fresh(x.values * a)
-    _record((x,), out, lambda g: (g * a,))
+    if _active_tape is not None:
+        _active_tape.nodes.append(((x,), out, lambda g: (g * a,)))
     return out
 
 
@@ -305,25 +351,38 @@ def backward(tape: Tape, root: Tensor) -> None:
 
     Adjoints are computed fresh per call and then added, so grads accumulate
     across roots until zeroed, and a repeated call doubles them exactly.
+    A tensor's first contribution is kept as the vjp returned it; the
+    second is summed into a new array that this pass owns, and later ones
+    are added into that array in place.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
     holders: dict[int, Tensor] = {id(root): root}
-    for node in reversed(tape.nodes):
-        g = adjoint.get(id(node.output))
+    owned: set[int] = set()
+    get_adjoint = adjoint.get
+    for inputs, output, vjp in reversed(tape.nodes):
+        g = get_adjoint(id(output))
         if g is None:
             continue
-        for t, gi in zip(node.inputs, node.vjp(g)):
-            if gi is None:
-                continue
+        for t, gi in zip(inputs, vjp(g)):
             key = id(t)
-            prev = adjoint.get(key)
-            adjoint[key] = gi if prev is None else prev + gi
-            holders[key] = t
+            prev = get_adjoint(key)
+            if prev is None:
+                adjoint[key] = gi
+                holders[key] = t
+            elif key in owned:
+                prev += gi
+            else:
+                adjoint[key] = prev + gi
+                owned.add(key)
     for key, t in holders.items():
         g = adjoint[key]
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        if t.grad is not None:
+            t.grad = t.grad + g
+        else:
+            # an owned adjoint is referenced by nothing else once the pass ends
+            t.grad = g if key in owned else g.copy()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -387,5 +446,5 @@ def adam_step(named: Mapping[str, Tensor], state: AdamState) -> None:
         v *= b2
         v += (1.0 - b2) * (g * g)
         t.values -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        if not np.all(np.isfinite(t.values)):
+        if not np.isfinite(t.values).all():
             raise NonFiniteError(f"parameter {name!r} became non-finite during the update")

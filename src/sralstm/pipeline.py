@@ -32,6 +32,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -210,6 +211,9 @@ def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,
         result = rollout(params, window)
         loss = l2_loss(result, truth)
         dc.backward(tape, loss)
+        # freed while the tape still pauses the cyclic GC, so no collection
+        # walks the nodes once it resumes
+        tape.clear()
     value = loss.item()
     tensors = list(named.values())
     for t in tensors:
@@ -219,7 +223,6 @@ def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,
     dc.clip_grad_norm(tensors, clip_norm)
     dc.adam_step(named, opt)
     dc.zero_grads(tensors)
-    tape.clear()
     return value
 
 
@@ -376,6 +379,8 @@ def load_checkpoint(path) -> Checkpoint:
     arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for entry in header["arrays"]:
         name, shape = _directory_entry(path, entry)
+        if name in arrays:
+            raise CheckpointCorruptError(f"{path} names array {name!r} twice")
         nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(blob):
             raise CheckpointCorruptError(f"{path} is truncated inside array {name!r}")
@@ -394,7 +399,7 @@ def load_checkpoint(path) -> Checkpoint:
         (n, a) for n, a in arrays.items() if not n.startswith("adam."))
     optimizer = None
     if header.get("optimizer") is not None:
-        optimizer = dict(header["optimizer"])
+        optimizer = _optimizer_header(path, header["optimizer"])
         optimizer["m"] = {n[len("adam.m."):]: a for n, a in arrays.items()
                           if n.startswith("adam.m.")}
         optimizer["v"] = {n[len("adam.v."):]: a for n, a in arrays.items()
@@ -414,3 +419,20 @@ def _directory_entry(path, entry) -> tuple:
             isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
         raise CheckpointCorruptError(f"{path} array {name!r} has a malformed shape {shape!r}")
     return name, tuple(shape)
+
+
+def _optimizer_header(path, opt) -> dict:
+    """A copy of the optimizer header's scalars, or CheckpointCorruptError."""
+    if not isinstance(opt, dict):
+        raise CheckpointCorruptError(f"{path} has a non-object optimizer header")
+    for key in ("lr", "beta1", "beta2", "eps"):
+        value = opt.get(key)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise CheckpointCorruptError(
+                f"{path} optimizer {key!r} is not a finite number: {value!r}")
+    step = opt.get("step")
+    if not (isinstance(step, int) and not isinstance(step, bool) and step >= 0):
+        raise CheckpointCorruptError(
+            f"{path} optimizer 'step' is not a non-negative integer: {step!r}")
+    return dict(opt)

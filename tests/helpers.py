@@ -85,6 +85,36 @@ def oracle_lstm_from_gates(gates, x, h, c):
 
 
 # ---------------------------------------------------------------------------
+# reference reverse pass
+
+def reference_backward(tape, root) -> None:
+    """The original dict-accumulating reverse pass, kept as an oracle.
+
+    Every sum of two contributions is a fresh array and nothing is written
+    in place, so ``diffcore.backward`` must match it bit for bit. It reuses
+    the tape's vjps: it checks how adjoints are accumulated, not the vjps.
+    """
+    if root.values.size != 1:
+        raise ValueError(f"backward root must be scalar, got shape {root.shape}")
+    adjoint = {id(root): np.ones_like(root.values)}
+    holders = {id(root): root}
+    for inputs, output, vjp in reversed(tape.nodes):
+        g = adjoint.get(id(output))
+        if g is None:
+            continue
+        for t, gi in zip(inputs, vjp(g)):
+            if gi is None:
+                continue
+            key = id(t)
+            prev = adjoint.get(key)
+            adjoint[key] = gi if prev is None else prev + gi
+            holders[key] = t
+    for key, t in holders.items():
+        g = adjoint[key]
+        t.grad = g.copy() if t.grad is None else t.grad + g
+
+
+# ---------------------------------------------------------------------------
 # window builders
 
 def window_from_tracks(tracks, obs_len: int = 8, pred_len: int = 12,

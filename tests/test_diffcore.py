@@ -1,13 +1,17 @@
 """Autodiff core: frozen forward values, finite-difference gradients,
 tape semantics, and the Adam update."""
 
+import gc
+import zlib
+
 import numpy as np
 import pytest
 
 import sralstm.diffcore as dc
 from sralstm.diffcore import Tensor, Tape
 
-from helpers import fd_check, fd_grad, oracle_sigmoid, rel_err
+from helpers import (fd_check, fd_grad, oracle_sigmoid, reference_backward,
+                     rel_err)
 
 FD_TOL = 1e-6      # single-primitive gradients
 EXACT = 0.0
@@ -103,7 +107,7 @@ def test_sigmoid_saturates_without_overflow_error():
 
 @pytest.mark.parametrize("op", ["sigmoid", "tanh", "relu", "exp"])
 def test_unary_gradients(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
     x = Tensor(rng.uniform(-2.0, 2.0, size=(3, 2)))
     fn = {"sigmoid": lambda v: 1 / (1 + np.exp(-v)), "tanh": np.tanh,
           "relu": lambda v: np.maximum(v, 0.0), "exp": np.exp}[op]
@@ -118,7 +122,7 @@ def test_unary_gradients(op):
     ("mul", lambda a, b: a * b),
 ])
 def test_binary_gradients(op, combine):
-    rng = np.random.default_rng(hash(op) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
     a = Tensor(rng.normal(size=(2, 3)))
     b = Tensor(rng.normal(size=(2, 3)))
     with Tape() as tape:
@@ -278,6 +282,31 @@ def test_weighted_sum_shape_errors():
         dc.weighted_sum(Tensor(np.ones((2, 1))), Tensor(np.ones((3, 3))))
 
 
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((6, 5), (5, 1)),     # W @ column: g @ b.T has inner size 1
+    ((1, 7), (7, 1)),     # row @ column: both products have inner size 1
+    ((3, 1), (1, 4)),     # inner size 1 forward, neither vjp product
+])
+def test_matmul_vjp_is_byte_identical_to_plain_products(a_shape, b_shape):
+    # exact zeros of both signs against a negative adjoint make -0.0
+    # products, which a K=1 product reads as +0.0
+    rng = np.random.default_rng(zlib.crc32(repr((a_shape, b_shape)).encode()))
+    av = rng.normal(size=a_shape)
+    bv = rng.normal(size=b_shape)
+    av.flat[::3] = 0.0
+    bv.flat[::2] = -0.0
+    g = -np.abs(rng.normal(size=(a_shape[0], b_shape[1])))
+    g.flat[1::4] = 0.0
+    a, b = Tensor(av), Tensor(bv)
+    with Tape() as tape:
+        dc.matmul(a, b)
+    (inputs, _, vjp), = tape.nodes
+    ga, gb = vjp(g)
+    assert inputs == (a, b)
+    assert ga.tobytes() == (g @ bv.T).tobytes()
+    assert gb.tobytes() == (av.T @ g).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 
@@ -331,6 +360,64 @@ def test_grad_reused_operand_sums_both_paths():
     assert x.grad[0, 0] == 7.0
 
 
+def _taped_tensors(tape):
+    seen = {}
+    for inputs, output, _ in tape.nodes:
+        for t in (*inputs, output):
+            seen[id(t)] = t
+    return list(seen.values())
+
+
+def _grads_by_reference_and_backward(tape, root):
+    tensors = _taped_tensors(tape)
+    reference_backward(tape, root)
+    expected = [t.grad for t in tensors]
+    dc.zero_grads(tensors)
+    dc.backward(tape, root)
+    return tensors, expected
+
+
+def test_backward_matches_reference_bitwise_on_shared_operands():
+    # add(x, x) hands the same adjoint to both slots; s feeds two concats
+    # (their vjps hand out views) and two other ops, so its adjoint is summed
+    # from views and then added into in place
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(3, 1)))
+    y = Tensor(rng.normal(size=(2, 1)))
+    w = Tensor(rng.normal(size=(4, 5)))
+    with Tape() as tape:
+        s = dc.add(x, x)
+        c = dc.concat([s, y], axis=0)
+        wide = dc.concat([x, s, s], axis=1)
+        terms = [dc.sum_all(dc.tanh(dc.matmul(w, c))),
+                 dc.sum_all(dc.mul(s, x)),
+                 dc.sum_all(dc.sigmoid(wide)),
+                 dc.sum_all(dc.sub(s, x))]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = dc.add(loss, term)
+    tensors, expected = _grads_by_reference_and_backward(tape, loss)
+    for t, e in zip(tensors, expected):
+        assert t.grad.tobytes() == e.tobytes()
+
+
+def test_backward_grads_never_share_memory():
+    # add hands one adjoint to both operands, concat hands out views; each
+    # grad slot must still be an array of its own
+    a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])
+    with Tape() as tape:
+        s = dc.add(a, b)
+        c = dc.concat([s, a], axis=0)
+        root = dc.sum_all(c)
+        dc.backward(tape, root)
+    grads = [t.grad for t in (a, b, s, c, root)]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    a.grad *= 10.0
+    assert b.grad.tolist() == [[1.0], [1.0]]
+
+
 def test_scale_gradient():
     x = Tensor(np.array([[2.0], [3.0]]))
     with Tape() as tape:
@@ -381,6 +468,43 @@ def test_tape_reusable_after_exception():
     with Tape() as tape:   # the active-tape slot was released
         dc.mul(Tensor([[1.0]]), Tensor([[1.0]]))
         assert len(tape) == 1
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_tape_pauses_gc_and_restores_its_state(restore_gc, enabled_before):
+    gc.enable() if enabled_before else gc.disable()
+    with Tape():
+        assert not gc.isenabled()
+    assert gc.isenabled() == enabled_before
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_tape_restores_gc_state_when_the_block_raises(restore_gc, enabled_before):
+    gc.enable() if enabled_before else gc.disable()
+    with pytest.raises(KeyError):
+        with Tape():
+            raise KeyError("boom")
+    assert gc.isenabled() == enabled_before
+
+
+def test_nested_tape_error_leaves_gc_to_the_outer_tape(restore_gc):
+    gc.enable()
+    with Tape():
+        with pytest.raises(RuntimeError):
+            with Tape():
+                pass
+        assert not gc.isenabled()
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

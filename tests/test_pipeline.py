@@ -19,8 +19,8 @@ from sralstm.pipeline import (Checkpoint, CheckpointCorruptError,
                               save_checkpoint, scene_step, train_epoch,
                               train_step, window_truth_nabs)
 
-from helpers import (constant_velocity_tracks, random_walk_window, rel_err,
-                     window_from_tracks)
+from helpers import (constant_velocity_tracks, random_walk_window,
+                     reference_backward, rel_err, window_from_tracks)
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
 
@@ -338,6 +338,22 @@ def test_tape_nodes_per_window(strategy, n, nodes):
     assert len(tape) == nodes
 
 
+def test_backward_matches_reference_bitwise_on_a_rollout():
+    # the in-place accumulation in dc.backward must give the bits of the
+    # plain dict-accumulating pass, for every parameter of a full sra step
+    params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
+    window = random_walk_window(3, seed=3)
+    named = params.tensors()
+    with dc.Tape() as tape:
+        loss = l2_loss(rollout(params, window), window_truth_nabs(window))
+    reference_backward(tape, loss)
+    expected = {name: t.grad for name, t in named.items()}
+    dc.zero_grads(named.values())
+    dc.backward(tape, loss)
+    for name, t in named.items():
+        assert t.grad.tobytes() == expected[name].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -503,9 +519,15 @@ def _nan_first_value(header, payload):
     pytest.param(_nan_first_value, id="nan-payload"),
 ])
 def test_checkpoint_malformed_directory_or_payload_is_corrupt(tmp_path, edit):
-    params = small_params(seed=61)
     path = tmp_path / "edited.ckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, small_params(seed=61))
+    _edit_checkpoint(path, edit)
+    with pytest.raises(CheckpointCorruptError):
+        load_checkpoint(path)
+
+
+def _edit_checkpoint(path, edit):
+    """Rewrite a saved checkpoint after edit(header, payload) changed it."""
     blob = path.read_bytes()
     (n,) = struct.unpack("<I", blob[12:16])
     header = json.loads(blob[16:16 + n])
@@ -513,7 +535,42 @@ def test_checkpoint_malformed_directory_or_payload_is_corrupt(tmp_path, edit):
     edit(header, payload)
     text = json.dumps(header).encode("utf-8")
     path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + bytes(payload))
-    with pytest.raises(CheckpointCorruptError):
+
+
+def _set_optimizer(value):
+    return lambda h, p: h.update(optimizer=value(h["optimizer"]))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set_optimizer(lambda o: 5), id="number"),
+    pytest.param(_set_optimizer(lambda o: [o]), id="list"),
+    pytest.param(_set_optimizer(lambda o: {k: v for k, v in o.items() if k != "lr"}),
+                 id="missing-lr"),
+    pytest.param(_set_optimizer(lambda o: {**o, "beta1": "0.9"}), id="string-beta1"),
+    pytest.param(_set_optimizer(lambda o: {**o, "beta2": True}), id="boolean-beta2"),
+    pytest.param(_set_optimizer(lambda o: {**o, "eps": float("inf")}), id="infinite-eps"),
+    pytest.param(_set_optimizer(lambda o: {**o, "lr": float("nan")}), id="nan-lr"),
+    pytest.param(_set_optimizer(lambda o: {**o, "step": -1}), id="negative-step"),
+    pytest.param(_set_optimizer(lambda o: {**o, "step": 2.0}), id="float-step"),
+    pytest.param(_set_optimizer(lambda o: {k: v for k, v in o.items() if k != "step"}),
+                 id="missing-step"),
+])
+def test_checkpoint_malformed_optimizer_header_is_corrupt(tmp_path, edit):
+    params, opt = trained_state(tmp_path)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, params, opt)
+    _edit_checkpoint(path, edit)
+    with pytest.raises(CheckpointCorruptError, match="optimizer"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_naming_an_array_twice_is_corrupt(tmp_path):
+    # before, the later payload silently replaced the earlier one and
+    # to_params failed with a usage-level ParamMismatchError
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, small_params(seed=61))
+    _edit_checkpoint(path, lambda h, p: h["arrays"][1].update(name=h["arrays"][0]["name"]))
+    with pytest.raises(CheckpointCorruptError, match="twice"):
         load_checkpoint(path)
 
 
