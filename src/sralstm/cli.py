@@ -29,8 +29,9 @@ from .data import (DataError, GRID_DT, SCENARIO_KINDS, Scene, SynthParams,
                    synth_scenario)
 from .evalkit import EvalReport, ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
-from .pipeline import (CheckpointError, atomic_write_text, load_checkpoint,
-                       rollout, save_checkpoint, train_epoch)
+from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError,
+                       atomic_write_text, load_checkpoint, rollout,
+                       save_checkpoint, train_epoch)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,7 +50,7 @@ class RunConfig:
     lr: float = 1e-3
     epochs: int = 300
     seed: int = 1
-    clip_norm: float = 10.0
+    clip_norm: float = CLIP_NORM
     save_every: int = 0
     augment: bool = True
     scenes: dict = field(default_factory=dict)     # name -> annotation path
@@ -63,7 +64,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file {path}: {e}") from e
     try:
         obj = json.loads(text)
@@ -81,6 +82,10 @@ def _read_config_file(path: str) -> dict:
 def build_run_config(args) -> RunConfig:
     """Merge defaults, the config file, and command-line overrides."""
     file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for section in ("model", "train", "data"):
+        if not isinstance(file_cfg.get(section, {}), dict):
+            raise UsageError(f"config section {section!r} must be a JSON object, "
+                             f"got {file_cfg[section]!r}")
     model_d = dict(file_cfg.get("model", {}))
     train_d = dict(file_cfg.get("train", {}))
     data_d = dict(file_cfg.get("data", {}))
@@ -112,10 +117,14 @@ def build_run_config(args) -> RunConfig:
             isinstance(v, str) for v in cfg.scenes.values()):
         raise UsageError(f"data.scenes must map scene names to file paths, got {cfg.scenes!r}")
     cfg.held_out = data_d.get("held_out")
+    if cfg.held_out is not None and not isinstance(cfg.held_out, str):
+        raise UsageError(f"data.held_out must be a string, got {cfg.held_out!r}")
     cfg.stride = data_d.get("stride", cfg.stride)
     cfg.source_timestep = _positive_number(
         "source_timestep", data_d.get("source_timestep", cfg.source_timestep))
     cfg.out_dir = file_cfg.get("out_dir", cfg.out_dir)
+    if not isinstance(cfg.out_dir, str):
+        raise UsageError(f"out_dir must be a string, got {cfg.out_dir!r}")
     if getattr(args, "epochs", None) is not None:
         cfg.epochs = args.epochs
     if getattr(args, "seed", None) is not None:
@@ -147,10 +156,11 @@ def _load_scene(cfg: RunConfig, name: str, path: str) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as f:
             rows = parse_annotations(f)
-    except OSError as e:
-        raise DataError(f"scene {name!r}: cannot read {path}: {e}") from e
     except DataError as e:
         raise DataError(f"scene {name!r} ({path}): {e}") from e
+    except (OSError, ValueError) as e:
+        # ValueError: bytes that are not UTF-8, or a NUL inside the path
+        raise DataError(f"scene {name!r}: cannot read {path}: {e}") from e
     scene = regrid(rows, cfg.source_timestep, name=name)
     if scene.dropped:
         print(f"note: scene {name!r} dropped {scene.dropped} "
@@ -223,6 +233,9 @@ def cmd_eval(args) -> int:
     cfg = replace(cfg, model=params.config)
     if not cfg.held_out:
         cfg.held_out = ckpt.metadata.get("held_out")
+        if cfg.held_out is not None and not isinstance(cfg.held_out, str):
+            raise CheckpointCorruptError(
+                f"{args.checkpoint} metadata held_out is not a string: {cfg.held_out!r}")
     if not cfg.held_out:
         raise UsageError("no held-out scene named (use --held-out or data.held_out)")
     if cfg.held_out not in cfg.scenes:
@@ -284,7 +297,7 @@ def _predict_window(args, cfg: RunConfig, model: ModelConfig) -> TrajectoryWindo
         try:
             with open(args.scene_file, "r", encoding="utf-8") as f:
                 rows = parse_annotations(f)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read {args.scene_file}: {e}") from e
         scene = regrid(rows, cfg.source_timestep, name=os.path.basename(args.scene_file))
     elif args.scenario:

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import diffcore as dc
 from .data import DataError, TrajectoryWindow
-from .model import ModelConfig, ModelParams
-from .pipeline import rollout, train_epoch
+from .model import ModelConfig, ModelParams, param_count
+from .pipeline import CLIP_NORM, rollout, train_epoch
 
 
 def _displacements(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -138,19 +138,15 @@ def ablate(base_config: ModelConfig, strategies: Sequence,
            train_windows: Sequence[TrajectoryWindow],
            test_windows: Sequence[TrajectoryWindow],
            epochs: int, seed: int, lr: float = 1e-3,
-           clip_norm: float = 10.0, augment: bool = True) -> list:
+           clip_norm: float = CLIP_NORM, augment: bool = True) -> list:
     """Train one model per attention strategy under identical conditions.
 
     Every model starts from the same seed (shared tensors identical,
     strategy-specific tensors independently initialized) and sees the same
     shuffled window order and augmentation draws.
     """
-    from dataclasses import replace
-    from .model import AttentionStrategy, param_count
-
     rows = []
     for strategy in strategies:
-        strategy = AttentionStrategy.parse(strategy) if isinstance(strategy, str) else strategy
         cfg = replace(base_config, strategy=strategy)
         params = ModelParams.init(cfg, seed=seed)
         opt = dc.AdamState(params.tensors(), lr=lr)
@@ -160,7 +156,7 @@ def ablate(base_config: ModelConfig, strategies: Sequence,
             final_loss = train_epoch(params, opt, train_windows, rng,
                                      clip_norm=clip_norm, augment=augment)
         report = evaluate(params, test_windows)
-        rows.append(AblationRow(strategy=strategy.value, ade=report.ade,
+        rows.append(AblationRow(strategy=cfg.strategy.value, ade=report.ade,
                                 fde=report.fde, final_loss=final_loss,
                                 param_count=param_count(cfg)))
     return rows

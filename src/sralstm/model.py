@@ -23,8 +23,9 @@ sequence; the functions here are the individual pieces.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -80,170 +81,113 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.strategy, AttentionStrategy):
             object.__setattr__(self, "strategy", AttentionStrategy.parse(self.strategy))
-        for name in ("embed_dim", "hidden_dim", "obs_len", "pred_len"):
+        # one observed frame would make every observed input offset the
+        # anchor itself, so the motion LSTM would never see observed motion
+        for name, least in (("embed_dim", 1), ("hidden_dim", 1), ("obs_len", 2), ("pred_len", 1)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
     @property
     def window_len(self) -> int:
         return self.obs_len + self.pred_len
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "strategy": self.strategy.value,
-            "obs_len": self.obs_len,
-            "pred_len": self.pred_len,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["strategy"] = self.strategy.value
+        return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ModelConfig":
-        known = {"embed_dim", "hidden_dim", "strategy", "obs_len", "pred_len"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown model config keys: {sorted(extra)}")
         return cls(**dict(d))
 
 
-@dataclass
-class LstmGates:
-    """Per-gate weights of one LSTM cell over [x; h] inputs."""
+def param_table(config: ModelConfig) -> list:
+    """Every trainable tensor of a configuration as a (name, shape, fan_in)
+    row, in init order, which is also the checkpoint order.
 
-    wi: Tensor
-    wf: Tensor
-    wg: Tensor
-    wo: Tensor
-    bi: Tensor
-    bf: Tensor
-    bg: Tensor
-    bo: Tensor
+    Weights and biases draw from U(-k, k) with k = 1/sqrt(fan_in); a bias
+    shares its weight's fan-in, since an exactly zero bias would park ReLU
+    units on their kink at the anchor frame. Strategy-independent rows come
+    first, so two models built from the same seed share them exactly no
+    matter which attention strategy each uses.
+    """
+    e, h = config.embed_dim, config.hidden_dim
+
+    def embedding(w, b):
+        """A 2-d displacement embedded to e dims."""
+        return [(w, (e, 2), 2), (b, (e, 1), 2)]
+
+    def lstm(cell, in_dim):
+        """Four gates (input, forget, candidate, output) over [x; h]."""
+        fan_in = in_dim + h
+        return ([(f"{cell}_w{g}", (h, fan_in), fan_in) for g in "ifgo"]
+                + [(f"{cell}_b{g}", (h, 1), fan_in) for g in "ifgo"])
+
+    scorer = {
+        AttentionStrategy.NONE: [],
+        AttentionStrategy.SA: [("w_sa", (1, 2 * h), 2 * h)],
+        AttentionStrategy.RA: [("w_ra", (1, e + 2 * h), e + 2 * h)]
+                              + embedding("w_rae", "b_rae"),
+        AttentionStrategy.SRA: [("w_at", (1, 3 * h), 3 * h)],
+    }[config.strategy]
+    return (embedding("w_re", "b_re") + lstm("rel", e) + embedding("w_e", "b_e")
+            + lstm("motion", e + h) + [("w_p", (2, h), h), ("b_p", (2, 1), h)]
+            + scorer)
 
 
-def _gate_names(prefix: str):
-    return [f"{prefix}_{g}" for g in ("wi", "wf", "wg", "wo", "bi", "bf", "bg", "bo")]
+def param_count(config: ModelConfig) -> int:
+    """Trainable scalars of a configuration."""
+    return sum(math.prod(shape) for _, shape, _ in param_table(config))
 
 
 @dataclass
 class ModelParams:
-    """All trainable tensors for one configuration.
-
-    Strategy-independent tensors are initialized first and in a fixed
-    order, so two models built from the same seed share them exactly no
-    matter which attention strategy each uses.
-    """
+    """A configuration plus its trainable tensors, keyed and ordered as in
+    ``param_table``."""
 
     config: ModelConfig
-    w_re: Tensor
-    b_re: Tensor
-    rel: LstmGates
-    w_e: Tensor
-    b_e: Tensor
-    motion: LstmGates
-    w_p: Tensor
-    b_p: Tensor
-    w_at: Optional[Tensor] = None
-    w_sa: Optional[Tensor] = None
-    w_ra: Optional[Tensor] = None
-    w_rae: Optional[Tensor] = None
-    b_rae: Optional[Tensor] = None
+    named: "OrderedDict[str, Tensor]"
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self.named[name]
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelParams":
         rng = np.random.default_rng(seed)
-        e, h = config.embed_dim, config.hidden_dim
-
-        def uniform(rows, cols, fan_in):
+        named = OrderedDict()
+        for name, shape, fan_in in param_table(config):
             k = 1.0 / np.sqrt(fan_in)
-            return Tensor(rng.uniform(-k, k, size=(rows, cols)))
-
-        # biases draw from the same fan-in range as their weights; an exactly
-        # zero bias would park ReLU units on their kink at the anchor frame
-        def gates(in_dim):
-            ws = [uniform(h, in_dim + h, in_dim + h) for _ in range(4)]
-            bs = [uniform(h, 1, in_dim + h) for _ in range(4)]
-            return LstmGates(*ws, *bs)
-
-        w_re, b_re = uniform(e, 2, 2), uniform(e, 1, 2)
-        rel = gates(e)
-        w_e, b_e = uniform(e, 2, 2), uniform(e, 1, 2)
-        motion = gates(e + h)
-        w_p, b_p = uniform(2, h, h), uniform(2, 1, h)
-        params = cls(config, w_re, b_re, rel, w_e, b_e, motion, w_p, b_p)
-        s = config.strategy
-        if s is AttentionStrategy.SRA:
-            params.w_at = uniform(1, 3 * h, 3 * h)
-        elif s is AttentionStrategy.SA:
-            params.w_sa = uniform(1, 2 * h, 2 * h)
-        elif s is AttentionStrategy.RA:
-            params.w_ra = uniform(1, e + 2 * h, e + 2 * h)
-            params.w_rae = uniform(e, 2, 2)
-            params.b_rae = uniform(e, 1, 2)
-        return params
+            named[name] = Tensor(rng.uniform(-k, k, size=shape))
+        return cls(config, named)
 
     def tensors(self) -> "OrderedDict[str, Tensor]":
-        """Canonically named parameter tensors, in a stable order."""
-        out: OrderedDict[str, Tensor] = OrderedDict()
-        out["w_re"] = self.w_re
-        out["b_re"] = self.b_re
-        for name, t in zip(_gate_names("rel"), _gate_list(self.rel)):
-            out[name] = t
-        out["w_e"] = self.w_e
-        out["b_e"] = self.b_e
-        for name, t in zip(_gate_names("motion"), _gate_list(self.motion)):
-            out[name] = t
-        out["w_p"] = self.w_p
-        out["b_p"] = self.b_p
-        for name in ("w_at", "w_sa", "w_ra", "w_rae", "b_rae"):
-            t = getattr(self, name)
-            if t is not None:
-                out[name] = t
-        return out
+        """The named parameter tensors, in table order."""
+        return self.named
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> "ModelParams":
         """Rebuild params from named arrays, validating shape and coverage."""
-        template = cls.init(config, seed=0)
-        expected = template.tensors()
-        missing = sorted(set(expected) - set(arrays))
+        table = param_table(config)
+        expected = {name for name, _, _ in table}
+        missing = sorted(expected - set(arrays))
         if missing:
             raise ParamMismatchError(f"parameter arrays missing: {missing}")
-        extra = sorted(set(arrays) - set(expected))
+        extra = sorted(set(arrays) - expected)
         if extra:
             raise ParamMismatchError(f"unexpected parameter arrays: {extra}")
-        for name, t in expected.items():
+        named = OrderedDict()
+        for name, shape, _ in table:
             arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.shape:
+            if arr.shape != shape:
                 raise ShapeMismatchForTensor(
-                    f"tensor {name!r}: checkpoint shape {arr.shape} != expected {t.shape}"
+                    f"tensor {name!r}: checkpoint shape {arr.shape} != expected {shape}"
                 )
-            t.values = arr.copy()
-            t.grad = None
-        return template
-
-
-def _gate_list(g: LstmGates):
-    return [g.wi, g.wf, g.wg, g.wo, g.bi, g.bf, g.bg, g.bo]
-
-
-def param_count(config: ModelConfig) -> int:
-    """Closed-form count of trainable scalars for a configuration."""
-    e, h = config.embed_dim, config.hidden_dim
-
-    def lstm(in_dim):
-        return 4 * (h * (in_dim + h) + h)
-
-    embed = e * 2 + e
-    total = embed + lstm(e) + embed + lstm(e + h) + (2 * h + 2)
-    s = config.strategy
-    if s is AttentionStrategy.SRA:
-        total += 3 * h
-    elif s is AttentionStrategy.SA:
-        total += 2 * h
-    elif s is AttentionStrategy.RA:
-        total += (e + 2 * h) + embed
-    return total
+            named[name] = Tensor(arr)
+        return cls(config, named)
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +259,24 @@ def embed_relative(params: ModelParams, pos_i, pos_j) -> Tensor:
     the result unchanged.
     """
     disp = dc.sub(_as_col2(pos_j), _as_col2(pos_i))
-    return dc.relu(_affine(params.w_re, disp, params.b_re))
+    return dc.relu(_affine(params["w_re"], disp, params["b_re"]))
 
 
 def ra_relative_embedding(params: ModelParams, pos_i, pos_j) -> Tensor:
     """The RA strategy's dedicated displacement embedding."""
-    if params.w_rae is None:
+    if "w_rae" not in params.named:
         raise ValueError("params carry no RA relative embedding")
     disp = dc.sub(_as_col2(pos_j), _as_col2(pos_i))
-    return dc.relu(_affine(params.w_rae, disp, params.b_rae))
+    return dc.relu(_affine(params["w_rae"], disp, params["b_rae"]))
 
 
-def _lstm_cell(gates: LstmGates, x: Tensor, h: Tensor, c: Tensor):
+def _lstm_cell(params: ModelParams, cell: str, x: Tensor, h: Tensor, c: Tensor):
+    """One step of the LSTM whose gate tensors are named ``<cell>_w*``/``<cell>_b*``."""
     xh = dc.concat([x, h], axis=0)
-    i = dc.sigmoid(_affine(gates.wi, xh, gates.bi))
-    f = dc.sigmoid(_affine(gates.wf, xh, gates.bf))
-    g = dc.tanh(_affine(gates.wg, xh, gates.bg))
-    o = dc.sigmoid(_affine(gates.wo, xh, gates.bo))
+    i = dc.sigmoid(_affine(params[cell + "_wi"], xh, params[cell + "_bi"]))
+    f = dc.sigmoid(_affine(params[cell + "_wf"], xh, params[cell + "_bf"]))
+    g = dc.tanh(_affine(params[cell + "_wg"], xh, params[cell + "_bg"]))
+    o = dc.sigmoid(_affine(params[cell + "_wo"], xh, params[cell + "_bo"]))
     c_new = dc.add(dc.mul(f, c), dc.mul(i, g))
     h_new = dc.mul(o, dc.tanh(c_new))
     return h_new, c_new
@@ -341,7 +286,7 @@ def relation_step(params: ModelParams, state: SceneState, pair, e_ij: Tensor):
     """Advance the relationship encoder for one ordered pair; returns (r, cr)."""
     if pair not in state.r:
         raise UnknownPedestrianError(pair)
-    r, cr = _lstm_cell(params.rel, e_ij, state.r[pair], state.cr[pair])
+    r, cr = _lstm_cell(params, "rel", e_ij, state.r[pair], state.cr[pair])
     state.r[pair] = r
     state.cr[pair] = cr
     return r, cr
@@ -352,13 +297,13 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
                      e_rel: Optional[Tensor] = None) -> Tensor:
     """Unnormalized attention score for neighbor j of pedestrian i."""
     if strategy is AttentionStrategy.SRA:
-        return dc.matmul(params.w_at, dc.concat([r_ij, h_i, h_j], axis=0))
+        return dc.matmul(params["w_at"], dc.concat([r_ij, h_i, h_j], axis=0))
     if strategy is AttentionStrategy.SA:
-        return dc.matmul(params.w_sa, dc.concat([h_i, h_j], axis=0))
+        return dc.matmul(params["w_sa"], dc.concat([h_i, h_j], axis=0))
     if strategy is AttentionStrategy.RA:
         if e_rel is None:
             raise ValueError("RA attention needs the embedded relative position")
-        return dc.matmul(params.w_ra, dc.concat([e_rel, h_i, h_j], axis=0))
+        return dc.matmul(params["w_ra"], dc.concat([e_rel, h_i, h_j], axis=0))
     raise ValueError(f"strategy {strategy.value!r} scores no neighbors")
 
 
@@ -388,7 +333,7 @@ def social_context(state: SceneState, ped, weights: Optional[Tensor],
 
 def embed_position(params: ModelParams, nabs: Tensor) -> Tensor:
     """Embed a pedestrian's anchored offset for the motion LSTM."""
-    return dc.relu(_affine(params.w_e, _as_col2(nabs), params.b_e))
+    return dc.relu(_affine(params["w_e"], _as_col2(nabs), params["b_e"]))
 
 
 def motion_step(params: ModelParams, state: SceneState, ped,
@@ -397,7 +342,7 @@ def motion_step(params: ModelParams, state: SceneState, ped,
     if ped not in state.h:
         raise UnknownPedestrianError(ped)
     x = dc.concat([e_i, context], axis=0)
-    h, c = _lstm_cell(params.motion, x, state.h[ped], state.c[ped])
+    h, c = _lstm_cell(params, "motion", x, state.h[ped], state.c[ped])
     state.h[ped] = h
     state.c[ped] = c
     return h, c
@@ -405,7 +350,7 @@ def motion_step(params: ModelParams, state: SceneState, ped,
 
 def predict_offset(params: ModelParams, h: Tensor) -> Tensor:
     """Project a motion state to the next-step anchored offset."""
-    return _affine(params.w_p, h, params.b_p)
+    return _affine(params["w_p"], h, params["b_p"])
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointCorruptError(f"{path} has a malformed header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointCorruptError(f"{path} has a non-object header")
     for key in ("config", "metadata", "arrays"):
         if key not in header:
             raise CheckpointCorruptError(f"{path} header lacks {key!r}")
@@ -375,12 +377,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(f"{path} has non-object metadata")
     if not isinstance(header["arrays"], list):
         raise CheckpointCorruptError(f"{path} has a non-list array directory")
-    offset = 16 + header_len
-    arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointCorruptError(f"{path} has an invalid config: {e}") from e
+    with_optimizer = header.get("optimizer") is not None
+    optimizer = _optimizer_header(path, header["optimizer"]) if with_optimizer else None
+    directory = OrderedDict()
     for entry in header["arrays"]:
         name, shape = _directory_entry(path, entry)
-        if name in arrays:
+        if name in directory:
             raise CheckpointCorruptError(f"{path} names array {name!r} twice")
+        directory[name] = shape
+    expected = _expected_arrays(config, with_optimizer)
+    for name in [*directory, *(n for n in expected if n not in directory)]:
+        found, needed = directory.get(name), expected.get(name)
+        if found != needed:
+            raise CheckpointCorruptError(
+                f"{path} array {name!r}: found {'none' if found is None else found}, "
+                f"its config needs {'none' if needed is None else needed}")
+    offset = 16 + header_len
+    arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    for name, shape in directory.items():
         nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(blob):
             raise CheckpointCorruptError(f"{path} is truncated inside array {name!r}")
@@ -391,21 +409,25 @@ def load_checkpoint(path) -> Checkpoint:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointCorruptError(f"{path} has {len(blob) - offset} trailing bytes")
-    try:
-        config = ModelConfig.from_dict(header["config"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointCorruptError(f"{path} has an invalid config: {e}") from e
     params = OrderedDict(
         (n, a) for n, a in arrays.items() if not n.startswith("adam."))
-    optimizer = None
-    if header.get("optimizer") is not None:
-        optimizer = _optimizer_header(path, header["optimizer"])
+    if with_optimizer:
         optimizer["m"] = {n[len("adam.m."):]: a for n, a in arrays.items()
                           if n.startswith("adam.m.")}
         optimizer["v"] = {n[len("adam.v."):]: a for n, a in arrays.items()
                           if n.startswith("adam.v.")}
     return Checkpoint(config=config, params=params, optimizer=optimizer,
                       metadata=dict(header["metadata"]))
+
+
+def _expected_arrays(config: ModelConfig, with_optimizer: bool) -> dict:
+    """Name -> shape of every array a checkpoint of this config holds."""
+    table = {name: shape for name, shape, _ in md.param_table(config)}
+    expected = dict(table)
+    if with_optimizer:
+        for prefix in ("adam.m.", "adam.v."):
+            expected.update((prefix + name, shape) for name, shape in table.items())
+    return expected
 
 
 def _directory_entry(path, entry) -> tuple:

@@ -5,6 +5,9 @@ The oracles here are deliberately written from scratch with plain numpy
 disagree with the implementation if it is wrong.
 """
 
+import json
+import struct
+
 import numpy as np
 
 from sralstm.data import TrajectoryWindow
@@ -77,11 +80,12 @@ def oracle_lstm_cell(wi, wf, wg, wo, bi, bf, bg, bo, x, h, c):
     return h_new, c_new
 
 
-def oracle_lstm_from_gates(gates, x, h, c):
-    return oracle_lstm_cell(
-        gates.wi.values, gates.wf.values, gates.wg.values, gates.wo.values,
-        gates.bi.values, gates.bf.values, gates.bg.values, gates.bo.values,
-        x, h, c)
+def oracle_lstm_from_gates(params, prefix, x, h, c):
+    """oracle_lstm_cell over the gate tensors named ``<prefix>_wi`` ... ``<prefix>_bo``."""
+    w = {name: params[f"{prefix}_{name}"].values
+         for name in ("wi", "wf", "wg", "wo", "bi", "bf", "bg", "bo")}
+    return oracle_lstm_cell(w["wi"], w["wf"], w["wg"], w["wo"],
+                            w["bi"], w["bf"], w["bg"], w["bo"], x, h, c)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +116,20 @@ def reference_backward(tape, root) -> None:
     for key, t in holders.items():
         g = adjoint[key]
         t.grad = g.copy() if t.grad is None else t.grad + g
+
+
+# ---------------------------------------------------------------------------
+# checkpoint surgery
+
+def edit_checkpoint(path, edit):
+    """Rewrite a saved checkpoint after edit(header, payload) changed it."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + n])
+    payload = bytearray(blob[16 + n:])
+    edit(header, payload)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + bytes(payload))
 
 
 # ---------------------------------------------------------------------------

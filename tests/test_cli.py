@@ -2,16 +2,21 @@
 byte-determinism of the file outputs."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sralstm.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          UsageError, build_parser, build_run_config, main)
 from sralstm.data import (build_windows, parse_annotations, regrid,
                           scene_to_annotation_text, synth_scenario)
 from sralstm.model import AttentionStrategy
-from sralstm.pipeline import load_checkpoint
+from sralstm.pipeline import load_checkpoint, save_checkpoint
+
+from helpers import edit_checkpoint
 
 TINY_MODEL = {"embed_dim": 6, "hidden_dim": 8, "strategy": "sra"}
 
@@ -363,6 +368,24 @@ def test_non_string_scene_path_is_usage_error(data_dir, tmp_path):
         build_run_config(train_args(tmp_path, cfg))
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda c: c.update(model=[["embed_dim", 6], ["hidden_dim", 8]]), "'model'"),
+    (lambda c: c.update(train=[1, 2]), "'train'"),
+    (lambda c: c.update(data="B"), "'data'"),
+    (lambda c: c["data"].update(held_out=["B"]), "held_out"),
+    (lambda c: c.update(out_dir=5), "out_dir"),
+    (lambda c: c["model"].update(obs_len=1), "obs_len"),
+], ids=["model-list-of-pairs", "train-list", "data-string", "list-held-out",
+        "number-out-dir", "one-observed-frame"])
+def test_mistyped_config_value_is_usage_error(data_dir, tmp_path, edit, named):
+    # before, a list of pairs was read as an object, the other edits raised
+    # TypeError or ValueError later, and obs_len 1 was accepted
+    cfg = base_config(data_dir, tmp_path / "x")
+    edit(cfg)
+    with pytest.raises(UsageError, match=named):
+        build_run_config(train_args(tmp_path, cfg))
+
+
 def test_unknown_config_key_is_usage_error(data_dir, tmp_path, capsys):
     cfg = base_config(data_dir, tmp_path / "x")
     cfg["trian"] = cfg.pop("train")
@@ -416,6 +439,66 @@ def test_corrupt_checkpoint_is_data_error(data_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_string_held_out_in_checkpoint_metadata_is_data_error(
+        data_dir, tmp_path, trained, capsys):
+    # before, the fallback raised TypeError: unhashable type
+    ckpt = load_checkpoint(trained / "checkpoint.ckpt")
+    path = tmp_path / "listed.ckpt"
+    save_checkpoint(path, ckpt.to_params(), metadata={"held_out": ["B"]})
+    cfg_path = write_config(tmp_path / "f.json",
+                            eval_config(data_dir, tmp_path / "x", held_out=False))
+    rc = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])
+    assert rc == EXIT_DATA
+    assert "held_out" in capsys.readouterr().err
+
+
+def test_checkpoint_claiming_a_larger_model_is_data_error(data_dir, tmp_path,
+                                                          trained, capsys):
+    # before, eval drew a random model of the claimed size, then exited 1
+    path = tmp_path / "claims.ckpt"
+    path.write_bytes((trained / "checkpoint.ckpt").read_bytes())
+    edit_checkpoint(path, lambda h, p: h["config"].update(hidden_dim=1500))
+    cfg_path = write_config(tmp_path / "e.json",
+                            eval_config(data_dir, tmp_path / "x"))
+    rc = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])
+    assert rc == EXIT_DATA
+    assert "its config needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scene_path", ["binary", "nul"])
+def test_unreadable_scene_path_is_data_error(data_dir, tmp_path, trained,
+                                             scene_path, capsys):
+    # before, undecodable bytes escaped as UnicodeDecodeError and a NUL in
+    # the path as ValueError
+    cfg = eval_config(data_dir, tmp_path / "x")
+    cfg["data"]["scenes"]["B"] = {
+        "binary": str(trained / "checkpoint.ckpt"),
+        "nul": str(data_dir / "B.txt") + "\u0000",
+    }[scene_path]
+    rc = main(["eval", "--config", write_config(tmp_path / "e.json", cfg),
+               "--checkpoint", str(trained / "checkpoint.ckpt")])
+    assert rc == EXIT_DATA
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    # before, UnicodeDecodeError escaped
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"out_dir": "\xff"}')
+    assert main(["train", "--config", str(path)]) == EXIT_USAGE
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_predict_scene_file_that_is_not_utf8_is_data_error(tmp_path, trained, capsys):
+    # before, UnicodeDecodeError escaped
+    path = tmp_path / "scene.txt"
+    path.write_bytes(b"0 1 0.0 \xff\n")
+    rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+               "--scene-file", str(path), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_DATA
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_window_start_without_window_is_data_error(tmp_path, trained, capsys):
     rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
                "--scenario", "parallel", "--window-start", "99",
@@ -430,3 +513,125 @@ def test_divergent_training_is_numeric_error(data_dir, tmp_path, capsys):
     rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
     assert rc == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# mutated inputs: eval ends in an exit code, never a traceback
+#
+# Only eval is driven, so a mutation that stays valid cannot start a long
+# training run. Every string a mutation writes comes from fuzz_words: scene
+# paths are files under the test's temporary directory, so no example opens
+# a device or a file elsewhere, and --out always points there too.
+# data.source_timestep is never mutated: regrid does not bound its grid, so
+# a large value turns the 20-frame scenes into millions of grid frames (a
+# long run) and a huge one overflows inside regrid with a bare error.
+
+FUZZ_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=150)
+
+
+def fuzz_words(data_dir, work):
+    return ["", "A", "B", "sra", "sa", "none", "held_out", "scenes", "name",
+            "shape", "hidden_dim", "obs_len", "w_re", "adam.m.w_re",
+            str(data_dir / "A.txt"), str(data_dir / "B.txt"), str(work),
+            str(work / "fuzz.ckpt"), str(work / "fuzz.json"), str(work / "absent.txt")]
+
+
+def json_values(words):
+    # small integers too, so sizes and strides are often valid
+    leaves = (st.none() | st.booleans() | st.integers(-1, 24) | st.integers()
+              | st.floats() | st.sampled_from(words))
+    return st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids, max_size=3)
+                      | st.dictionaries(st.sampled_from(words), kids, max_size=3)),
+        max_leaves=6)
+
+
+def replace_at(doc, path, value):
+    """doc with the value at path (a tuple of keys and indexes) replaced."""
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def eval_exit_code(work, config, ckpt_bytes):
+    (work / "fuzz.ckpt").write_bytes(ckpt_bytes)
+    cfg_path = write_config(work / "fuzz.json", config)
+    return main(["eval", "--config", cfg_path, "--checkpoint", str(work / "fuzz.ckpt"),
+                 "--out", str(work / "out")])
+
+
+CHECKPOINT_PATHS = [(), ("config",), ("metadata",), ("arrays",), ("optimizer",),
+                    ("config", "embed_dim"), ("config", "hidden_dim"),
+                    ("config", "strategy"), ("config", "obs_len"), ("config", "pred_len"),
+                    ("config", "dropout"), ("metadata", "held_out"), ("arrays", 0),
+                    ("arrays", 0, "name"), ("arrays", 0, "shape"), ("arrays", -1, "shape"),
+                    ("arrays", 0, "shape", 0), ("optimizer", "lr"), ("optimizer", "step")]
+
+CONFIG_PATHS = [("model",), ("train",), ("data",), ("out_dir",), ("model", "embed_dim"),
+                ("model", "hidden_dim"), ("model", "strategy"), ("model", "obs_len"),
+                ("model", "pred_len"), ("train", "learning_rate"), ("train", "epochs"),
+                ("train", "clip_norm"), ("train", "augment"), ("data", "scenes"),
+                ("data", "scenes", "B"), ("data", "held_out"), ("data", "stride"),
+                ("data", "bogus")]
+
+
+def test_mutated_checkpoint_ends_in_an_exit_code(data_dir, trained, tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz_ckpt")
+    words = fuzz_words(data_dir, work)
+    config = eval_config(data_dir, work / "out", held_out=False)
+    blob = (trained / "checkpoint.ckpt").read_bytes()
+    (n,) = struct.unpack("<I", blob[12:16])
+    header, payload = json.loads(blob[16:16 + n]), blob[16 + n:]
+    flips = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+                     min_size=1, max_size=4)
+    cut = st.integers(0, len(blob) - 1)
+    edit = st.tuples(st.sampled_from(CHECKPOINT_PATHS), json_values(words))
+
+    @FUZZ_SETTINGS
+    @given(st.one_of(flips.map(lambda f: ("flip", f)), cut.map(lambda c: ("cut", c)),
+                     edit.map(lambda e: ("edit", e))))
+    def check(mutation):
+        kind, arg = mutation
+        if kind == "flip":
+            mutated = bytearray(blob)
+            for i, x in arg:
+                mutated[i] ^= x
+        elif kind == "cut":
+            mutated = blob[:arg]
+        else:
+            path, value = arg
+            text = json.dumps(replace_at(json.loads(json.dumps(header)), path, value))
+            mutated = (blob[:12] + struct.pack("<I", len(text.encode()))
+                       + text.encode() + payload)
+        assert eval_exit_code(work, config, bytes(mutated)) in (
+            EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+    check()
+
+
+def test_mutated_config_ends_in_an_exit_code(data_dir, trained, tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz_config")
+    words = fuzz_words(data_dir, work)
+    config = base_config(data_dir, work / "out")
+    blob = (trained / "checkpoint.ckpt").read_bytes()
+
+    @FUZZ_SETTINGS
+    @given(st.lists(st.tuples(st.sampled_from(CONFIG_PATHS), json_values(words)),
+                    min_size=1, max_size=2))
+    def check(edits):
+        mutated = json.loads(json.dumps(config))
+        for path, value in edits:
+            try:
+                mutated = replace_at(mutated, path, value)
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit removed the parent of this path
+        assert eval_exit_code(work, mutated, blob) in (
+            EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+    check()

@@ -51,6 +51,19 @@ def test_config_rejects_degenerate_dims():
         ModelConfig(pred_len=-1)
 
 
+def test_config_needs_two_observed_frames():
+    # with one observed frame every observed input offset is the anchor
+    # itself, so the motion LSTM would never see observed motion
+    with pytest.raises(ValueError, match="obs_len"):
+        ModelConfig(obs_len=1)
+    assert ModelConfig(obs_len=2).obs_len == 2
+
+
+def test_config_rejects_boolean_dims():
+    with pytest.raises(ValueError, match="hidden_dim"):
+        ModelConfig(hidden_dim=True)
+
+
 def test_config_dict_round_trip():
     cfg = ModelConfig(embed_dim=16, hidden_dim=24, strategy="sa",
                       obs_len=4, pred_len=6)
@@ -143,6 +156,33 @@ def test_from_arrays_names_misshapen_tensor():
         ModelParams.from_arrays(SMALL, arrays)
 
 
+@pytest.mark.parametrize("strategy", list(AttentionStrategy))
+def test_param_table_lays_out_init_tensors(strategy):
+    cfg = small_config(strategy=strategy)
+    table = md.param_table(cfg)
+    params = ModelParams.init(cfg, seed=6)
+    assert [name for name, _, _ in table] == list(params.tensors())
+    for name, shape, fan_in in table:
+        values = params[name].values
+        assert values.shape == shape, name
+        assert np.all(np.abs(values) <= 1.0 / np.sqrt(fan_in)), name
+
+
+def test_from_arrays_draws_nothing(monkeypatch):
+    params = ModelParams.init(SMALL, seed=2)
+    arrays = {n: t.values for n, t in params.tensors().items()}
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("from_arrays drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rebuilt = ModelParams.from_arrays(SMALL, arrays)
+    assert rebuilt["w_at"].values is not arrays["w_at"]
+    # a claimed size is checked against the table, not materialized
+    with pytest.raises(md.ShapeMismatchForTensor, match="rel_wi"):
+        ModelParams.from_arrays(ModelConfig(embed_dim=6, hidden_dim=1500), arrays)
+
+
 def test_tensor_directory_order_is_stable():
     names = list(ModelParams.init(SMALL, seed=0).tensors())
     assert names[0] == "w_re"
@@ -156,7 +196,7 @@ def test_tensor_directory_order_is_stable():
 def test_embed_relative_zero_displacement_is_relu_of_bias():
     params = ModelParams.init(SMALL, seed=3)
     out = md.embed_relative(params, (1.0, 2.0), (1.0, 2.0))
-    expected = np.maximum(params.b_re.values, 0.0)
+    expected = np.maximum(params["b_re"].values, 0.0)
     assert np.array_equal(out.values, expected)
 
 
@@ -170,18 +210,18 @@ def test_embed_relative_translation_invariant_bitwise():
 def test_embed_relative_matches_scripted_oracle():
     params = ModelParams.init(SMALL, seed=3)
     out = md.embed_relative(params, (0.0, 0.0), (1.0, 2.0))
-    oracle = oracle_affine_relu(params.w_re.values,
-                                np.array([[1.0], [2.0]]), params.b_re.values)
+    oracle = oracle_affine_relu(params["w_re"].values,
+                                np.array([[1.0], [2.0]]), params["b_re"].values)
     assert rel_err(out.values, oracle) < 1e-12
 
 
 def test_embed_position_zero_input_and_oracle():
     params = ModelParams.init(SMALL, seed=6)
     zero = md.embed_position(params, Tensor(np.zeros((2, 1))))
-    assert np.array_equal(zero.values, np.maximum(params.b_e.values, 0.0))
+    assert np.array_equal(zero.values, np.maximum(params["b_e"].values, 0.0))
     out = md.embed_position(params, Tensor([[0.7], [-0.3]]))
-    oracle = oracle_affine_relu(params.w_e.values,
-                                np.array([[0.7], [-0.3]]), params.b_e.values)
+    oracle = oracle_affine_relu(params["w_e"].values,
+                                np.array([[0.7], [-0.3]]), params["b_e"].values)
     assert rel_err(out.values, oracle) < 1e-12
     assert np.all(out.values >= 0.0)
 
@@ -192,8 +232,8 @@ def test_ra_embedding_requires_ra_params():
         md.ra_relative_embedding(sra, (0.0, 0.0), (1.0, 1.0))
     ra = ModelParams.init(small_config("ra"), seed=1)
     out = md.ra_relative_embedding(ra, (0.0, 0.0), (1.0, 2.0))
-    oracle = oracle_affine_relu(ra.w_rae.values,
-                                np.array([[1.0], [2.0]]), ra.b_rae.values)
+    oracle = oracle_affine_relu(ra["w_rae"].values,
+                                np.array([[1.0], [2.0]]), ra["b_rae"].values)
     assert rel_err(out.values, oracle) < 1e-12
 
 
@@ -269,7 +309,7 @@ def test_relation_step_matches_lstm_oracle():
     state.cr[(1, 2)] = Tensor(rng.normal(size=(8, 1)))
     x = rng.normal(size=(6, 1))
     want_h, want_c = oracle_lstm_from_gates(
-        params.rel, x, state.r[(1, 2)].values, state.cr[(1, 2)].values)
+        params, "rel", x, state.r[(1, 2)].values, state.cr[(1, 2)].values)
     r, cr = md.relation_step(params, state, (1, 2), Tensor(x))
     assert rel_err(r.values, want_h) < 1e-12
     assert rel_err(cr.values, want_c) < 1e-12
@@ -295,7 +335,7 @@ def test_motion_step_matches_lstm_oracle_and_mutates():
     ctx = rng.normal(size=(8, 1))
     x = np.concatenate([e_i, ctx], axis=0)
     want_h, want_c = oracle_lstm_from_gates(
-        params.motion, x, state.h[7].values, state.c[7].values)
+        params, "motion", x, state.h[7].values, state.c[7].values)
     h, c = md.motion_step(params, state, 7, Tensor(e_i), Tensor(ctx))
     assert rel_err(h.values, want_h) < 1e-12
     assert rel_err(c.values, want_c) < 1e-12
@@ -342,7 +382,7 @@ def test_sra_logit_matches_dot_product_oracle():
     r, h_i, h_j = _attention_inputs()
     out = md.attention_logits(params, AttentionStrategy.SRA, r, h_i, h_j)
     stacked = np.concatenate([r.values, h_i.values, h_j.values], axis=0)
-    oracle = (params.w_at.values @ stacked).item()
+    oracle = (params["w_at"].values @ stacked).item()
     assert rel_err(out.values, oracle) < 1e-12
 
 
@@ -364,7 +404,7 @@ def test_sa_logit_matches_oracle():
     r, h_i, h_j = _attention_inputs()
     out = md.attention_logits(sa, AttentionStrategy.SA, r, h_i, h_j)
     stacked = np.concatenate([h_i.values, h_j.values], axis=0)
-    assert rel_err(out.values, (sa.w_sa.values @ stacked).item()) < 1e-12
+    assert rel_err(out.values, (sa["w_sa"].values @ stacked).item()) < 1e-12
 
 
 def test_ra_logit_needs_embedding_and_matches_oracle():
@@ -375,7 +415,7 @@ def test_ra_logit_needs_embedding_and_matches_oracle():
     e_rel = md.ra_relative_embedding(ra, (0.0, 0.0), (1.0, -1.0))
     out = md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j, e_rel)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
-    assert rel_err(out.values, (ra.w_ra.values @ stacked).item()) < 1e-12
+    assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12
 
 
 def test_attention_weights_single_neighbor_is_exactly_one():
@@ -446,7 +486,7 @@ def test_social_context_requires_weights_with_neighbors():
 def test_predict_offset_zero_state_gives_bias():
     params = ModelParams.init(SMALL, seed=2)
     out = md.predict_offset(params, Tensor(np.zeros((8, 1))))
-    assert np.array_equal(out.values, params.b_p.values)
+    assert np.array_equal(out.values, params["b_p"].values)
 
 
 def test_predict_offset_is_affine():
@@ -464,7 +504,7 @@ def test_predict_offset_matches_affine_oracle():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(8, 1))
     out = md.predict_offset(params, Tensor(h))
-    oracle = params.w_p.values @ h + params.b_p.values
+    oracle = params["w_p"].values @ h + params["b_p"].values
     assert rel_err(out.values, oracle) < 1e-12
 
 

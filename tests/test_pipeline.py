@@ -1,6 +1,5 @@
 """Rollout orchestration, loss, training loop, and checkpoint persistence."""
 
-import json
 import struct
 from dataclasses import replace
 
@@ -19,7 +18,7 @@ from sralstm.pipeline import (Checkpoint, CheckpointCorruptError,
                               save_checkpoint, scene_step, train_epoch,
                               train_step, window_truth_nabs)
 
-from helpers import (constant_velocity_tracks, random_walk_window,
+from helpers import (constant_velocity_tracks, edit_checkpoint, random_walk_window,
                      reference_backward, rel_err, window_from_tracks)
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
@@ -323,7 +322,7 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
     with dc.Tape() as tape:
         result = rollout(params, window)
         dc.backward(tape, l2_loss(result, window_truth_nabs(window)))
-    assert np.all(params.w_at.grad == 0.0)
+    assert np.all(params["w_at"].grad == 0.0)
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
@@ -521,20 +520,9 @@ def _nan_first_value(header, payload):
 def test_checkpoint_malformed_directory_or_payload_is_corrupt(tmp_path, edit):
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, small_params(seed=61))
-    _edit_checkpoint(path, edit)
+    edit_checkpoint(path, edit)
     with pytest.raises(CheckpointCorruptError):
         load_checkpoint(path)
-
-
-def _edit_checkpoint(path, edit):
-    """Rewrite a saved checkpoint after edit(header, payload) changed it."""
-    blob = path.read_bytes()
-    (n,) = struct.unpack("<I", blob[12:16])
-    header = json.loads(blob[16:16 + n])
-    payload = bytearray(blob[16 + n:])
-    edit(header, payload)
-    text = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + bytes(payload))
 
 
 def _set_optimizer(value):
@@ -559,7 +547,7 @@ def test_checkpoint_malformed_optimizer_header_is_corrupt(tmp_path, edit):
     params, opt = trained_state(tmp_path)
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, params, opt)
-    _edit_checkpoint(path, edit)
+    edit_checkpoint(path, edit)
     with pytest.raises(CheckpointCorruptError, match="optimizer"):
         load_checkpoint(path)
 
@@ -569,8 +557,67 @@ def test_checkpoint_naming_an_array_twice_is_corrupt(tmp_path):
     # to_params failed with a usage-level ParamMismatchError
     path = tmp_path / "twice.ckpt"
     save_checkpoint(path, small_params(seed=61))
-    _edit_checkpoint(path, lambda h, p: h["arrays"][1].update(name=h["arrays"][0]["name"]))
+    edit_checkpoint(path, lambda h, p: h["arrays"][1].update(name=h["arrays"][0]["name"]))
     with pytest.raises(CheckpointCorruptError, match="twice"):
+        load_checkpoint(path)
+
+
+def _set_entry_shape(name, shape):
+    def edit(header, payload):
+        (entry,) = [e for e in header["arrays"] if e["name"] == name]
+        entry["shape"] = shape
+    return edit
+
+
+def _drop_last_array(header, payload):
+    entry = header["arrays"].pop()
+    del payload[len(payload) - 8 * int(np.prod(entry["shape"])):]
+
+
+def _drop_moments(header, payload):
+    kept = [e for e in header["arrays"] if not e["name"].startswith("adam.")]
+    header["arrays"] = kept
+    del payload[8 * sum(int(np.prod(e["shape"])) for e in kept):]
+
+
+@pytest.mark.parametrize("edit,needs", [
+    # before, the random model of the claimed size was drawn only to fail
+    # in to_params with a usage-level ParamMismatchError
+    pytest.param(lambda h, p: h["config"].update(hidden_dim=9), "rel_wi", id="claimed-hidden-dim"),
+    pytest.param(lambda h, p: h["config"].update(strategy="sa"), "w_at", id="claimed-strategy"),
+    pytest.param(_set_entry_shape("w_re", [2, 6]), "w_re", id="transposed-parameter"),
+    # before, these loaded; the first Adam step then raised a bare
+    # broadcasting ValueError, or to_optimizer a bare KeyError
+    pytest.param(_set_entry_shape("adam.m.w_re", [2, 6]), "adam.m.w_re",
+                 id="transposed-moment"),
+    pytest.param(_drop_last_array, "adam.v.w_at", id="missing-moment"),
+    pytest.param(_drop_moments, "adam.m.w_re", id="optimizer-without-moments"),
+    pytest.param(lambda h, p: h.update(optimizer=None), "adam.m.w_re",
+                 id="moments-without-optimizer"),
+])
+def test_checkpoint_arrays_must_fit_the_stored_config(tmp_path, edit, needs):
+    params = small_params(seed=61)
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, params, dc.AdamState(params.tensors()))
+    edit_checkpoint(path, edit)
+    with pytest.raises(CheckpointCorruptError, match=f"array '{needs}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_one_observed_frame_is_corrupt(tmp_path):
+    path = tmp_path / "obs1.ckpt"
+    save_checkpoint(path, small_params(seed=61))
+    edit_checkpoint(path, lambda h, p: h["config"].update(obs_len=1))
+    with pytest.raises(CheckpointCorruptError, match="obs_len"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [b"5", b"[]", b'"config metadata arrays"'])
+def test_checkpoint_header_that_is_not_an_object_is_corrupt(tmp_path, header):
+    # before, membership tests on the header raised a bare TypeError
+    path = tmp_path / "scalar_header.ckpt"
+    path.write_bytes(pl.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+    with pytest.raises(CheckpointCorruptError, match="header"):
         load_checkpoint(path)
 
 
