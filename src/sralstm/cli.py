@@ -23,8 +23,8 @@ import numpy as np
 
 from . import diffcore as dc
 from . import model as md
-from .data import (DataError, GRID_DT, SCENARIO_KINDS, Scene, SynthParams,
-                   TrajectoryWindow, build_windows, leave_one_out,
+from .data import (DataError, GRID_DT, MAX_TRACK_FRAMES, SCENARIO_KINDS, Scene,
+                   SynthParams, TrajectoryWindow, build_windows, leave_one_out,
                    parse_annotations, regrid, scene_to_annotation_text,
                    synth_scenario)
 from .evalkit import EvalReport, ablate, evaluate
@@ -122,6 +122,9 @@ def build_run_config(args) -> RunConfig:
     cfg.stride = data_d.get("stride", cfg.stride)
     cfg.source_timestep = _positive_number(
         "source_timestep", data_d.get("source_timestep", cfg.source_timestep))
+    if cfg.source_timestep / GRID_DT > MAX_TRACK_FRAMES:
+        raise UsageError(f"source_timestep {cfg.source_timestep!r} puts consecutive frames "
+                         f"more than {MAX_TRACK_FRAMES} grid frames apart")
     cfg.out_dir = file_cfg.get("out_dir", cfg.out_dir)
     if not isinstance(cfg.out_dir, str):
         raise UsageError(f"out_dir must be a string, got {cfg.out_dir!r}")

@@ -20,6 +20,12 @@ import numpy as np
 
 GRID_DT = 0.4
 
+# One pedestrian's observations must span less than this many grid steps
+# (4,000 s), so a track holds at most this many grid frames. Longer spans
+# come from bad frame ids or source timesteps and would size the grid
+# without limit.
+MAX_TRACK_FRAMES = 10_000
+
 CANONICAL_SCENES = ("ETH-univ", "ETH-hotel", "UCY-zara01", "UCY-zara02", "UCY-univ")
 
 
@@ -159,6 +165,8 @@ def regrid(annotations: Sequence[RawAnnotation], source_timestep: float,
     Grid frame k sits at time k * 0.4 s; a pedestrian contributes the grid
     frames inside its observed span (no extrapolation). Pedestrians left
     with fewer than two observations are dropped and counted on the scene.
+    Observations spanning MAX_TRACK_FRAMES grid steps or more, or beyond
+    the grid's exact integer range, are a DataError naming the pedestrian.
     """
     if source_timestep <= 0:
         raise DataError(f"source timestep must be positive, got {source_timestep}")
@@ -173,11 +181,18 @@ def regrid(annotations: Sequence[RawAnnotation], source_timestep: float,
         if len(rows) < 2:
             scene.dropped += 1
             continue
-        times = np.array([r.frame * source_timestep for r in rows])
+        try:
+            times = np.array([float(r.frame) * source_timestep for r in rows])
+        except OverflowError:  # a frame id beyond the float range
+            times = np.array([math.inf])
+        lo, hi = float(times[0]) / GRID_DT, float(times[-1]) / GRID_DT
+        if not (-2.0 ** 53 <= lo and hi <= 2.0 ** 53 and hi - lo < MAX_TRACK_FRAMES):
+            raise DataError(f"scene {name!r}, pedestrian {ped}: frame times do not fit "
+                            f"one track of at most {MAX_TRACK_FRAMES} grid frames")
         xs = np.array([r.x for r in rows])
         ys = np.array([r.y for r in rows])
-        k_lo = math.ceil(times[0] / GRID_DT - fuzz)
-        k_hi = math.floor(times[-1] / GRID_DT + fuzz)
+        k_lo = math.ceil(lo - fuzz)
+        k_hi = math.floor(hi + fuzz)
         if k_hi < k_lo:
             # observed span crosses no grid line; nothing representable
             scene.dropped += 1
@@ -194,18 +209,20 @@ def build_windows(scene: Scene, obs_len: int = 8, pred_len: int = 12,
                   stride: int = 1) -> list:
     """All fixed-length windows of a scene, keeping pedestrians tracked throughout.
 
-    A scene with F frames yields floor((F - obs_len - pred_len) / stride) + 1
-    starts; windows where no pedestrian is tracked throughout are dropped.
+    Starts sit every stride frames from the scene's first frame; only those
+    where some pedestrian is tracked throughout are visited.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     total = obs_len + pred_len
-    lo, hi = scene.frame_range()
+    lo, _ = scene.frame_range()
+    starts = set()
+    for t in scene.tracks.values():
+        # the first start on the stride lattice at or after the track's start
+        starts.update(range(t.start + (lo - t.start) % stride, t.end - total + 1, stride))
     windows = []
-    for start in range(lo, hi - total + 1, stride):
+    for start in sorted(starts):
         ids = [p for p, t in sorted(scene.tracks.items()) if t.covers(start, start + total)]
-        if not ids:
-            continue
         positions = np.stack([scene.tracks[p].slice(start, start + total) for p in ids])
         windows.append(TrajectoryWindow(
             scene_name=scene.name, start_frame=start, ped_ids=ids,

@@ -52,11 +52,9 @@ CLIP_NORM = 10.0
 @dataclass
 class RolloutResult:
     ped_ids: list
-    anchors: dict                 # ped -> (2,) absolute anchor position
-    predicted_nabs: dict          # ped -> (pred_len, 2) offsets
     predicted_abs: dict           # ped -> (pred_len, 2) absolute positions
     attention: Optional[list]     # per step: ped -> (neighbor ids, weights)
-    pred_tensors: dict            # ped -> list of (2, 1) offset tensors
+    predictions: Tensor           # (P * pred_len * 2, 1) offsets: ped, step, x/y
 
 
 def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
@@ -125,19 +123,16 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
             f"window has {window.n_frames} frames; a rollout needs {cfg.obs_len}")
     state = SceneState.initial(window.ped_ids, cfg.hidden_dim)
     peds = state.ped_ids
-    anchor_idx = cfg.obs_len - 1
-    anchors = {p: window.track(p)[anchor_idx].copy() for p in peds}
-    anchor_tensors = {p: Tensor(anchors[p].reshape(2, 1)) for p in peds}
-    total = cfg.window_len
-    cur_nabs = {}
-    cur_abs = {}
-    for p in peds:
-        pos0 = window.track(p)[0]
-        cur_abs[p] = Tensor(pos0.reshape(2, 1))
-        cur_nabs[p] = Tensor((pos0 - anchors[p]).reshape(2, 1))
-    pred_tensors = {p: [] for p in peds}
+    track = window.positions[[window.index_of(p) for p in peds], :cfg.obs_len]
+    anchors = track[:, -1]
+    anchor_tensors = [Tensor(a.reshape(2, 1)) for a in anchors]
+    steps = []
     trace = [] if record_attention else None
-    for t in range(total - 1):
+    for t in range(cfg.window_len - 1):
+        if t < cfg.obs_len:
+            cur_nabs = {p: Tensor((track[k, t] - anchors[k]).reshape(2, 1))
+                        for k, p in enumerate(peds)}
+            cur_abs = {p: Tensor(track[k, t].reshape(2, 1)) for k, p in enumerate(peds)}
         try:
             predictions, attention = scene_step(
                 params, state, cur_nabs, cur_abs, record_attention)
@@ -145,25 +140,17 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
             raise dc.NonFiniteError(f"rollout step {t}: {e}") from e
         if record_attention:
             trace.append(attention)
-        nxt = t + 1
-        if nxt < cfg.obs_len:
-            for p in peds:
-                pos = window.track(p)[nxt]
-                cur_abs[p] = Tensor(pos.reshape(2, 1))
-                cur_nabs[p] = Tensor((pos - anchors[p]).reshape(2, 1))
-        else:
-            for p in peds:
-                pred_tensors[p].append(predictions[p])
-                cur_nabs[p] = predictions[p]
-                cur_abs[p] = dc.add(predictions[p], anchor_tensors[p])
-    predicted_nabs = {
-        p: np.concatenate([pt.values.reshape(1, 2) for pt in pred_tensors[p]], axis=0)
-        for p in peds
-    }
-    predicted_abs = {p: md.nabs_decode(predicted_nabs[p], anchors[p]) for p in peds}
-    return RolloutResult(ped_ids=peds, anchors=anchors,
-                         predicted_nabs=predicted_nabs, predicted_abs=predicted_abs,
-                         attention=trace, pred_tensors=pred_tensors)
+        if t + 1 >= cfg.obs_len:
+            steps.append(predictions)
+            cur_nabs = predictions
+            if t + 2 < cfg.window_len:  # the last prediction feeds no step
+                cur_abs = {p: dc.add(predictions[p], anchor_tensors[k])
+                           for k, p in enumerate(peds)}
+    stacked = dc.concat([step[p] for p in peds for step in steps], axis=0)
+    offsets = stacked.values.reshape(len(peds), cfg.pred_len, 2)
+    predicted_abs = {p: md.nabs_decode(offsets[k], anchors[k]) for k, p in enumerate(peds)}
+    return RolloutResult(ped_ids=peds, predicted_abs=predicted_abs,
+                         attention=trace, predictions=stacked)
 
 
 def window_truth_nabs(window: TrajectoryWindow) -> dict:
@@ -180,26 +167,15 @@ def window_truth_nabs(window: TrajectoryWindow) -> dict:
 def l2_loss(result: RolloutResult, truth_nabs: Mapping) -> Tensor:
     """Mean squared Euclidean distance between predicted and true offsets,
     averaged over pedestrians and prediction steps."""
-    if set(result.pred_tensors) != set(truth_nabs):
+    peds = result.ped_ids
+    if set(peds) != set(truth_nabs):
         raise ValueError("loss: prediction and truth pedestrian sets differ")
-    terms = []
-    count = 0
-    for p, preds in result.pred_tensors.items():
-        truth = np.asarray(truth_nabs[p], dtype=np.float64)
-        if truth.shape != (len(preds), 2):
-            raise ValueError(
-                f"loss: truth for pedestrian {p!r} has shape {truth.shape}, "
-                f"expected {(len(preds), 2)}")
-        for k, pred in enumerate(preds):
-            d = dc.sub(pred, Tensor(truth[k].reshape(2, 1)))
-            terms.append(dc.sum_all(dc.mul(d, d)))
-            count += 1
-    if count == 0:
-        raise ValueError("loss over zero prediction steps")
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = dc.add(acc, term)
-    return dc.scale(acc, 1.0 / count)
+    truth = np.stack([np.asarray(truth_nabs[p], dtype=np.float64) for p in peds])
+    want = (len(peds), result.predictions.shape[0] // (2 * len(peds)), 2)
+    if truth.shape != want:
+        raise ValueError(f"loss: truth has shape {truth.shape}, expected {want}")
+    d = dc.sub(result.predictions, Tensor(truth.reshape(-1, 1)))
+    return dc.scale(dc.sum_all(dc.mul(d, d)), 1.0 / (want[0] * want[1]))
 
 
 def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,

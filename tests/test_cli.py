@@ -499,6 +499,45 @@ def test_predict_scene_file_that_is_not_utf8_is_data_error(tmp_path, trained, ca
     assert "cannot read" in capsys.readouterr().err
 
 
+def predict_scene_text(tmp_path, trained, text, config=None):
+    """Exit code of predict on annotation text, with an optional config."""
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text(text, encoding="utf-8")
+    argv = ["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+            "--scene-file", str(scene_file), "--out", str(tmp_path / "out")]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path / "predict.json", config)]
+    return main(argv)
+
+
+def straight_rows(frames, ped=1):
+    return "".join(f"{f} {ped} {0.1 * k} 0.0\n" for k, f in enumerate(frames))
+
+
+@pytest.mark.parametrize("timestep", [1e300, 1e308])
+def test_source_timestep_beyond_the_track_bound_is_usage_error(
+        tmp_path, trained, capsys, timestep):
+    # before, regrid raised a bare ValueError (1e300) or OverflowError (1e308)
+    config = {"data": {"source_timestep": timestep}}
+    assert predict_scene_text(tmp_path, trained, straight_rows(range(20)),
+                              config) == EXIT_USAGE
+    assert "error: source_timestep" in capsys.readouterr().err
+
+
+def test_frame_ids_far_apart_are_data_error(tmp_path, trained, capsys):
+    # before, regrid tried to allocate a 7 PiB grid
+    assert predict_scene_text(tmp_path, trained,
+                              straight_rows([0, 10 ** 15])) == EXIT_DATA
+    assert "pedestrian 1: frame times do not fit" in capsys.readouterr().err
+
+
+def test_frame_id_beyond_the_float_range_is_data_error(tmp_path, trained, capsys):
+    # before, OverflowError: int too large to convert to float
+    assert predict_scene_text(tmp_path, trained,
+                              straight_rows([0, 10 ** 400])) == EXIT_DATA
+    assert "pedestrian 1: frame times do not fit" in capsys.readouterr().err
+
+
 def test_window_start_without_window_is_data_error(tmp_path, trained, capsys):
     rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
                "--scenario", "parallel", "--window-start", "99",
@@ -522,9 +561,6 @@ def test_divergent_training_is_numeric_error(data_dir, tmp_path, capsys):
 # training run. Every string a mutation writes comes from fuzz_words: scene
 # paths are files under the test's temporary directory, so no example opens
 # a device or a file elsewhere, and --out always points there too.
-# data.source_timestep is never mutated: regrid does not bound its grid, so
-# a large value turns the 20-frame scenes into millions of grid frames (a
-# long run) and a huge one overflows inside regrid with a bare error.
 
 FUZZ_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                          max_examples=150)
@@ -578,7 +614,7 @@ CONFIG_PATHS = [("model",), ("train",), ("data",), ("out_dir",), ("model", "embe
                 ("model", "pred_len"), ("train", "learning_rate"), ("train", "epochs"),
                 ("train", "clip_norm"), ("train", "augment"), ("data", "scenes"),
                 ("data", "scenes", "B"), ("data", "held_out"), ("data", "stride"),
-                ("data", "bogus")]
+                ("data", "source_timestep"), ("data", "bogus")]
 
 
 def test_mutated_checkpoint_ends_in_an_exit_code(data_dir, trained, tmp_path_factory):
@@ -632,6 +668,35 @@ def test_mutated_config_ends_in_an_exit_code(data_dir, trained, tmp_path_factory
             except (KeyError, IndexError, TypeError):
                 pass  # an earlier edit removed the parent of this path
         assert eval_exit_code(work, mutated, blob) in (
+            EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+    check()
+
+
+def annotation_texts():
+    """Annotation text: one track per pedestrian, whose frame ids may start
+    anywhere and step far apart, then lines of arbitrary tokens and text."""
+    frame = st.integers(-3, 30) | st.integers() | st.sampled_from([10 ** 15, 10 ** 400])
+    track = st.tuples(frame, st.sampled_from([8, 20]) | st.integers(0, 22),
+                      st.sampled_from([1, 2, 10 ** 12]), st.floats(-2.0, 2.0))
+    token = frame.map(str) | st.floats().map(repr) | st.sampled_from(
+        ["#", "1e999", "nan", "-inf", "0x1", "1_0", "\u0661", "x"])
+    junk = st.lists(token, max_size=5).map(" ".join) | st.text(max_size=12)
+
+    def text(tracks, extra):
+        rows = [f"{start + k * step} {ped} {k * dx!r} 0.0"
+                for ped, (start, n, step, dx) in enumerate(tracks) for k in range(n)]
+        return "\n".join(rows + extra) + "\n"
+
+    return st.builds(text, st.lists(track, min_size=1, max_size=3),
+                     st.lists(junk, max_size=2))
+
+
+def test_annotation_text_ends_in_an_exit_code(trained, tmp_path):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(annotation_texts())
+    def check(text):
+        assert predict_scene_text(tmp_path, trained, text) in (
             EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
 
     check()

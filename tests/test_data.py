@@ -168,6 +168,28 @@ def test_regrid_rejects_bad_timestep():
         regrid([], source_timestep=0.0)
 
 
+def test_regrid_bounds_the_span_of_one_track():
+    at_bound = [RawAnnotation(0, 1, 0.0, 0.0),
+                RawAnnotation(data.MAX_TRACK_FRAMES - 1, 1, 1.0, 0.0)]
+    assert len(regrid(at_bound, 0.4).tracks[1].points) == data.MAX_TRACK_FRAMES
+    beyond = [RawAnnotation(0, 1, 0.0, 0.0),
+              RawAnnotation(data.MAX_TRACK_FRAMES, 7, 0.0, 0.0),
+              RawAnnotation(0, 7, 0.0, 0.0)]
+    with pytest.raises(DataError, match="pedestrian 7: frame times do not fit"):
+        regrid(beyond, 0.4)
+
+
+@pytest.mark.parametrize("frame,timestep", [
+    (10 ** 400, 0.4),          # beyond the float range
+    (10 ** 300, 1e10),         # overflows to infinity once scaled
+    (2 ** 60, 0.4),            # past the integers float64 holds exactly
+    (-(2 ** 60), 0.4)], ids=["int-overflow", "inf", "inexact", "inexact-negative"])
+def test_regrid_rejects_times_off_the_grid(frame, timestep):
+    rows = [RawAnnotation(frame, 3, 0.0, 0.0), RawAnnotation(frame + 1, 3, 1.0, 0.0)]
+    with pytest.raises(DataError, match="pedestrian 3: frame times do not fit"):
+        regrid(rows, timestep)
+
+
 def test_regrid_sorts_out_of_order_observations():
     rows = [RawAnnotation(2, 1, 2.0, 0.0), RawAnnotation(0, 1, 0.0, 0.0)]
     scene = regrid(rows, source_timestep=0.4)
@@ -225,6 +247,28 @@ def test_build_windows_sorted_ids_and_track_lookup():
     assert np.array_equal(w.track(5), scene.tracks[5].points)
     with pytest.raises(KeyError):
         w.track(99)
+
+
+def test_build_windows_matches_a_frame_by_frame_scan():
+    rng = np.random.default_rng(5)
+    scene = gridded_scene({1: (-3, rng.normal(size=(30, 2))),
+                           2: (10, rng.normal(size=(25, 2))),
+                           4: (70, rng.normal(size=(21, 2)))})
+    lo, hi = scene.frame_range()
+    for stride in (1, 2, 3, 7):
+        got = build_windows(scene, 8, 12, stride)
+        want = [s for s in range(lo, hi - 19, stride)
+                if any(t.covers(s, s + 20) for t in scene.tracks.values())]
+        assert [w.start_frame for w in got] == want
+        for w in got:
+            assert w.ped_ids == [p for p, t in sorted(scene.tracks.items())
+                                 if t.covers(w.start_frame, w.start_frame + 20)]
+
+
+def test_build_windows_skips_the_gap_between_far_apart_tracks():
+    far = 10 ** 12
+    scene = gridded_scene({1: (0, straight_track(20)), 2: (far, straight_track(21))})
+    assert [w.start_frame for w in build_windows(scene)] == [0, far, far + 1]
 
 
 def test_build_windows_rejects_bad_stride():

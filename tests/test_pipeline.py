@@ -41,18 +41,28 @@ def test_rollout_shapes_and_anchor():
     window = cv_window(n_peds=3, seed=1)
     result = rollout(params, window)
     assert result.ped_ids == [1, 2, 3]
-    for p in result.ped_ids:
-        assert result.predicted_nabs[p].shape == (12, 2)
+    assert result.predictions.shape == (3 * 12 * 2, 1)
+    offsets = _offsets(result)
+    for k, p in enumerate(result.ped_ids):
         assert result.predicted_abs[p].shape == (12, 2)
-        assert np.array_equal(result.anchors[p], window.track(p)[7])
+        # anchored at the last observed frame
+        assert np.array_equal(result.predicted_abs[p],
+                              offsets[k] + window.track(p)[7])
 
 
 def test_rollout_decodes_offsets_exactly():
     params = small_params(seed=3)
-    result = rollout(params, cv_window(n_peds=2, seed=2))
-    for p in result.ped_ids:
-        decoded = md.nabs_decode(result.predicted_nabs[p], result.anchors[p])
+    window = cv_window(n_peds=2, seed=2)
+    result = rollout(params, window)
+    offsets = _offsets(result)
+    for k, p in enumerate(result.ped_ids):
+        decoded = md.nabs_decode(offsets[k], window.track(p)[params.config.obs_len - 1])
         assert np.array_equal(result.predicted_abs[p], decoded)
+
+
+def _offsets(result):
+    """The stacked prediction column as (P, pred_len, 2) offsets."""
+    return result.predictions.values.reshape(len(result.ped_ids), -1, 2)
 
 
 def test_rollout_rejects_wrong_observation_length():
@@ -105,8 +115,8 @@ def test_observation_only_window_predicts_like_full_window():
     obs_only = build_windows(scene, obs_len=8, pred_len=0)[0]
     a = rollout(params, full)
     b = rollout(params, obs_only)
-    for p in a.ped_ids:
-        assert np.array_equal(a.predicted_nabs[p], b.predicted_nabs[p])
+    assert a.ped_ids == b.ped_ids
+    assert np.array_equal(a.predictions.values, b.predictions.values)
 
 
 def test_single_pedestrian_equals_none_strategy_bitwise():
@@ -126,23 +136,36 @@ def test_zeroed_params_predict_output_bias_forever():
     arrays["b_p"] = np.array([[0.3], [-0.2]])
     frozen = ModelParams.from_arrays(SMALL, arrays)
     result = rollout(frozen, cv_window(n_peds=2, seed=6))
-    for p in result.ped_ids:
-        assert np.array_equal(result.predicted_nabs[p],
-                              np.tile([0.3, -0.2], (12, 1)))
+    for offsets in _offsets(result):
+        assert np.array_equal(offsets, np.tile([0.3, -0.2], (12, 1)))
 
 
 def test_rollout_matches_step_by_step_composition_oracle():
     params = small_params(seed=11)
     window = cv_window(n_peds=2, seed=8)
-    want = _scripted_rollout_abs(params, window)
+    want, _ = _scripted_rollout_abs(params, window)
     got = rollout(params, window)
     for p in window.ped_ids:
         assert np.array_equal(got.predicted_abs[p], want[p])
 
 
+def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
+    params = small_params(seed=11)
+    base = cv_window(n_peds=3, seed=8)
+    perm = [2, 0, 1]
+    window = replace(base, ped_ids=[base.ped_ids[i] for i in perm],
+                     positions=base.positions[perm])
+    _, offsets = _scripted_rollout_abs(params, window)
+    result = rollout(params, window)
+    want = np.concatenate([offsets[p] for p in sorted(window.ped_ids)])
+    assert result.predictions.shape == (3 * 12 * 2, 1)
+    assert result.predictions.values.tobytes() == want.reshape(-1, 1).tobytes()
+
+
 def _scripted_rollout_abs(params, window):
     """Drive the single-step ops by hand, mirroring the documented order:
-    relations for all ordered pairs, then attention, then motion."""
+    relations for all ordered pairs, then attention, then motion. Returns
+    the predicted absolute positions and offsets, ped -> (pred_len, 2)."""
     cfg = params.config
     peds = list(window.ped_ids)
     anchors = {p: window.track(p)[cfg.obs_len - 1].copy() for p in peds}
@@ -185,7 +208,8 @@ def _scripted_rollout_abs(params, window):
                 collected[p].append(preds[p].values.reshape(2).copy())
                 cur_nabs[p] = preds[p]
                 cur_abs[p] = Tensor(preds[p].values + anchors[p].reshape(2, 1))
-    return {p: np.array(collected[p]) + anchors[p] for p in peds}
+    offsets = {p: np.array(collected[p]) for p in peds}
+    return {p: offsets[p] + anchors[p] for p in peds}, offsets
 
 
 def test_rollout_permutation_equivariant_bitwise():
@@ -267,15 +291,14 @@ def test_truth_offsets_need_future_frames():
 def test_loss_zero_when_prediction_equals_truth():
     params = small_params(seed=23)
     result = rollout(params, cv_window(seed=13))
-    truth = {p: result.predicted_nabs[p].copy() for p in result.ped_ids}
+    truth = dict(zip(result.ped_ids, _offsets(result).copy()))
     assert l2_loss(result, truth).item() == 0.0
 
 
 def test_loss_one_for_unit_offset_in_x():
     params = small_params(seed=23)
     result = rollout(params, cv_window(seed=13))
-    truth = {p: result.predicted_nabs[p] + np.array([1.0, 0.0])
-             for p in result.ped_ids}
+    truth = dict(zip(result.ped_ids, _offsets(result) + np.array([1.0, 0.0])))
     assert abs(l2_loss(result, truth).item() - 1.0) < 1e-12
 
 
@@ -286,8 +309,8 @@ def test_loss_matches_mean_of_squares_oracle():
     truth = window_truth_nabs(window)
     got = l2_loss(result, truth).item()
     per_step = []
-    for p in window.ped_ids:
-        diff = result.predicted_nabs[p] - truth[p]
+    for p, offsets in zip(result.ped_ids, _offsets(result)):
+        diff = offsets - truth[p]
         per_step.extend(np.sum(diff * diff, axis=1).tolist())
     assert rel_err(got, float(np.mean(per_step))) < 1e-12
 
@@ -326,7 +349,8 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 2, 2096), ("sra", 4, 7840), ("sra", 8, 30272), ("none", 2, 1032)])
+    ("sra", 2, 2003), ("sra", 4, 7649), ("sra", 8, 29885), ("none", 2, 939)],
+    ids=["sra-2", "sra-4", "sra-8", "none-2"])
 def test_tape_nodes_per_window(strategy, n, nodes):
     # the recorded work of one train step on the default model; this may
     # tighten as the recurrence records fewer nodes, and must never loosen
