@@ -224,15 +224,10 @@ def _meta(cfg: RunConfig, epoch: int, history) -> dict:
             "loss_history": list(history)}
 
 
-def _params_from_checkpoint(args, cfg: RunConfig, model_given: bool):
-    ckpt = load_checkpoint(args.checkpoint)
-    params = ckpt.to_params(cfg.model if model_given else None)
-    return ckpt, params
-
-
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    ckpt, params = _params_from_checkpoint(args, cfg, cfg.model_given)
+    ckpt = load_checkpoint(args.checkpoint)
+    params = ckpt.to_params(cfg.model if cfg.model_given else None)
     cfg = replace(cfg, model=params.config)
     if not cfg.held_out:
         cfg.held_out = ckpt.metadata.get("held_out")
@@ -247,7 +242,7 @@ def cmd_eval(args) -> int:
     test_ws = build_windows(scene, cfg.model.obs_len, cfg.model.pred_len, cfg.stride)
     if not test_ws:
         raise DataError(f"scene {cfg.held_out!r} yields no windows")
-    report = evaluate(params, test_ws, scene_name=cfg.held_out)
+    report = evaluate(params, test_ws)
     _write_reports(cfg.out_dir, [report])
     print(f"{report.scene_name}: ADE {report.ade:.4f} FDE {report.fde:.4f} "
           f"({report.window_count} windows)")
@@ -320,7 +315,7 @@ def _predict_window(args, cfg: RunConfig, model: ModelConfig) -> TrajectoryWindo
 
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
-    ckpt, params = _params_from_checkpoint(args, cfg, False)
+    params = load_checkpoint(args.checkpoint).to_params()
     window = _predict_window(args, cfg, params.config)
     emit = set(args.emit or ["trajectories"])
     has_truth = window.n_frames == params.config.window_len

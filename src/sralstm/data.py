@@ -201,6 +201,10 @@ def regrid(annotations: Sequence[RawAnnotation], source_timestep: float,
         grid_times = np.minimum(np.maximum(ks * GRID_DT, times[0]), times[-1])
         points = np.stack([np.interp(grid_times, times, xs),
                            np.interp(grid_times, times, ys)], axis=1)
+        if not np.all(np.isfinite(points)):
+            # finite but huge coordinates can overflow the interpolation slope
+            raise DataError(f"scene {name!r}, pedestrian {ped}: interpolated "
+                            "positions are not finite (coordinates too large)")
         scene.tracks[ped] = Track(start=int(k_lo), points=points)
     return scene
 
@@ -377,11 +381,12 @@ def _synth_following(p: SynthParams, rng) -> list:
     return [leader, follower]
 
 
-def _synth_meeting(p: SynthParams, rng) -> list:
-    """Two head-on walkers who side-step while close, then fall back in line.
+def _head_on(p: SynthParams, rng, dodge_dist: float, amplitude: float):
+    """Two walkers meeting head-on who side-step while close.
 
-    The dodge is triggered by mutual distance, so its timing is a function
-    of the other walker's approach.
+    Each shifts sideways by amplitude at zero head-on separation, falling
+    linearly to nothing at dodge_dist, so the dodge's timing is a function
+    of the other walker's approach. Returns the heading and both tracks.
     """
     t = _times(p)
     u = _heading(rng)
@@ -389,36 +394,26 @@ def _synth_meeting(p: SynthParams, rng) -> list:
     mid = rng.uniform(-1.0, 1.0, size=2)
     a_base = _line(mid - u * gap0 / 2.0, u, p.speed, t)
     b_base = _line(mid + u * gap0 / 2.0, -u, p.speed, t)
-    dodge_dist = 2.0
     lateral = np.zeros(p.frames)
     for k in range(p.frames):
         along = float((b_base[k] - a_base[k]) @ u)  # signed head-on separation
         if abs(along) < dodge_dist:
-            lateral[k] = (p.spacing / 2.0) * (1.0 - abs(along) / dodge_dist)
+            lateral[k] = amplitude * (1.0 - abs(along) / dodge_dist)
     offset = np.outer(lateral, _perp(u))
-    return [a_base + offset, b_base - offset]
+    return u, a_base + offset, b_base - offset
+
+
+def _synth_meeting(p: SynthParams, rng) -> list:
+    """Two head-on walkers who side-step while close, then fall back in line."""
+    _, a, b = _head_on(p, rng, 2.0, p.spacing / 2.0)
+    return [a, b]
 
 
 def _synth_group_avoid(p: SynthParams, rng) -> list:
     """Two walking pairs meet head-on; each pair shifts aside as a unit."""
-    t = _times(p)
-    u = _heading(rng)
-    gap0 = rng.uniform(0.75, 1.05) * p.speed * (p.frames - 1) * GRID_DT
-    mid = rng.uniform(-1.0, 1.0, size=2)
-    a_base = _line(mid - u * gap0 / 2.0, u, p.speed, t)
-    b_base = _line(mid + u * gap0 / 2.0, -u, p.speed, t)
-    dodge_dist = 2.5
-    lateral = np.zeros(p.frames)
-    for k in range(p.frames):
-        along = float((b_base[k] - a_base[k]) @ u)
-        if abs(along) < dodge_dist:
-            lateral[k] = p.spacing * (1.0 - abs(along) / dodge_dist)
-    offset = np.outer(lateral, _perp(u))
+    u, a, b = _head_on(p, rng, 2.5, p.spacing)
     lane = _perp(u) * (p.spacing / 2.0)
-    return [
-        a_base + offset - lane, a_base + offset + lane,
-        b_base - offset - lane, b_base - offset + lane,
-    ]
+    return [a - lane, a + lane, b - lane, b + lane]
 
 
 def scene_to_annotation_text(scene: Scene) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import platform
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,9 +82,9 @@ class EvalReport:
         return True
 
 
-def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow],
-             scene_name: Optional[str] = None) -> EvalReport:
-    """Free-rollout evaluation over a window set.
+def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow]) -> EvalReport:
+    """Free-rollout evaluation over a window set, reported under the first
+    window's scene name.
 
     ADE/FDE pool per-pedestrian means across all windows. Wall clock per
     recurrence step is measured and reported, never asserted on.
@@ -92,7 +92,6 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow],
     if len(windows) == 0:
         raise ValueError("evaluation over zero windows")
     cfg = params.config
-    name = scene_name if scene_name is not None else windows[0].scene_name
     records = []
     per_ped_means = []
     per_ped_finals = []
@@ -114,7 +113,7 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow],
         per_ped_means.extend(disp.mean(axis=1).tolist())
         per_ped_finals.extend(disp[:, -1].tolist())
     return EvalReport(
-        scene_name=name,
+        scene_name=windows[0].scene_name,
         window_count=len(windows),
         pedestrian_count=len(per_ped_means),
         ade=float(np.mean(per_ped_means)),

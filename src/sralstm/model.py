@@ -15,10 +15,11 @@ Positions fed to the motion LSTM are anchored offsets ("Nabs"): coordinates
 relative to the pedestrian's position at the last observed frame. The
 relationship encoder sees plain displacements between absolute positions.
 
-Within one step the required order is: all relation updates, then attention
-and social context (which read the previous step's motion states), then the
-motion updates and offset predictions. ``pipeline.scene_step`` drives that
-sequence; the functions here are the individual pieces.
+Within one step the required order is: a pair's relation update comes
+before that pair's attention score, which reads the fresh relation state;
+scores and social contexts read the previous step's motion states; the
+motion updates and offset predictions run last. ``pipeline.scene_step``
+drives that sequence; the functions here are the individual pieces.
 """
 
 from __future__ import annotations
@@ -252,44 +253,37 @@ def _affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return dc.add(dc.matmul(w, x), b)
 
 
-def embed_relative(params: ModelParams, pos_i, pos_j) -> Tensor:
-    """Embed the displacement from pedestrian i to pedestrian j.
+def embed_relative(params: ModelParams, pos_i, pos_j, name: str = "re") -> Tensor:
+    """Embed the displacement from pedestrian i to pedestrian j with the
+    tensor pair ``w_<name>``/``b_<name>``: ``"re"`` feeds the relationship
+    encoder, ``"rae"`` the RA scorer.
 
     Depends only on the displacement, so translating the whole scene leaves
     the result unchanged.
     """
     disp = dc.sub(_as_col2(pos_j), _as_col2(pos_i))
-    return dc.relu(_affine(params["w_re"], disp, params["b_re"]))
+    return dc.relu(_affine(params["w_" + name], disp, params["b_" + name]))
 
 
-def ra_relative_embedding(params: ModelParams, pos_i, pos_j) -> Tensor:
-    """The RA strategy's dedicated displacement embedding."""
-    if "w_rae" not in params.named:
-        raise ValueError("params carry no RA relative embedding")
-    disp = dc.sub(_as_col2(pos_j), _as_col2(pos_i))
-    return dc.relu(_affine(params["w_rae"], disp, params["b_rae"]))
-
-
-def _lstm_cell(params: ModelParams, cell: str, x: Tensor, h: Tensor, c: Tensor):
-    """One step of the LSTM whose gate tensors are named ``<cell>_w*``/``<cell>_b*``."""
-    xh = dc.concat([x, h], axis=0)
+def _lstm_step(params: ModelParams, cell: str, hs: dict, cs: dict, key, inputs):
+    """One step of the LSTM with gate tensors ``<cell>_w*``/``<cell>_b*`` over
+    ``[*inputs; hs[key]]``; writes the new (h, c) to ``hs``/``cs`` and returns it."""
+    if key not in hs:
+        raise UnknownPedestrianError(key)
+    xh = dc.concat([*inputs, hs[key]], axis=0)
     i = dc.sigmoid(_affine(params[cell + "_wi"], xh, params[cell + "_bi"]))
     f = dc.sigmoid(_affine(params[cell + "_wf"], xh, params[cell + "_bf"]))
     g = dc.tanh(_affine(params[cell + "_wg"], xh, params[cell + "_bg"]))
     o = dc.sigmoid(_affine(params[cell + "_wo"], xh, params[cell + "_bo"]))
-    c_new = dc.add(dc.mul(f, c), dc.mul(i, g))
-    h_new = dc.mul(o, dc.tanh(c_new))
-    return h_new, c_new
+    c = dc.add(dc.mul(f, cs[key]), dc.mul(i, g))
+    h = dc.mul(o, dc.tanh(c))
+    hs[key], cs[key] = h, c
+    return h, c
 
 
 def relation_step(params: ModelParams, state: SceneState, pair, e_ij: Tensor):
     """Advance the relationship encoder for one ordered pair; returns (r, cr)."""
-    if pair not in state.r:
-        raise UnknownPedestrianError(pair)
-    r, cr = _lstm_cell(params, "rel", e_ij, state.r[pair], state.cr[pair])
-    state.r[pair] = r
-    state.cr[pair] = cr
-    return r, cr
+    return _lstm_step(params, "rel", state.r, state.cr, pair, [e_ij])
 
 
 def attention_logits(params: ModelParams, strategy: AttentionStrategy,
@@ -339,13 +333,7 @@ def embed_position(params: ModelParams, nabs: Tensor) -> Tensor:
 def motion_step(params: ModelParams, state: SceneState, ped,
                 e_i: Tensor, context: Tensor):
     """Advance one pedestrian's motion LSTM; returns (h, c)."""
-    if ped not in state.h:
-        raise UnknownPedestrianError(ped)
-    x = dc.concat([e_i, context], axis=0)
-    h, c = _lstm_cell(params, "motion", x, state.h[ped], state.c[ped])
-    state.h[ped] = h
-    state.c[ped] = c
-    return h, c
+    return _lstm_step(params, "motion", state.h, state.c, ped, [e_i, context])
 
 
 def predict_offset(params: ModelParams, h: Tensor) -> Tensor:

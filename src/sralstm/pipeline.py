@@ -61,8 +61,10 @@ def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
                abs_pos: Mapping, record_attention: bool = False):
     """Advance every pedestrian of the scene state by one time step.
 
-    nabs and abs_pos map each pedestrian to a (2, 1) tensor. Relation
-    states update first; attention and social context then read the motion
+    nabs and abs_pos map each pedestrian to a (2, 1) tensor. Each neighbor
+    j of pedestrian i is handled in one place: under ``sra`` the pair's
+    relation state updates and then scores it; under ``ra`` the embedded
+    displacement scores it. Scores and social contexts read the motion
     states of the previous step; motion updates and offset predictions run
     last. Returns (predictions, attention) dicts keyed by pedestrian.
     """
@@ -71,14 +73,6 @@ def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
     for p in peds:
         if p not in nabs or p not in abs_pos:
             raise md.UnknownPedestrianError(p)
-    if strategy is AttentionStrategy.SRA:
-        # only this scoring rule reads the pairwise relation states
-        for i in peds:
-            for j in peds:
-                if i == j:
-                    continue
-                e_ij = md.embed_relative(params, abs_pos[i], abs_pos[j])
-                md.relation_step(params, state, (i, j), e_ij)
     contexts = {}
     attention = {} if record_attention else None
     for i in peds:
@@ -87,10 +81,12 @@ def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
         if strategy is not AttentionStrategy.NONE and neigh:
             logits = []
             for j in neigh:
-                e_rel = None
-                if strategy is AttentionStrategy.RA:
-                    e_rel = md.ra_relative_embedding(params, abs_pos[i], abs_pos[j])
-                r_ij = state.r[(i, j)] if strategy is AttentionStrategy.SRA else None
+                r_ij = e_rel = None
+                if strategy is AttentionStrategy.SRA:
+                    e_ij = md.embed_relative(params, abs_pos[i], abs_pos[j])
+                    r_ij, _ = md.relation_step(params, state, (i, j), e_ij)
+                elif strategy is AttentionStrategy.RA:
+                    e_rel = md.embed_relative(params, abs_pos[i], abs_pos[j], "rae")
                 logits.append(md.attention_logits(
                     params, strategy, r_ij, state.h[i], state.h[j], e_rel))
             weights = md.attention_weights(logits)

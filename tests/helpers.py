@@ -88,6 +88,81 @@ def oracle_lstm_from_gates(params, prefix, x, h, c):
                             w["bi"], w["bf"], w["bg"], w["bo"], x, h, c)
 
 
+def oracle_rollout(arrays, strategy, positions, obs_len=8, pred_len=12):
+    """A whole free rollout in straight numpy; returns (P, pred_len, 2)
+    predicted absolute positions, rows in the order of positions.
+
+    arrays maps parameter names to arrays; positions is (P, >= obs_len, 2).
+    Observed steps read the true positions; from the last observed step on,
+    each step reads the previous step's predictions. In a step, every
+    pedestrian i scores each neighbor j (an sra pair first advances its
+    relation LSTM on the embedded displacement j - i), a softmax of the
+    scores weights the neighbors' previous motion states into the social
+    context, and only then does every motion LSTM advance on the embedded
+    anchored offset and the context.
+    """
+    w = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    hid = w["motion_bi"].shape[0]
+
+    def relu(x):
+        return np.where(x > 0.0, x, 0.0)
+
+    def lstm(cell, x, h, c):
+        xh = np.concatenate([x, h], axis=0)
+        i = oracle_sigmoid(w[cell + "_wi"] @ xh + w[cell + "_bi"])
+        f = oracle_sigmoid(w[cell + "_wf"] @ xh + w[cell + "_bf"])
+        g = np.tanh(w[cell + "_wg"] @ xh + w[cell + "_bg"])
+        o = oracle_sigmoid(w[cell + "_wo"] @ xh + w[cell + "_bo"])
+        c = f * c + i * g
+        return o * np.tanh(c), c
+
+    anchor = [pos[i, obs_len - 1].reshape(2, 1) for i in range(n)]
+    h = [np.zeros((hid, 1)) for _ in range(n)]
+    c = [np.zeros((hid, 1)) for _ in range(n)]
+    r = {(i, j): np.zeros((hid, 1)) for i in range(n) for j in range(n) if i != j}
+    cr = dict(r)
+    out = np.zeros((n, pred_len, 2))
+    for t in range(obs_len + pred_len - 1):
+        if t < obs_len:
+            here = [pos[i, t].reshape(2, 1) for i in range(n)]
+            offset = [here[i] - anchor[i] for i in range(n)]
+        context = []
+        for i in range(n):
+            neigh = [j for j in range(n) if j != i]
+            if strategy == "none" or not neigh:
+                context.append(np.zeros((hid, 1)))
+                continue
+            scores = []
+            for j in neigh:
+                d = here[j] - here[i]
+                if strategy == "sra":
+                    e = relu(w["w_re"] @ d + w["b_re"])
+                    r[i, j], cr[i, j] = lstm("rel", e, r[i, j], cr[i, j])
+                    z = np.concatenate([r[i, j], h[i], h[j]])
+                    scores.append((w["w_at"] @ z).item())
+                elif strategy == "ra":
+                    e = relu(w["w_rae"] @ d + w["b_rae"])
+                    z = np.concatenate([e, h[i], h[j]])
+                    scores.append((w["w_ra"] @ z).item())
+                else:
+                    scores.append((w["w_sa"] @ np.concatenate([h[i], h[j]])).item())
+            a = oracle_softmax(scores)
+            context.append(sum(a[k] * h[j] for k, j in enumerate(neigh)))
+        pred = []
+        for i in range(n):
+            e = relu(w["w_e"] @ offset[i] + w["b_e"])
+            h[i], c[i] = lstm("motion", np.concatenate([e, context[i]]), h[i], c[i])
+            pred.append(w["w_p"] @ h[i] + w["b_p"])
+        if t + 1 >= obs_len:
+            offset = pred
+            here = [pred[i] + anchor[i] for i in range(n)]
+            for i in range(n):
+                out[i, t + 1 - obs_len] = here[i].reshape(2)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reference reverse pass
 

@@ -538,6 +538,16 @@ def test_frame_id_beyond_the_float_range_is_data_error(tmp_path, trained, capsys
     assert "pedestrian 1: frame times do not fit" in capsys.readouterr().err
 
 
+def test_coordinates_that_interpolate_to_non_finite_are_data_error(
+        tmp_path, trained, capsys):
+    # before, exit 3: "tensor constructed from non-finite values"
+    assert predict_scene_text(tmp_path, trained,
+                              "0 1 -1e308 0\n19 1 1e308 0\n") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: " in err and "pedestrian 1: interpolated" in err
+    assert "Traceback" not in err
+
+
 def test_window_start_without_window_is_data_error(tmp_path, trained, capsys):
     rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
                "--scenario", "parallel", "--window-start", "99",

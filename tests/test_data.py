@@ -190,6 +190,14 @@ def test_regrid_rejects_times_off_the_grid(frame, timestep):
         regrid(rows, timestep)
 
 
+def test_regrid_rejects_coordinates_that_interpolate_to_non_finite():
+    # before, np.interp overflowed the slope and the rollout failed later
+    # as a numeric error
+    rows = [RawAnnotation(0, 1, -1e308, 0.0), RawAnnotation(19, 1, 1e308, 0.0)]
+    with pytest.raises(DataError, match="scene 'huge', pedestrian 1: interpolated"):
+        regrid(rows, 0.4, name="huge")
+
+
 def test_regrid_sorts_out_of_order_observations():
     rows = [RawAnnotation(2, 1, 2.0, 0.0), RawAnnotation(0, 1, 0.0, 0.0)]
     scene = regrid(rows, source_timestep=0.4)

@@ -144,9 +144,8 @@ def test_evaluate_distinguishes_models():
 def test_evaluate_names_scene_and_reports_timing():
     params = ModelParams.init(SMALL, seed=7)
     window = stationary_window()
-    report = evaluate(params, [window], scene_name="custom")
-    assert report.scene_name == "custom"
-    assert evaluate(params, [window]).scene_name == window.scene_name
+    report = evaluate(params, [window])
+    assert report.scene_name == window.scene_name
     assert report.seconds_per_step > 0.0
     assert isinstance(report.hardware, str) and report.hardware
 

@@ -228,10 +228,10 @@ def test_embed_position_zero_input_and_oracle():
 
 def test_ra_embedding_requires_ra_params():
     sra = ModelParams.init(SMALL, seed=1)
-    with pytest.raises(ValueError):
-        md.ra_relative_embedding(sra, (0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(KeyError, match="w_rae"):
+        md.embed_relative(sra, (0.0, 0.0), (1.0, 1.0), "rae")
     ra = ModelParams.init(small_config("ra"), seed=1)
-    out = md.ra_relative_embedding(ra, (0.0, 0.0), (1.0, 2.0))
+    out = md.embed_relative(ra, (0.0, 0.0), (1.0, 2.0), "rae")
     oracle = oracle_affine_relu(ra["w_rae"].values,
                                 np.array([[1.0], [2.0]]), ra["b_rae"].values)
     assert rel_err(out.values, oracle) < 1e-12
@@ -412,7 +412,7 @@ def test_ra_logit_needs_embedding_and_matches_oracle():
     r, h_i, h_j = _attention_inputs()
     with pytest.raises(ValueError):
         md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j)
-    e_rel = md.ra_relative_embedding(ra, (0.0, 0.0), (1.0, -1.0))
+    e_rel = md.embed_relative(ra, (0.0, 0.0), (1.0, -1.0), "rae")
     out = md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j, e_rel)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
     assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12

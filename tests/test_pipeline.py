@@ -18,8 +18,9 @@ from sralstm.pipeline import (Checkpoint, CheckpointCorruptError,
                               save_checkpoint, scene_step, train_epoch,
                               train_step, window_truth_nabs)
 
-from helpers import (constant_velocity_tracks, edit_checkpoint, random_walk_window,
-                     reference_backward, rel_err, window_from_tracks)
+from helpers import (constant_velocity_tracks, edit_checkpoint, oracle_rollout,
+                     random_walk_window, reference_backward, rel_err,
+                     window_from_tracks)
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
 
@@ -149,6 +150,18 @@ def test_rollout_matches_step_by_step_composition_oracle():
         assert np.array_equal(got.predicted_abs[p], want[p])
 
 
+@pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_rollout_matches_straight_numpy_oracle(strategy, n):
+    params = small_params(seed=n, strategy=strategy)
+    window = random_walk_window(n, seed=40 + n)
+    arrays = {name: t.values for name, t in params.tensors().items()}
+    want = oracle_rollout(arrays, strategy, window.positions)
+    got = rollout(params, window)
+    for k, p in enumerate(window.ped_ids):
+        assert np.max(np.abs(got.predicted_abs[p] - want[k])) <= 1e-12
+
+
 def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
     params = small_params(seed=11)
     base = cv_window(n_peds=3, seed=8)
@@ -163,9 +176,11 @@ def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
 
 
 def _scripted_rollout_abs(params, window):
-    """Drive the single-step ops by hand, mirroring the documented order:
-    relations for all ordered pairs, then attention, then motion. Returns
-    the predicted absolute positions and offsets, ped -> (pred_len, 2)."""
+    """Drive the single-step ops by hand in an all-pairs-first order:
+    relations for all ordered pairs, then attention, then motion. scene_step
+    instead updates each pair's relation just before scoring it, so a
+    bit-for-bit match shows that the two orders agree. Returns the predicted
+    absolute positions and offsets, ped -> (pred_len, 2)."""
     cfg = params.config
     peds = list(window.ped_ids)
     anchors = {p: window.track(p)[cfg.obs_len - 1].copy() for p in peds}
@@ -349,7 +364,7 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 2, 2003), ("sra", 4, 7649), ("sra", 8, 29885), ("none", 2, 939)],
+    ("sra", 2, 1965), ("sra", 4, 7573), ("sra", 8, 29733), ("none", 2, 901)],
     ids=["sra-2", "sra-4", "sra-8", "none-2"])
 def test_tape_nodes_per_window(strategy, n, nodes):
     # the recorded work of one train step on the default model; this may
