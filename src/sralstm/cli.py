@@ -425,11 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", action="append", choices=["trajectories", "attention"],
                    help="outputs to produce (repeatable)")
     p.add_argument("--checkpoint", required=True, help="checkpoint file")
-    p.add_argument("--scene-file", dest="scene_file", help="annotation file to predict from")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--scene-file", dest="scene_file", help="annotation file to predict from")
+    source.add_argument("--scenario", choices=list(SCENARIO_KINDS),
+                        help="synthesize the input window instead")
     p.add_argument("--window-start", dest="window_start", type=int,
                    help="frame index where the window begins")
-    p.add_argument("--scenario", choices=list(SCENARIO_KINDS),
-                   help="synthesize the input window instead")
     _add_synth_shape(p)
     p.set_defaults(handler=cmd_predict)
 

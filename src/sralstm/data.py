@@ -284,8 +284,18 @@ def synth_scenario(kind: str, params: Optional[SynthParams] = None,
                    seed: int = 0) -> Scene:
     """Deterministic synthetic interaction scene on the 0.4 s grid."""
     p = params or SynthParams()
-    if p.frames < 2:
-        raise DataError("a scenario needs at least two frames")
+    if not 2 <= p.frames <= MAX_TRACK_FRAMES:
+        raise DataError(f"a scenario needs 2 to {MAX_TRACK_FRAMES} frames, got {p.frames}")
+    if not 0 < p.speed < math.inf:
+        raise DataError(f"speed must be finite and greater than 0, got {p.speed!r}")
+    for name, value in (("spacing", p.spacing), ("noise", p.noise)):
+        if not 0 <= value < math.inf:
+            raise DataError(f"{name} must be finite and at least 0, got {value!r}")
+    # the following lag, spacing / (speed * GRID_DT) frames, compared without dividing
+    if kind == "following" and p.spacing >= GRID_DT * p.speed * (MAX_TRACK_FRAMES - p.frames):
+        raise DataError(f"a {p.spacing!r} m gap at {p.speed!r} m/s lags the follower "
+                        f"{MAX_TRACK_FRAMES - p.frames} frames or more; frames plus lag "
+                        f"must stay under {MAX_TRACK_FRAMES}")
     rng = np.random.default_rng(seed)
     builders = {
         "parallel": _synth_parallel,
@@ -296,12 +306,16 @@ def synth_scenario(kind: str, params: Optional[SynthParams] = None,
     }
     if kind not in builders:
         raise DataError(f"unknown scenario kind {kind!r} (options: {', '.join(SCENARIO_KINDS)})")
-    tracks = builders[kind](p, rng)
+    # overflow is caught by the finite check below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        tracks = builders[kind](p, rng)
+        if p.noise > 0:
+            tracks = [pts + rng.normal(0.0, p.noise, size=pts.shape) for pts in tracks]
     scene = Scene(name=f"{kind}-{seed}")
     for ped, pts in enumerate(tracks, start=1):
-        pts = np.asarray(pts, dtype=np.float64)
-        if p.noise > 0:
-            pts = pts + rng.normal(0.0, p.noise, size=pts.shape)
+        if not np.isfinite(pts).all():
+            raise DataError(f"{kind}: positions overflow at speed {p.speed!r}, "
+                            f"spacing {p.spacing!r} and noise {p.noise!r}")
         scene.tracks[ped] = Track(start=0, points=pts)
     return scene
 

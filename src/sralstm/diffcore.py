@@ -17,11 +17,12 @@ kept lean accordingly:
   * a node is a plain ``(inputs, output, vjp)`` tuple;
   * a primitive builds its vjp closure only while a tape is open, so a
     tape-free forward pass allocates no closures;
-  * ``backward`` owns only the adjoints it allocates itself during the
-    pass (the sum of two contributions) and adds later contributions into
-    those in place. It never writes an array a vjp returned: that may be
-    the incoming adjoint itself (``add``), a view of it (``concat``) or the
-    root's seed of ones;
+  * ``backward`` empties its tape, freeing each node and its output's
+    adjoint as it replays it, and fills the grads of leaves only. It owns
+    only the adjoints it allocates itself (the sum of two contributions)
+    and adds later contributions into those in place. It never writes an
+    array a vjp returned: that may be the incoming adjoint itself
+    (``add``), a view of it (``concat``) or the root's seed of ones;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
     previous state on exit. Nodes form no reference cycles, so a
     collection while recording would only re-walk the growing tape.
@@ -30,7 +31,7 @@ kept lean accordingly:
 from __future__ import annotations
 
 import gc
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -101,8 +102,8 @@ class Tape:
     """Ordered record of executed primitives for one forward pass.
 
     Execution order is a valid topological order, so ``backward`` replays
-    the record once, in reverse. Tapes do not nest. The cyclic garbage
-    collector is paused while the tape is open.
+    the record once, in reverse, emptying it. Tapes do not nest. The cyclic
+    garbage collector is paused while the tape is open.
     """
 
     def __init__(self):
@@ -127,10 +128,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def clear(self) -> None:
-        """Drop all recorded nodes; tensors stay valid."""
-        self.nodes.clear()
 
 
 def _require_2d(op: str, t: Tensor) -> None:
@@ -347,42 +344,42 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 # reverse pass
 
 def backward(tape: Tape, root: Tensor) -> None:
-    """Accumulate d(root)/d(tensor) into grad slots for every tensor on the tape.
+    """Add d(root)/d(leaf) into every leaf's grad slot, emptying the tape.
 
-    Adjoints are computed fresh per call and then added, so grads accumulate
-    across roots until zeroed, and a repeated call doubles them exactly.
-    A tensor's first contribution is kept as the vjp returned it; the
-    second is summed into a new array that this pass owns, and later ones
-    are added into that array in place.
+    Leaves are the tensors no node of the tape produced (parameters, inputs,
+    initial states); grads accumulate across tapes until zeroed. A tensor's
+    first contribution is kept as the vjp returned it; the second is summed
+    into a new array that this pass owns, and later ones are added into that
+    array in place.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
-    adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.values)}
-    holders: dict[int, Tensor] = {id(root): root}
-    owned: set[int] = set()
-    get_adjoint = adjoint.get
-    for inputs, output, vjp in reversed(tape.nodes):
-        g = get_adjoint(id(output))
+    # tensors hash by identity, so they key their own adjoints
+    adjoint: dict[Tensor, np.ndarray] = {root: np.ones_like(root.values)}
+    owned: set[Tensor] = set()
+    get_adjoint, pop_adjoint, nodes = adjoint.get, adjoint.pop, tape.nodes
+    while nodes:
+        inputs, output, vjp = nodes.pop()
+        g = pop_adjoint(output, None)
         if g is None:
             continue
+        owned.discard(output)
         for t, gi in zip(inputs, vjp(g)):
-            key = id(t)
-            prev = get_adjoint(key)
+            prev = get_adjoint(t)
             if prev is None:
-                adjoint[key] = gi
-                holders[key] = t
-            elif key in owned:
+                adjoint[t] = gi
+            elif t in owned:
                 prev += gi
             else:
-                adjoint[key] = prev + gi
-                owned.add(key)
-    for key, t in holders.items():
-        g = adjoint[key]
+                adjoint[t] = prev + gi
+                owned.add(t)
+    # each produced tensor's adjoint went with its node, so only leaves are left
+    for t, g in adjoint.items():
         if t.grad is not None:
             t.grad = t.grad + g
         else:
             # an owned adjoint is referenced by nothing else once the pass ends
-            t.grad = g if key in owned else g.copy()
+            t.grad = g if t in owned else g.copy()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -180,13 +180,9 @@ def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,
     named = params.tensors()
     truth = window_truth_nabs(window)
     with dc.Tape() as tape:
-        result = rollout(params, window)
-        loss = l2_loss(result, truth)
+        loss = l2_loss(rollout(params, window), truth)
+        # inside the block, so the tape is freed while the GC is paused
         dc.backward(tape, loss)
-        # freed while the tape still pauses the cyclic GC, so no collection
-        # walks the nodes once it resumes
-        tape.clear()
-    value = loss.item()
     tensors = list(named.values())
     for t in tensors:
         # parameters outside the active strategy's graph get zero gradient
@@ -195,7 +191,7 @@ def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,
     dc.clip_grad_norm(tensors, clip_norm)
     dc.adam_step(named, opt)
     dc.zero_grads(tensors)
-    return value
+    return loss.item()
 
 
 def train_epoch(params: ModelParams, opt: dc.AdamState,

@@ -170,8 +170,10 @@ def reference_backward(tape, root) -> None:
     """The original dict-accumulating reverse pass, kept as an oracle.
 
     Every sum of two contributions is a fresh array and nothing is written
-    in place, so ``diffcore.backward`` must match it bit for bit. It reuses
-    the tape's vjps: it checks how adjoints are accumulated, not the vjps.
+    in place, so ``diffcore.backward`` must match it bit for bit on the
+    leaves. It reuses the tape's vjps: it checks how adjoints are
+    accumulated, not the vjps. It fills every tensor's grad and leaves the
+    tape as it was, so run it before ``diffcore.backward`` consumes the tape.
     """
     if root.values.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from sralstm.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          UsageError, build_parser, build_run_config, main)
-from sralstm.data import (build_windows, parse_annotations, regrid,
-                          scene_to_annotation_text, synth_scenario)
+from sralstm.data import (SCENARIO_KINDS, build_windows, parse_annotations,
+                          regrid, scene_to_annotation_text, synth_scenario)
 from sralstm.model import AttentionStrategy
 from sralstm.pipeline import load_checkpoint, save_checkpoint
 
@@ -299,6 +299,19 @@ def test_predict_without_input_is_a_usage_error(trained, capsys):
     assert "scene-file or --scenario" in capsys.readouterr().err
 
 
+def test_predict_with_both_inputs_is_a_usage_error(tmp_path, trained, capsys):
+    # before, exit 0: --scenario was silently ignored
+    scene_file = tmp_path / "scene.txt"
+    scene_file.write_text(scene_to_annotation_text(synth_scenario("parallel", seed=7)))
+    rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+               "--scene-file", str(scene_file), "--scenario", "meeting",
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and "not allowed with" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -556,6 +569,41 @@ def test_window_start_without_window_is_data_error(tmp_path, trained, capsys):
     assert "no usable window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--scenario", "meeting", "--speed", "nan"], "speed must be finite"),
+    (["--scenario", "meeting", "--speed", "inf"], "speed must be finite"),
+    (["--scenario", "meeting", "--spacing", "nan"], "spacing must be finite"),
+    (["--scenario", "meeting", "--noise", "nan"], "noise must be finite"),
+    (["--scenario", "following", "--speed", "0"], "greater than 0"),
+    (["--scenario", "parallel", "--noise", "-1"], "noise must be finite and at least 0"),
+    (["--scenario", "parallel", "--frames", "10001"], "2 to 10000 frames"),
+    (["--scenario", "following", "--frames", "9999"], "lags the follower"),
+    (["--scenario", "following", "--speed", "1e-300"], "lags the follower"),
+    (["--scenario", "parallel", "--speed", "1e308"], "positions overflow"),
+], ids=["speed-nan", "speed-inf", "spacing-nan", "noise-nan", "speed-zero",
+        "noise-negative", "frames-over-bound", "following-lag-over-bound",
+        "following-tiny-speed", "positions-overflow"])
+def test_bad_synth_shape_is_data_error(tmp_path, capsys, argv, message):
+    # before: exit 0 with nan or inf rows, no noise for -1, or a traceback
+    # (ZeroDivisionError at speed 0, ValueError sizing the lag at 1e-300)
+    rc = main(["synth", *argv, "--out", str(tmp_path)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_predict_nan_speed_is_data_error(tmp_path, trained, capsys):
+    # before, exit 3: "tensor constructed from non-finite values"
+    rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+               "--scenario", "meeting", "--speed", "nan", "--out", str(tmp_path)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: " in err and "speed must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_divergent_training_is_numeric_error(data_dir, tmp_path, capsys):
     cfg = base_config(data_dir, tmp_path / "boom")
     cfg["train"]["learning_rate"] = 1e300
@@ -707,6 +755,41 @@ def test_annotation_text_ends_in_an_exit_code(trained, tmp_path):
     @given(annotation_texts())
     def check(text):
         assert predict_scene_text(tmp_path, trained, text) in (
+            EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+    check()
+
+
+# values at and past every bound: no speed between 1e-300 and 1e-3, where a
+# following lag would be long but still in range
+SHAPE_FLAG_VALUES = [
+    ("--speed", ["nan", "inf", "-inf", "0", "-1", "1e-300", "1.2", "1e300", "1e308"]),
+    ("--spacing", ["nan", "inf", "-inf", "0", "-1", "1e-300", "1.0", "1e300"]),
+    ("--noise", ["nan", "inf", "-inf", "0", "-1", "1e-300", "0.05", "1e300"]),
+    ("--frames", ["-1", "0", "1", "2", "20", "10000", "10001"]),
+]
+
+
+def shape_flags():
+    """Some of the synth shape flags, each with a value from its list."""
+    def argv(values):
+        return [f"{flag}={v}" for (flag, _), v in zip(SHAPE_FLAG_VALUES, values)
+                if v is not None]
+
+    return st.tuples(*[st.sampled_from([None, *values])
+                       for _, values in SHAPE_FLAG_VALUES]).map(argv)
+
+
+def test_synth_shape_flags_end_in_an_exit_code(trained, tmp_path):
+    ckpt = str(trained / "checkpoint.ckpt")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.sampled_from(["synth", "predict"]), st.sampled_from(SCENARIO_KINDS),
+           shape_flags())
+    def check(verb, kind, flags):
+        extra = ["--checkpoint", ckpt] if verb == "predict" else []
+        assert main([verb, *extra, "--scenario", kind, *flags,
+                     "--out", str(tmp_path / "out")]) in (
             EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
 
     check()

@@ -2,6 +2,7 @@
 tape semantics, and the Adam update."""
 
 import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -333,22 +334,22 @@ def test_backward_requires_scalar_root():
 
 
 def test_repeated_backward_doubles_gradients_exactly():
+    # backward consumes its tape, so a repeat needs a second forward pass
     x = Tensor(np.array([[1.5], [-2.0]]))
     with Tape() as tape:
-        loss = dc.sum_all(dc.mul(x, x))
-        dc.backward(tape, loss)
-        once = x.grad.copy()
-        dc.backward(tape, loss)
+        dc.backward(tape, dc.sum_all(dc.mul(x, x)))
+    once = x.grad.copy()
+    with Tape() as tape:
+        dc.backward(tape, dc.sum_all(dc.mul(x, x)))
     assert np.array_equal(x.grad, 2.0 * once)
 
 
 def test_gradients_accumulate_across_roots():
     x = Tensor(np.array([[2.0]]))
     with Tape() as tape:
-        a = dc.sum_all(dc.mul(x, x))    # d/dx = 4
-        b = dc.sum_all(x)               # d/dx = 1
-        dc.backward(tape, a)
-        dc.backward(tape, b)
+        dc.backward(tape, dc.sum_all(dc.mul(x, x)))   # d/dx = 4
+    with Tape() as tape:
+        dc.backward(tape, dc.sum_all(x))              # d/dx = 1
     assert x.grad[0, 0] == 5.0
 
 
@@ -358,23 +359,6 @@ def test_grad_reused_operand_sums_both_paths():
         # x*x + x: gradient 2x + 1 = 7
         dc.backward(tape, dc.sum_all(dc.add(dc.mul(x, x), x)))
     assert x.grad[0, 0] == 7.0
-
-
-def _taped_tensors(tape):
-    seen = {}
-    for inputs, output, _ in tape.nodes:
-        for t in (*inputs, output):
-            seen[id(t)] = t
-    return list(seen.values())
-
-
-def _grads_by_reference_and_backward(tape, root):
-    tensors = _taped_tensors(tape)
-    reference_backward(tape, root)
-    expected = [t.grad for t in tensors]
-    dc.zero_grads(tensors)
-    dc.backward(tape, root)
-    return tensors, expected
 
 
 def test_backward_matches_reference_bitwise_on_shared_operands():
@@ -396,26 +380,31 @@ def test_backward_matches_reference_bitwise_on_shared_operands():
         loss = terms[0]
         for term in terms[1:]:
             loss = dc.add(loss, term)
-    tensors, expected = _grads_by_reference_and_backward(tape, loss)
-    for t, e in zip(tensors, expected):
+    leaves = (x, y, w)
+    intermediates = [out for _, out, _ in tape.nodes]
+    reference_backward(tape, loss)
+    expected = [t.grad for t in leaves]
+    dc.zero_grads([*leaves, *intermediates])
+    dc.backward(tape, loss)
+    for t, e in zip(leaves, expected):
         assert t.grad.tobytes() == e.tobytes()
+    assert all(t.grad is None for t in intermediates)
 
 
 def test_backward_grads_never_share_memory():
     # add hands one adjoint to both operands, concat hands out views; each
-    # grad slot must still be an array of its own
+    # leaf's grad slot must still be an array of its own
     a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])
     with Tape() as tape:
         s = dc.add(a, b)
         c = dc.concat([s, a], axis=0)
         root = dc.sum_all(c)
         dc.backward(tape, root)
-    grads = [t.grad for t in (a, b, s, c, root)]
-    for i, gi in enumerate(grads):
-        for gj in grads[i + 1:]:
-            assert not np.shares_memory(gi, gj)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert a.grad.tolist() == [[2.0], [2.0]]
     a.grad *= 10.0
     assert b.grad.tolist() == [[1.0], [1.0]]
+    assert s.grad is None and c.grad is None and root.grad is None
 
 
 def test_scale_gradient():
@@ -451,12 +440,18 @@ def test_tapes_do_not_nest():
                 pass
 
 
-def test_tape_clear_drops_nodes():
-    x = Tensor([[1.0]])
+def test_backward_empties_the_tape_and_frees_intermediates():
+    x = Tensor([[0.5], [-1.0]])
     with Tape() as tape:
-        dc.mul(x, x)
-        tape.clear()
+        hidden = dc.tanh(x)
+        values = weakref.ref(hidden.values)
+        root = dc.sum_all(dc.mul(hidden, hidden))
+        del hidden
+        assert values() is not None   # the tape still holds it
+        dc.backward(tape, root)
         assert len(tape) == 0
+        assert values() is None
+    assert x.grad is not None
 
 
 def test_tape_reusable_after_exception():
