@@ -22,15 +22,14 @@ from typing import Optional
 import numpy as np
 
 from . import diffcore as dc
-from . import model as md
 from .data import (DataError, GRID_DT, MAX_TRACK_FRAMES, SCENARIO_KINDS, Scene,
                    SynthParams, TrajectoryWindow, build_windows, leave_one_out,
                    parse_annotations, regrid, scene_to_annotation_text,
-                   synth_scenario)
-from .evalkit import EvalReport, ablate, evaluate
+                   synth_scenario, window_at)
+from .evalkit import ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
 from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError,
-                       atomic_write_text, load_checkpoint, rollout,
+                       ParamMismatchError, atomic_write_text, load_checkpoint, rollout,
                        save_checkpoint, train_epoch)
 
 EXIT_OK = 0
@@ -68,7 +67,8 @@ def _read_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config file {path}: {e}") from e
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise UsageError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -290,24 +290,23 @@ def cmd_ablate(args) -> int:
 
 
 def _predict_window(args, cfg: RunConfig, model: ModelConfig) -> TrajectoryWindow:
+    """The window at --window-start, else the first full window, else the
+    first observation-only one."""
     obs, pred = model.obs_len, model.pred_len
     if args.scene_file:
-        try:
-            with open(args.scene_file, "r", encoding="utf-8") as f:
-                rows = parse_annotations(f)
-        except (OSError, UnicodeDecodeError) as e:
-            raise DataError(f"cannot read {args.scene_file}: {e}") from e
-        scene = regrid(rows, cfg.source_timestep, name=os.path.basename(args.scene_file))
+        scene = _load_scene(cfg, os.path.basename(args.scene_file), args.scene_file)
     elif args.scenario:
         scene = synth_scenario(args.scenario, _synth_params(args), seed=args.seed or 0)
     else:
         raise UsageError("predict needs --scene-file or --scenario")
     start = args.window_start
     for pred_len in (pred, 0):
-        windows = build_windows(scene, obs, pred_len, stride=1)
-        chosen = [w for w in windows if start is None or w.start_frame == start]
-        if chosen:
-            return chosen[0]
+        first = start if start is not None else min(
+            (t.start for t in scene.tracks.values() if len(t.points) >= obs + pred_len),
+            default=None)
+        window = window_at(scene, first, obs, pred_len) if first is not None else None
+        if window is not None:
+            return window
     where = f"at frame {start}" if start is not None else "anywhere"
     raise DataError(f"no usable window {where} in {scene.name!r} "
                     f"(needs a pedestrian tracked through {obs} consecutive frames)")
@@ -447,11 +446,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except md.ParamMismatchError as e:
+        # inf/nan results are caught by the finite checks, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
+    except (UsageError, ParamMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, CheckpointError) as e:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class Scene:
 
     name: str
     tracks: dict = field(default_factory=dict)  # ped_id -> Track
-    dt: float = GRID_DT
     dropped: int = 0  # pedestrians discarded during regridding
 
     def frame_range(self):
@@ -224,14 +223,20 @@ def build_windows(scene: Scene, obs_len: int = 8, pred_len: int = 12,
     for t in scene.tracks.values():
         # the first start on the stride lattice at or after the track's start
         starts.update(range(t.start + (lo - t.start) % stride, t.end - total + 1, stride))
-    windows = []
-    for start in sorted(starts):
-        ids = [p for p, t in sorted(scene.tracks.items()) if t.covers(start, start + total)]
-        positions = np.stack([scene.tracks[p].slice(start, start + total) for p in ids])
-        windows.append(TrajectoryWindow(
-            scene_name=scene.name, start_frame=start, ped_ids=ids,
-            positions=positions, obs_len=obs_len, pred_len=pred_len))
-    return windows
+    return [window_at(scene, start, obs_len, pred_len) for start in sorted(starts)]
+
+
+def window_at(scene: Scene, start: int, obs_len: int,
+              pred_len: int) -> Optional[TrajectoryWindow]:
+    """The window starting at frame start, holding every pedestrian tracked
+    throughout it, or None when nobody is."""
+    total = obs_len + pred_len
+    ids = [p for p, t in sorted(scene.tracks.items()) if t.covers(start, start + total)]
+    if not ids:
+        return None
+    positions = np.stack([scene.tracks[p].slice(start, start + total) for p in ids])
+    return TrajectoryWindow(scene_name=scene.name, start_frame=start, ped_ids=ids,
+                            positions=positions, obs_len=obs_len, pred_len=pred_len)
 
 
 def rotate_window(window: TrajectoryWindow, angle: float) -> TrajectoryWindow:

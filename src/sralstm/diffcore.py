@@ -10,6 +10,9 @@ Conventions:
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
     plain forward values otherwise.
+  * an op whose output is not finite raises ``NonFiniteError``; numpy may
+    warn about the overflow first, unless the caller silences it with
+    ``np.errstate`` (the command line does).
 
 A train step records tens of thousands of nodes on small column vectors,
 so per-node Python overhead, not arithmetic, sets the speed. The tape is
@@ -163,9 +166,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     av, bv = a.values, b.values
-    # inf/nan products are caught by the finite check, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _fresh(av @ bv)
+    out = _fresh(av @ bv)
     if _active_tape is not None:
         at, bt = av.T, bv.T
         grad_a = _outer if bt.shape[0] == 1 else np.matmul   # g @ b.T
@@ -234,9 +235,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    # overflow to inf is caught by the finite check, not warned about
-    with np.errstate(over="ignore"):
-        out = _fresh(np.exp(x.values))
+    out = _fresh(np.exp(x.values))
     if _active_tape is not None:
         e = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * e,)))

@@ -36,16 +36,13 @@ from . import diffcore as dc
 from .diffcore import Tensor
 
 
+# Trainable scalars per model: 128 MiB per float64 copy (params, grads and
+# two Adam moments), about 250 times the paper's model.
+MAX_PARAMS = 2**24
+
+
 class UnknownPedestrianError(KeyError):
     """A pedestrian or pair id is not tracked by the scene state."""
-
-
-class ParamMismatchError(ValueError):
-    """Named parameter arrays do not fit this configuration."""
-
-
-class ShapeMismatchForTensor(ParamMismatchError):
-    """A named parameter tensor has the wrong shape for this configuration."""
 
 
 class AttentionStrategy(Enum):
@@ -88,6 +85,10 @@ class ModelConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        count = param_count(self)
+        if count > MAX_PARAMS:
+            raise ValueError(f"the model would have {count} parameters; "
+                             f"the bound is {MAX_PARAMS}")
 
     @property
     def window_len(self) -> int:
@@ -168,27 +169,6 @@ class ModelParams:
     def tensors(self) -> "OrderedDict[str, Tensor]":
         """The named parameter tensors, in table order."""
         return self.named
-
-    @classmethod
-    def from_arrays(cls, config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> "ModelParams":
-        """Rebuild params from named arrays, validating shape and coverage."""
-        table = param_table(config)
-        expected = {name for name, _, _ in table}
-        missing = sorted(expected - set(arrays))
-        if missing:
-            raise ParamMismatchError(f"parameter arrays missing: {missing}")
-        extra = sorted(set(arrays) - expected)
-        if extra:
-            raise ParamMismatchError(f"unexpected parameter arrays: {extra}")
-        named = OrderedDict()
-        for name, shape, _ in table:
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ShapeMismatchForTensor(
-                    f"tensor {name!r}: checkpoint shape {arr.shape} != expected {shape}"
-                )
-            named[name] = Tensor(arr)
-        return cls(config, named)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ Checkpoint byte layout (version 1, all integers little-endian):
     after the last array.
 
 The JSON header holds the model config, user metadata, the array
-directory [{"name", "shape"}, ...], and optionally the Adam state (its
-moment arrays appear in the directory as "adam.m.<name>"/"adam.v.<name>").
+directory [{"name", "shape"}, ...], and optionally the Adam scalars. The
+directory must equal the one the stored config implies (``_directory``):
+the parameter table in order, then, with Adam state, each parameter's
+"adam.m.<name>" and "adam.v.<name>" moments.
 """
 
 from __future__ import annotations
@@ -220,6 +222,8 @@ def train_epoch(params: ModelParams, opt: dc.AdamState,
 
 CHECKPOINT_MAGIC = b"SRALCKPT"
 CHECKPOINT_VERSION = 1
+OPTIMIZER_SCALARS = ("lr", "beta1", "beta2", "eps")
+MOMENT_PREFIXES = ("adam.m.", "adam.v.")
 
 
 class CheckpointError(ValueError):
@@ -234,6 +238,10 @@ class CheckpointVersionError(CheckpointError):
     """The file's format version is not supported."""
 
 
+class ParamMismatchError(ValueError):
+    """A checkpoint's parameters do not fit the configuration asked for."""
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -242,23 +250,25 @@ class Checkpoint:
     metadata: dict
 
     def to_params(self, config: Optional[ModelConfig] = None) -> ModelParams:
-        """Materialize params, validating shapes against a config.
-
-        Passing a config other than the stored one raises a shape (or
-        naming) error identifying the first offending tensor.
-        """
-        return ModelParams.from_arrays(config or self.config, self.params)
+        """Wrap the stored arrays as the params of config (default: the
+        stored one). Its parameter table must list the stored names and
+        shapes in the same order; otherwise ParamMismatchError names the
+        first tensor that differs."""
+        config = config or self.config
+        stored, wanted = _directory(self.config, False), _directory(config, False)
+        if stored != wanted:
+            raise ParamMismatchError(f"the checkpoint does not fit the model asked for: "
+                                     f"{_first_difference(stored, wanted)}")
+        return ModelParams(config, OrderedDict(
+            (name, Tensor(a)) for name, a in self.params.items()))
 
     def to_optimizer(self, params: ModelParams) -> dc.AdamState:
         if self.optimizer is None:
             raise CheckpointError("checkpoint carries no optimizer state")
         o = self.optimizer
-        state = dc.AdamState(params.tensors(), lr=o["lr"], beta1=o["beta1"],
-                             beta2=o["beta2"], eps=o["eps"])
+        state = dc.AdamState(params.tensors(), **{k: o[k] for k in OPTIMIZER_SCALARS})
         state.step = int(o["step"])
         for name in state.m:
-            if name not in o["m"]:
-                raise CheckpointError(f"optimizer state missing moments for {name!r}")
             state.m[name] = o["m"][name].copy()
             state.v[name] = o["v"][name].copy()
         return state
@@ -288,21 +298,17 @@ def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState]
                     metadata: Optional[dict] = None) -> None:
     """Serialize params (and optionally Adam state) using the documented
     byte layout. The write is atomic."""
-    arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name, t in params.tensors().items():
-        arrays[name] = t.values
+    arrays = {name: t.values for name, t in params.tensors().items()}
     opt_header = None
     if optimizer is not None:
-        opt_header = {"lr": optimizer.lr, "beta1": optimizer.beta1,
-                      "beta2": optimizer.beta2, "eps": optimizer.eps,
-                      "step": optimizer.step}
-        for name in params.tensors():
-            arrays[f"adam.m.{name}"] = optimizer.m[name]
-            arrays[f"adam.v.{name}"] = optimizer.v[name]
+        opt_header = {key: getattr(optimizer, key) for key in (*OPTIMIZER_SCALARS, "step")}
+        for prefix, moments in zip(MOMENT_PREFIXES, (optimizer.m, optimizer.v)):
+            arrays.update((prefix + name, a) for name, a in moments.items())
+    directory = _directory(params.config, optimizer is not None)
     header = {
         "config": params.config.to_dict(),
         "metadata": metadata or {},
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()],
+        "arrays": directory,
         "optimizer": opt_header,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -310,8 +316,8 @@ def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState]
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
     blob += header_bytes
-    for arr in arrays.values():
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    for entry in directory:
+        blob += np.ascontiguousarray(arrays[entry["name"]], dtype="<f8").tobytes()
     atomic_write_bytes(path, bytes(blob))
 
 
@@ -334,7 +340,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(f"{path} is truncated inside the header")
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise CheckpointCorruptError(f"{path} has a malformed header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointCorruptError(f"{path} has a non-object header")
@@ -343,30 +350,20 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointCorruptError(f"{path} header lacks {key!r}")
     if not isinstance(header["metadata"], dict):
         raise CheckpointCorruptError(f"{path} has non-object metadata")
-    if not isinstance(header["arrays"], list):
-        raise CheckpointCorruptError(f"{path} has a non-list array directory")
     try:
         config = ModelConfig.from_dict(header["config"])
     except (TypeError, ValueError) as e:
         raise CheckpointCorruptError(f"{path} has an invalid config: {e}") from e
     with_optimizer = header.get("optimizer") is not None
     optimizer = _optimizer_header(path, header["optimizer"]) if with_optimizer else None
-    directory = OrderedDict()
-    for entry in header["arrays"]:
-        name, shape = _directory_entry(path, entry)
-        if name in directory:
-            raise CheckpointCorruptError(f"{path} names array {name!r} twice")
-        directory[name] = shape
-    expected = _expected_arrays(config, with_optimizer)
-    for name in [*directory, *(n for n in expected if n not in directory)]:
-        found, needed = directory.get(name), expected.get(name)
-        if found != needed:
-            raise CheckpointCorruptError(
-                f"{path} array {name!r}: found {'none' if found is None else found}, "
-                f"its config needs {'none' if needed is None else needed}")
+    directory = _directory(config, with_optimizer)
+    if _json_text(header["arrays"]) != _json_text(directory):
+        raise CheckpointCorruptError(
+            f"{path} {_first_difference(header['arrays'], directory)}")
     offset = 16 + header_len
-    arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name, shape in directory.items():
+    arrays = {}
+    for entry in directory:
+        name, shape = entry["name"], entry["shape"]
         nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(blob):
             raise CheckpointCorruptError(f"{path} is truncated inside array {name!r}")
@@ -377,45 +374,54 @@ def load_checkpoint(path) -> Checkpoint:
         offset += nbytes
     if offset != len(blob):
         raise CheckpointCorruptError(f"{path} has {len(blob) - offset} trailing bytes")
-    params = OrderedDict(
-        (n, a) for n, a in arrays.items() if not n.startswith("adam."))
+    names = [name for name, _, _ in md.param_table(config)]
+    params = OrderedDict((name, arrays[name]) for name in names)
     if with_optimizer:
-        optimizer["m"] = {n[len("adam.m."):]: a for n, a in arrays.items()
-                          if n.startswith("adam.m.")}
-        optimizer["v"] = {n[len("adam.v."):]: a for n, a in arrays.items()
-                          if n.startswith("adam.v.")}
+        optimizer["m"], optimizer["v"] = (
+            {name: arrays[prefix + name] for name in names} for prefix in MOMENT_PREFIXES)
     return Checkpoint(config=config, params=params, optimizer=optimizer,
                       metadata=dict(header["metadata"]))
 
 
-def _expected_arrays(config: ModelConfig, with_optimizer: bool) -> dict:
-    """Name -> shape of every array a checkpoint of this config holds."""
-    table = {name: shape for name, shape, _ in md.param_table(config)}
-    expected = dict(table)
-    if with_optimizer:
-        for prefix in ("adam.m.", "adam.v."):
-            expected.update((prefix + name, shape) for name, shape in table.items())
-    return expected
+def _directory(config: ModelConfig, with_optimizer: bool) -> list:
+    """Every {"name", "shape"} entry a checkpoint of this config holds, in
+    file order: the parameter table, then each parameter's two Adam
+    moments."""
+    table = [(name, list(shape)) for name, shape, _ in md.param_table(config)]
+    moments = [(prefix + name, shape) for name, shape in table
+               for prefix in MOMENT_PREFIXES] if with_optimizer else []
+    return [{"name": name, "shape": shape} for name, shape in table + moments]
 
 
-def _directory_entry(path, entry) -> tuple:
-    """(name, shape) of one array directory entry, or CheckpointCorruptError."""
-    if not isinstance(entry, dict):
-        raise CheckpointCorruptError(f"{path} has a non-object array entry {entry!r}")
-    name, shape = entry.get("name"), entry.get("shape")
-    if not isinstance(name, str):
-        raise CheckpointCorruptError(f"{path} has an array entry without a name: {entry!r}")
-    if not isinstance(shape, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
-        raise CheckpointCorruptError(f"{path} array {name!r} has a malformed shape {shape!r}")
-    return name, tuple(shape)
+def _first_difference(found, needed: list) -> str:
+    """Where a directory differs from the needed one: the first entry whose
+    JSON text differs, so a shape of [6.0, 2] or [6, true] does not pass
+    for [6, 2]."""
+    if not isinstance(found, list):
+        return "has a non-list array directory"
+
+    def text(entries, k):
+        return _json_text(entries[k]) if k < len(entries) else "nothing"
+
+    k = next(k for k in range(max(len(found), len(needed)))
+             if text(found, k) != text(needed, k))
+    return f"array entry {k}: found {text(found, k)}, its config needs {text(needed, k)}"
+
+
+def _json_text(value) -> str:
+    """value as sorted-keys JSON text. A value that decoded but is nested
+    too deeply to encode again is no directory and reads as such."""
+    try:
+        return json.dumps(value, sort_keys=True)
+    except RecursionError:
+        return "a value nested too deeply to encode"
 
 
 def _optimizer_header(path, opt) -> dict:
     """A copy of the optimizer header's scalars, or CheckpointCorruptError."""
     if not isinstance(opt, dict):
         raise CheckpointCorruptError(f"{path} has a non-object optimizer header")
-    for key in ("lr", "beta1", "beta2", "eps"):
+    for key in OPTIMIZER_SCALARS:
         value = opt.get(key)
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not abs(value) <= sys.float_info.max):

@@ -3,6 +3,7 @@ byte-determinism of the file outputs."""
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from sralstm.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          UsageError, build_parser, build_run_config, main)
-from sralstm.data import (SCENARIO_KINDS, build_windows, parse_annotations,
-                          regrid, scene_to_annotation_text, synth_scenario)
-from sralstm.model import AttentionStrategy
-from sralstm.pipeline import load_checkpoint, save_checkpoint
+import sralstm.data as data_module
+from sralstm.data import (SCENARIO_KINDS, TrajectoryWindow, build_windows,
+                          parse_annotations, regrid, scene_to_annotation_text,
+                          synth_scenario)
+from sralstm.model import MAX_PARAMS, AttentionStrategy
+from sralstm.pipeline import CHECKPOINT_MAGIC, load_checkpoint, rollout, save_checkpoint
 
 from helpers import edit_checkpoint
 
@@ -293,6 +296,51 @@ def test_predict_window_start_filter(tmp_path, trained):
     assert {r["window_start"] for r in rows} == {"2"}
 
 
+@pytest.mark.parametrize("frames,start", [(40, None), (40, 7), (22, 5)],
+                         ids=["first-full", "full-at-start", "observation-only-at-start"])
+def test_predict_rolls_out_the_window_build_windows_lists(tmp_path, trained, frames, start):
+    # the oracle is the old lookup: every window of the scene, first full
+    # ones, then observation-only ones, the first at the requested start
+    from sralstm.data import SynthParams
+    argv = ["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+            "--scenario", "parallel", "--frames", str(frames), "--seed", "3",
+            "--out", str(tmp_path)]
+    assert main(argv + (["--window-start", str(start)] if start is not None else [])) == EXIT_OK
+    scene = synth_scenario("parallel", SynthParams(frames=frames), seed=3)
+    window = next(w for pred_len in (12, 0) for w in build_windows(scene, 8, pred_len)
+                  if start is None or w.start_frame == start)
+    predicted = rollout(load_checkpoint(trained / "checkpoint.ckpt").to_params(),
+                        window).predicted_abs
+    rows = [r for r in read_tsv(tmp_path / "predictions.tsv") if r["kind"] == "pred"]
+    assert {r["window_start"] for r in rows} == {str(window.start_frame)}
+    assert [[float(r["x"]), float(r["y"])] for r in rows] == [
+        xy for p in window.ped_ids for xy in predicted[p].tolist()]
+
+
+def test_predict_builds_only_the_window_it_rolls_out(tmp_path, trained, monkeypatch):
+    # before, predict built all 181 windows of a 200-frame scene to use one
+    built = []
+
+    def counting_window(*args, **kwargs):
+        built.append(kwargs.get("start_frame"))
+        return TrajectoryWindow(*args, **kwargs)
+
+    monkeypatch.setattr(data_module, "TrajectoryWindow", counting_window)
+    rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+               "--scenario", "parallel", "--frames", "200", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert built == [0]
+
+
+def test_predict_scene_path_with_a_nul_is_data_error(tmp_path, trained, capsys):
+    # before, open() raised a bare ValueError: embedded null byte
+    rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+               "--scene-file", "a\0b", "--out", str(tmp_path)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: " in err and "cannot read" in err
+
+
 def test_predict_without_input_is_a_usage_error(trained, capsys):
     rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt")])
     assert rc == EXIT_USAGE
@@ -470,7 +518,7 @@ def test_checkpoint_claiming_a_larger_model_is_data_error(data_dir, tmp_path,
     # before, eval drew a random model of the claimed size, then exited 1
     path = tmp_path / "claims.ckpt"
     path.write_bytes((trained / "checkpoint.ckpt").read_bytes())
-    edit_checkpoint(path, lambda h, p: h["config"].update(hidden_dim=1500))
+    edit_checkpoint(path, lambda h, p: h["config"].update(hidden_dim=500))
     cfg_path = write_config(tmp_path / "e.json",
                             eval_config(data_dir, tmp_path / "x"))
     rc = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])
@@ -607,9 +655,62 @@ def test_predict_nan_speed_is_data_error(tmp_path, trained, capsys):
 def test_divergent_training_is_numeric_error(data_dir, tmp_path, capsys):
     cfg = base_config(data_dir, tmp_path / "boom")
     cfg["train"]["learning_rate"] = 1e300
-    rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
     assert rc == EXIT_NUMERIC
-    assert "numeric failure" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("numeric failure: ") == 1
+    # the overflow that ends the run is reported once, not warned about
+    assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------------------
+# inputs that are too deep or too large
+
+def test_deeply_nested_config_file_is_usage_error(tmp_path, capsys):
+    # before, RecursionError escaped from the JSON decoder
+    path = tmp_path / "c.json"
+    path.write_text("[" * 100_000)
+    assert main(["train", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and "not valid JSON" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_checkpoint_header_is_data_error(tmp_path, capsys):
+    # before, RecursionError escaped from the JSON decoder
+    path = tmp_path / "a.ckpt"
+    header = b"[" * 100_000
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
+    rc = main(["predict", "--checkpoint", str(path), "--scenario", "meeting",
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: " in err and "malformed header" in err
+    assert "Traceback" not in err
+
+
+def test_model_beyond_the_parameter_bound_is_usage_error(data_dir, tmp_path, capsys):
+    # before, train died allocating 7.28 TiB for the first weight matrix
+    cfg = base_config(data_dir, tmp_path / "huge")
+    cfg["model"]["hidden_dim"] = 1_000_000
+    rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: " in err and f"the bound is {MAX_PARAMS}" in err
+    assert not (tmp_path / "huge").exists()
+
+
+def test_checkpoint_beyond_the_parameter_bound_is_data_error(data_dir, tmp_path,
+                                                             trained, capsys):
+    path = tmp_path / "a.ckpt"
+    path.write_bytes((trained / "checkpoint.ckpt").read_bytes())
+    edit_checkpoint(path, lambda h, p: h["config"].update(hidden_dim=1_000_000))
+    cfg_path = write_config(tmp_path / "e.json", eval_config(data_dir, tmp_path / "x"))
+    rc = main(["eval", "--config", cfg_path, "--checkpoint", str(path)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: " in err and f"the bound is {MAX_PARAMS}" in err
 
 
 # ---------------------------------------------------------------------------

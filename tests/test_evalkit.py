@@ -95,9 +95,10 @@ def stationary_window(n_peds=2):
 
 
 def all_zero_params():
-    probe = ModelParams.init(SMALL, seed=0)
-    arrays = {n: np.zeros_like(t.values) for n, t in probe.tensors().items()}
-    return ModelParams.from_arrays(SMALL, arrays)
+    params = ModelParams.init(SMALL, seed=0)
+    for t in params.tensors().values():
+        t.values[...] = 0.0
+    return params
 
 
 def test_evaluate_stationary_scene_with_zero_model_is_perfect():

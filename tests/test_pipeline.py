@@ -1,5 +1,6 @@
 """Rollout orchestration, loss, training loop, and checkpoint persistence."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -132,10 +133,10 @@ def test_single_pedestrian_equals_none_strategy_bitwise():
 
 
 def test_zeroed_params_predict_output_bias_forever():
-    params = small_params(seed=1)
-    arrays = {n: np.zeros_like(t.values) for n, t in params.tensors().items()}
-    arrays["b_p"] = np.array([[0.3], [-0.2]])
-    frozen = ModelParams.from_arrays(SMALL, arrays)
+    frozen = small_params(seed=1)
+    for t in frozen.tensors().values():
+        t.values[...] = 0.0
+    frozen["b_p"].values[:] = [[0.3], [-0.2]]
     result = rollout(frozen, cv_window(n_peds=2, seed=6))
     for offsets in _offsets(result):
         assert np.array_equal(offsets, np.tile([0.3, -0.2], (12, 1)))
@@ -261,11 +262,10 @@ def test_rollout_attention_trace_off_by_default():
     assert rollout(params, cv_window()).attention is None
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_rollout_non_finite_failure_names_the_step():
-    params = small_params(seed=1)
-    arrays = {n: t.values.copy() for n, t in params.tensors().items()}
-    arrays["w_e"] = np.full_like(arrays["w_e"], 1e308)
-    broken = ModelParams.from_arrays(SMALL, arrays)
+    broken = small_params(seed=1)
+    broken["w_e"].values[...] = 1e308
     tracks = [np.cumsum(np.full((20, 2), 0.5), axis=0)]
     window = window_from_tracks(tracks)
     with pytest.raises(dc.NonFiniteError, match="rollout step 0"):
@@ -536,7 +536,7 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 
 
 def test_checkpoint_rejects_malformed_header(tmp_path):
-    path = tmp_path / "bad_header.ckpt"
+    path = tmp_path / "a.ckpt"
     header = b"{{{{"
     path.write_bytes(pl.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
     with pytest.raises(CheckpointCorruptError, match="header"):
@@ -594,10 +594,12 @@ def test_checkpoint_malformed_optimizer_header_is_corrupt(tmp_path, edit):
 def test_checkpoint_naming_an_array_twice_is_corrupt(tmp_path):
     # before, the later payload silently replaced the earlier one and
     # to_params failed with a usage-level ParamMismatchError
-    path = tmp_path / "twice.ckpt"
+    path = tmp_path / "a.ckpt"
     save_checkpoint(path, small_params(seed=61))
     edit_checkpoint(path, lambda h, p: h["arrays"][1].update(name=h["arrays"][0]["name"]))
-    with pytest.raises(CheckpointCorruptError, match="twice"):
+    with pytest.raises(CheckpointCorruptError,
+                       match=re.escape('entry 1: found {"name": "w_re", "shape": [6, 1]}, '
+                                       'its config needs {"name": "b_re", "shape": [6, 1]}')):
         load_checkpoint(path)
 
 
@@ -606,6 +608,11 @@ def _set_entry_shape(name, shape):
         (entry,) = [e for e in header["arrays"] if e["name"] == name]
         entry["shape"] = shape
     return edit
+
+
+def _swap_first_entries(header, payload):
+    arrays = header["arrays"]
+    arrays[0], arrays[1] = arrays[1], arrays[0]
 
 
 def _drop_last_array(header, payload):
@@ -633,13 +640,19 @@ def _drop_moments(header, payload):
     pytest.param(_drop_moments, "adam.m.w_re", id="optimizer-without-moments"),
     pytest.param(lambda h, p: h.update(optimizer=None), "adam.m.w_re",
                  id="moments-without-optimizer"),
+    # before, a directory in another order than the one save_checkpoint
+    # writes loaded
+    pytest.param(_swap_first_entries, "b_re", id="reordered-directory"),
+    # JSON numbers equal to the ints of a shape are not that shape
+    pytest.param(_set_entry_shape("w_re", [6.0, 2]), "w_re", id="float-shape"),
+    pytest.param(_set_entry_shape("w_re", [6, True]), "w_re", id="boolean-shape"),
 ])
 def test_checkpoint_arrays_must_fit_the_stored_config(tmp_path, edit, needs):
     params = small_params(seed=61)
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, params, dc.AdamState(params.tensors()))
     edit_checkpoint(path, edit)
-    with pytest.raises(CheckpointCorruptError, match=f"array '{needs}'"):
+    with pytest.raises(CheckpointCorruptError, match=re.escape(f'"name": "{needs}"')):
         load_checkpoint(path)
 
 
@@ -654,7 +667,7 @@ def test_checkpoint_with_one_observed_frame_is_corrupt(tmp_path):
 @pytest.mark.parametrize("header", [b"5", b"[]", b'"config metadata arrays"'])
 def test_checkpoint_header_that_is_not_an_object_is_corrupt(tmp_path, header):
     # before, membership tests on the header raised a bare TypeError
-    path = tmp_path / "scalar_header.ckpt"
+    path = tmp_path / "a.ckpt"
     path.write_bytes(pl.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header)
     with pytest.raises(CheckpointCorruptError, match="header"):
         load_checkpoint(path)
@@ -671,8 +684,63 @@ def test_checkpoint_config_mismatch_names_tensor(tmp_path):
     save_checkpoint(path, params)
     ckpt = load_checkpoint(path)
     wider = ModelConfig(embed_dim=12, hidden_dim=8)
-    with pytest.raises(md.ShapeMismatchForTensor, match="w_re"):
+    with pytest.raises(pl.ParamMismatchError, match=re.escape(
+            'entry 0: found {"name": "w_re", "shape": [6, 2]}, '
+            'its config needs {"name": "w_re", "shape": [12, 2]}')):
         ckpt.to_params(wider)
+
+
+def stored_checkpoint(tmp_path, config=SMALL, seed=2):
+    """A saved and reloaded checkpoint of fresh params, with those params."""
+    params = ModelParams.init(config, seed=seed)
+    save_checkpoint(tmp_path / "a.ckpt", params)
+    return load_checkpoint(tmp_path / "a.ckpt"), params
+
+
+def test_to_params_round_trip(tmp_path):
+    ckpt, params = stored_checkpoint(tmp_path)
+    rebuilt = ckpt.to_params()
+    assert rebuilt.config == SMALL
+    assert list(rebuilt.tensors()) == list(params.tensors())
+    for name, t in rebuilt.tensors().items():
+        assert np.array_equal(t.values, params[name].values)
+
+
+def test_to_params_reports_missing_and_extra(tmp_path):
+    ckpt, _ = stored_checkpoint(tmp_path)
+    # the sra table ends in w_at; none has no scorer and sa scores with w_sa
+    with pytest.raises(pl.ParamMismatchError, match='found {"name": "w_at".*needs nothing'):
+        ckpt.to_params(replace(SMALL, strategy=AttentionStrategy.NONE))
+    with pytest.raises(pl.ParamMismatchError, match='"w_at".*needs {"name": "w_sa"'):
+        ckpt.to_params(replace(SMALL, strategy=AttentionStrategy.SA))
+    none_ckpt, _ = stored_checkpoint(tmp_path, replace(SMALL, strategy=AttentionStrategy.NONE))
+    with pytest.raises(pl.ParamMismatchError, match='found nothing.*needs {"name": "w_at"'):
+        none_ckpt.to_params(SMALL)
+
+
+def test_to_params_names_misshapen_tensor(tmp_path):
+    ckpt, _ = stored_checkpoint(tmp_path)
+    # hidden_dim first shapes the relation LSTM, after w_re and b_re
+    with pytest.raises(pl.ParamMismatchError, match=re.escape(
+            'entry 2: found {"name": "rel_wi", "shape": [8, 14]}, '
+            'its config needs {"name": "rel_wi", "shape": [9, 15]}')):
+        ckpt.to_params(replace(SMALL, hidden_dim=9))
+    # obs_len and pred_len shape no tensor
+    assert ckpt.to_params(replace(SMALL, obs_len=4)).config.obs_len == 4
+
+
+def test_to_params_draws_nothing(tmp_path, monkeypatch):
+    ckpt, _ = stored_checkpoint(tmp_path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("to_params drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    rebuilt = ckpt.to_params()
+    assert rebuilt["w_at"].values is not ckpt.params["w_at"]
+    # a claimed size is checked against the table, not materialized
+    with pytest.raises(pl.ParamMismatchError, match="rel_wi"):
+        ckpt.to_params(ModelConfig(embed_dim=6, hidden_dim=500))
 
 
 def test_checkpoint_metrics_survive_round_trip(tmp_path):

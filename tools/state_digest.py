@@ -5,9 +5,11 @@
 Imports ``CHECKOUT_ROOT/src``, builds its own seeded random-walk windows
 and, for each case in CASES (a strategy and a crowd size), trains a fresh
 default-size model for EPOCHS epochs with augmentation and then evaluates
-it. It prints one JSON line: ``sha256``, a SHA-256 over every case's
-parameters, Adam moments and per-window eval displacements, and
-``losses``, each case's epoch losses as ``repr`` strings.
+it. It also saves each case's checkpoint with Adam state and loads it
+back. It prints one JSON line: ``sha256``, a SHA-256 over every case's
+parameters, Adam moments, per-window eval displacements, checkpoint
+bytes, and the parameters and moments the loaded checkpoint gives back;
+and ``losses``, each case's epoch losses as ``repr`` strings.
 
 Run it on two checkouts, for example a parent commit exported with
 ``git archive`` and a change, and compare the lines: an equal ``sha256``
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 CASES = ([(s, n) for s in ("none", "sa", "ra") for n in (1, 2, 3)]
          + [("sra", n) for n in (1, 2, 3, 5, 8)])
@@ -56,19 +59,31 @@ def main(argv) -> int:
 
     digest = hashlib.sha256()
     losses = {}
-    for case, (strategy, n) in enumerate(CASES):
-        params = model.ModelParams.init(model.ModelConfig(strategy=strategy), seed=SEED)
-        opt = dc.AdamState(params.tensors())
-        wins = windows(n, seed=100 + case)
-        rng = np.random.default_rng(case)
-        losses[f"{strategy}-{n}"] = [
-            repr(pipeline.train_epoch(params, opt, wins, rng)) for _ in range(EPOCHS)]
+
+    def add_state(params, opt):
         for name, t in params.tensors().items():
             digest.update(name.encode())
             for arr in (t.values, opt.m[name], opt.v[name]):
                 digest.update(arr.tobytes())
-        for record in evalkit.evaluate(params, wins).windows:
-            digest.update(record.displacements.tobytes())
+
+    with tempfile.TemporaryDirectory() as work:
+        ckpt_path = os.path.join(work, "case.ckpt")
+        for case, (strategy, n) in enumerate(CASES):
+            params = model.ModelParams.init(model.ModelConfig(strategy=strategy), seed=SEED)
+            opt = dc.AdamState(params.tensors())
+            wins = windows(n, seed=100 + case)
+            rng = np.random.default_rng(case)
+            losses[f"{strategy}-{n}"] = [
+                repr(pipeline.train_epoch(params, opt, wins, rng)) for _ in range(EPOCHS)]
+            add_state(params, opt)
+            for record in evalkit.evaluate(params, wins).windows:
+                digest.update(record.displacements.tobytes())
+            pipeline.save_checkpoint(ckpt_path, params, opt, {"case": case})
+            with open(ckpt_path, "rb") as f:
+                digest.update(f.read())
+            ckpt = pipeline.load_checkpoint(ckpt_path)
+            loaded = ckpt.to_params()
+            add_state(loaded, ckpt.to_optimizer(loaded))
     print(json.dumps({"sha256": digest.hexdigest(), "losses": losses}, sort_keys=True))
     return 0
 
