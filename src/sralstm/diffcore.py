@@ -10,9 +10,20 @@ Conventions:
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
     plain forward values otherwise.
-  * an op whose output is not finite raises ``NonFiniteError``; numpy may
+  * every ``Tensor`` is finite: the constructor checks its values, and an
+    op whose output is not finite raises ``NonFiniteError``. numpy may
     warn about the overflow first, unless the caller silences it with
     ``np.errstate`` (the command line does).
+
+Only the ops that can turn finite inputs into a non-finite output check
+it: ``matmul``, ``add``, ``sub``, ``mul``, ``exp``, ``weighted_sum``,
+``sum_all`` and ``scale`` can all overflow. The check first tests the self
+dot product of the output, and runs the exact elementwise test only when
+that is not finite (a NaN, an infinity, or finite values whose squares
+overflow). The other ops are bounded on finite inputs and skip the check:
+``sigmoid`` and ``tanh`` map into [0, 1] and [-1, 1], ``relu`` and
+``concat`` only select input values, and ``masked_softmax`` divides terms
+in [0, 1] by a sum of at least 1.
 
 A train step records tens of thousands of nodes on small column vectors,
 so per-node Python overhead, not arithmetic, sets the speed. The tape is
@@ -26,6 +37,13 @@ kept lean accordingly:
     and adds later contributions into those in place. It never writes an
     array a vjp returned: that may be the incoming adjoint itself
     (``add``), a view of it (``concat``) or the root's seed of ones;
+  * a weight's gradient is formed in one product. Every ``W @ x`` with a
+    one-column ``x`` adds the outer product ``g @ x.T`` to ``W``'s
+    adjoint; ``backward`` keeps the factors ``g`` and ``x.T`` instead and,
+    once ``W``'s contributions are all in, forms their sum as one
+    ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style RNN kernels do, Appleyard
+    et al. 2016, arXiv:1604.01946). Only the summation order moves: a
+    weight used once gets the bits of its single outer product;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
     previous state on exit. Nodes form no reference cycles, so a
     collection while recording would only re-walk the growing tape.
@@ -34,6 +52,7 @@ kept lean accordingly:
 from __future__ import annotations
 
 import gc
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,7 +88,7 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape) -> "Tensor":
-        return _fresh(np.zeros(shape, dtype=np.float64))
+        return _wrap(np.zeros(shape, dtype=np.float64))
 
     @property
     def shape(self):
@@ -88,14 +107,24 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)})"
 
 
-def _fresh(arr: np.ndarray) -> Tensor:
-    """Wrap an op output without copying; outputs must stay finite."""
+def _wrap(arr: np.ndarray) -> Tensor:
+    """Wrap the output of an op that maps finite inputs to finite outputs."""
     t = Tensor.__new__(Tensor)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("operation produced non-finite values")
     t.values = arr
     t.grad = None
     return t
+
+
+def _fresh(arr: np.ndarray) -> Tensor:
+    """Wrap the output of an op that can overflow; it must be finite.
+
+    A NaN or an infinity makes the self dot product non-finite. So does a
+    finite array whose squares overflow, and only then does the exact
+    elementwise test run.
+    """
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        raise NonFiniteError("operation produced non-finite values")
+    return _wrap(arr)
 
 
 _active_tape = None  # the open Tape, if any
@@ -160,6 +189,27 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+class _ColumnMatmulVjp:
+    """The vjp of ``a @ b`` for a one-column ``b``, with its factors exposed.
+
+    Called, it returns both adjoints as arrays, like every vjp. ``backward``
+    instead keeps ``a``'s adjoint, the outer product ``g @ bt``, as the
+    factor pair ``(g, bt)`` and calls only ``grad_b``.
+    """
+
+    __slots__ = ("at", "bt")
+
+    def __init__(self, at: np.ndarray, bt: np.ndarray):
+        self.at, self.bt = at, bt
+
+    def grad_b(self, g: np.ndarray) -> np.ndarray:
+        at = self.at
+        return _outer(at, g) if at.shape[1] == 1 else at @ g
+
+    def __call__(self, g: np.ndarray) -> tuple:
+        return _outer(g, self.bt), self.grad_b(g)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d("matmul", a)
     _require_2d("matmul", b)
@@ -169,9 +219,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _fresh(av @ bv)
     if _active_tape is not None:
         at, bt = av.T, bv.T
-        grad_a = _outer if bt.shape[0] == 1 else np.matmul   # g @ b.T
-        grad_b = _outer if at.shape[1] == 1 else np.matmul   # a.T @ g
-        _active_tape.nodes.append(((a, b), out, lambda g: (grad_a(g, bt), grad_b(at, g))))
+        if bt.shape[0] == 1:
+            vjp = _ColumnMatmulVjp(at, bt)
+        else:
+            grad_b = _outer if at.shape[1] == 1 else np.matmul   # a.T @ g
+            vjp = lambda g: (g @ bt, grad_b(at, g))
+        _active_tape.nodes.append(((a, b), out, vjp))
     return out
 
 
@@ -211,7 +264,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # exp may overflow to inf for very negative inputs; 1/(1+inf) -> 0 is exact
     with np.errstate(over="ignore"):
-        out = _fresh(1.0 / (1.0 + np.exp(-x.values)))
+        out = _wrap(1.0 / (1.0 + np.exp(-x.values)))
     if _active_tape is not None:
         s = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * s * (1.0 - s),)))
@@ -219,7 +272,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = _fresh(np.tanh(x.values))
+    out = _wrap(np.tanh(x.values))
     if _active_tape is not None:
         t = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * (1.0 - t * t),)))
@@ -227,7 +280,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = _fresh(np.maximum(x.values, 0.0))
+    out = _wrap(np.maximum(x.values, 0.0))
     if _active_tape is not None:
         mask = x.values > 0.0
         _active_tape.nodes.append(((x,), out, lambda g: (g * mask,)))
@@ -256,7 +309,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             raise ShapeMismatchError(
                 f"concat: shapes {tensors[0].shape} and {t.shape} disagree off-axis"
             )
-    out = _fresh(np.concatenate([t.values for t in tensors], axis=axis))
+    out = _wrap(np.concatenate([t.values for t in tensors], axis=axis))
     if _active_tape is not None:
         # the vjp hands out views of the incoming adjoint, one per input
         pieces = []
@@ -288,7 +341,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     shifted = np.zeros_like(flat)
     shifted[m] = np.exp(flat[m] - flat[m].max())
     total = float(np.sum(shifted[m]))
-    out = _fresh((shifted / total).reshape(logits.shape))
+    out = _wrap((shifted / total).reshape(logits.shape))
     if _active_tape is not None:
         s = out.values.reshape(-1)
         shape = logits.shape
@@ -342,6 +395,16 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
+def _contract(gs: list, bts: list) -> np.ndarray:
+    """Sum of the outer products ``gs[k] @ bts[k]``, as one product.
+
+    A single pair gives exactly the vjp's own ``_outer`` bits.
+    """
+    if len(gs) == 1:
+        return _outer(gs[0], bts[0])
+    return np.concatenate(gs, axis=1) @ np.concatenate(bts, axis=0)
+
+
 def backward(tape: Tape, root: Tensor) -> None:
     """Add d(root)/d(leaf) into every leaf's grad slot, emptying the tape.
 
@@ -350,20 +413,44 @@ def backward(tape: Tape, root: Tensor) -> None:
     first contribution is kept as the vjp returned it; the second is summed
     into a new array that this pass owns, and later ones are added into that
     array in place.
+
+    The left operand of a one-column matmul gets no dense contribution: its
+    factor pair ``(g, bt)`` is kept instead, and all of a tensor's pairs are
+    contracted in one product, when its own node is replayed or, for a
+    leaf, once the replay ends.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     # tensors hash by identity, so they key their own adjoints
     adjoint: dict[Tensor, np.ndarray] = {root: np.ones_like(root.values)}
     owned: set[Tensor] = set()
+    factors: dict[Tensor, tuple[list, list]] = {}
     get_adjoint, pop_adjoint, nodes = adjoint.get, adjoint.pop, tape.nodes
+    get_factors, pop_factors = factors.get, factors.pop
     while nodes:
         inputs, output, vjp = nodes.pop()
         g = pop_adjoint(output, None)
-        if g is None:
+        pairs = pop_factors(output, None)
+        if pairs is not None:
+            dense = _contract(*pairs)
+            if g is not None:
+                dense += g
+            g = dense
+        elif g is None:
             continue
         owned.discard(output)
-        for t, gi in zip(inputs, vjp(g)):
+        if type(vjp) is _ColumnMatmulVjp:
+            a, b = inputs
+            pairs = get_factors(a)
+            if pairs is None:
+                factors[a] = ([g], [vjp.bt])
+            else:
+                pairs[0].append(g)
+                pairs[1].append(vjp.bt)
+            contributions = ((b, vjp.grad_b(g)),)
+        else:
+            contributions = zip(inputs, vjp(g))
+        for t, gi in contributions:
             prev = get_adjoint(t)
             if prev is None:
                 adjoint[t] = gi
@@ -372,7 +459,15 @@ def backward(tape: Tape, root: Tensor) -> None:
             else:
                 adjoint[t] = prev + gi
                 owned.add(t)
-    # each produced tensor's adjoint went with its node, so only leaves are left
+    # each produced tensor's adjoint and factors went with its node, so only
+    # leaves are left; contract one leaf's factors at a time
+    while factors:
+        t, pairs = factors.popitem()
+        dense = _contract(*pairs)
+        g = pop_adjoint(t, None)
+        if g is not None:
+            dense += g
+        t.grad = dense if t.grad is None else t.grad + dense
     for t, g in adjoint.items():
         if t.grad is not None:
             t.grad = t.grad + g
@@ -387,12 +482,28 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 
 def global_grad_norm(tensors: Iterable[Tensor]) -> float:
-    total = 0.0
+    """The L2 norm of all grads together.
+
+    Finite grads whose sum of squares overflows are measured again scaled
+    by their largest magnitude, so their norm stays finite.
+    """
+    grads = []
     for t in tensors:
         if t.grad is None:
             raise MissingGradientError("gradient norm over a tensor with no grad")
-        total += float(np.sum(t.grad * t.grad))
-    return float(np.sqrt(total))
+        grads.append(t.grad)
+    with np.errstate(over="ignore"):
+        total = 0.0
+        for g in grads:
+            total += float(np.sum(g * g))
+    if math.isfinite(total) or not all(np.isfinite(g).all() for g in grads):
+        return float(np.sqrt(total))
+    peak = max(float(np.abs(g).max()) for g in grads if g.size)
+    total = 0.0
+    for g in grads:
+        s = g / peak
+        total += float(np.sum(s * s))
+    return peak * math.sqrt(total)
 
 
 def clip_grad_norm(tensors: Sequence[Tensor], max_norm: float) -> float:

@@ -23,6 +23,17 @@ def rel_err(a, b) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+def scaled_err(a, b) -> float:
+    """Largest difference relative to the largest magnitude in ``b``.
+
+    For arrays that only their summation order tells apart, where an
+    entry near zero may lose its leading digits to cancellation.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 def fd_grad(evaluate, values: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of one array.
 

@@ -2,6 +2,8 @@
 tape semantics, and the Adam update."""
 
 import gc
+import math
+import warnings
 import weakref
 import zlib
 
@@ -12,7 +14,7 @@ import sralstm.diffcore as dc
 from sralstm.diffcore import Tensor, Tape
 
 from helpers import (fd_check, fd_grad, oracle_sigmoid, reference_backward,
-                     rel_err)
+                     rel_err, scaled_err)
 
 FD_TOL = 1e-6      # single-primitive gradients
 EXACT = 0.0
@@ -144,6 +146,59 @@ def test_non_finite_op_output_raises():
     # numpy warns about the overflow; silencing it is the caller's choice
     with pytest.raises(dc.NonFiniteError), pytest.warns(RuntimeWarning, match="overflow"):
         dc.exp(Tensor([[1000.0]]))
+
+
+def _column(first: float) -> Tensor:
+    # a Tensor refuses non-finite values, so plant one after construction
+    t = Tensor([[1.0], [1.0]])
+    t.values[0, 0] = first
+    return t
+
+
+# the ops that can overflow, each fed a (2, 1) column x so that its output's
+# first entry is x's first entry (exp's is its exponential)
+CHECKED = {
+    "matmul": lambda x: dc.matmul(x, Tensor([[1.0]])),
+    "add": lambda x: dc.add(x, Tensor(np.zeros((2, 1)))),
+    "sub": lambda x: dc.sub(x, Tensor(np.zeros((2, 1)))),
+    "mul": lambda x: dc.mul(x, Tensor(np.ones((2, 1)))),
+    "exp": dc.exp,
+    "weighted_sum": lambda x: dc.weighted_sum(Tensor([[1.0]]), x),
+    "sum_all": dc.sum_all,
+    "scale": lambda x: dc.scale(x, 1.0),
+}
+
+
+@pytest.mark.parametrize("op,bad", [
+    pytest.param(op, bad, id=f"{op}-{name}")
+    for op in sorted(CHECKED)
+    for name, bad in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))
+    if not (op == "exp" and bad < 0)   # exp cannot output -inf
+])
+def test_checked_op_rejects_each_non_finite_output(op, bad):
+    with pytest.raises(dc.NonFiniteError):
+        CHECKED[op](_column(bad))
+
+
+@pytest.mark.parametrize("op", sorted(CHECKED))
+def test_checked_op_accepts_a_finite_output_whose_squares_overflow(op):
+    first = math.log(1e200) if op == "exp" else 1e200
+    out = CHECKED[op](_column(first)).values
+    assert not math.isfinite(np.vdot(out, out))   # the fast test fails ...
+    assert np.isfinite(out).all()                 # ... and the exact one passes
+    assert out.flat[0] == pytest.approx(1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("op", ["sigmoid", "tanh", "relu", "concat", "masked_softmax"])
+def test_bounded_op_stays_finite_on_extreme_inputs(op):
+    x = Tensor([[1e308], [-1e308], [0.0]])
+    apply = {"sigmoid": dc.sigmoid, "tanh": dc.tanh, "relu": dc.relu,
+             "concat": lambda t: dc.concat([t, t], axis=1),
+             "masked_softmax": lambda t: dc.masked_softmax(t, [True, True, True])}[op]
+    # exp(1e308) and 1e308 - (-1e308) overflow on the way; silence numpy
+    with np.errstate(over="ignore"):
+        out = apply(x).values
+    assert np.isfinite(out).all()
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +447,86 @@ def test_backward_matches_reference_bitwise_on_shared_operands():
     assert all(t.grad is None for t in intermediates)
 
 
+def _weight_tape(uses: int, seed: int = 11):
+    # one weight, each use on its own column; the outputs mix nonlinearly
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.normal(size=(4, 3)))
+    xs = [Tensor(rng.normal(size=(3, 1))) for _ in range(uses)]
+    with Tape() as tape:
+        loss = dc.sum_all(dc.tanh(dc.matmul(w, xs[0])))
+        for x in xs[1:]:
+            y = dc.matmul(w, x)
+            loss = dc.add(loss, dc.sum_all(dc.mul(y, y)))
+    return tape, loss, w, xs
+
+
+@pytest.mark.parametrize("uses", [1, 2, 50])
+def test_weight_grad_over_column_matmuls_matches_reference(uses):
+    tape, loss, w, xs = _weight_tape(uses)
+    reference_backward(tape, loss)
+    expected = [t.grad for t in (w, *xs)]
+    dc.zero_grads([w, *xs, *(out for _, out, _ in tape.nodes)])
+    dc.backward(tape, loss)
+    if uses == 1:
+        # a single outer product keeps the bits of the vjp's own product
+        assert w.grad.tobytes() == expected[0].tobytes()
+    else:
+        # the outer products are summed in one product, in another order
+        assert scaled_err(w.grad, expected[0]) <= 1e-12
+    for x, e in zip(xs, expected[1:]):
+        assert x.grad.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("matmuls,dense", [(1, 1), (3, 2)])
+def test_weight_grad_adds_factors_and_dense_contributions(matmuls, dense):
+    rng = np.random.default_rng(12)
+    w = Tensor(rng.normal(size=(3, 3)))
+    xs = [Tensor(rng.normal(size=(3, 1))) for _ in range(matmuls)]
+    m = Tensor(rng.normal(size=(3, 3)))
+    with Tape() as tape:
+        terms = [dc.sum_all(dc.tanh(dc.matmul(w, x))) for x in xs]
+        terms += [dc.sum_all(dc.mul(dc.add(w, m), m)) for _ in range(dense)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = dc.add(loss, term)
+    reference_backward(tape, loss)
+    expected = w.grad
+    w.grad = None
+    dc.backward(tape, loss)
+    if matmuls == dense == 1:
+        # one factor pair plus one dense term: a single, commutative sum
+        assert w.grad.tobytes() == expected.tobytes()
+    else:
+        assert scaled_err(w.grad, expected) <= 1e-12
+
+
+def test_non_leaf_left_operand_gets_its_factors_when_replayed():
+    rng = np.random.default_rng(13)
+    w = Tensor(rng.normal(size=(4, 3)))
+    x1, x2 = Tensor(rng.normal(size=(3, 1))), Tensor(rng.normal(size=(3, 1)))
+    with Tape() as tape:
+        v = dc.tanh(w)
+        y1, y2 = dc.matmul(v, x1), dc.matmul(v, x2)
+        loss = dc.add(dc.sum_all(dc.mul(y1, y1)), dc.sum_all(dc.sigmoid(y2)))
+    reference_backward(tape, loss)
+    expected = [t.grad for t in (w, x1, x2)]
+    dc.zero_grads([w, x1, x2, v])
+    dc.backward(tape, loss)
+    assert scaled_err(w.grad, expected[0]) <= 1e-12
+    assert x1.grad.tobytes() == expected[1].tobytes()
+    assert x2.grad.tobytes() == expected[2].tobytes()
+    assert v.grad is None
+
+
+def test_identical_tapes_give_identical_weight_grads():
+    grads = []
+    for _ in range(2):
+        tape, loss, w, xs = _weight_tape(50)
+        dc.backward(tape, loss)
+        grads.append([t.grad.tobytes() for t in (w, *xs)])
+    assert grads[0] == grads[1]
+
+
 def test_backward_grads_never_share_memory():
     # add hands one adjoint to both operands, concat hands out views; each
     # leaf's grad slot must still be an array of its own
@@ -528,6 +663,18 @@ def test_clip_leaves_small_gradients_alone():
     norm = dc.clip_grad_norm([t], 10.0)
     assert norm == 0.5
     assert t.grad[0, 0] == 0.5
+
+
+def test_clip_scales_finite_grads_whose_squares_overflow():
+    a, b = Tensor([[1.0]]), Tensor([[1.0]])
+    a.grad = np.array([[1e200]])
+    b.grad = np.array([[-3e199]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = dc.clip_grad_norm([a, b], 10.0)
+        assert abs(norm / (1e200 * math.sqrt(1.09)) - 1.0) <= 1e-12
+        assert abs(dc.global_grad_norm([a, b]) - 10.0) <= 1e-12 * 10.0
+    assert a.grad[0, 0] > 0.0 > b.grad[0, 0]
 
 
 def test_clip_rescales_to_max_norm():
