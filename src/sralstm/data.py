@@ -213,17 +213,21 @@ def build_windows(scene: Scene, obs_len: int = 8, pred_len: int = 12,
     """All fixed-length windows of a scene, keeping pedestrians tracked throughout.
 
     Starts sit every stride frames from the scene's first frame; only those
-    where some pedestrian is tracked throughout are visited.
+    where some pedestrian is tracked throughout are visited. One pass over
+    the tracks, in sorted-id order, lists each start's pedestrians.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     total = obs_len + pred_len
     lo, _ = scene.frame_range()
-    starts = set()
-    for t in scene.tracks.values():
+    members = {}  # start -> ids tracked throughout its window, sorted
+    for ped in sorted(scene.tracks):
+        t = scene.tracks[ped]
         # the first start on the stride lattice at or after the track's start
-        starts.update(range(t.start + (lo - t.start) % stride, t.end - total + 1, stride))
-    return [window_at(scene, start, obs_len, pred_len) for start in sorted(starts)]
+        for start in range(t.start + (lo - t.start) % stride, t.end - total + 1, stride):
+            members.setdefault(start, []).append(ped)
+    return [_window(scene, start, ids, obs_len, pred_len)
+            for start, ids in sorted(members.items())]
 
 
 def window_at(scene: Scene, start: int, obs_len: int,
@@ -232,9 +236,13 @@ def window_at(scene: Scene, start: int, obs_len: int,
     throughout it, or None when nobody is."""
     total = obs_len + pred_len
     ids = [p for p, t in sorted(scene.tracks.items()) if t.covers(start, start + total)]
-    if not ids:
-        return None
-    positions = np.stack([scene.tracks[p].slice(start, start + total) for p in ids])
+    return _window(scene, start, ids, obs_len, pred_len) if ids else None
+
+
+def _window(scene: Scene, start: int, ids: list, obs_len: int,
+            pred_len: int) -> TrajectoryWindow:
+    end = start + obs_len + pred_len
+    positions = np.stack([scene.tracks[p].slice(start, end) for p in ids])
     return TrajectoryWindow(scene_name=scene.name, start_frame=start, ped_ids=ids,
                             positions=positions, obs_len=obs_len, pred_len=pred_len)
 

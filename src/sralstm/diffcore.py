@@ -25,9 +25,19 @@ overflow). The other ops are bounded on finite inputs and skip the check:
 ``concat`` only select input values, and ``masked_softmax`` divides terms
 in [0, 1] by a sum of at least 1.
 
+``sigmoid`` computes ``1 / (1 + exp(-x))`` in one array and enters
+``np.errstate`` (about 2 us a call) only when ``x``'s self dot product is
+at least ``709**2``, or ``x`` is 0-d. Below that bound every entry lies in
+(-709, 709), where ``exp(-x)`` cannot overflow; only an entry below
+-709.78 overflows it, to inf, and ``1 / (1 + inf)`` is exactly 0.
+
 A train step records tens of thousands of nodes on small column vectors,
 so per-node Python overhead, not arithmetic, sets the speed. The tape is
 kept lean accordingly:
+  * every product calls ``ndarray.dot``, not ``@``: on these shapes it is
+    the same BLAS call with the same bits, at about 1 us less per call;
+  * shape checks compare ``values.shape`` and ``values.ndim`` directly and
+    call a helper only to raise;
   * a node is a plain ``(inputs, output, vjp)`` tuple;
   * a primitive builds its vjp closure only while a tape is open, so a
     tape-free forward pass allocates no closures;
@@ -37,13 +47,19 @@ kept lean accordingly:
     and adds later contributions into those in place. It never writes an
     array a vjp returned: that may be the incoming adjoint itself
     (``add``), a view of it (``concat``) or the root's seed of ones;
-  * a weight's gradient is formed in one product. Every ``W @ x`` with a
+  * a weight's gradient is formed in few products. Every ``W @ x`` with a
     one-column ``x`` adds the outer product ``g @ x.T`` to ``W``'s
     adjoint; ``backward`` keeps the factors ``g`` and ``x.T`` instead and,
-    once ``W``'s contributions are all in, forms their sum as one
+    once ``W``'s contributions are all in, forms their sum as
     ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style RNN kernels do, Appleyard
-    et al. 2016, arXiv:1604.01946). Only the summation order moves: a
-    weight used once gets the bits of its single outer product;
+    et al. 2016, arXiv:1604.01946), one product per block of
+    ``CONTRACT_BLOCK`` pairs, the blocks added in order. A single product
+    over a long contraction gives bits that depend on the BLAS thread
+    count; a block's product does not, so grads have the same bits for any
+    thread count on one machine and BLAS build. A weight used once gets the
+    bits of its single outer product;
+  * ``backward`` replays ``add`` and one-column ``matmul`` nodes, the most
+    common, inline rather than through their vjps;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
     previous state on exit. Nodes form no reference cycles, so a
     collection while recording would only re-walk the growing tape.
@@ -162,14 +178,12 @@ class Tape:
         return len(self.nodes)
 
 
-def _require_2d(op: str, t: Tensor) -> None:
-    if t.values.ndim != 2:
-        raise ShapeMismatchError(f"{op} needs 2-D operands, got shape {t.shape}")
+def _not_2d(op: str, t: Tensor):
+    raise ShapeMismatchError(f"{op} needs 2-D operands, got shape {t.shape}")
 
 
-def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ")
+def _shapes_differ(op: str, a: Tensor, b: Tensor):
+    raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +208,8 @@ class _ColumnMatmulVjp:
 
     Called, it returns both adjoints as arrays, like every vjp. ``backward``
     instead keeps ``a``'s adjoint, the outer product ``g @ bt``, as the
-    factor pair ``(g, bt)`` and calls only ``grad_b``.
+    factor pair ``(g, bt)`` and forms ``b``'s adjoint as ``grad_b`` does,
+    inline.
     """
 
     __slots__ = ("at", "bt")
@@ -204,26 +219,27 @@ class _ColumnMatmulVjp:
 
     def grad_b(self, g: np.ndarray) -> np.ndarray:
         at = self.at
-        return _outer(at, g) if at.shape[1] == 1 else at @ g
+        return _outer(at, g) if at.shape[1] == 1 else at.dot(g)
 
     def __call__(self, g: np.ndarray) -> tuple:
         return _outer(g, self.bt), self.grad_b(g)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d("matmul", a)
-    _require_2d("matmul", b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     av, bv = a.values, b.values
-    out = _fresh(av @ bv)
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        for t in (a, b):
+            if t.values.ndim != 2:
+                _not_2d("matmul", t)
+        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+    out = _fresh(av.dot(bv))
     if _active_tape is not None:
         at, bt = av.T, bv.T
         if bt.shape[0] == 1:
             vjp = _ColumnMatmulVjp(at, bt)
         else:
-            grad_b = _outer if at.shape[1] == 1 else np.matmul   # a.T @ g
-            vjp = lambda g: (g @ bt, grad_b(at, g))
+            grad_b = _outer if at.shape[1] == 1 else np.dot   # a.T @ g
+            vjp = lambda g: (g.dot(bt), grad_b(at, g))
         _active_tape.nodes.append(((a, b), out, vjp))
     return out
 
@@ -237,34 +253,54 @@ def _sub_vjp(g):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("add", a, b)
-    out = _fresh(a.values + b.values)
+    av, bv = a.values, b.values
+    if av.shape != bv.shape:
+        _shapes_differ("add", a, b)
+    out = _fresh(av + bv)
     if _active_tape is not None:
         _active_tape.nodes.append(((a, b), out, _add_vjp))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    out = _fresh(a.values - b.values)
+    av, bv = a.values, b.values
+    if av.shape != bv.shape:
+        _shapes_differ("sub", a, b)
+    out = _fresh(av - bv)
     if _active_tape is not None:
         _active_tape.nodes.append(((a, b), out, _sub_vjp))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("mul", a, b)
     av, bv = a.values, b.values
+    if av.shape != bv.shape:
+        _shapes_differ("mul", a, b)
     out = _fresh(av * bv)
     if _active_tape is not None:
         _active_tape.nodes.append(((a, b), out, lambda g: (g * bv, g * av)))
     return out
 
 
+# exp(-x) overflows only for x < -709.78, and every entry of an x whose self
+# dot product is below 709**2 lies inside (-709, 709)
+_SIGMOID_SAFE = 709.0 ** 2
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # exp may overflow to inf for very negative inputs; 1/(1+inf) -> 0 is exact
-    with np.errstate(over="ignore"):
-        out = _wrap(1.0 / (1.0 + np.exp(-x.values)))
+    xv = x.values
+    if xv.ndim and np.vdot(xv, xv) < _SIGMOID_SAFE:
+        # 1 / (1 + exp(-x)) in one array (reciprocal is the same division):
+        # no entry is below -709, so no exp overflows
+        s = -xv
+        np.exp(s, s)
+        s += 1.0
+        out = _wrap(np.reciprocal(s, s))
+    else:
+        # numpy computes a 0-d input as a scalar, not in place; and exp may
+        # overflow to inf for very negative inputs, where 1/(1+inf) -> 0 is exact
+        with np.errstate(over="ignore"):
+            out = _wrap(1.0 / (1.0 + np.exp(-xv)))
     if _active_tape is not None:
         s = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * s * (1.0 - s),)))
@@ -298,24 +334,27 @@ def exp(x: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ShapeMismatchError("concat of zero tensors")
-    _require_2d("concat", tensors[0])
+    vals = [t.values for t in tensors]
+    if vals[0].ndim != 2:
+        _not_2d("concat", tensors[0])
     if axis not in (0, 1):
         raise ShapeMismatchError(f"concat: axis {axis} out of range for 2-D tensors")
     other = 1 - axis
-    ext = tensors[0].shape[other]
-    for t in tensors[1:]:
-        _require_2d("concat", t)
-        if t.shape[other] != ext:
+    ext = vals[0].shape[other]
+    for t, v in zip(tensors[1:], vals[1:]):
+        if v.ndim != 2:
+            _not_2d("concat", t)
+        if v.shape[other] != ext:
             raise ShapeMismatchError(
                 f"concat: shapes {tensors[0].shape} and {t.shape} disagree off-axis"
             )
-    out = _wrap(np.concatenate([t.values for t in tensors], axis=axis))
+    out = _wrap(np.concatenate(vals, axis=axis))
     if _active_tape is not None:
         # the vjp hands out views of the incoming adjoint, one per input
         pieces = []
         lo = 0
-        for t in tensors:
-            hi = lo + t.shape[axis]
+        for v in vals:
+            hi = lo + v.shape[axis]
             pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
             lo = hi
         _active_tape.nodes.append(
@@ -358,21 +397,22 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
 
 def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
     """Sum of matrix columns scaled by per-column weights: columns @ weights."""
-    _require_2d("weighted_sum", columns)
+    cv = columns.values
+    if cv.ndim != 2:
+        _not_2d("weighted_sum", columns)
     w = weights.values.reshape(-1)
     if weights.values.ndim > 2:
         raise ShapeMismatchError(f"weighted_sum: weights shape {weights.shape} is not a vector")
-    if w.size != columns.shape[1]:
+    if w.size != cv.shape[1]:
         raise ShapeMismatchError(
-            f"weighted_sum: {w.size} weights for {columns.shape[1]} columns"
+            f"weighted_sum: {w.size} weights for {cv.shape[1]} columns"
         )
-    cv = columns.values
-    out = _fresh((cv @ w).reshape(cv.shape[0], 1))
+    out = _fresh(cv.dot(w).reshape(cv.shape[0], 1))
     if _active_tape is not None:
-        wshape = weights.shape
+        wshape = weights.values.shape
         _active_tape.nodes.append(
             ((weights, columns), out,
-             lambda g: ((cv.T @ g).reshape(wshape), g @ w[np.newaxis, :])))
+             lambda g: (cv.T.dot(g).reshape(wshape), g.dot(w[np.newaxis, :]))))
     return out
 
 
@@ -395,14 +435,27 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-def _contract(gs: list, bts: list) -> np.ndarray:
-    """Sum of the outer products ``gs[k] @ bts[k]``, as one product.
+# pairs per product in ``_contract``
+CONTRACT_BLOCK = 256
 
-    A single pair gives exactly the vjp's own ``_outer`` bits.
+
+def _contract(gs: list, bts: list) -> np.ndarray:
+    """Sum of the outer products ``gs[k] @ bts[k]``.
+
+    The pairs are contracted in blocks of ``CONTRACT_BLOCK``, one product
+    per block, and the blocks are added in order. One product over all k
+    pairs would give bits that depend on the BLAS thread count once k is
+    large; a block's product does not. A single pair gives exactly the
+    vjp's own ``_outer`` bits.
     """
     if len(gs) == 1:
         return _outer(gs[0], bts[0])
-    return np.concatenate(gs, axis=1) @ np.concatenate(bts, axis=0)
+    step = CONTRACT_BLOCK
+    out = np.concatenate(gs[:step], axis=1).dot(np.concatenate(bts[:step], axis=0))
+    for lo in range(step, len(gs), step):
+        out += np.concatenate(gs[lo:lo + step], axis=1).dot(
+            np.concatenate(bts[lo:lo + step], axis=0))
+    return out
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -439,7 +492,10 @@ def backward(tape: Tape, root: Tensor) -> None:
         elif g is None:
             continue
         owned.discard(output)
-        if type(vjp) is _ColumnMatmulVjp:
+        # add and one-column matmul nodes, the most common, replay inline
+        if vjp is _add_vjp:
+            contributions = ((inputs[0], g), (inputs[1], g))
+        elif type(vjp) is _ColumnMatmulVjp:
             a, b = inputs
             pairs = get_factors(a)
             if pairs is None:
@@ -447,7 +503,8 @@ def backward(tape: Tape, root: Tensor) -> None:
             else:
                 pairs[0].append(g)
                 pairs[1].append(vjp.bt)
-            contributions = ((b, vjp.grad_b(g)),)
+            at = vjp.at
+            contributions = ((b, _outer(at, g) if at.shape[1] == 1 else at.dot(g)),)
         else:
             contributions = zip(inputs, vjp(g))
         for t, gi in contributions:

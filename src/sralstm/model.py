@@ -245,16 +245,23 @@ def embed_relative(params: ModelParams, pos_i, pos_j, name: str = "re") -> Tenso
     return dc.relu(_affine(params["w_" + name], disp, params["b_" + name]))
 
 
+# each LSTM's gate tensor names, (w, b) per gate in the order i, f, g, o
+_GATES = {cell: tuple(f"{cell}_{kind}{gate}" for gate in "ifgo" for kind in "wb")
+          for cell in ("rel", "motion")}
+
+
 def _lstm_step(params: ModelParams, cell: str, hs: dict, cs: dict, key, inputs):
     """One step of the LSTM with gate tensors ``<cell>_w*``/``<cell>_b*`` over
     ``[*inputs; hs[key]]``; writes the new (h, c) to ``hs``/``cs`` and returns it."""
     if key not in hs:
         raise UnknownPedestrianError(key)
+    named = params.named
+    wi, bi, wf, bf, wg, bg, wo, bo = [named[name] for name in _GATES[cell]]
     xh = dc.concat([*inputs, hs[key]], axis=0)
-    i = dc.sigmoid(_affine(params[cell + "_wi"], xh, params[cell + "_bi"]))
-    f = dc.sigmoid(_affine(params[cell + "_wf"], xh, params[cell + "_bf"]))
-    g = dc.tanh(_affine(params[cell + "_wg"], xh, params[cell + "_bg"]))
-    o = dc.sigmoid(_affine(params[cell + "_wo"], xh, params[cell + "_bo"]))
+    i = dc.sigmoid(_affine(wi, xh, bi))
+    f = dc.sigmoid(_affine(wf, xh, bf))
+    g = dc.tanh(_affine(wg, xh, bg))
+    o = dc.sigmoid(_affine(wo, xh, bo))
     c = dc.add(dc.mul(f, cs[key]), dc.mul(i, g))
     h = dc.mul(o, dc.tanh(c))
     hs[key], cs[key] = h, c

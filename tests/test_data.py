@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sralstm.data as data
 from sralstm.data import (AnnotationError, DataError, RawAnnotation, Scene,
@@ -271,6 +273,27 @@ def test_build_windows_matches_a_frame_by_frame_scan():
         for w in got:
             assert w.ped_ids == [p for p, t in sorted(scene.tracks.items())
                                  if t.covers(w.start_frame, w.start_frame + 20)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans=st.dictionaries(st.integers(-50, 50), st.tuples(st.integers(-40, 40),
+                                                            st.integers(1, 45)),
+                             min_size=1, max_size=8),
+       stride=st.integers(1, 7), obs_len=st.integers(2, 8), pred_len=st.integers(0, 12))
+def test_build_windows_equals_a_start_by_start_window_at_scan(spans, stride, obs_len,
+                                                              pred_len):
+    # ped -> (first frame, track length); each track's points are distinct
+    scene = gridded_scene({p: (start, np.arange(2.0 * n).reshape(n, 2) + 1000.0 * p)
+                           for p, (start, n) in spans.items()})
+    lo, hi = scene.frame_range()
+    want = [w for w in (data.window_at(scene, s, obs_len, pred_len)
+                        for s in range(lo, hi, stride)) if w is not None]
+    got = build_windows(scene, obs_len, pred_len, stride)
+    assert [(w.start_frame, w.ped_ids) for w in got] == \
+        [(w.start_frame, w.ped_ids) for w in want]
+    for g, w in zip(got, want):
+        assert g.positions.tobytes() == w.positions.tobytes()
+        assert (g.scene_name, g.obs_len, g.pred_len) == (w.scene_name, obs_len, pred_len)
 
 
 def test_build_windows_skips_the_gap_between_far_apart_tracks():

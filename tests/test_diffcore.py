@@ -108,6 +108,41 @@ def test_sigmoid_saturates_without_overflow_error():
     assert out.values[0, 1] == 1.0
 
 
+@pytest.mark.parametrize("side", ["below", "at_or_above"])
+def test_sigmoid_is_bitwise_the_plain_formula_on_both_sides_of_its_gate(side):
+    # 10^5 inputs across +-30 in (64, 1) columns; "at_or_above" plants one
+    # large entry per column so the column takes the errstate path
+    rng = np.random.default_rng(11)
+    columns = rng.uniform(-30.0, 30.0, size=(1563, 64, 1))
+    columns.reshape(-1)[::97] = 0.0
+    if side == "at_or_above":
+        columns[:, 0, 0] = rng.choice([-709.0, 709.0, -720.0, 800.0, -1e308], size=1563)
+    for x in columns:
+        assert (np.vdot(x, x) >= dc._SIGMOID_SAFE) == (side == "at_or_above")
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        assert dc.sigmoid(Tensor(x)).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v", [2.0, -800.0])
+def test_sigmoid_of_a_0d_tensor_is_the_plain_formula(v):
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-v))
+    out = dc.sigmoid(Tensor(v))
+    assert out.shape == () and float(out.values) == want
+
+
+def test_sigmoid_never_warns_on_extreme_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (800.0, -800.0, 1e308, -1e308):
+            out = dc.sigmoid(Tensor([[v]])).values[0, 0]
+            assert out == (1.0 if v > 0 else 0.0)
+        out = dc.sigmoid(Tensor([[-800.0], [800.0], [-1e308], [1e308]])).values
+    assert out.ravel().tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert dc.sigmoid(Tensor([[-800.0]])).values.tobytes() == np.zeros((1, 1)).tobytes()
+
+
 @pytest.mark.parametrize("op", ["sigmoid", "tanh", "relu", "exp"])
 def test_unary_gradients(op):
     rng = np.random.default_rng(zlib.crc32(op.encode()))
@@ -362,6 +397,77 @@ def test_matmul_vjp_is_byte_identical_to_plain_products(a_shape, b_shape):
     assert inputs == (a, b)
     assert ga.tobytes() == (g @ bv.T).tobytes()
     assert gb.tobytes() == (av.T @ g).tobytes()
+
+
+# the model's one-column products: a relation gate, a motion gate, an
+# embedding, the sra scorer and the output head
+MODEL_PRODUCTS = [((64, 96), (96, 1)), ((64, 160), (160, 1)), ((32, 2), (2, 1)),
+                  ((1, 192), (192, 1)), ((2, 64), (64, 1))]
+
+
+def _signed_zeros(rng, shape):
+    x = rng.normal(size=shape)
+    x.flat[::3] = 0.0
+    x.flat[1::5] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("a_shape,b_shape", MODEL_PRODUCTS)
+def test_matmul_products_are_byte_identical_to_matmul_operator(a_shape, b_shape):
+    rng = np.random.default_rng(zlib.crc32(repr(a_shape).encode()))
+    for _ in range(20):
+        av, bv = _signed_zeros(rng, a_shape), _signed_zeros(rng, b_shape)
+        g = -np.abs(_signed_zeros(rng, (a_shape[0], 1)))
+        a, b = Tensor(av), Tensor(bv)
+        with Tape() as tape:
+            out = dc.matmul(a, b)
+            # the adjoint reaching out is g * 1.0, i.e. g's own bits
+            dc.backward(tape, dc.sum_all(dc.mul(out, Tensor(g))))
+        assert out.values.tobytes() == (av @ bv).tobytes()
+        # backward replays the one-column matmul inline: b gets a.T @ g
+        # from the transposed view, a the outer product g @ b.T
+        assert b.grad.tobytes() == (av.T @ g).tobytes()
+        assert a.grad.tobytes() == (g @ bv.T).tobytes()
+        with Tape() as tape:
+            dc.matmul(a, b)
+        (_, _, vjp), = tape.nodes
+        assert vjp.grad_b(g).tobytes() == (av.T @ g).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 7, 15])
+def test_weighted_sum_products_are_byte_identical_to_matmul_operator(k):
+    rng = np.random.default_rng(k)
+    cv, wv = _signed_zeros(rng, (64, k)), _signed_zeros(rng, (k, 1))
+    g = _signed_zeros(rng, (64, 1))
+    with Tape() as tape:
+        out = dc.weighted_sum(Tensor(wv), Tensor(cv))
+    (_, _, vjp), = tape.nodes
+    gw, gc_ = vjp(g)
+    assert out.values.tobytes() == (cv @ wv.reshape(-1)).reshape(64, 1).tobytes()
+    assert gw.tobytes() == (cv.T @ g).tobytes()
+    assert gc_.tobytes() == (g @ wv.reshape(1, -1)).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 56, 256])
+def test_contract_within_one_block_is_byte_identical_to_one_product(k):
+    rng = np.random.default_rng(k)
+    gs = [_signed_zeros(rng, (64, 1)) for _ in range(k)]
+    bts = [_signed_zeros(rng, (1, 96)) for _ in range(k)]
+    want = np.concatenate(gs, axis=1) @ np.concatenate(bts, axis=0)
+    assert dc._contract(gs, bts).tobytes() == want.tobytes()
+
+
+def test_contract_adds_its_blocks_in_order():
+    rng = np.random.default_rng(3)
+    k = 2 * dc.CONTRACT_BLOCK + 5
+    gs = [rng.normal(size=(64, 1)) for _ in range(k)]
+    bts = [rng.normal(size=(1, 96)) for _ in range(k)]
+    want = None
+    for lo in range(0, k, dc.CONTRACT_BLOCK):
+        hi = lo + dc.CONTRACT_BLOCK
+        part = np.concatenate(gs[lo:hi], axis=1) @ np.concatenate(bts[lo:hi], axis=0)
+        want = part if want is None else want + part
+    assert dc._contract(gs, bts).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Rollout orchestration, loss, training loop, and checkpoint persistence."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +410,43 @@ def test_backward_matches_reference_bitwise_on_a_rollout(monkeypatch):
             assert scaled_err(t.grad, expected[name]) <= 1e-12, name
         else:
             assert t.grad.tobytes() == expected[name].tobytes(), name
+
+
+GRAD_DIGEST = """
+import hashlib
+from sralstm import diffcore as dc
+from sralstm.model import ModelConfig, ModelParams
+from sralstm.pipeline import l2_loss, rollout, window_truth_nabs
+from helpers import random_walk_window
+
+params = ModelParams.init(ModelConfig(strategy="sra"), seed=5)
+window = random_walk_window(8, seed=5)
+with dc.Tape() as tape:
+    loss = l2_loss(rollout(params, window), window_truth_nabs(window))
+    dc.backward(tape, loss)
+digest = hashlib.sha256()
+for name, t in params.tensors().items():
+    digest.update(name.encode())
+    digest.update(t.grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_grads_do_not_depend_on_the_blas_thread_count():
+    # at n=8 each relation weight sums 19 * 56 = 1,064 outer products, which
+    # one plain product would sum in a thread-dependent order
+    paths = [os.path.dirname(os.path.dirname(pl.__file__)), os.path.dirname(__file__)]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", GRAD_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,95 @@
+"""Time two checkouts against each other in one process.
+
+    python3 tools/ab_time.py A B [--n N] [--mode eval|train] [--reps R]
+
+Imports ``A/src/sralstm`` and ``B/src/sralstm`` under distinct package
+names, builds one seeded random-walk window of N pedestrians and a fresh
+default ``sra`` model (seed 0) for each side, and then alternates the
+sides call by call, the order flipping each repetition: a tape-free
+``rollout`` (``--mode eval``) or a ``train_step`` with Adam
+(``--mode train``). Each side makes one untimed warm-up call first. It
+prints one line per side with its best and median call time, then the
+ratios A/B, and writes and asserts nothing.
+
+Timings of separate processes swing widely on a shared host; alternating
+in one process puts the same drift on both sides, so the ratio is stable.
+BLAS is pinned to one thread, as in the benchmark, unless the environment
+already sets ``OPENBLAS_NUM_THREADS``.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+from time import perf_counter
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+
+def load(root: str, name: str) -> dict:
+    """Import ``root/src/sralstm`` as package ``name``; returns its modules."""
+    pkg_dir = os.path.join(os.path.abspath(root), "src", "sralstm")
+    init = os.path.join(pkg_dir, "__init__.py")
+    if not os.path.isfile(init):
+        raise SystemExit(f"error: no sralstm package at {pkg_dir}")
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[pkg_dir])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return {sub: importlib.import_module(f"{name}.{sub}")
+            for sub in ("data", "diffcore", "model", "pipeline")}
+
+
+def make_call(mods: dict, positions: np.ndarray, mode: str):
+    md, pl = mods["model"], mods["pipeline"]
+    n = positions.shape[0]
+    window = mods["data"].TrajectoryWindow("ab", 0, list(range(n)), positions.copy(), 8, 12)
+    params = md.ModelParams.init(md.ModelConfig(), seed=0)
+    if mode == "eval":
+        return lambda: pl.rollout(params, window)
+    opt = mods["diffcore"].AdamState(params.tensors())
+    return lambda: pl.train_step(params, opt, window)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", metavar="A", help="checkout root of side A")
+    ap.add_argument("b", metavar="B", help="checkout root of side B")
+    ap.add_argument("--n", type=int, default=8, help="pedestrians in the window")
+    ap.add_argument("--mode", choices=("eval", "train"), default="eval")
+    ap.add_argument("--reps", type=int, default=20, help="timed calls per side")
+    args = ap.parse_args(argv)
+    if args.n < 1 or args.reps < 1:
+        ap.error("--n and --reps must be at least 1")
+
+    rng = np.random.default_rng(0)
+    steps = rng.normal(0.0, 0.35, size=(args.n, 20, 2))
+    positions = np.cumsum(steps, axis=1) + rng.uniform(-3.0, 3.0, size=(args.n, 1, 2))
+    sides = [("A", args.a, make_call(load(args.a, "ab_side_a"), positions, args.mode)),
+             ("B", args.b, make_call(load(args.b, "ab_side_b"), positions, args.mode))]
+    times = {label: [] for label, _, _ in sides}
+    for _, _, call in sides:
+        call()
+    for rep in range(args.reps):
+        for label, _, call in (sides if rep % 2 == 0 else sides[::-1]):
+            t0 = perf_counter()
+            call()
+            times[label].append(perf_counter() - t0)
+
+    best = {k: min(v) for k, v in times.items()}
+    median = {k: statistics.median(v) for k, v in times.items()}
+    for label, root, _ in sides:
+        print(f"{label} best {1e3 * best[label]:.3f} ms  median {1e3 * median[label]:.3f} ms"
+              f"  ({args.mode}, n={args.n}, reps={args.reps}, {os.path.abspath(root)})")
+    print(f"A/B best {best['A'] / best['B']:.3f}  median {median['A'] / median['B']:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
