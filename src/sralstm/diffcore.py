@@ -13,7 +13,11 @@ Conventions:
   * every ``Tensor`` is finite: the constructor checks its values, and an
     op whose output is not finite raises ``NonFiniteError``. numpy may
     warn about the overflow first, unless the caller silences it with
-    ``np.errstate`` (the command line does).
+    ``np.errstate`` (the command line does);
+  * a ``Constant`` is a tensor that takes no gradient (a one-hot selector,
+    a row of ones, an observed input). ``matmul`` and ``concat``, the ops
+    that meet constants, form no adjoint for one, and ``backward`` writes
+    no grad to one.
 
 Only the ops that can turn finite inputs into a non-finite output check
 it: ``matmul``, ``add``, ``sub``, ``mul``, ``exp``, ``weighted_sum``,
@@ -55,9 +59,10 @@ kept lean accordingly:
     et al. 2016, arXiv:1604.01946), one product per block of
     ``CONTRACT_BLOCK`` pairs, the blocks added in order. A single product
     over a long contraction gives bits that depend on the BLAS thread
-    count; a block's product does not, so grads have the same bits for any
-    thread count on one machine and BLAS build. A weight used once gets the
-    bits of its single outer product;
+    count; a block's product, computed transposed (see ``_contract``),
+    does not, so grads have the same bits at 1 and 2 threads on one
+    machine and BLAS build. A weight used once gets the bits of its single
+    outer product;
   * ``backward`` replays ``add`` and one-column ``matmul`` nodes, the most
     common, inline rather than through their vjps;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
@@ -104,7 +109,10 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape) -> "Tensor":
-        return _wrap(np.zeros(shape, dtype=np.float64))
+        t = cls.__new__(cls)
+        t.values = np.zeros(shape, dtype=np.float64)
+        t.grad = None
+        return t
 
     @property
     def shape(self):
@@ -121,6 +129,18 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)})"
+
+
+class Constant(Tensor):
+    """A tensor that takes no gradient: a one-hot selector, a row of ones,
+    an observed input, an initial state.
+
+    ``matmul`` and ``concat`` leave it out of the inputs of the node they
+    record, so no adjoint is formed for it; ``backward`` writes no grad to
+    it in any case.
+    """
+
+    __slots__ = ()
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
@@ -235,13 +255,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _fresh(av.dot(bv))
     if _active_tape is not None:
         at, bt = av.T, bv.T
-        if bt.shape[0] == 1:
-            vjp = _ColumnMatmulVjp(at, bt)
+        a_const, b_const = type(a) is Constant, type(b) is Constant
+        if bt.shape[0] == 1 and not a_const:
+            node = ((a,) if b_const else (a, b), out, _ColumnMatmulVjp(at, bt))
         else:
             grad_b = _outer if at.shape[1] == 1 else np.dot   # a.T @ g
-            vjp = lambda g: (g.dot(bt), grad_b(at, g))
-        _active_tape.nodes.append(((a, b), out, vjp))
+            if b_const:
+                node = ((), out, _no_vjp) if a_const else ((a,), out, lambda g: (g.dot(bt),))
+            elif a_const:
+                node = ((b,), out, lambda g: (grad_b(at, g),))
+            else:
+                node = ((a, b), out, lambda g: (g.dot(bt), grad_b(at, g)))
+        _active_tape.nodes.append(node)
     return out
+
+
+def _no_vjp(g):
+    return ()
 
 
 def _add_vjp(g):
@@ -332,34 +362,47 @@ def exp(x: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    vals = [t.values for t in tensors]
+    try:
+        arr = np.concatenate(vals, axis=axis) if axis in (0, 1) else None
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim != 2:
+        _concat_error(tensors, axis)
+    out = _wrap(arr)
+    if _active_tape is not None:
+        # the vjp hands out views of the incoming adjoint, one per input
+        # that takes a gradient
+        inputs, pieces = [], []
+        lo = 0
+        for t, v in zip(tensors, vals):
+            hi = lo + v.shape[axis]
+            if type(t) is not Constant:
+                inputs.append(t)
+                pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
+            lo = hi
+        _active_tape.nodes.append(
+            (tuple(inputs), out, lambda g: tuple([g[p] for p in pieces])))
+    return out
+
+
+def _concat_error(tensors: Sequence[Tensor], axis: int):
+    """Raise the ShapeMismatchError that says why concat cannot join tensors."""
     if not tensors:
         raise ShapeMismatchError("concat of zero tensors")
-    vals = [t.values for t in tensors]
-    if vals[0].ndim != 2:
+    if tensors[0].values.ndim != 2:
         _not_2d("concat", tensors[0])
     if axis not in (0, 1):
         raise ShapeMismatchError(f"concat: axis {axis} out of range for 2-D tensors")
-    other = 1 - axis
-    ext = vals[0].shape[other]
-    for t, v in zip(tensors[1:], vals[1:]):
-        if v.ndim != 2:
+    ext = tensors[0].shape[1 - axis]
+    for t in tensors[1:]:
+        if t.values.ndim != 2:
             _not_2d("concat", t)
-        if v.shape[other] != ext:
+        if t.shape[1 - axis] != ext:
             raise ShapeMismatchError(
                 f"concat: shapes {tensors[0].shape} and {t.shape} disagree off-axis"
             )
-    out = _wrap(np.concatenate(vals, axis=axis))
-    if _active_tape is not None:
-        # the vjp hands out views of the incoming adjoint, one per input
-        pieces = []
-        lo = 0
-        for v in vals:
-            hi = lo + v.shape[axis]
-            pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
-            lo = hi
-        _active_tape.nodes.append(
-            (tuple(tensors), out, lambda g: tuple([g[p] for p in pieces])))
-    return out
+    raise ShapeMismatchError(f"concat cannot join shapes {[t.shape for t in tensors]}")
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
@@ -445,17 +488,21 @@ def _contract(gs: list, bts: list) -> np.ndarray:
     The pairs are contracted in blocks of ``CONTRACT_BLOCK``, one product
     per block, and the blocks are added in order. One product over all k
     pairs would give bits that depend on the BLAS thread count once k is
-    large; a block's product does not. A single pair gives exactly the
-    vjp's own ``_outer`` bits.
+    large; a block's product does not. Each block is computed transposed,
+    as ``B.T @ G.T``, so the product's columns are the adjoint's rows
+    (the hidden size), not its columns: with an odd column count, such as
+    a folded weight's ``in + 1``, the plain product's bits depended on the
+    thread count. A single pair gives exactly the vjp's own ``_outer``
+    bits.
     """
     if len(gs) == 1:
         return _outer(gs[0], bts[0])
     step = CONTRACT_BLOCK
-    out = np.concatenate(gs[:step], axis=1).dot(np.concatenate(bts[:step], axis=0))
+    out = np.concatenate(bts[:step], axis=0).T.dot(np.concatenate(gs[:step], axis=1).T)
     for lo in range(step, len(gs), step):
-        out += np.concatenate(gs[lo:lo + step], axis=1).dot(
-            np.concatenate(bts[lo:lo + step], axis=0))
-    return out
+        out += np.concatenate(bts[lo:lo + step], axis=0).T.dot(
+            np.concatenate(gs[lo:lo + step], axis=1).T)
+    return np.ascontiguousarray(out.T)
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -496,15 +543,17 @@ def backward(tape: Tape, root: Tensor) -> None:
         if vjp is _add_vjp:
             contributions = ((inputs[0], g), (inputs[1], g))
         elif type(vjp) is _ColumnMatmulVjp:
-            a, b = inputs
+            a = inputs[0]
             pairs = get_factors(a)
             if pairs is None:
                 factors[a] = ([g], [vjp.bt])
             else:
                 pairs[0].append(g)
                 pairs[1].append(vjp.bt)
+            if len(inputs) == 1:
+                continue
             at = vjp.at
-            contributions = ((b, _outer(at, g) if at.shape[1] == 1 else at.dot(g)),)
+            contributions = ((inputs[1], _outer(at, g) if at.shape[1] == 1 else at.dot(g)),)
         else:
             contributions = zip(inputs, vjp(g))
         for t, gi in contributions:
@@ -526,6 +575,8 @@ def backward(tape: Tape, root: Tensor) -> None:
             dense += g
         t.grad = dense if t.grad is None else t.grad + dense
     for t, g in adjoint.items():
+        if type(t) is Constant:
+            continue
         if t.grad is not None:
             t.grad = t.grad + g
         else:

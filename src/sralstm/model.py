@@ -20,6 +20,36 @@ before that pair's attention score, which reads the fresh relation state;
 scores and social contexts read the previous step's motion states; the
 motion updates and offset predictions run last. ``pipeline.scene_step``
 drives that sequence; the functions here are the individual pieces.
+
+Column layout. The n pedestrians of a window are the columns of every
+per-pedestrian matrix, in the canonical order of ``SceneState``: positions
+and offsets are (2, n) and the motion state is (hidden, n), so the position
+embedding, the motion LSTM and the output head each run once per step for
+the whole scene. The work of pedestrian i over its n-1 neighbors is one
+block of n-1 columns, neighbors in canonical order: embedded displacements
+(e, n-1), relation states, repeated own and neighbor motion states (hidden,
+n-1), attention logits and weights (1, n-1). Columns move by products with
+constant one-hot matrices, which are exact, since each output entry has
+one nonzero term (two for a displacement):
+
+  * ``H @ others[k]`` gathers the neighbors' columns of k, ``H @ own[k]``
+    repeats column k, and ``P @ spread[k]``, with ``spread[k] = others[k]
+    - own[k]``, is exactly ``p_j - p_k`` for every neighbor j;
+  * ``E @ pick[m]`` takes column m of a neighbor block, and ``X @ unit[k]``
+    column k of a scene matrix. A one-column product keeps its left
+    operand's gradient as factor pairs (see ``diffcore``), so the adjoint of
+    a block is one exact scatter product.
+
+Every affine map is one product with its bias folded in, ``[W | b] @ [x;
+1]``: ``SceneState.fold`` concatenates each weight with its bias once per
+window, on the open tape, and the concat routes the gradients back to the
+named tensors, so names and checkpoints stay as they are.
+
+The relationship encoder alone stays one ``relation_step`` call on one
+(hidden, 1) column per ordered pair and step. The benchmark in
+``perfbench`` counts those calls against the closed form 19 n (n - 1) per
+window; a call that advanced a block of pairs would do the same work but
+fail that check, until the benchmark counts state columns instead.
 """
 
 from __future__ import annotations
@@ -33,7 +63,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Tensor
+from .diffcore import Constant, Tensor
 
 
 # Trainable scalars per model: 128 MiB per float64 copy (params, grads and
@@ -174,109 +204,156 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # scene state
 
+_LSTMS = ("rel", "motion")
+
+
 @dataclass
 class SceneState:
-    """Recurrent state for one window: per-pedestrian motion LSTM states and
-    per-ordered-pair relationship encoder states, all zero at the start.
+    """Recurrent state for one window, all zero at the start, plus the
+    window's constants.
 
-    The roster is fixed: a window holds only pedestrians tracked through
-    its whole span, so every state exists from the first step. ``ped_ids`` is
-    sorted once here, and every loop and reduction follows that canonical
-    order, so listing the pedestrians in another order cannot change a
-    result bit.
+    The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
+    ``ped_ids[k]``; the relationship encoder keeps one (hidden, 1) state
+    per ordered pair in ``r``/``cr``. The roster is fixed: a window holds
+    only pedestrians tracked through its whole span, so every state exists
+    from the first step. ``ped_ids`` is sorted once here, and every column
+    and every loop follows that canonical order, so listing the pedestrians
+    in another order cannot change a result bit.
+
+    The constants are the one-hot matrices of the module docstring, built
+    here, and the folded weights, built by ``fold`` on first use.
     """
 
     ped_ids: list
     hidden_dim: int
-    h: dict = field(default_factory=dict)
-    c: dict = field(default_factory=dict)
-    r: dict = field(default_factory=dict)
-    cr: dict = field(default_factory=dict)
+    h: Tensor
+    c: Tensor
+    r: dict
+    cr: dict
+    index: dict           # ped -> its column
+    others: list          # per column k: (n, n-1), column m picks neighbor m
+    own: list             # per column k: (n, n-1), every column picks column k
+    spread: list          # per column k: others[k] - own[k]
+    pick: list            # (n-1, 1) one-hot columns, picking column m of a block
+    unit: list            # (n, 1) one-hot columns, picking column k
+    ones: Tensor          # (1, n)
+    ones_neighbors: Tensor  # (1, n-1)
+    one: Tensor           # (1, 1)
+    folded: dict = field(default_factory=dict, repr=False)
+    folded_for: Optional[ModelParams] = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, ped_ids: Sequence, hidden_dim: int) -> "SceneState":
         ids = sorted(ped_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate pedestrian ids in scene state")
-        state = cls(ped_ids=ids, hidden_dim=hidden_dim)
-        for i in ids:
-            state.h[i] = Tensor.zeros((hidden_dim, 1))
-            state.c[i] = Tensor.zeros((hidden_dim, 1))
-            for j in ids:
-                if j != i:
-                    state.r[(i, j)] = Tensor.zeros((hidden_dim, 1))
-                    state.cr[(i, j)] = Tensor.zeros((hidden_dim, 1))
-        return state
+        n = len(ids)
+        n_neighbors = max(n - 1, 0)
+        eye = np.eye(n)
+        others = [np.delete(eye, k, axis=1) for k in range(n)]
+        own = [np.repeat(eye[:, k:k + 1], n_neighbors, axis=1) for k in range(n)]
+        pairs = [(i, j) for i in ids for j in ids if j != i]
+        zeros = Constant.zeros
+        return cls(
+            ped_ids=ids, hidden_dim=hidden_dim,
+            h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
+            r={p: zeros((hidden_dim, 1)) for p in pairs},
+            cr={p: zeros((hidden_dim, 1)) for p in pairs},
+            index={p: k for k, p in enumerate(ids)},
+            others=[Constant(m) for m in others], own=[Constant(m) for m in own],
+            spread=[Constant(a - b) for a, b in zip(others, own)],
+            pick=[Constant(col) for col in np.eye(n_neighbors)[:, :, None]],
+            unit=[Constant(col) for col in eye[:, :, None]],
+            ones=Constant(np.ones((1, n))), ones_neighbors=Constant(np.ones((1, n_neighbors))),
+            one=Constant(np.ones((1, 1))))
+
+    def column(self, ped) -> int:
+        """The column of ped in every per-pedestrian matrix."""
+        if ped not in self.index:
+            raise UnknownPedestrianError(ped)
+        return self.index[ped]
 
     def neighbors(self, ped) -> list:
         """Every pedestrian other than ped, in canonical order."""
-        if ped not in self.h:
-            raise UnknownPedestrianError(ped)
+        self.column(ped)
         return [j for j in self.ped_ids if j != ped]
+
+    def fold(self, params: ModelParams, name: str):
+        """params' weight of the affine map ``name`` ("re", "rae", "e" or
+        "p") with its bias as the last column, ``[W | b]``; for an LSTM
+        ("rel" or "motion"), that of each gate, in the order i, f, g, o.
+        Each is built on first use, so on the tape open then."""
+        if self.folded_for is not params:
+            self.folded_for, self.folded = params, {}
+        w = self.folded.get(name)
+        if w is None:
+            if name in _LSTMS:
+                w = tuple(dc.concat([params[f"{name}_w{g}"], params[f"{name}_b{g}"]], axis=1)
+                          for g in "ifgo")
+            else:
+                w = dc.concat([params["w_" + name], params["b_" + name]], axis=1)
+            self.folded[name] = w
+        return w
 
 
 # ---------------------------------------------------------------------------
 # single-step operations
 
-def _as_col2(pos) -> Tensor:
-    if isinstance(pos, Tensor):
-        if pos.shape != (2, 1):
-            raise dc.ShapeMismatchError(f"position tensor must be (2, 1), got {pos.shape}")
-        return pos
-    arr = np.asarray(pos, dtype=np.float64).reshape(-1)
-    if arr.size != 2:
-        raise dc.ShapeMismatchError(f"position must have 2 components, got {arr.size}")
-    return Tensor(arr.reshape(2, 1))
+
+def _check_columns(x: Tensor, state: SceneState, what: str) -> None:
+    want = (2, len(state.ped_ids))
+    if x.shape != want:
+        raise dc.ShapeMismatchError(f"{what} must be {want}, one column per pedestrian, "
+                                    f"got {x.shape}")
 
 
-def _affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    return dc.add(dc.matmul(w, x), b)
+def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, ped,
+                   name: str = "re") -> Tensor:
+    """Embed the displacements from pedestrian ped to each of its neighbors
+    with the tensor pair ``w_<name>``/``b_<name>``: ``"re"`` feeds the
+    relationship encoder, ``"rae"`` the RA scorer. positions is (2, n); the
+    result is (e, n-1), neighbors in canonical order.
 
-
-def embed_relative(params: ModelParams, pos_i, pos_j, name: str = "re") -> Tensor:
-    """Embed the displacement from pedestrian i to pedestrian j with the
-    tensor pair ``w_<name>``/``b_<name>``: ``"re"`` feeds the relationship
-    encoder, ``"rae"`` the RA scorer.
-
-    Depends only on the displacement, so translating the whole scene leaves
-    the result unchanged.
+    ``positions @ spread`` is exactly ``p_j - p_i``, so translating the
+    whole scene leaves the result unchanged, bit for bit.
     """
-    disp = dc.sub(_as_col2(pos_j), _as_col2(pos_i))
-    return dc.relu(_affine(params["w_" + name], disp, params["b_" + name]))
+    k = state.column(ped)
+    _check_columns(positions, state, "positions")
+    disp = dc.matmul(positions, state.spread[k])
+    return dc.relu(dc.matmul(state.fold(params, name),
+                             dc.concat([disp, state.ones_neighbors], axis=0)))
 
 
-# each LSTM's gate tensor names, (w, b) per gate in the order i, f, g, o
-_GATES = {cell: tuple(f"{cell}_{kind}{gate}" for gate in "ifgo" for kind in "wb")
-          for cell in ("rel", "motion")}
-
-
-def _lstm_step(params: ModelParams, cell: str, hs: dict, cs: dict, key, inputs):
-    """One step of the LSTM with gate tensors ``<cell>_w*``/``<cell>_b*`` over
-    ``[*inputs; hs[key]]``; writes the new (h, c) to ``hs``/``cs`` and returns it."""
-    if key not in hs:
-        raise UnknownPedestrianError(key)
-    named = params.named
-    wi, bi, wf, bf, wg, bg, wo, bo = [named[name] for name in _GATES[cell]]
-    xh = dc.concat([*inputs, hs[key]], axis=0)
-    i = dc.sigmoid(_affine(wi, xh, bi))
-    f = dc.sigmoid(_affine(wf, xh, bf))
-    g = dc.tanh(_affine(wg, xh, bg))
-    o = dc.sigmoid(_affine(wo, xh, bo))
-    c = dc.add(dc.mul(f, cs[key]), dc.mul(i, g))
-    h = dc.mul(o, dc.tanh(c))
-    hs[key], cs[key] = h, c
-    return h, c
+def _lstm_step(gates, inputs, h: Tensor, c: Tensor, ones: Tensor):
+    """One step of an LSTM with folded gate weights over ``[*inputs; h; 1]``,
+    one column per sequence; returns the new (h, c)."""
+    wi, wf, wg, wo = gates
+    xh = dc.concat([*inputs, h, ones], axis=0)
+    i = dc.sigmoid(dc.matmul(wi, xh))
+    f = dc.sigmoid(dc.matmul(wf, xh))
+    g = dc.tanh(dc.matmul(wg, xh))
+    o = dc.sigmoid(dc.matmul(wo, xh))
+    c = dc.add(dc.mul(f, c), dc.mul(i, g))
+    return dc.mul(o, dc.tanh(c)), c
 
 
 def relation_step(params: ModelParams, state: SceneState, pair, e_ij: Tensor):
-    """Advance the relationship encoder for one ordered pair; returns (r, cr)."""
-    return _lstm_step(params, "rel", state.r, state.cr, pair, [e_ij])
+    """Advance the relationship encoder for one ordered pair on its (e, 1)
+    embedded displacement; returns (r, cr)."""
+    if pair not in state.r:
+        raise UnknownPedestrianError(pair)
+    r, cr = _lstm_step(state.fold(params, "rel"), [e_ij], state.r[pair], state.cr[pair],
+                       state.one)
+    state.r[pair], state.cr[pair] = r, cr
+    return r, cr
 
 
 def attention_logits(params: ModelParams, strategy: AttentionStrategy,
                      r_ij: Tensor, h_i: Tensor, h_j: Tensor,
                      e_rel: Optional[Tensor] = None) -> Tensor:
-    """Unnormalized attention score for neighbor j of pedestrian i."""
+    """Unnormalized attention scores of pedestrian i for k neighbors j, as a
+    (1, k) row. Each argument holds one column per neighbor: ``h_i``
+    repeats i's motion state, ``h_j`` holds the neighbors'."""
     if strategy is AttentionStrategy.SRA:
         return dc.matmul(params["w_at"], dc.concat([r_ij, h_i, h_j], axis=0))
     if strategy is AttentionStrategy.SA:
@@ -288,44 +365,47 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
     raise ValueError(f"strategy {strategy.value!r} scores no neighbors")
 
 
-def attention_weights(logits: Sequence[Tensor]) -> Tensor:
-    """Normalize per-neighbor logits into weights that sum to one."""
-    if len(logits) == 0:
+def attention_weights(logits: Tensor) -> Tensor:
+    """Normalize one pedestrian's logits over its neighbors into weights
+    that sum to one."""
+    if logits.size == 0:
         raise dc.EmptyNeighborSetError("no neighbor logits to normalize")
-    vec = dc.concat(list(logits), axis=0)
-    return dc.masked_softmax(vec, np.ones(vec.size, dtype=bool))
+    return dc.masked_softmax(logits, np.ones(logits.size, dtype=bool))
 
 
-def social_context(state: SceneState, ped, weights: Optional[Tensor],
+def social_context(state: SceneState, weights: Sequence, neighbors: Sequence,
                    strategy: AttentionStrategy) -> Tensor:
-    """Attention-weighted sum of neighbor motion states (zeros if none)."""
-    neigh = state.neighbors(ped)
-    if strategy is AttentionStrategy.NONE or not neigh:
-        return Tensor.zeros((state.hidden_dim, 1))
-    if weights is None:
-        raise ValueError(f"attention weights required: {ped!r} has neighbors")
-    if weights.size != len(neigh):
-        raise dc.ShapeMismatchError(
-            f"{weights.size} weights for {len(neigh)} neighbors of {ped!r}"
-        )
-    columns = dc.concat([state.h[j] for j in neigh], axis=1)
-    return dc.weighted_sum(weights, columns)
+    """The (hidden, n) social contexts: column k weighs the (hidden, n-1)
+    block ``neighbors[k]`` of pedestrian k's neighbor motion states by
+    ``weights[k]`` and sums them. Zeros under NONE and for a lone
+    pedestrian."""
+    n = len(state.ped_ids)
+    if strategy is AttentionStrategy.NONE or n == 1:
+        return Constant.zeros((state.hidden_dim, n))
+    if len(weights) != n or len(neighbors) != n or any(w is None for w in weights):
+        raise ValueError(f"attention weights required: each of the {n} pedestrians "
+                         f"has neighbors")
+    return dc.concat([dc.weighted_sum(w, nb) for w, nb in zip(weights, neighbors)], axis=1)
 
 
-def embed_position(params: ModelParams, nabs: Tensor) -> Tensor:
-    """Embed a pedestrian's anchored offset for the motion LSTM."""
-    return dc.relu(_affine(params["w_e"], _as_col2(nabs), params["b_e"]))
+def embed_position(params: ModelParams, state: SceneState, nabs: Tensor) -> Tensor:
+    """Embed the (2, n) anchored offsets for the motion LSTM: (e, n)."""
+    _check_columns(nabs, state, "offsets")
+    return dc.relu(dc.matmul(state.fold(params, "e"), dc.concat([nabs, state.ones], axis=0)))
 
 
-def motion_step(params: ModelParams, state: SceneState, ped,
-                e_i: Tensor, context: Tensor):
-    """Advance one pedestrian's motion LSTM; returns (h, c)."""
-    return _lstm_step(params, "motion", state.h, state.c, ped, [e_i, context])
+def motion_step(params: ModelParams, state: SceneState, e: Tensor, context: Tensor):
+    """Advance every pedestrian's motion LSTM on its embedded offset and
+    social context; returns the new (h, c)."""
+    h, c = _lstm_step(state.fold(params, "motion"), [e, context], state.h, state.c,
+                      state.ones)
+    state.h, state.c = h, c
+    return h, c
 
 
-def predict_offset(params: ModelParams, h: Tensor) -> Tensor:
-    """Project a motion state to the next-step anchored offset."""
-    return _affine(params["w_p"], h, params["b_p"])
+def predict_offset(params: ModelParams, state: SceneState) -> Tensor:
+    """Project the motion states to the next-step anchored offsets: (2, n)."""
+    return dc.matmul(state.fold(params, "p"), dc.concat([state.h, state.ones], axis=0))
 
 
 # ---------------------------------------------------------------------------

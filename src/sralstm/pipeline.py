@@ -45,7 +45,7 @@ import numpy as np
 from . import diffcore as dc
 from . import model as md
 from .data import DataError, TrajectoryWindow, rotate_window
-from .diffcore import Tensor
+from .diffcore import Constant, Tensor
 from .model import AttentionStrategy, ModelConfig, ModelParams, SceneState
 
 CLIP_NORM = 10.0
@@ -59,48 +59,65 @@ class RolloutResult:
     predictions: Tensor           # (P * pred_len * 2, 1) offsets: ped, step, x/y
 
 
-def scene_step(params: ModelParams, state: SceneState, nabs: Mapping,
-               abs_pos: Mapping, record_attention: bool = False):
+def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
+               record_attention: bool = False):
     """Advance every pedestrian of the scene state by one time step.
 
-    nabs and abs_pos map each pedestrian to a (2, 1) tensor. Each neighbor
-    j of pedestrian i is handled in one place: under ``sra`` the pair's
-    relation state updates and then scores it; under ``ra`` the embedded
-    displacement scores it. Scores and social contexts read the motion
-    states of the previous step; motion updates and offset predictions run
-    last. Returns (predictions, attention) dicts keyed by pedestrian.
+    nabs and abs_pos are (2, n) tensors, one column per pedestrian in the
+    canonical order, and the predicted offsets come back as one (2, n)
+    tensor; or they map each pedestrian to a (2, 1) tensor, and the
+    predictions come back as such a dict. Each pedestrian's neighbors are
+    handled as one block: under ``sra`` each pair's relation state updates
+    and then the block is scored; under ``ra`` the embedded displacements
+    score it. Scores and social contexts read the motion states of the
+    previous step; motion updates and offset predictions run last. Returns
+    (predictions, attention), attention keyed by pedestrian.
     """
+    by_ped = not isinstance(nabs, Tensor)
+    if by_ped:
+        nabs, abs_pos = _columns(state, nabs), _columns(state, abs_pos)
     strategy = params.config.strategy
-    peds = state.ped_ids
-    for p in peds:
-        if p not in nabs or p not in abs_pos:
-            raise md.UnknownPedestrianError(p)
-    contexts = {}
     attention = {} if record_attention else None
-    for i in peds:
-        neigh = state.neighbors(i)
-        weights = None
-        if strategy is not AttentionStrategy.NONE and neigh:
-            logits = []
-            for j in neigh:
-                r_ij = e_rel = None
-                if strategy is AttentionStrategy.SRA:
-                    e_ij = md.embed_relative(params, abs_pos[i], abs_pos[j])
-                    r_ij, _ = md.relation_step(params, state, (i, j), e_ij)
-                elif strategy is AttentionStrategy.RA:
-                    e_rel = md.embed_relative(params, abs_pos[i], abs_pos[j], "rae")
-                logits.append(md.attention_logits(
-                    params, strategy, r_ij, state.h[i], state.h[j], e_rel))
-            weights = md.attention_weights(logits)
+    weights, neighbors = [], []
+    if strategy is not AttentionStrategy.NONE and len(state.ped_ids) > 1:
+        for k, i in enumerate(state.ped_ids):
+            neigh = state.neighbors(i)
+            h_i = dc.matmul(state.h, state.own[k])
+            h_j = dc.matmul(state.h, state.others[k])
+            r_ij = e_rel = None
+            if strategy is AttentionStrategy.SRA:
+                e = md.embed_relative(params, state, abs_pos, i)
+                r_ij = dc.concat([md.relation_step(params, state, (i, j), dc.matmul(e, pick))[0]
+                                  for j, pick in zip(neigh, state.pick)], axis=1)
+            elif strategy is AttentionStrategy.RA:
+                e_rel = md.embed_relative(params, state, abs_pos, i, "rae")
+            w = md.attention_weights(md.attention_logits(params, strategy, r_ij, h_i, h_j, e_rel))
             if record_attention:
-                attention[i] = (list(neigh), weights.values.reshape(-1).copy())
-        contexts[i] = md.social_context(state, i, weights, strategy)
-    predictions = {}
-    for i in peds:
-        e_i = md.embed_position(params, nabs[i])
-        md.motion_step(params, state, i, e_i, contexts[i])
-        predictions[i] = md.predict_offset(params, state.h[i])
+                attention[i] = (neigh, w.values.reshape(-1).copy())
+            weights.append(w)
+            neighbors.append(h_j)
+    context = md.social_context(state, weights, neighbors, strategy)
+    md.motion_step(params, state, md.embed_position(params, state, nabs), context)
+    predictions = md.predict_offset(params, state)
+    if by_ped:
+        predictions = {p: dc.matmul(predictions, u) for p, u in zip(state.ped_ids, state.unit)}
     return predictions, attention
+
+
+def _columns(state: SceneState, by_ped: Mapping) -> Tensor:
+    """One (2, n) tensor from a mapping of every pedestrian to a (2, 1)
+    tensor, or to the two coordinates of a constant position."""
+    cols = []
+    for p in state.ped_ids:
+        if p not in by_ped:
+            raise md.UnknownPedestrianError(p)
+        col = by_ped[p]
+        if not isinstance(col, Tensor):
+            col = Constant(np.asarray(col, dtype=np.float64).reshape(-1, 1))
+        if col.shape != (2, 1):
+            raise dc.ShapeMismatchError(f"position of {p!r} must be (2, 1), got {col.shape}")
+        cols.append(col)
+    return dc.concat(cols, axis=1)
 
 
 def rollout(params: ModelParams, window: TrajectoryWindow,
@@ -123,14 +140,13 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
     peds = state.ped_ids
     track = window.positions[[window.index_of(p) for p in peds], :cfg.obs_len]
     anchors = track[:, -1]
-    anchor_tensors = [Tensor(a.reshape(2, 1)) for a in anchors]
+    anchor_columns = Constant(anchors.T)
     steps = []
     trace = [] if record_attention else None
     for t in range(cfg.window_len - 1):
         if t < cfg.obs_len:
-            cur_nabs = {p: Tensor((track[k, t] - anchors[k]).reshape(2, 1))
-                        for k, p in enumerate(peds)}
-            cur_abs = {p: Tensor(track[k, t].reshape(2, 1)) for k, p in enumerate(peds)}
+            cur_nabs = Constant((track[:, t] - anchors).T)
+            cur_abs = Constant(track[:, t].T)
         try:
             predictions, attention = scene_step(
                 params, state, cur_nabs, cur_abs, record_attention)
@@ -142,9 +158,10 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
             steps.append(predictions)
             cur_nabs = predictions
             if t + 2 < cfg.window_len:  # the last prediction feeds no step
-                cur_abs = {p: dc.add(predictions[p], anchor_tensors[k])
-                           for k, p in enumerate(peds)}
-    stacked = dc.concat([step[p] for p in peds for step in steps], axis=0)
+                cur_abs = dc.add(predictions, anchor_columns)
+    # (2 * pred_len, n): column k holds pedestrian k's offsets, step by step
+    by_step = dc.concat(steps, axis=0)
+    stacked = dc.concat([dc.matmul(by_step, u) for u in state.unit], axis=0)
     offsets = stacked.values.reshape(len(peds), cfg.pred_len, 2)
     predicted_abs = {p: md.nabs_decode(offsets[k], anchors[k]) for k, p in enumerate(peds)}
     return RolloutResult(ped_ids=peds, predicted_abs=predicted_abs,

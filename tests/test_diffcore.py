@@ -553,6 +553,46 @@ def test_backward_matches_reference_bitwise_on_shared_operands():
     assert all(t.grad is None for t in intermediates)
 
 
+@pytest.mark.parametrize("b_cols", [1, 3])
+def test_constants_take_no_gradient_and_leave_the_rest_unchanged(b_cols):
+    # the same graph with its selector and ones row as Constant and as
+    # plain tensors: every other input's grad has the same bits
+    rng = np.random.default_rng(b_cols)
+    x = rng.normal(size=(4, 2))
+    w = rng.normal(size=(3, 5))
+    sel = np.eye(2)[:, :1] if b_cols == 1 else rng.normal(size=(2, b_cols))
+    grads = {}
+    for kind in (Tensor, dc.Constant):
+        xt, wt, st, ones = Tensor(x), Tensor(w), kind(sel), kind(np.ones((1, b_cols)))
+        with Tape() as tape:
+            picked = dc.matmul(xt, st)
+            stacked = dc.concat([picked, ones], axis=0)
+            loss = dc.sum_all(dc.tanh(dc.matmul(wt, stacked)))
+            dc.backward(tape, loss)
+        grads[kind] = (xt.grad, wt.grad, st.grad, ones.grad)
+    plain, const = grads[Tensor], grads[dc.Constant]
+    assert const[2] is None and const[3] is None
+    assert plain[2] is not None and plain[3] is not None
+    for a, b in zip(plain[:2], const[:2]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_ops_on_constants_alone_still_record_a_node():
+    a, b = dc.Constant(np.ones((2, 2))), dc.Constant(np.ones((2, 1)))
+    with Tape() as tape:
+        dc.concat([a, a], axis=1)
+        dc.matmul(a, b)
+    assert len(tape) == 2
+    assert [inputs for inputs, _, _ in tape.nodes] == [(), ()]
+
+
+def test_constant_zeros_is_a_constant():
+    z = dc.Constant.zeros((2, 3))
+    assert type(z) is dc.Constant and z.grad is None
+    assert np.array_equal(z.values, np.zeros((2, 3)))
+    assert type(Tensor.zeros((1, 1))) is Tensor
+
+
 def _weight_tape(uses: int, seed: int = 11):
     # one weight, each use on its own column; the outputs mix nonlinearly
     rng = np.random.default_rng(seed)

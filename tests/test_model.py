@@ -9,17 +9,30 @@ import pytest
 
 import sralstm.diffcore as dc
 import sralstm.model as md
-from sralstm.diffcore import Tensor
+from sralstm.diffcore import Constant, Tensor
 from sralstm.model import (AttentionStrategy, ModelConfig, ModelParams,
                            SceneState)
 
-from helpers import oracle_affine_relu, oracle_lstm_from_gates, rel_err
+from helpers import oracle_affine_relu, oracle_lstm_from_gates, rel_err, scaled_err
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
 
 
 def small_config(strategy="sra", **kw):
     return ModelConfig(embed_dim=6, hidden_dim=8, strategy=strategy, **kw)
+
+
+def columns(*points) -> Tensor:
+    """A (2, n) positions tensor, one column per point."""
+    return Tensor(np.array(points, dtype=np.float64).T)
+
+
+def state_with_h(h, ids=None) -> SceneState:
+    """A scene state whose (hidden, n) motion hidden state is h."""
+    h = np.asarray(h, dtype=np.float64)
+    state = SceneState.initial(ids or list(range(1, h.shape[1] + 1)), h.shape[0])
+    state.h = Tensor(h)
+    return state
 
 
 def zeroed_params(config: ModelConfig) -> ModelParams:
@@ -168,43 +181,58 @@ def test_tensor_directory_order_is_stable():
 
 def test_embed_relative_zero_displacement_is_relu_of_bias():
     params = ModelParams.init(SMALL, seed=3)
-    out = md.embed_relative(params, (1.0, 2.0), (1.0, 2.0))
+    state = SceneState.initial([1, 2], hidden_dim=8)
+    out = md.embed_relative(params, state, columns((1.0, 2.0), (1.0, 2.0)), 1)
     expected = np.maximum(params["b_re"].values, 0.0)
     assert np.array_equal(out.values, expected)
 
 
 def test_embed_relative_translation_invariant_bitwise():
     params = ModelParams.init(SMALL, seed=3)
-    a = md.embed_relative(params, (0.5, -1.0), (2.0, 3.0))
-    b = md.embed_relative(params, (10.5, -5.0), (12.0, -1.0))
-    assert np.array_equal(a.values, b.values)
+    state = SceneState.initial([1, 2, 3], hidden_dim=8)
+    a = columns((0.5, -1.0), (2.0, 3.0), (-4.25, 0.5))
+    b = columns((10.5, -5.0), (12.0, -1.0), (5.75, -3.5))
+    for ped in (1, 2, 3):
+        assert np.array_equal(md.embed_relative(params, state, a, ped).values,
+                              md.embed_relative(params, state, b, ped).values)
 
 
 def test_embed_relative_matches_scripted_oracle():
+    # one column per neighbor, neighbors in canonical order
     params = ModelParams.init(SMALL, seed=3)
-    out = md.embed_relative(params, (0.0, 0.0), (1.0, 2.0))
-    oracle = oracle_affine_relu(params["w_re"].values,
-                                np.array([[1.0], [2.0]]), params["b_re"].values)
-    assert rel_err(out.values, oracle) < 1e-12
+    state = SceneState.initial([3, 1, 2], hidden_dim=8)
+    points = {1: (0.0, 0.0), 2: (1.0, 2.0), 3: (-0.5, 4.0)}
+    pos = columns(*(points[p] for p in (1, 2, 3)))
+    for ped in (1, 2, 3):
+        out = md.embed_relative(params, state, pos, ped)
+        assert out.shape == (6, 2)
+        for m, j in enumerate(state.neighbors(ped)):
+            disp = (np.array(points[j]) - np.array(points[ped])).reshape(2, 1)
+            oracle = oracle_affine_relu(params["w_re"].values, disp, params["b_re"].values)
+            assert rel_err(out.values[:, m:m + 1], oracle) < 1e-12
 
 
 def test_embed_position_zero_input_and_oracle():
     params = ModelParams.init(SMALL, seed=6)
-    zero = md.embed_position(params, Tensor(np.zeros((2, 1))))
-    assert np.array_equal(zero.values, np.maximum(params["b_e"].values, 0.0))
-    out = md.embed_position(params, Tensor([[0.7], [-0.3]]))
-    oracle = oracle_affine_relu(params["w_e"].values,
-                                np.array([[0.7], [-0.3]]), params["b_e"].values)
+    state = SceneState.initial([1, 2], hidden_dim=8)
+    zero = md.embed_position(params, state, Tensor(np.zeros((2, 2))))
+    bias = np.maximum(params["b_e"].values, 0.0)
+    assert np.array_equal(zero.values, np.hstack([bias, bias]))
+    nabs = np.array([[0.7, -1.2], [-0.3, 0.4]])
+    out = md.embed_position(params, state, Tensor(nabs))
+    oracle = oracle_affine_relu(params["w_e"].values, nabs, params["b_e"].values)
     assert rel_err(out.values, oracle) < 1e-12
     assert np.all(out.values >= 0.0)
 
 
 def test_ra_embedding_requires_ra_params():
+    state = SceneState.initial([1, 2], hidden_dim=8)
+    pos = columns((0.0, 0.0), (1.0, 2.0))
     sra = ModelParams.init(SMALL, seed=1)
     with pytest.raises(KeyError, match="w_rae"):
-        md.embed_relative(sra, (0.0, 0.0), (1.0, 1.0), "rae")
+        md.embed_relative(sra, state, pos, 1, "rae")
     ra = ModelParams.init(small_config("ra"), seed=1)
-    out = md.embed_relative(ra, (0.0, 0.0), (1.0, 2.0), "rae")
+    out = md.embed_relative(ra, state, pos, 1, "rae")
     oracle = oracle_affine_relu(ra["w_rae"].values,
                                 np.array([[1.0], [2.0]]), ra["b_rae"].values)
     assert rel_err(out.values, oracle) < 1e-12
@@ -212,10 +240,16 @@ def test_ra_embedding_requires_ra_params():
 
 def test_position_validation():
     params = ModelParams.init(SMALL, seed=1)
+    state = SceneState.initial([1], hidden_dim=8)
     with pytest.raises(dc.ShapeMismatchError):
-        md.embed_position(params, Tensor(np.zeros((3, 1))))
+        md.embed_position(params, state, Tensor(np.zeros((3, 1))))
     with pytest.raises(dc.ShapeMismatchError):
-        md.embed_relative(params, (1.0, 2.0, 3.0), (0.0, 0.0))
+        md.embed_position(params, state, Tensor(np.zeros((2, 2))))
+    pair = SceneState.initial([1, 2], hidden_dim=8)
+    with pytest.raises(dc.ShapeMismatchError):
+        md.embed_relative(params, pair, Tensor(np.zeros((3, 2))), 1)
+    with pytest.raises(md.UnknownPedestrianError):
+        md.embed_relative(params, pair, Tensor(np.zeros((2, 2))), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +263,72 @@ def test_scene_state_rejects_duplicate_ids():
 def test_scene_state_zero_start_and_canonical_roster():
     state = SceneState.initial([3, 1, 2], hidden_dim=4)
     assert state.ped_ids == [1, 2, 3]
-    assert sorted(state.h) == sorted(state.c) == [1, 2, 3]
+    assert [state.column(p) for p in (1, 2, 3)] == [0, 1, 2]
+    for t in (state.h, state.c):
+        assert np.array_equal(t.values, np.zeros((4, 3)))
     pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
     assert sorted(state.r) == sorted(state.cr) == pairs
-    for t in [*state.h.values(), *state.c.values(),
-              *state.r.values(), *state.cr.values()]:
+    for t in [*state.r.values(), *state.cr.values()]:
         assert np.array_equal(t.values, np.zeros((4, 1)))
     assert state.neighbors(1) == [2, 3]
     assert state.neighbors(3) == [1, 2]
+
+
+def _awkward_values(rng, shape):
+    """Normal draws mixed with values of magnitude 1e150 and subnormals,
+    none of them zero."""
+    values = rng.normal(size=shape)
+    kind = rng.integers(0, 3, size=shape)
+    values[kind == 1] *= 1e150
+    values[kind == 2] *= 1e-310
+    return values
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_one_hot_products_select_exact_bytes(n):
+    rng = np.random.default_rng(n)
+    state = SceneState.initial(list(range(n)), hidden_dim=4)
+    h = _awkward_values(rng, (4, n))
+    block = _awkward_values(rng, (6, n - 1))
+    for k in range(n):
+        picked = [j for j in range(n) if j != k]
+        gathered = dc.matmul(Tensor(h), state.others[k]).values
+        assert gathered.tobytes() == np.ascontiguousarray(h[:, picked]).tobytes()
+        repeated = dc.matmul(Tensor(h), state.own[k]).values
+        assert repeated.tobytes() == np.ascontiguousarray(h[:, [k] * (n - 1)]).tobytes()
+        column = dc.matmul(Tensor(h), state.unit[k]).values
+        assert column.tobytes() == np.ascontiguousarray(h[:, k:k + 1]).tobytes()
+    for m, pick in enumerate(state.pick):
+        column = dc.matmul(Tensor(block), pick).values
+        assert column.tobytes() == np.ascontiguousarray(block[:, m:m + 1]).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_displacement_product_is_the_exact_difference(n):
+    rng = np.random.default_rng(100 + n)
+    state = SceneState.initial(list(range(n)), hidden_dim=4)
+    for _ in range(20):
+        pos = _awkward_values(rng, (2, n))
+        for k in range(n):
+            picked = [j for j in range(n) if j != k]
+            disp = dc.matmul(Tensor(pos), state.spread[k]).values
+            assert disp.tobytes() == (pos[:, picked] - pos[:, [k]]).tobytes()
+
+
+def test_scene_state_constants_take_no_gradient():
+    state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
+    constants = [*state.others, *state.own, *state.spread, *state.pick, *state.unit,
+                 state.ones, state.ones_neighbors, state.one, state.h, state.c,
+                 *state.r.values(), *state.cr.values()]
+    assert all(type(t) is Constant for t in constants)
 
 
 def test_scene_state_unknown_ped_errors():
     state = SceneState.initial([1, 2], hidden_dim=4)
     with pytest.raises(md.UnknownPedestrianError):
         state.neighbors(99)
+    with pytest.raises(md.UnknownPedestrianError):
+        state.column(99)
     assert (1, 99) not in state.r
     assert (1, 1) not in state.r
 
@@ -299,38 +385,40 @@ def test_relation_step_unknown_pair():
 
 
 def test_motion_step_matches_lstm_oracle_and_mutates():
+    # every column against the one-pedestrian oracle on that column
     params = ModelParams.init(SMALL, seed=13)
     rng = np.random.default_rng(31)
-    state = SceneState.initial([7], hidden_dim=8)
-    state.h[7] = Tensor(rng.normal(size=(8, 1)))
-    state.c[7] = Tensor(rng.normal(size=(8, 1)))
-    e_i = rng.normal(size=(6, 1))
-    ctx = rng.normal(size=(8, 1))
-    x = np.concatenate([e_i, ctx], axis=0)
-    want_h, want_c = oracle_lstm_from_gates(
-        params, "motion", x, state.h[7].values, state.c[7].values)
-    h, c = md.motion_step(params, state, 7, Tensor(e_i), Tensor(ctx))
-    assert rel_err(h.values, want_h) < 1e-12
-    assert rel_err(c.values, want_c) < 1e-12
-    assert state.h[7] is h and state.c[7] is c
+    state = SceneState.initial([7, 3, 5], hidden_dim=8)
+    state.h = Tensor(rng.normal(size=(8, 3)))
+    state.c = Tensor(rng.normal(size=(8, 3)))
+    e = rng.normal(size=(6, 3))
+    ctx = rng.normal(size=(8, 3))
+    before_h, before_c = state.h.values, state.c.values
+    h, c = md.motion_step(params, state, Tensor(e), Tensor(ctx))
+    for k in range(3):
+        x = np.concatenate([e[:, k:k + 1], ctx[:, k:k + 1]], axis=0)
+        want_h, want_c = oracle_lstm_from_gates(
+            params, "motion", x, before_h[:, k:k + 1], before_c[:, k:k + 1])
+        assert rel_err(h.values[:, k:k + 1], want_h) < 1e-12
+        assert rel_err(c.values[:, k:k + 1], want_c) < 1e-12
+    assert state.h is h and state.c is c
 
 
 def test_motion_step_weight_sharing_across_pedestrians():
     params = ModelParams.init(SMALL, seed=13)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    e = np.full((6, 1), 0.25)
-    ctx = np.full((8, 1), -0.5)
-    h1, _ = md.motion_step(params, state, 1, Tensor(e), Tensor(ctx))
-    h2, _ = md.motion_step(params, state, 2, Tensor(e.copy()), Tensor(ctx.copy()))
-    assert np.array_equal(h1.values, h2.values)
+    e = np.full((6, 2), 0.25)
+    ctx = np.full((8, 2), -0.5)
+    h, _ = md.motion_step(params, state, Tensor(e), Tensor(ctx))
+    assert np.array_equal(h.values[:, 0], h.values[:, 1])
 
 
-def test_motion_step_unknown_pedestrian():
+def test_motion_step_rejects_columns_off_the_roster():
     params = ModelParams.init(SMALL, seed=13)
     state = SceneState.initial([1], hidden_dim=8)
-    with pytest.raises(md.UnknownPedestrianError):
-        md.motion_step(params, state, 2, Tensor(np.zeros((6, 1))),
-                       Tensor(np.zeros((8, 1))))
+    with pytest.raises(dc.ShapeMismatchError):
+        md.motion_step(params, state, Tensor(np.zeros((6, 2))),
+                       Tensor(np.zeros((8, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +473,37 @@ def test_ra_logit_needs_embedding_and_matches_oracle():
     r, h_i, h_j = _attention_inputs()
     with pytest.raises(ValueError):
         md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j)
-    e_rel = md.embed_relative(ra, (0.0, 0.0), (1.0, -1.0), "rae")
+    state = SceneState.initial([1, 2], hidden_dim=8)
+    e_rel = md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0)), 1, "rae")
     out = md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j, e_rel)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
     assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12
 
 
+def test_attention_logits_score_a_block_column_by_column():
+    params = ModelParams.init(SMALL, seed=5)
+    rng = np.random.default_rng(19)
+    r, h_i, h_j = (Tensor(rng.normal(size=(8, 3))) for _ in range(3))
+    block = md.attention_logits(params, AttentionStrategy.SRA, r, h_i, h_j)
+    assert block.shape == (1, 3)
+    for m in range(3):
+        one = md.attention_logits(params, AttentionStrategy.SRA,
+                                  *(Tensor(t.values[:, m:m + 1]) for t in (r, h_i, h_j)))
+        assert rel_err(block.values[0, m], one.item()) < 1e-12
+
+
 def test_attention_weights_single_neighbor_is_exactly_one():
-    out = md.attention_weights([Tensor([[3.7]])])
+    out = md.attention_weights(Tensor([[3.7]]))
     assert out.values.tolist() == [[1.0]]
 
 
 def test_attention_weights_equal_logits_split_exactly():
-    logits = [Tensor([[1.25]]) for _ in range(4)]
-    out = md.attention_weights(logits)
+    out = md.attention_weights(Tensor(np.full((1, 4), 1.25)))
     assert out.values.reshape(-1).tolist() == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_attention_weights_quarter_three_quarters():
-    out = md.attention_weights([Tensor([[0.0]]), Tensor([[np.log(3.0)]])])
+    out = md.attention_weights(Tensor([[0.0, np.log(3.0)]]))
     flat = out.values.reshape(-1)
     assert abs(flat[0] - 0.25) < 1e-12
     assert abs(flat[1] - 0.75) < 1e-12
@@ -411,46 +511,50 @@ def test_attention_weights_quarter_three_quarters():
 
 def test_attention_weights_empty_neighbor_set():
     with pytest.raises(dc.EmptyNeighborSetError):
-        md.attention_weights([])
+        md.attention_weights(Tensor(np.zeros((1, 0))))
+
+
+def neighbor_blocks(state):
+    """Each pedestrian's (hidden, n-1) block of neighbor motion states."""
+    return [dc.matmul(state.h, others) for others in state.others]
 
 
 def test_social_context_none_strategy_and_lonely_ped_are_zero():
     state = SceneState.initial([1, 2], hidden_dim=8)
-    ctx = md.social_context(state, 1, None, AttentionStrategy.NONE)
-    assert np.array_equal(ctx.values, np.zeros((8, 1)))
+    ctx = md.social_context(state, [], [], AttentionStrategy.NONE)
+    assert np.array_equal(ctx.values, np.zeros((8, 2)))
     solo = SceneState.initial([1], hidden_dim=8)
-    ctx = md.social_context(solo, 1, None, AttentionStrategy.SRA)
+    ctx = md.social_context(solo, [], [], AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, np.zeros((8, 1)))
 
 
 def test_social_context_single_neighbor_copies_its_state():
-    state = SceneState.initial([1, 2], hidden_dim=8)
-    state.h[2] = Tensor(np.linspace(-1.0, 1.0, 8).reshape(8, 1))
-    weights = md.attention_weights([Tensor([[0.9]])])
-    ctx = md.social_context(state, 1, weights, AttentionStrategy.SRA)
-    assert np.array_equal(ctx.values, state.h[2].values)
+    state = state_with_h(np.linspace(-1.0, 1.0, 16).reshape(8, 2))
+    weights = [md.attention_weights(Tensor([[0.9]])) for _ in range(2)]
+    ctx = md.social_context(state, weights, neighbor_blocks(state), AttentionStrategy.SRA)
+    assert np.array_equal(ctx.values, state.h.values[:, ::-1])
 
 
 def test_social_context_weighted_mix_frozen():
-    state = SceneState.initial([1, 2, 3], hidden_dim=8)
-    state.h[2] = Tensor(np.ones((8, 1)))
-    state.h[3] = Tensor(2.0 * np.ones((8, 1)))
-    weights = Tensor(np.array([[0.25], [0.75]]))
-    ctx = md.social_context(state, 1, weights, AttentionStrategy.SRA)
-    assert np.array_equal(ctx.values, np.full((8, 1), 1.75))
+    state = state_with_h(np.repeat([[0.0, 1.0, 2.0]], 8, axis=0))
+    # pedestrian 1 weighs 2 and 3, pedestrian 2 weighs 1 and 3, 3 weighs 1 and 2
+    weights = [Tensor([[0.25, 0.75]]), Tensor([[0.5, 0.5]]), Tensor([[1.0, 0.0]])]
+    ctx = md.social_context(state, weights, neighbor_blocks(state), AttentionStrategy.SRA)
+    assert np.array_equal(ctx.values, np.repeat([[1.75, 1.0, 0.0]], 8, axis=0))
 
 
 def test_social_context_weight_count_mismatch():
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
-    weights = Tensor(np.array([[1.0]]))
+    weights = [Tensor(np.array([[1.0]]))] * 3
     with pytest.raises(dc.ShapeMismatchError):
-        md.social_context(state, 1, weights, AttentionStrategy.SRA)
+        md.social_context(state, weights, neighbor_blocks(state), AttentionStrategy.SRA)
 
 
 def test_social_context_requires_weights_with_neighbors():
     state = SceneState.initial([1, 2], hidden_dim=8)
     with pytest.raises(ValueError):
-        md.social_context(state, 1, None, AttentionStrategy.SRA)
+        md.social_context(state, [None, None], neighbor_blocks(state),
+                          AttentionStrategy.SRA)
 
 
 # ---------------------------------------------------------------------------
@@ -458,27 +562,53 @@ def test_social_context_requires_weights_with_neighbors():
 
 def test_predict_offset_zero_state_gives_bias():
     params = ModelParams.init(SMALL, seed=2)
-    out = md.predict_offset(params, Tensor(np.zeros((8, 1))))
-    assert np.array_equal(out.values, params["b_p"].values)
+    out = md.predict_offset(params, SceneState.initial([1, 2], hidden_dim=8))
+    assert np.array_equal(out.values, np.hstack([params["b_p"].values] * 2))
 
 
 def test_predict_offset_is_affine():
     params = ModelParams.init(SMALL, seed=2)
     rng = np.random.default_rng(3)
-    h = rng.normal(size=(8, 1))
-    p0 = md.predict_offset(params, Tensor(np.zeros((8, 1)))).values
-    p1 = md.predict_offset(params, Tensor(h)).values
-    p2 = md.predict_offset(params, Tensor(2.0 * h)).values
+    h = rng.normal(size=(8, 3))
+    p0 = md.predict_offset(params, state_with_h(np.zeros((8, 3)))).values
+    p1 = md.predict_offset(params, state_with_h(h)).values
+    p2 = md.predict_offset(params, state_with_h(2.0 * h)).values
     assert rel_err(p2 - p0, 2.0 * (p1 - p0)) < 1e-12
 
 
 def test_predict_offset_matches_affine_oracle():
     params = ModelParams.init(SMALL, seed=2)
     rng = np.random.default_rng(4)
-    h = rng.normal(size=(8, 1))
-    out = md.predict_offset(params, Tensor(h))
+    h = rng.normal(size=(8, 3))
+    out = md.predict_offset(params, state_with_h(h))
     oracle = params["w_p"].values @ h + params["b_p"].values
     assert rel_err(out.values, oracle) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# folded affine maps
+
+def test_fold_puts_each_bias_last_and_builds_once():
+    params = ModelParams.init(SMALL, seed=2)
+    state = SceneState.initial([1, 2], hidden_dim=8)
+    w = state.fold(params, "p")
+    assert np.array_equal(w.values, np.hstack([params["w_p"].values, params["b_p"].values]))
+    assert state.fold(params, "p") is w
+    gates = state.fold(params, "rel")
+    for g, folded in zip("ifgo", gates):
+        assert np.array_equal(folded.values, np.hstack([params[f"rel_w{g}"].values,
+                                                         params[f"rel_b{g}"].values]))
+    other = ModelParams.init(SMALL, seed=3)
+    assert not np.array_equal(state.fold(other, "p").values, w.values)
+
+
+def test_folded_affine_map_agrees_with_product_plus_bias():
+    rng = np.random.default_rng(8)
+    for rows, cols, k in ((64, 97, 1), (64, 161, 8), (2, 65, 5), (32, 2, 7)):
+        w, b = rng.normal(size=(rows, cols)), rng.normal(size=(rows, 1))
+        x = rng.normal(size=(cols, k))
+        folded = dc.matmul(Tensor(np.hstack([w, b])), Tensor(np.vstack([x, np.ones((1, k))])))
+        assert scaled_err(folded.values, w @ x + b) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

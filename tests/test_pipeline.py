@@ -155,15 +155,42 @@ def test_rollout_matches_step_by_step_composition_oracle():
 
 
 @pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_rollout_matches_straight_numpy_oracle(strategy, n):
     params = small_params(seed=n, strategy=strategy)
     window = random_walk_window(n, seed=40 + n)
     arrays = {name: t.values for name, t in params.tensors().items()}
     want = oracle_rollout(arrays, strategy, window.positions)
-    got = rollout(params, window)
-    for k, p in enumerate(window.ped_ids):
-        assert np.max(np.abs(got.predicted_abs[p] - want[k])) <= 1e-12
+    result = rollout(params, window)
+    got = np.stack([result.predicted_abs[p] for p in window.ped_ids])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert scaled_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_rollout_grads_match_finite_differences(strategy, n):
+    # one random direction per tensor: the directional derivative the grad
+    # gives against central differences of the whole rollout's loss
+    params = ModelParams.init(ModelConfig(embed_dim=3, hidden_dim=4, strategy=strategy),
+                              seed=n)
+    window = random_walk_window(n, seed=60 + n)
+    truth = window_truth_nabs(window)
+    with dc.Tape() as tape:
+        dc.backward(tape, l2_loss(rollout(params, window), truth))
+    rng = np.random.default_rng(n)
+    step = 1e-5
+    for name, t in params.tensors().items():
+        direction = rng.normal(size=t.shape)
+        keep = t.values.copy()
+        losses = []
+        for sign in (1.0, -1.0):
+            t.values[...] = keep + sign * step * direction
+            losses.append(l2_loss(rollout(params, window), truth).item())
+        t.values[...] = keep
+        fd = (losses[0] - losses[1]) / (2.0 * step)
+        grad = np.zeros_like(keep) if t.grad is None else t.grad
+        assert rel_err(float(np.sum(grad * direction)), fd) <= 1e-6, name
 
 
 def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
@@ -182,53 +209,44 @@ def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
 def _scripted_rollout_abs(params, window):
     """Drive the single-step ops by hand in an all-pairs-first order:
     relations for all ordered pairs, then attention, then motion. scene_step
-    instead updates each pair's relation just before scoring it, so a
+    instead updates a pedestrian's pairs just before scoring them, so a
     bit-for-bit match shows that the two orders agree. Returns the predicted
     absolute positions and offsets, ped -> (pred_len, 2)."""
     cfg = params.config
-    peds = list(window.ped_ids)
-    anchors = {p: window.track(p)[cfg.obs_len - 1].copy() for p in peds}
+    peds = sorted(window.ped_ids)
     state = SceneState.initial(peds, cfg.hidden_dim)
-    cur_abs = {p: Tensor(window.track(p)[0].reshape(2, 1)) for p in peds}
-    cur_nabs = {p: Tensor((window.track(p)[0] - anchors[p]).reshape(2, 1))
-                for p in peds}
-    collected = {p: [] for p in peds}
+
+    def observed(t):
+        return np.stack([window.track(p)[t] for p in peds], axis=1)
+
+    anchors = observed(cfg.obs_len - 1)
+    cur_abs, cur_nabs = Tensor(observed(0)), Tensor(observed(0) - anchors)
+    collected = []
     for t in range(cfg.window_len - 1):
         for i in peds:
-            for j in peds:
-                if i == j:
-                    continue
-                e = md.embed_relative(params, cur_abs[i], cur_abs[j])
-                md.relation_step(params, state, (i, j), e)
-        contexts = {}
-        for i in peds:
-            neigh = state.neighbors(i)
-            weights = None
-            if cfg.strategy is not AttentionStrategy.NONE and neigh:
-                logits = [md.attention_logits(params, cfg.strategy,
-                                              state.r[(i, j)], state.h[i],
-                                              state.h[j])
-                          for j in neigh]
-                weights = md.attention_weights(logits)
-            contexts[i] = md.social_context(state, i, weights, cfg.strategy)
-        preds = {}
-        for i in peds:
-            e_i = md.embed_position(params, cur_nabs[i])
-            md.motion_step(params, state, i, e_i, contexts[i])
-            preds[i] = md.predict_offset(params, state.h[i])
+            e = md.embed_relative(params, state, cur_abs, i)
+            for j, pick in zip(state.neighbors(i), state.pick):
+                md.relation_step(params, state, (i, j), dc.matmul(e, pick))
+        weights, blocks = [], []
+        if cfg.strategy is not AttentionStrategy.NONE and len(peds) > 1:
+            for k, i in enumerate(peds):
+                r = dc.concat([state.r[(i, j)] for j in state.neighbors(i)], axis=1)
+                h_i = dc.matmul(state.h, state.own[k])
+                h_j = dc.matmul(state.h, state.others[k])
+                weights.append(md.attention_weights(
+                    md.attention_logits(params, cfg.strategy, r, h_i, h_j)))
+                blocks.append(h_j)
+        context = md.social_context(state, weights, blocks, cfg.strategy)
+        md.motion_step(params, state, md.embed_position(params, state, cur_nabs), context)
+        preds = md.predict_offset(params, state)
         nxt = t + 1
         if nxt < cfg.obs_len:
-            for p in peds:
-                pos = window.track(p)[nxt]
-                cur_abs[p] = Tensor(pos.reshape(2, 1))
-                cur_nabs[p] = Tensor((pos - anchors[p]).reshape(2, 1))
+            cur_abs, cur_nabs = Tensor(observed(nxt)), Tensor(observed(nxt) - anchors)
         else:
-            for p in peds:
-                collected[p].append(preds[p].values.reshape(2).copy())
-                cur_nabs[p] = preds[p]
-                cur_abs[p] = Tensor(preds[p].values + anchors[p].reshape(2, 1))
-    offsets = {p: np.array(collected[p]) for p in peds}
-    return {p: offsets[p] + anchors[p] for p in peds}, offsets
+            collected.append(preds.values.copy())
+            cur_abs, cur_nabs = Tensor(preds.values + anchors), preds
+    offsets = {p: np.array([step[:, k] for step in collected]) for k, p in enumerate(peds)}
+    return {p: offsets[p] + anchors[:, k] for k, p in enumerate(peds)}, offsets
 
 
 def test_rollout_permutation_equivariant_bitwise():
@@ -284,6 +302,24 @@ def test_scene_step_requires_positions_for_present_peds():
     pos = {1: Tensor(np.zeros((2, 1)))}
     with pytest.raises(md.UnknownPedestrianError):
         scene_step(params, state, pos, pos)
+
+
+def test_scene_step_answers_in_the_form_it_was_asked():
+    # columns in, columns out; a dict of per-pedestrian positions (tensors
+    # or coordinate pairs) in, a dict of (2, 1) predictions out, same bits
+    params = small_params(seed=4)
+    rng = np.random.default_rng(4)
+    nabs, pos = rng.normal(size=(2, 3)), rng.uniform(-3.0, 3.0, size=(2, 3))
+    by_columns, _ = scene_step(params, SceneState.initial([5, 6, 7], 8),
+                               Tensor(nabs), Tensor(pos))
+    as_tensors = {p: Tensor(nabs[:, k:k + 1]) for k, p in enumerate((5, 6, 7))}
+    as_pairs = {p: tuple(pos[:, k]) for k, p in enumerate((5, 6, 7))}
+    by_ped, _ = scene_step(params, SceneState.initial([7, 5, 6], 8), as_tensors, as_pairs)
+    assert by_columns.shape == (2, 3)
+    for k, p in enumerate((5, 6, 7)):
+        assert by_ped[p].values.tobytes() == by_columns.values[:, k:k + 1].tobytes()
+    with pytest.raises(dc.ShapeMismatchError):
+        scene_step(params, SceneState.initial([1], 8), {1: (0.0, 1.0, 2.0)}, {1: (0.0, 0.0)})
 
 
 
@@ -367,7 +403,7 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 2, 1965), ("sra", 4, 7573), ("sra", 8, 29733), ("none", 2, 901)],
+    ("sra", 2, 1398), ("sra", 4, 4668), ("sra", 8, 18048), ("none", 2, 386)],
     ids=["sra-2", "sra-4", "sra-8", "none-2"])
 def test_tape_nodes_per_window(strategy, n, nodes):
     # the recorded work of one train step on the default model; this may
@@ -382,29 +418,39 @@ def test_tape_nodes_per_window(strategy, n, nodes):
 def test_backward_matches_reference_bitwise_on_a_rollout(monkeypatch):
     # the in-place accumulation in dc.backward must give the bits of the
     # plain dict-accumulating pass for every parameter of a full sra step
-    # that is never the left operand of a one-column matmul (the biases);
-    # the weights' outer products are summed in one product instead, so
-    # only their summation order moves
+    # whose folded weight is never the left operand of a one-column matmul;
+    # the outer products of those that are (the relation LSTM's gates, one
+    # column per pair) are summed in one product instead, so only their
+    # summation order moves
     params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
     window = random_walk_window(3, seed=3)
     named = params.tensors()
     factored = set()
-    matmul = dc.matmul
+    folded_from = {}
+    matmul, concat = dc.matmul, dc.concat
 
-    def spy(a, b):
+    def spy_matmul(a, b):
         if b.shape[1] == 1:
             factored.add(id(a))
         return matmul(a, b)
 
-    monkeypatch.setattr(dc, "matmul", spy)
+    def spy_concat(tensors, axis):
+        out = concat(tensors, axis)
+        for t in tensors:
+            folded_from.setdefault(id(t), set()).add(id(out))
+        return out
+
+    monkeypatch.setattr(dc, "matmul", spy_matmul)
+    monkeypatch.setattr(dc, "concat", spy_concat)
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
     reference_backward(tape, loss)
     expected = {name: t.grad for name, t in named.items()}
     dc.zero_grads(named.values())
     dc.backward(tape, loss)
-    weights = {name for name, t in named.items() if id(t) in factored}
-    assert weights and len(weights) < len(named)
+    weights = {name for name, t in named.items()
+               if id(t) in factored or folded_from.get(id(t), set()) & factored}
+    assert weights == {f"rel_{kind}{g}" for kind in "wb" for g in "ifgo"}
     for name, t in named.items():
         if name in weights:
             assert scaled_err(t.grad, expected[name]) <= 1e-12, name
