@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,7 @@ class UsageError(Exception):
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     model_given: bool = False      # the config file or --strategy set the model
-    lr: float = 1e-3
+    learning_rate: float = 1e-3
     epochs: int = 300
     seed: int = 1
     clip_norm: float = CLIP_NORM
@@ -57,6 +57,38 @@ class RunConfig:
     stride: int = 1
     source_timestep: float = GRID_DT
     out_dir: str = "runs/out"
+
+
+def _positive(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and 0 < value <= sys.float_info.max)
+
+
+def _integer(least: int):
+    return lambda value: (isinstance(value, int) and not isinstance(value, bool)
+                          and value >= least)
+
+
+# One row per config key: (section, key, flag, check, what the check asks
+# for). Each key sets the RunConfig field of its name; a key with no section
+# sits at the top level of the file. ModelConfig checks the model section,
+# whose one row is here for its flag.
+_SETTINGS = [
+    ("model", "strategy", "strategy", None, None),
+    ("train", "learning_rate", None, _positive, "a finite number greater than 0"),
+    ("train", "epochs", "epochs", _integer(1), "an integer of at least 1"),
+    ("train", "seed", "seed", _integer(0), "a non-negative integer"),
+    ("train", "clip_norm", None, _positive, "a finite number greater than 0"),
+    ("train", "save_every", None, _integer(0), "a non-negative integer"),
+    ("train", "augment", None, lambda v: isinstance(v, bool), "true or false"),
+    ("data", "scenes", None,
+     lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+     "an object that maps scene names to file paths"),
+    ("data", "held_out", "held_out", lambda v: v is None or isinstance(v, str), "a string"),
+    ("data", "stride", None, _integer(1), "an integer of at least 1"),
+    ("data", "source_timestep", None, _positive, "a finite number greater than 0"),
+    (None, "out_dir", "out", lambda v: isinstance(v, str), "a string"),
+]
 
 
 def _read_config_file(path: str) -> dict:
@@ -72,87 +104,46 @@ def _read_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    allowed = {"model", "train", "data", "out_dir"}
-    unknown = set(obj) - allowed
+    unknown = set(obj) - {section or key for section, key, *_ in _SETTINGS}
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for section in dict.fromkeys(section for section, *_ in _SETTINGS if section):
+        values = obj.get(section, {})
+        if not isinstance(values, dict):
+            raise UsageError(f"config section {section!r} must be a JSON object, "
+                             f"got {values!r}")
+        unknown = set(values) - {k for s, k, *_ in _SETTINGS if s == section}
+        if unknown and section != "model":     # ModelConfig.from_dict names those
+            raise UsageError(f"unknown {section} config keys: {sorted(unknown)}")
     return obj
 
 
 def build_run_config(args) -> RunConfig:
-    """Merge defaults, the config file, and command-line overrides."""
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for section in ("model", "train", "data"):
-        if not isinstance(file_cfg.get(section, {}), dict):
-            raise UsageError(f"config section {section!r} must be a JSON object, "
-                             f"got {file_cfg[section]!r}")
-    model_d = dict(file_cfg.get("model", {}))
-    train_d = dict(file_cfg.get("train", {}))
-    data_d = dict(file_cfg.get("data", {}))
-    if getattr(args, "strategy", None):
-        model_d["strategy"] = args.strategy
+    """Defaults, then the config file, then the flags given; every value is
+    checked by its _SETTINGS row, whichever of the three it came from."""
+    raw = _read_config_file(args.config) if args.config else {}
+    for section, key, flag, _, _ in _SETTINGS:
+        value = getattr(args, flag, None) if flag else None
+        if value not in (None, ""):     # an empty --held-out or --out is not given
+            (raw.setdefault(section, {}) if section else raw)[key] = value
     try:
-        model = ModelConfig.from_dict(model_d) if model_d else ModelConfig()
+        model = ModelConfig.from_dict(raw.get("model", {}))
     except ValueError as e:
         raise UsageError(f"bad model config: {e}") from e
-    cfg = RunConfig(model=model, model_given=bool(model_d))
-    known_train = {"learning_rate", "epochs", "seed", "clip_norm", "save_every", "augment"}
-    unknown = set(train_d) - known_train
-    if unknown:
-        raise UsageError(f"unknown train config keys: {sorted(unknown)}")
-    cfg.lr = _positive_number("learning_rate", train_d.get("learning_rate", cfg.lr))
-    cfg.epochs = train_d.get("epochs", cfg.epochs)
-    cfg.seed = train_d.get("seed", cfg.seed)
-    cfg.clip_norm = _positive_number("clip_norm", train_d.get("clip_norm", cfg.clip_norm))
-    cfg.save_every = train_d.get("save_every", cfg.save_every)
-    cfg.augment = train_d.get("augment", cfg.augment)
-    if not isinstance(cfg.augment, bool):
-        raise UsageError(f"augment must be true or false, got {cfg.augment!r}")
-    known_data = {"scenes", "held_out", "stride", "source_timestep"}
-    unknown = set(data_d) - known_data
-    if unknown:
-        raise UsageError(f"unknown data config keys: {sorted(unknown)}")
-    cfg.scenes = data_d.get("scenes", {})
-    if not isinstance(cfg.scenes, dict) or not all(
-            isinstance(v, str) for v in cfg.scenes.values()):
-        raise UsageError(f"data.scenes must map scene names to file paths, got {cfg.scenes!r}")
-    cfg.held_out = data_d.get("held_out")
-    if cfg.held_out is not None and not isinstance(cfg.held_out, str):
-        raise UsageError(f"data.held_out must be a string, got {cfg.held_out!r}")
-    cfg.stride = data_d.get("stride", cfg.stride)
-    cfg.source_timestep = _positive_number(
-        "source_timestep", data_d.get("source_timestep", cfg.source_timestep))
+    cfg = RunConfig(model=model, model_given=bool(raw.get("model")))
+    for section, key, _, check, what in _SETTINGS:
+        values = raw.get(section, {}) if section else raw
+        if check is None or key not in values:
+            continue
+        value = values[key]
+        if not check(value):
+            raise UsageError(f"{key} must be {what}, got {value!r}")
+        # a JSON integer read into a float field is stored as a float
+        setattr(cfg, key, float(value) if isinstance(getattr(cfg, key), float) else value)
     if cfg.source_timestep / GRID_DT > MAX_TRACK_FRAMES:
         raise UsageError(f"source_timestep {cfg.source_timestep!r} puts consecutive frames "
                          f"more than {MAX_TRACK_FRAMES} grid frames apart")
-    cfg.out_dir = file_cfg.get("out_dir", cfg.out_dir)
-    if not isinstance(cfg.out_dir, str):
-        raise UsageError(f"out_dir must be a string, got {cfg.out_dir!r}")
-    if getattr(args, "epochs", None) is not None:
-        cfg.epochs = args.epochs
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "held_out", None):
-        cfg.held_out = args.held_out
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    for name, value in (("epochs", cfg.epochs), ("seed", cfg.seed),
-                        ("save_every", cfg.save_every), ("stride", cfg.stride)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
-    if cfg.epochs < 1:
-        raise UsageError("epochs must be at least 1")
-    if cfg.stride < 1:
-        raise UsageError("stride must be at least 1")
     return cfg
-
-
-def _positive_number(name: str, value) -> float:
-    """A JSON number that is finite and greater than 0, as a float."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
-        raise UsageError(f"{name} must be a finite number greater than 0, got {value!r}")
-    return float(value)
 
 
 def _load_scene(cfg: RunConfig, name: str, path: str) -> Scene:
@@ -171,11 +162,15 @@ def _load_scene(cfg: RunConfig, name: str, path: str) -> Scene:
     return scene
 
 
-def _load_scenes(cfg: RunConfig) -> dict:
+def _load_scenes(cfg: RunConfig, names=None) -> dict:
+    """The named scenes, by default every scene the config declares."""
     if not cfg.scenes:
         raise UsageError("config declares no data scenes")
+    for name in names or ():
+        if name not in cfg.scenes:
+            raise DataError(f"unknown scene {name!r}; have {sorted(cfg.scenes)}")
     return {name: _load_scene(cfg, name, cfg.scenes[name])
-            for name in sorted(cfg.scenes)}
+            for name in names or sorted(cfg.scenes)}
 
 
 def _split(cfg: RunConfig):
@@ -199,7 +194,7 @@ def cmd_train(args) -> int:
     if not train_ws:
         raise DataError("training split contains no windows")
     params = ModelParams.init(cfg.model, seed=cfg.seed)
-    opt = dc.AdamState(params.tensors(), lr=cfg.lr)
+    opt = dc.AdamState(params.tensors(), lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     lines = ["# epoch\tmean_l2_loss"]
     history = []
@@ -236,9 +231,7 @@ def cmd_eval(args) -> int:
                 f"{args.checkpoint} metadata held_out is not a string: {cfg.held_out!r}")
     if not cfg.held_out:
         raise UsageError("no held-out scene named (use --held-out or data.held_out)")
-    if cfg.held_out not in cfg.scenes:
-        raise DataError(f"unknown scene {cfg.held_out!r}; have {sorted(cfg.scenes)}")
-    scene = _load_scene(cfg, cfg.held_out, cfg.scenes[cfg.held_out])
+    scene = _load_scenes(cfg, [cfg.held_out])[cfg.held_out]
     test_ws = build_windows(scene, cfg.model.obs_len, cfg.model.pred_len, cfg.stride)
     if not test_ws:
         raise DataError(f"scene {cfg.held_out!r} yields no windows")
@@ -272,7 +265,7 @@ def cmd_ablate(args) -> int:
     if not train_ws or not test_ws:
         raise DataError("ablation needs non-empty train and test splits")
     rows = ablate(cfg.model, list(AttentionStrategy), train_ws, test_ws,
-                  epochs=cfg.epochs, seed=cfg.seed, lr=cfg.lr,
+                  epochs=cfg.epochs, seed=cfg.seed, lr=cfg.learning_rate,
                   clip_norm=cfg.clip_norm, augment=cfg.augment)
     payload = [{"strategy": r.strategy, "ade": r.ade, "fde": r.fde,
                 "final_loss": r.final_loss, "param_count": r.param_count}
@@ -296,7 +289,7 @@ def _predict_window(args, cfg: RunConfig, model: ModelConfig) -> TrajectoryWindo
     if args.scene_file:
         scene = _load_scene(cfg, os.path.basename(args.scene_file), args.scene_file)
     elif args.scenario:
-        scene = synth_scenario(args.scenario, _synth_params(args), seed=args.seed or 0)
+        scene = _synth_scene(args)
     else:
         raise UsageError("predict needs --scene-file or --scenario")
     start = args.window_start
@@ -353,15 +346,16 @@ def _traj_row(window, ped, frame, kind, x, y) -> str:
             f"\t{kind}\t{_float_text(x)}\t{_float_text(y)}")
 
 
-def _synth_params(args) -> SynthParams:
-    return SynthParams(speed=args.speed, spacing=args.spacing,
-                       noise=args.noise, frames=args.frames)
+def _synth_scene(args) -> Scene:
+    """The --scenario scene in the shape the synth flags give; seed 0 unless
+    --seed names one."""
+    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
+    return synth_scenario(args.scenario, params, seed=0 if args.seed is None else args.seed)
 
 
 def cmd_synth(args) -> int:
     cfg = build_run_config(args)
-    seed = args.seed if args.seed is not None else 0
-    scene = synth_scenario(args.scenario, _synth_params(args), seed=seed)
+    scene = _synth_scene(args)
     path = os.path.join(cfg.out_dir, f"{scene.name}.txt")
     atomic_write_text(path, scene_to_annotation_text(scene))
     print(f"wrote {path}")
@@ -394,11 +388,15 @@ def _add_common(sub, *flags):
     sub.add_argument("--out", help="output directory")
 
 
+_SYNTH_HELP = {"speed": "walking speed, m/s", "spacing": "inter-pedestrian gap, m",
+               "noise": "gaussian position noise, m", "frames": "frames to generate"}
+
+
 def _add_synth_shape(sub):
-    sub.add_argument("--frames", type=int, default=20, help="frames to generate")
-    sub.add_argument("--speed", type=float, default=1.2, help="walking speed, m/s")
-    sub.add_argument("--spacing", type=float, default=1.0, help="inter-pedestrian gap, m")
-    sub.add_argument("--noise", type=float, default=0.0, help="gaussian position noise, m")
+    """One flag per SynthParams field, defaulting to the field's default."""
+    for f in fields(SynthParams):
+        sub.add_argument(f"--{f.name}", type=type(f.default), default=f.default,
+                         help=_SYNTH_HELP[f.name])
 
 
 def build_parser() -> argparse.ArgumentParser:

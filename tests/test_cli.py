@@ -1,9 +1,12 @@
 """End-to-end command-line tests: every verb, every exit code, and
 byte-determinism of the file outputs."""
 
+import argparse
 import json
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +391,18 @@ def test_flags_a_verb_never_reads_are_usage_errors(argv, rejected, capsys):
     assert rejected in capsys.readouterr().err
 
 
+def test_readme_flag_table_lists_every_flag_the_parser_takes():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {verb: set(re.findall(r"--[a-z][a-z-]*", flags))
+             for verb, flags in re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, re.M)}
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    parsed = {verb: {o for a in sub._actions for o in a.option_strings}
+              - {"--config", "--out", "-h", "--help"}
+              for verb, sub in subs.choices.items()}
+    assert table == parsed
+
+
 def train_args(tmp_path, cfg):
     return build_parser().parse_args(
         ["train", "--config", write_config(tmp_path / "c.json", cfg)])
@@ -436,8 +451,13 @@ def test_non_string_scene_path_is_usage_error(data_dir, tmp_path):
     (lambda c: c["data"].update(held_out=["B"]), "held_out"),
     (lambda c: c.update(out_dir=5), "out_dir"),
     (lambda c: c["model"].update(obs_len=1), "obs_len"),
+    (lambda c: c["train"].update(epochs=True), "epochs"),
+    (lambda c: c["train"].update(seed=-1), "seed"),
+    (lambda c: c["train"].update(save_every=1.5), "save_every"),
+    (lambda c: c["data"].update(stride=0), "stride"),
 ], ids=["model-list-of-pairs", "train-list", "data-string", "list-held-out",
-        "number-out-dir", "one-observed-frame"])
+        "number-out-dir", "one-observed-frame", "boolean-epochs", "negative-seed",
+        "fractional-save-every", "zero-stride"])
 def test_mistyped_config_value_is_usage_error(data_dir, tmp_path, edit, named):
     # before, a list of pairs was read as an object, the other edits raised
     # TypeError or ValueError later, and obs_len 1 was accepted
@@ -445,6 +465,32 @@ def test_mistyped_config_value_is_usage_error(data_dir, tmp_path, edit, named):
     edit(cfg)
     with pytest.raises(UsageError, match=named):
         build_run_config(train_args(tmp_path, cfg))
+
+
+@pytest.mark.parametrize("section,key,bad,flag,given", [
+    ("train", "epochs", "x", "--epochs", 2),
+    ("train", "seed", "x", "--seed", 4),
+    ("data", "held_out", ["B"], "--held-out", "B"),
+    (None, "out_dir", 5, "--out", "d"),
+    ("model", "strategy", "bogus", "--strategy", "sa"),
+], ids=["epochs", "seed", "held-out", "out-dir", "strategy"])
+def test_flag_replaces_the_file_value_before_it_is_checked(
+        data_dir, tmp_path, section, key, bad, flag, given):
+    # before, a flagged epochs or seed replaced a bad file value, but a bad
+    # held_out or out_dir was a usage error even with its flag given
+    cfg = base_config(data_dir, tmp_path / "x")
+    (cfg[section] if section else cfg)[key] = bad
+    argv = ["train", "--config", write_config(tmp_path / "c.json", cfg),
+            flag, str(given)]
+    run = build_run_config(build_parser().parse_args(argv))
+    assert (run.model.strategy.value if section == "model" else getattr(run, key)) == given
+
+
+@pytest.mark.parametrize("flag,value,named", [("--epochs", "0", "epochs"),
+                                              ("--seed", "-1", "seed")])
+def test_flag_value_is_checked_like_a_file_value(flag, value, named):
+    with pytest.raises(UsageError, match=named):
+        build_run_config(build_parser().parse_args(["train", flag, value]))
 
 
 def test_unknown_config_key_is_usage_error(data_dir, tmp_path, capsys):
@@ -458,6 +504,15 @@ def test_unknown_config_key_is_usage_error(data_dir, tmp_path, capsys):
 def test_config_without_scenes_is_usage_error(tmp_path, capsys):
     cfg = {"data": {"held_out": "B"}, "out_dir": str(tmp_path / "x")}
     rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+    assert rc == EXIT_USAGE
+    assert "no data scenes" in capsys.readouterr().err
+
+
+def test_eval_config_without_scenes_is_usage_error(tmp_path, trained, capsys):
+    # before, eval exited 2 with "unknown scene 'B'; have []"
+    cfg = {"data": {"held_out": "B"}, "out_dir": str(tmp_path / "x")}
+    rc = main(["eval", "--config", write_config(tmp_path / "c.json", cfg),
+               "--checkpoint", str(trained / "checkpoint.ckpt")])
     assert rc == EXIT_USAGE
     assert "no data scenes" in capsys.readouterr().err
 
