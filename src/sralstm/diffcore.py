@@ -51,20 +51,20 @@ kept lean accordingly:
     and adds later contributions into those in place. It never writes an
     array a vjp returned: that may be the incoming adjoint itself
     (``add``), a view of it (``concat``) or the root's seed of ones;
-  * a weight's gradient is formed in few products. Every ``W @ x`` with a
-    one-column ``x`` adds the outer product ``g @ x.T`` to ``W``'s
-    adjoint; ``backward`` keeps the factors ``g`` and ``x.T`` instead and,
-    once ``W``'s contributions are all in, forms their sum as
-    ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style RNN kernels do, Appleyard
-    et al. 2016, arXiv:1604.01946), one product per block of
-    ``CONTRACT_BLOCK`` pairs, the blocks added in order. A single product
-    over a long contraction gives bits that depend on the BLAS thread
-    count; a block's product, computed transposed (see ``_contract``),
-    does not, so grads have the same bits at 1 and 2 threads on one
-    machine and BLAS build. A weight used once gets the bits of its single
-    outer product;
-  * ``backward`` replays ``add`` and one-column ``matmul`` nodes, the most
-    common, inline rather than through their vjps;
+  * a weight's gradient is formed in few products, by one rule for every
+    product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint, whatever
+    ``x``'s column count; ``backward`` keeps the factors ``g`` and ``x.T``
+    instead and sums them as ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style
+    RNN kernels do, Appleyard et al. 2016, arXiv:1604.01946), one product
+    each time ``W``'s pending factors reach ``CONTRACT_BLOCK`` columns and
+    one for the rest, each added into ``W``'s adjoint in turn. A single
+    product over a long contraction gives bits that depend on the BLAS
+    thread count; a block's product, computed transposed (see
+    ``_contract``), does not, so grads have the same bits at 1 and 2
+    threads on one machine and BLAS build. A weight used once on one
+    column gets the bits of its single outer product;
+  * ``backward`` replays ``add`` and ``matmul`` nodes, the most common,
+    inline rather than through their vjps;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
     previous state on exit. Nodes form no reference cycles, so a
     collection while recording would only re-walk the growing tape.
@@ -212,37 +212,24 @@ def _shapes_differ(op: str, a: Tensor, b: Tensor):
 # Each primitive records ``(inputs, output, vjp)`` on the open tape, if any,
 # and builds its vjp closure only then.
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` for an inner size of 1, as a broadcast multiply.
+class _MatmulVjp:
+    """The vjp of ``a @ b``, with its factors exposed.
 
-    A K=1 ``@`` sums each product onto +0.0, so a -0.0 product reads +0.0;
-    adding 0.0 does the same, which keeps the result byte-identical.
-    """
-    out = x * y
-    out += 0.0
-    return out
-
-
-class _ColumnMatmulVjp:
-    """The vjp of ``a @ b`` for a one-column ``b``, with its factors exposed.
-
-    Called, it returns both adjoints as arrays, like every vjp. ``backward``
-    instead keeps ``a``'s adjoint, the outer product ``g @ bt``, as the
-    factor pair ``(g, bt)`` and forms ``b``'s adjoint as ``grad_b`` does,
-    inline.
+    ``at`` is ``a.T``, for ``b``'s adjoint ``a.T @ g``; ``bt`` is ``b.T``,
+    for ``a``'s adjoint ``g @ b.T``. Each is None when the other operand is
+    a ``Constant``, which takes no adjoint. Called, it returns the adjoints
+    of the node's inputs as arrays, like every vjp. ``backward`` instead
+    forms ``b``'s inline and keeps ``a``'s as the factor pair ``(g, bt)``.
     """
 
     __slots__ = ("at", "bt")
 
-    def __init__(self, at: np.ndarray, bt: np.ndarray):
+    def __init__(self, at, bt):
         self.at, self.bt = at, bt
 
-    def grad_b(self, g: np.ndarray) -> np.ndarray:
-        at = self.at
-        return _outer(at, g) if at.shape[1] == 1 else at.dot(g)
-
     def __call__(self, g: np.ndarray) -> tuple:
-        return _outer(g, self.bt), self.grad_b(g)
+        grads = () if self.bt is None else (g.dot(self.bt),)
+        return grads if self.at is None else grads + (self.at.dot(g),)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -254,24 +241,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     out = _fresh(av.dot(bv))
     if _active_tape is not None:
-        at, bt = av.T, bv.T
-        a_const, b_const = type(a) is Constant, type(b) is Constant
-        if bt.shape[0] == 1 and not a_const:
-            node = ((a,) if b_const else (a, b), out, _ColumnMatmulVjp(at, bt))
-        else:
-            grad_b = _outer if at.shape[1] == 1 else np.dot   # a.T @ g
-            if b_const:
-                node = ((), out, _no_vjp) if a_const else ((a,), out, lambda g: (g.dot(bt),))
-            elif a_const:
-                node = ((b,), out, lambda g: (grad_b(at, g),))
-            else:
-                node = ((a, b), out, lambda g: (g.dot(bt), grad_b(at, g)))
-        _active_tape.nodes.append(node)
+        at = bt = None
+        inputs = ()
+        if type(a) is not Constant:
+            bt, inputs = bv.T, (a,)
+        if type(b) is not Constant:
+            at, inputs = av.T, inputs + (b,)
+        _active_tape.nodes.append((inputs, out, _MatmulVjp(at, bt)))
     return out
-
-
-def _no_vjp(g):
-    return ()
 
 
 def _add_vjp(g):
@@ -478,31 +455,21 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # reverse pass
 
-# pairs per product in ``_contract``
+# pending factor columns at which ``backward`` contracts a tensor's pairs
 CONTRACT_BLOCK = 256
 
 
 def _contract(gs: list, bts: list) -> np.ndarray:
-    """Sum of the outer products ``gs[k] @ bts[k]``.
+    """Sum of the products ``gs[k] @ bts[k]``, as one product over all k.
 
-    The pairs are contracted in blocks of ``CONTRACT_BLOCK``, one product
-    per block, and the blocks are added in order. One product over all k
-    pairs would give bits that depend on the BLAS thread count once k is
-    large; a block's product does not. Each block is computed transposed,
-    as ``B.T @ G.T``, so the product's columns are the adjoint's rows
-    (the hidden size), not its columns: with an odd column count, such as
-    a folded weight's ``in + 1``, the plain product's bits depended on the
-    thread count. A single pair gives exactly the vjp's own ``_outer``
-    bits.
+    The product is computed transposed, as ``B.T @ G.T``, so its columns
+    are the adjoint's rows (the hidden size), not its columns: with an odd
+    column count, such as a folded weight's ``in + 1``, the plain product's
+    bits depended on the BLAS thread count. A single one-column pair gives
+    exactly the bits of the vjp's own outer product; a wider one may not.
     """
-    if len(gs) == 1:
-        return _outer(gs[0], bts[0])
-    step = CONTRACT_BLOCK
-    out = np.concatenate(bts[:step], axis=0).T.dot(np.concatenate(gs[:step], axis=1).T)
-    for lo in range(step, len(gs), step):
-        out += np.concatenate(bts[lo:lo + step], axis=0).T.dot(
-            np.concatenate(gs[lo:lo + step], axis=1).T)
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(
+        np.concatenate(bts, axis=0).T.dot(np.concatenate(gs, axis=1).T).T)
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -514,46 +481,49 @@ def backward(tape: Tape, root: Tensor) -> None:
     into a new array that this pass owns, and later ones are added into that
     array in place.
 
-    The left operand of a one-column matmul gets no dense contribution: its
-    factor pair ``(g, bt)`` is kept instead, and all of a tensor's pairs are
-    contracted in one product, when its own node is replayed or, for a
-    leaf, once the replay ends.
+    The left operand of a matmul gets no dense contribution: its factor
+    pair ``(g, bt)`` is kept instead. Once a tensor's pending pairs reach
+    ``CONTRACT_BLOCK`` columns, they are contracted in one product into its
+    adjoint; the rest are contracted when its own node is replayed or, for
+    a leaf, once the replay ends.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     # tensors hash by identity, so they key their own adjoints
     adjoint: dict[Tensor, np.ndarray] = {root: np.ones_like(root.values)}
     owned: set[Tensor] = set()
-    factors: dict[Tensor, tuple[list, list]] = {}
+    factors: dict[Tensor, list] = {}   # [pending columns, gs, bts]
     get_adjoint, pop_adjoint, nodes = adjoint.get, adjoint.pop, tape.nodes
     get_factors, pop_factors = factors.get, factors.pop
     while nodes:
         inputs, output, vjp = nodes.pop()
         g = pop_adjoint(output, None)
-        pairs = pop_factors(output, None)
-        if pairs is not None:
-            dense = _contract(*pairs)
+        pending = pop_factors(output, None)
+        if pending is not None:
+            dense = _contract(pending[1], pending[2])
             if g is not None:
                 dense += g
             g = dense
         elif g is None:
             continue
         owned.discard(output)
-        # add and one-column matmul nodes, the most common, replay inline
+        # add and matmul nodes, the most common, replay inline
         if vjp is _add_vjp:
             contributions = ((inputs[0], g), (inputs[1], g))
-        elif type(vjp) is _ColumnMatmulVjp:
-            a = inputs[0]
-            pairs = get_factors(a)
-            if pairs is None:
-                factors[a] = ([g], [vjp.bt])
-            else:
-                pairs[0].append(g)
-                pairs[1].append(vjp.bt)
-            if len(inputs) == 1:
-                continue
-            at = vjp.at
-            contributions = ((inputs[1], _outer(at, g) if at.shape[1] == 1 else at.dot(g)),)
+        elif type(vjp) is _MatmulVjp:
+            at, bt = vjp.at, vjp.bt
+            contributions = () if at is None else ((inputs[-1], at.dot(g)),)
+            if bt is not None:
+                a = inputs[0]
+                pending = get_factors(a)
+                if pending is None:
+                    pending = factors[a] = [0, [], []]
+                pending[0] += g.shape[1]
+                pending[1].append(g)
+                pending[2].append(bt)
+                if pending[0] >= CONTRACT_BLOCK:
+                    del factors[a]
+                    contributions += ((a, _contract(pending[1], pending[2])),)
         else:
             contributions = zip(inputs, vjp(g))
         for t, gi in contributions:
@@ -568,8 +538,8 @@ def backward(tape: Tape, root: Tensor) -> None:
     # each produced tensor's adjoint and factors went with its node, so only
     # leaves are left; contract one leaf's factors at a time
     while factors:
-        t, pairs = factors.popitem()
-        dense = _contract(*pairs)
+        t, (_, gs, bts) = factors.popitem()
+        dense = _contract(gs, bts)
         g = pop_adjoint(t, None)
         if g is not None:
             dense += g

@@ -98,9 +98,9 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow]) -> EvalRe
     steps = 0
     elapsed = 0.0
     for w in windows:
-        if w.n_frames < cfg.window_len:
+        if w.n_frames != cfg.window_len:
             raise DataError(
-                f"window has {w.n_frames} frames; scoring needs {cfg.window_len}")
+                f"window has {w.n_frames} frames; scoring needs exactly {cfg.window_len}")
         t0 = time.perf_counter()
         result = rollout(params, w)
         elapsed += time.perf_counter() - t0

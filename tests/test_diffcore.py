@@ -424,14 +424,16 @@ def test_matmul_products_are_byte_identical_to_matmul_operator(a_shape, b_shape)
             # the adjoint reaching out is g * 1.0, i.e. g's own bits
             dc.backward(tape, dc.sum_all(dc.mul(out, Tensor(g))))
         assert out.values.tobytes() == (av @ bv).tobytes()
-        # backward replays the one-column matmul inline: b gets a.T @ g
-        # from the transposed view, a the outer product g @ b.T
+        # backward replays the matmul inline: b gets a.T @ g from the
+        # transposed view, a the product of its one factor pair, g @ b.T
         assert b.grad.tobytes() == (av.T @ g).tobytes()
         assert a.grad.tobytes() == (g @ bv.T).tobytes()
         with Tape() as tape:
             dc.matmul(a, b)
         (_, _, vjp), = tape.nodes
-        assert vjp.grad_b(g).tobytes() == (av.T @ g).tobytes()
+        ga, gb = vjp(g)
+        assert ga.tobytes() == (g @ bv.T).tobytes()
+        assert gb.tobytes() == (av.T @ g).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 7, 15])
@@ -458,16 +460,33 @@ def test_contract_within_one_block_is_byte_identical_to_one_product(k):
 
 
 def test_contract_adds_its_blocks_in_order():
+    # one weight over uses of mixed widths that span more than two blocks,
+    # so blocks end past CONTRACT_BLOCK columns; each use's adjoint is its
+    # constant c, and backward replays the uses last to first
     rng = np.random.default_rng(3)
-    k = 2 * dc.CONTRACT_BLOCK + 5
-    gs = [rng.normal(size=(64, 1)) for _ in range(k)]
-    bts = [rng.normal(size=(1, 96)) for _ in range(k)]
+    widths = [1, 3, 7, 24] * 16
+    assert sum(widths) > 2 * dc.CONTRACT_BLOCK
+    w = Tensor(rng.normal(size=(64, 97)))
+    xs = [rng.normal(size=(97, k)) for k in widths]
+    cs = [rng.normal(size=(64, k)) for k in widths]
+    with Tape() as tape:
+        loss = None
+        for x, c in zip(xs, cs):
+            term = dc.sum_all(dc.mul(dc.matmul(w, dc.Constant(x)), dc.Constant(c)))
+            loss = term if loss is None else dc.add(loss, term)
+        dc.backward(tape, loss)
+    blocks = [[]]
+    for x, c in zip(reversed(xs), reversed(cs)):
+        if sum(g.shape[1] for g, _ in blocks[-1]) >= dc.CONTRACT_BLOCK:
+            blocks.append([])
+        blocks[-1].append((c, x.T))
+    assert [sum(g.shape[1] for g, _ in block) for block in blocks] == [269, 256, 35]
     want = None
-    for lo in range(0, k, dc.CONTRACT_BLOCK):
-        hi = lo + dc.CONTRACT_BLOCK
-        part = np.concatenate(gs[lo:hi], axis=1) @ np.concatenate(bts[lo:hi], axis=0)
+    for block in blocks:
+        gs, bts = zip(*block)
+        part = (np.concatenate(bts, axis=0).T @ np.concatenate(gs, axis=1).T).T
         want = part if want is None else want + part
-    assert dc._contract(gs, bts).tobytes() == want.tobytes()
+    assert w.grad.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +612,12 @@ def test_constant_zeros_is_a_constant():
     assert type(Tensor.zeros((1, 1))) is Tensor
 
 
-def _weight_tape(uses: int, seed: int = 11):
-    # one weight, each use on its own column; the outputs mix nonlinearly
+def _weight_tape(uses: int, width: int = 1, seed: int = 11):
+    # one weight, each use on its own block of columns; the outputs mix
+    # nonlinearly
     rng = np.random.default_rng(seed)
     w = Tensor(rng.normal(size=(4, 3)))
-    xs = [Tensor(rng.normal(size=(3, 1))) for _ in range(uses)]
+    xs = [Tensor(rng.normal(size=(3, width))) for _ in range(uses)]
     with Tape() as tape:
         loss = dc.sum_all(dc.tanh(dc.matmul(w, xs[0])))
         for x in xs[1:]:
@@ -608,19 +628,20 @@ def _weight_tape(uses: int, seed: int = 11):
 
 @pytest.mark.parametrize("uses", [1, 2, 50])
 def test_weight_grad_over_column_matmuls_matches_reference(uses):
-    tape, loss, w, xs = _weight_tape(uses)
-    reference_backward(tape, loss)
-    expected = [t.grad for t in (w, *xs)]
-    dc.zero_grads([w, *xs, *(out for _, out, _ in tape.nodes)])
-    dc.backward(tape, loss)
-    if uses == 1:
-        # a single outer product keeps the bits of the vjp's own product
-        assert w.grad.tobytes() == expected[0].tobytes()
-    else:
-        # the outer products are summed in one product, in another order
-        assert scaled_err(w.grad, expected[0]) <= 1e-12
-    for x, e in zip(xs, expected[1:]):
-        assert x.grad.tobytes() == e.tobytes()
+    for width in (1, 3):
+        tape, loss, w, xs = _weight_tape(uses, width)
+        reference_backward(tape, loss)
+        expected = [t.grad for t in (w, *xs)]
+        dc.zero_grads([w, *xs, *(out for _, out, _ in tape.nodes)])
+        dc.backward(tape, loss)
+        if uses == 1:
+            # a single narrow factor pair keeps the bits of the vjp's product
+            assert w.grad.tobytes() == expected[0].tobytes(), width
+        else:
+            # the products are summed in one product, in another order
+            assert scaled_err(w.grad, expected[0]) <= 1e-12, width
+        for x, e in zip(xs, expected[1:]):
+            assert x.grad.tobytes() == e.tobytes(), width
 
 
 @pytest.mark.parametrize("matmuls,dense", [(1, 1), (3, 2)])

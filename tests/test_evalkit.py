@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sralstm.evalkit as ek
 import sralstm.model as md
-from sralstm.data import TrajectoryWindow
+from sralstm.data import DataError, TrajectoryWindow
 from sralstm.evalkit import AblationRow, ablate, ade, evaluate, fde
 from sralstm.model import ModelConfig, ModelParams
 
@@ -154,6 +155,21 @@ def test_evaluate_names_scene_and_reports_timing():
 def test_evaluate_rejects_empty_window_set():
     with pytest.raises(ValueError, match="zero windows"):
         evaluate(ModelParams.init(SMALL, seed=0), [])
+
+
+@pytest.mark.parametrize("pred_len", [11, 13])
+def test_evaluate_rejects_a_window_of_another_length_before_its_rollout(
+        monkeypatch, pred_len):
+    # a window one frame short or long of the config's cannot be scored
+    # against its truth; it is refused before any rollout work is spent
+    def no_rollout(params, window):
+        raise AssertionError("rolled out a window that cannot be scored")
+
+    monkeypatch.setattr(ek, "rollout", no_rollout)
+    window = window_from_tracks(constant_velocity_tracks(2, 8 + pred_len, seed=4),
+                                pred_len=pred_len)
+    with pytest.raises(DataError, match=f"window has {8 + pred_len} frames"):
+        evaluate(ModelParams.init(SMALL, seed=0), [window])
 
 
 # ---------------------------------------------------------------------------

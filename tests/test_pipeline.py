@@ -415,47 +415,22 @@ def test_tape_nodes_per_window(strategy, n, nodes):
     assert len(tape) == nodes
 
 
-def test_backward_matches_reference_bitwise_on_a_rollout(monkeypatch):
-    # the in-place accumulation in dc.backward must give the bits of the
-    # plain dict-accumulating pass for every parameter of a full sra step
-    # whose folded weight is never the left operand of a one-column matmul;
-    # the outer products of those that are (the relation LSTM's gates, one
-    # column per pair) are summed in one product instead, so only their
-    # summation order moves
+def test_backward_matches_reference_on_a_rollout():
+    # every parameter of a full sra step is the left operand of a matmul or
+    # folded into one, so backward sums its products' factor pairs in one
+    # product per block where the plain dict-accumulating pass sums one
+    # dense adjoint per use: only the summation order moves
     params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
     window = random_walk_window(3, seed=3)
     named = params.tensors()
-    factored = set()
-    folded_from = {}
-    matmul, concat = dc.matmul, dc.concat
-
-    def spy_matmul(a, b):
-        if b.shape[1] == 1:
-            factored.add(id(a))
-        return matmul(a, b)
-
-    def spy_concat(tensors, axis):
-        out = concat(tensors, axis)
-        for t in tensors:
-            folded_from.setdefault(id(t), set()).add(id(out))
-        return out
-
-    monkeypatch.setattr(dc, "matmul", spy_matmul)
-    monkeypatch.setattr(dc, "concat", spy_concat)
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
     reference_backward(tape, loss)
     expected = {name: t.grad for name, t in named.items()}
     dc.zero_grads(named.values())
     dc.backward(tape, loss)
-    weights = {name for name, t in named.items()
-               if id(t) in factored or folded_from.get(id(t), set()) & factored}
-    assert weights == {f"rel_{kind}{g}" for kind in "wb" for g in "ifgo"}
     for name, t in named.items():
-        if name in weights:
-            assert scaled_err(t.grad, expected[name]) <= 1e-12, name
-        else:
-            assert t.grad.tobytes() == expected[name].tobytes(), name
+        assert scaled_err(t.grad, expected[name]) <= 1e-12, name
 
 
 GRAD_DIGEST = """
@@ -465,22 +440,25 @@ from sralstm.model import ModelConfig, ModelParams
 from sralstm.pipeline import l2_loss, rollout, window_truth_nabs
 from helpers import random_walk_window
 
-params = ModelParams.init(ModelConfig(strategy="sra"), seed=5)
-window = random_walk_window(8, seed=5)
-with dc.Tape() as tape:
-    loss = l2_loss(rollout(params, window), window_truth_nabs(window))
-    dc.backward(tape, loss)
-digest = hashlib.sha256()
-for name, t in params.tensors().items():
-    digest.update(name.encode())
-    digest.update(t.grad.tobytes())
-print(digest.hexdigest())
+for n in (8, 24):
+    params = ModelParams.init(ModelConfig(strategy="sra"), seed=5)
+    window = random_walk_window(n, seed=5)
+    with dc.Tape() as tape:
+        loss = l2_loss(rollout(params, window), window_truth_nabs(window))
+        dc.backward(tape, loss)
+    digest = hashlib.sha256()
+    for name, t in params.tensors().items():
+        digest.update(name.encode())
+        digest.update(t.grad.tobytes())
+    print(digest.hexdigest())
 """
 
 
 def test_grads_do_not_depend_on_the_blas_thread_count():
-    # at n=8 each relation weight sums 19 * 56 = 1,064 outer products, which
-    # one plain product would sum in a thread-dependent order
+    # at n=8 each relation weight sums 19 * 56 = 1,064 one-column products,
+    # which one plain product would sum in a thread-dependent order; at n=24
+    # a motion gate's 24-column uses fill a block only past CONTRACT_BLOCK
+    # columns, so blocks of a fixed number of uses would sum 456 columns
     paths = [os.path.dirname(os.path.dirname(pl.__file__)), os.path.dirname(__file__)]
     digests = []
     for threads in ("1", "2"):
@@ -490,8 +468,8 @@ def test_grads_do_not_depend_on_the_blas_thread_count():
         proc = subprocess.run([sys.executable, "-c", GRAD_DIGEST], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 64
+        digests.append(proc.stdout.split())
+    assert [len(d) for d in digests[0]] == [64, 64]
     assert digests[0] == digests[1]
 
 
