@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
+import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -143,6 +145,14 @@ def build_run_config(args) -> RunConfig:
     if cfg.source_timestep / GRID_DT > MAX_TRACK_FRAMES:
         raise UsageError(f"source_timestep {cfg.source_timestep!r} puts consecutive frames "
                          f"more than {MAX_TRACK_FRAMES} grid frames apart")
+    # before any work, and creating nothing: out_dir's nearest existing
+    # ancestor, itself included, must be a directory it can be made in
+    found = os.path.abspath(cfg.out_dir)
+    while not os.path.lexists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found) or not os.access(found, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot use {cfg.out_dir!r} as the output directory: "
+                         f"{found!r} is not a writable directory")
     return cfg
 
 
@@ -235,12 +245,14 @@ def cmd_eval(args) -> int:
     test_ws = build_windows(scene, cfg.model.obs_len, cfg.model.pred_len, cfg.stride)
     if not test_ws:
         raise DataError(f"scene {cfg.held_out!r} yields no windows")
+    t0 = time.perf_counter()
     report = evaluate(params, test_ws)
+    per_step = (time.perf_counter() - t0) / (len(test_ws) * (cfg.model.window_len - 1))
     _write_reports(cfg.out_dir, [report])
     print(f"{report.scene_name}: ADE {report.ade:.4f} FDE {report.fde:.4f} "
           f"({report.window_count} windows)")
-    print(f"timing: {report.seconds_per_step * 1e3:.3f} ms per recurrence step "
-          f"on {report.hardware or 'unknown hardware'} (not part of the report files)")
+    print(f"timing: {per_step * 1e3:.3f} ms per recurrence step "
+          f"on {platform.machine() or 'unknown hardware'} (not part of the report files)")
     return EXIT_OK
 
 

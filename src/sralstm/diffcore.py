@@ -46,11 +46,11 @@ kept lean accordingly:
   * a primitive builds its vjp closure only while a tape is open, so a
     tape-free forward pass allocates no closures;
   * ``backward`` empties its tape, freeing each node and its output's
-    adjoint as it replays it, and fills the grads of leaves only. It owns
-    only the adjoints it allocates itself (the sum of two contributions)
-    and adds later contributions into those in place. It never writes an
-    array a vjp returned: that may be the incoming adjoint itself
-    (``add``), a view of it (``concat``) or the root's seed of ones;
+    adjoint as it replays it, and fills the grads of leaves only. Every
+    sum of two contributions is a new array, and the only array it writes
+    is a contraction it has just computed. So it never writes an array a
+    vjp returned: that may be the incoming adjoint itself (``add``), a
+    view of it (``concat``) or the root's seed of ones;
   * a weight's gradient is formed in few products, by one rule for every
     product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint, whatever
     ``x``'s column count; ``backward`` keeps the factors ``g`` and ``x.T``
@@ -476,37 +476,38 @@ def backward(tape: Tape, root: Tensor) -> None:
     """Add d(root)/d(leaf) into every leaf's grad slot, emptying the tape.
 
     Leaves are the tensors no node of the tape produced (parameters, inputs,
-    initial states); grads accumulate across tapes until zeroed. A tensor's
-    first contribution is kept as the vjp returned it; the second is summed
-    into a new array that this pass owns, and later ones are added into that
-    array in place.
+    initial states); grads accumulate across tapes until zeroed. Every sum
+    of two contributions to an adjoint is a new array.
 
     The left operand of a matmul gets no dense contribution: its factor
-    pair ``(g, bt)`` is kept instead. Once a tensor's pending pairs reach
-    ``CONTRACT_BLOCK`` columns, they are contracted in one product into its
-    adjoint; the rest are contracted when its own node is replayed or, for
-    a leaf, once the replay ends.
+    pair ``(g, bt)`` is kept instead, and once a tensor's pending pairs
+    reach ``CONTRACT_BLOCK`` columns they are contracted in one product.
+    ``finish`` contracts the rest and adds the tensor's dense adjoint, when
+    its own node is replayed or, for a leaf, once the replay ends.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     # tensors hash by identity, so they key their own adjoints
     adjoint: dict[Tensor, np.ndarray] = {root: np.ones_like(root.values)}
-    owned: set[Tensor] = set()
     factors: dict[Tensor, list] = {}   # [pending columns, gs, bts]
     get_adjoint, pop_adjoint, nodes = adjoint.get, adjoint.pop, tape.nodes
     get_factors, pop_factors = factors.get, factors.pop
+
+    def finish(t: Tensor):
+        """t's whole adjoint, or None if it got no contribution."""
+        g, pending = pop_adjoint(t, None), pop_factors(t, None)
+        if pending is None:
+            return g
+        dense = _contract(pending[1], pending[2])
+        if g is not None:
+            dense += g
+        return dense
+
     while nodes:
         inputs, output, vjp = nodes.pop()
-        g = pop_adjoint(output, None)
-        pending = pop_factors(output, None)
-        if pending is not None:
-            dense = _contract(pending[1], pending[2])
-            if g is not None:
-                dense += g
-            g = dense
-        elif g is None:
+        g = finish(output)
+        if g is None:
             continue
-        owned.discard(output)
         # add and matmul nodes, the most common, replay inline
         if vjp is _add_vjp:
             contributions = ((inputs[0], g), (inputs[1], g))
@@ -528,30 +529,15 @@ def backward(tape: Tape, root: Tensor) -> None:
             contributions = zip(inputs, vjp(g))
         for t, gi in contributions:
             prev = get_adjoint(t)
-            if prev is None:
-                adjoint[t] = gi
-            elif t in owned:
-                prev += gi
-            else:
-                adjoint[t] = prev + gi
-                owned.add(t)
+            adjoint[t] = gi if prev is None else prev + gi
     # each produced tensor's adjoint and factors went with its node, so only
-    # leaves are left; contract one leaf's factors at a time
-    while factors:
-        t, (_, gs, bts) = factors.popitem()
-        dense = _contract(gs, bts)
-        g = pop_adjoint(t, None)
-        if g is not None:
-            dense += g
-        t.grad = dense if t.grad is None else t.grad + dense
-    for t, g in adjoint.items():
-        if type(t) is Constant:
+    # leaves are left; a first grad is a private copy, since the adjoint may
+    # be an array a vjp also handed to another tensor
+    for t in [*factors, *adjoint]:
+        g = finish(t)
+        if g is None or type(t) is Constant:
             continue
-        if t.grad is not None:
-            t.grad = t.grad + g
-        else:
-            # an owned adjoint is referenced by nothing else once the pass ends
-            t.grad = g if t in owned else g.copy()
+        t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -9,8 +9,6 @@ per-pedestrian means across windows.
 
 from __future__ import annotations
 
-import platform
-import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -63,11 +61,9 @@ class EvalReport:
     ade: float
     fde: float
     windows: list = field(default_factory=list)
-    seconds_per_step: float = 0.0   # wall clock; excluded from equality
-    hardware: str = ""
 
     def metrics_equal(self, other: "EvalReport") -> bool:
-        """Equality over everything deterministic (timing excluded)."""
+        """Equality of every field, comparing displacement arrays by value."""
         if (self.scene_name, self.window_count, self.pedestrian_count,
                 self.ade, self.fde) != (other.scene_name, other.window_count,
                                         other.pedestrian_count, other.ade, other.fde):
@@ -86,8 +82,7 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow]) -> EvalRe
     """Free-rollout evaluation over a window set, reported under the first
     window's scene name.
 
-    ADE/FDE pool per-pedestrian means across all windows. Wall clock per
-    recurrence step is measured and reported, never asserted on.
+    ADE/FDE pool per-pedestrian means across all windows.
     """
     if len(windows) == 0:
         raise ValueError("evaluation over zero windows")
@@ -95,16 +90,11 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow]) -> EvalRe
     records = []
     per_ped_means = []
     per_ped_finals = []
-    steps = 0
-    elapsed = 0.0
     for w in windows:
         if w.n_frames != cfg.window_len:
             raise DataError(
                 f"window has {w.n_frames} frames; scoring needs exactly {cfg.window_len}")
-        t0 = time.perf_counter()
         result = rollout(params, w)
-        elapsed += time.perf_counter() - t0
-        steps += cfg.window_len - 1
         truth = w.positions[:, cfg.obs_len:]
         predicted = np.stack([result.predicted_abs[p] for p in w.ped_ids])
         disp = _displacements(predicted, truth)
@@ -119,8 +109,6 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow]) -> EvalRe
         ade=float(np.mean(per_ped_means)),
         fde=float(np.mean(per_ped_finals)),
         windows=records,
-        seconds_per_step=elapsed / steps if steps else 0.0,
-        hardware=platform.processor() or platform.machine(),
     )
 
 

@@ -353,7 +353,10 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
                      e_rel: Optional[Tensor] = None) -> Tensor:
     """Unnormalized attention scores of pedestrian i for k neighbors j, as a
     (1, k) row. Each argument holds one column per neighbor: ``h_i``
-    repeats i's motion state, ``h_j`` holds the neighbors'."""
+    repeats i's motion state, ``h_j`` holds the neighbors'. Every scorer
+    is linear, so its block on ``h_i`` (``w_at`` columns h..2h, ``w_sa``
+    0..h, ``w_ra`` e..e+h) adds the same term to each of i's logits, which
+    the softmax cancels: that block moves no prediction beyond rounding."""
     if strategy is AttentionStrategy.SRA:
         return dc.matmul(params["w_at"], dc.concat([r_ij, h_i, h_j], axis=0))
     if strategy is AttentionStrategy.SA:

@@ -189,7 +189,7 @@ def l2_loss(result: RolloutResult, truth_nabs: Mapping) -> Tensor:
     want = (len(peds), result.predictions.shape[0] // (2 * len(peds)), 2)
     if truth.shape != want:
         raise ValueError(f"loss: truth has shape {truth.shape}, expected {want}")
-    d = dc.sub(result.predictions, Tensor(truth.reshape(-1, 1)))
+    d = dc.sub(result.predictions, Constant(truth.reshape(-1, 1)))
     return dc.scale(dc.sum_all(dc.mul(d, d)), 1.0 / (want[0] * want[1]))
 
 

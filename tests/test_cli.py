@@ -3,6 +3,7 @@ byte-determinism of the file outputs."""
 
 import argparse
 import json
+import platform
 import re
 import struct
 import warnings
@@ -170,6 +171,23 @@ def test_eval_writes_reports(data_dir, tmp_path, trained, capsys):
     stdout = capsys.readouterr().out
     assert "ADE" in stdout
     assert "not part of the report files" in stdout
+
+
+def test_eval_prints_its_timing_on_stdout_only(data_dir, tmp_path, trained, capsys):
+    out = tmp_path / "timed"
+    cfg_path = write_config(tmp_path / "t.json", eval_config(data_dir, out))
+    assert main(["eval", "--config", cfg_path,
+                 "--checkpoint", str(trained / "checkpoint.ckpt")]) == EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("timing:")]
+    (line,) = lines
+    m = re.fullmatch(r"timing: (\d+\.\d{3}) ms per recurrence step on (\S.*) "
+                     r"\(not part of the report files\)", line)
+    assert m, line
+    assert float(m.group(1)) > 0.0
+    assert m.group(2) == (platform.machine() or "unknown hardware")
+    for name in ("report.json", "report.txt"):
+        assert "timing" not in (out / name).read_text()
 
 
 def test_eval_reruns_are_byte_identical(data_dir, tmp_path, trained):
@@ -361,6 +379,43 @@ def test_predict_with_both_inputs_is_a_usage_error(tmp_path, trained, capsys):
     err = capsys.readouterr().err
     assert "error: " in err and "not allowed with" in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# output directory
+
+@pytest.mark.parametrize("verb", ["train", "eval", "ablate", "predict", "synth"])
+def test_out_dir_under_a_regular_file_is_refused_before_any_work(
+        verb, data_dir, tmp_path, trained, capsys):
+    # a path under a regular file, since permission bits do not stop root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    bad = blocker / "sub"
+    cfg = (eval_config if verb == "eval" else base_config)(data_dir, tmp_path / "unused")
+    cfg_path = write_config(tmp_path / "c.json", cfg)
+    ckpt = ["--checkpoint", str(trained / "checkpoint.ckpt")]
+    argv = {"train": ["train", "--config", cfg_path],
+            "eval": ["eval", "--config", cfg_path, *ckpt],
+            "ablate": ["ablate", "--config", cfg_path],
+            "predict": ["predict", *ckpt, "--scenario", "meeting"],
+            "synth": ["synth", "--scenario", "parallel"]}[verb]
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(argv + ["--out", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(bad) in captured.err
+    assert "epoch" not in captured.out
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_out_dir_that_is_a_regular_file_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    rc = main(["synth", "--scenario", "parallel", "--out", str(blocker)])
+    assert rc == EXIT_USAGE
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_text() == "a regular file\n"
 
 
 # ---------------------------------------------------------------------------

@@ -544,8 +544,8 @@ def test_grad_reused_operand_sums_both_paths():
 
 def test_backward_matches_reference_bitwise_on_shared_operands():
     # add(x, x) hands the same adjoint to both slots; s feeds two concats
-    # (their vjps hand out views) and two other ops, so its adjoint is summed
-    # from views and then added into in place
+    # (their vjps hand out views) and two other ops, so its adjoint sums
+    # views and other contributions, each sum a new array
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(3, 1)))
     y = Tensor(rng.normal(size=(2, 1)))

@@ -13,7 +13,10 @@ from sralstm.diffcore import Constant, Tensor
 from sralstm.model import (AttentionStrategy, ModelConfig, ModelParams,
                            SceneState)
 
-from helpers import oracle_affine_relu, oracle_lstm_from_gates, rel_err, scaled_err
+from sralstm.pipeline import rollout
+
+from helpers import (oracle_affine_relu, oracle_lstm_from_gates, random_walk_window,
+                     rel_err, scaled_err)
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
 
@@ -555,6 +558,31 @@ def test_social_context_requires_weights_with_neighbors():
     with pytest.raises(ValueError):
         md.social_context(state, [None, None], neighbor_blocks(state),
                           AttentionStrategy.SRA)
+
+
+def _scorer_blocks(config: ModelConfig):
+    """The scorer weight's name and its columns on i's own motion state and
+    on the neighbors' states."""
+    e, h = config.embed_dim, config.hidden_dim
+    first = {"sa": 0, "ra": e, "sra": h}[config.strategy.value]
+    name = {"sa": "w_sa", "ra": "w_ra", "sra": "w_at"}[config.strategy.value]
+    return name, slice(first, first + h), slice(first + h, first + 2 * h)
+
+
+@pytest.mark.parametrize("strategy", ["sa", "ra", "sra"])
+def test_scorer_own_state_block_is_inert(strategy):
+    # h_i adds the same term to each of i's logits, which the softmax cancels
+    config = ModelConfig(strategy=strategy)
+    name, own, neighbor = _scorer_blocks(config)
+    window = random_walk_window(5, seed=3)
+    base = rollout(ModelParams.init(config, seed=0), window).predictions.values
+    moved = []
+    for block in (own, neighbor):
+        params = ModelParams.init(config, seed=0)
+        params[name].values[:, block] += 0.5
+        moved.append(np.abs(rollout(params, window).predictions.values - base).max())
+    assert moved[0] <= 1e-12
+    assert moved[1] > 1e-6
 
 
 # ---------------------------------------------------------------------------

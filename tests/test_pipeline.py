@@ -391,6 +391,20 @@ def test_loss_gradient_reaches_all_parameters():
         assert np.any(t.grad != 0.0), name
 
 
+def test_loss_truth_is_a_constant_that_takes_no_grad():
+    params = small_params(seed=29)
+    window = cv_window(n_peds=2, seed=15)
+    with dc.Tape() as tape:
+        result = rollout(params, window)
+        loss = l2_loss(result, window_truth_nabs(window))
+        # the loss chain is sub -> mul -> sum_all -> scale
+        prediction, truth = tape.nodes[-4][0]
+        dc.backward(tape, loss)
+    assert prediction is result.predictions
+    assert type(truth) is dc.Constant
+    assert truth.grad is None
+
+
 def test_attention_weight_gets_no_signal_from_a_single_neighbor():
     # with one neighbor the softmax output is the constant 1, so the
     # attention row vector cannot receive gradient from a 2-pedestrian scene
