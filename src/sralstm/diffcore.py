@@ -29,11 +29,9 @@ overflow). The other ops are bounded on finite inputs and skip the check:
 ``concat`` only select input values, and ``masked_softmax`` divides terms
 in [0, 1] by a sum of at least 1.
 
-``sigmoid`` computes ``1 / (1 + exp(-x))`` in one array and enters
-``np.errstate`` (about 2 us a call) only when ``x``'s self dot product is
-at least ``709**2``, or ``x`` is 0-d. Below that bound every entry lies in
-(-709, 709), where ``exp(-x)`` cannot overflow; only an entry below
--709.78 overflows it, to inf, and ``1 / (1 + inf)`` is exactly 0.
+``sigmoid`` clips ``x`` below at -709.78, ln of the largest float64, so
+its ``exp(-x)`` never overflows, and it gives the bits of the plain
+``1 / (1 + exp(-x))`` wherever that ``exp`` does not overflow.
 
 A train step records tens of thousands of nodes on small column vectors,
 so per-node Python overhead, not arithmetic, sets the speed. The tape is
@@ -63,8 +61,8 @@ kept lean accordingly:
     ``_contract``), does not, so grads have the same bits at 1 and 2
     threads on one machine and BLAS build. A weight used once on one
     column gets the bits of its single outer product;
-  * ``backward`` replays ``add`` and ``matmul`` nodes, the most common,
-    inline rather than through their vjps;
+  * ``backward`` replays every node through its vjp, except a matmul,
+    which it replays inline to keep its factor pair;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
     previous state on exit. Nodes form no reference cycles, so a
     collection while recording would only re-walk the growing tape.
@@ -289,25 +287,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-# exp(-x) overflows only for x < -709.78, and every entry of an x whose self
-# dot product is below 709**2 lies inside (-709, 709)
-_SIGMOID_SAFE = 709.0 ** 2
+# ln of the largest float64: exp(-x) of an x clipped here cannot overflow
+_EXP_MAX = 709.782712893384
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    xv = x.values
-    if xv.ndim and np.vdot(xv, xv) < _SIGMOID_SAFE:
-        # 1 / (1 + exp(-x)) in one array (reciprocal is the same division):
-        # no entry is below -709, so no exp overflows
-        s = -xv
-        np.exp(s, s)
-        s += 1.0
-        out = _wrap(np.reciprocal(s, s))
-    else:
-        # numpy computes a 0-d input as a scalar, not in place; and exp may
-        # overflow to inf for very negative inputs, where 1/(1+inf) -> 0 is exact
-        with np.errstate(over="ignore"):
-            out = _wrap(1.0 / (1.0 + np.exp(-xv)))
+    out = _wrap(1.0 / (1.0 + np.exp(-np.maximum(x.values, -_EXP_MAX))))
     if _active_tape is not None:
         s = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * s * (1.0 - s),)))
@@ -508,10 +493,8 @@ def backward(tape: Tape, root: Tensor) -> None:
         g = finish(output)
         if g is None:
             continue
-        # add and matmul nodes, the most common, replay inline
-        if vjp is _add_vjp:
-            contributions = ((inputs[0], g), (inputs[1], g))
-        elif type(vjp) is _MatmulVjp:
+        # a matmul replays inline, keeping its left operand's factor pair
+        if type(vjp) is _MatmulVjp:
             at, bt = vjp.at, vjp.bt
             contributions = () if at is None else ((inputs[-1], at.dot(g)),)
             if bt is not None:

@@ -63,6 +63,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import diffcore as dc
+from .data import MAX_TRACK_FRAMES
 from .diffcore import Constant, Tensor
 
 
@@ -115,6 +116,11 @@ class ModelConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        # no gridded track holds a longer window, so such a model could
+        # never be trained or scored
+        if self.window_len > MAX_TRACK_FRAMES:
+            raise ValueError(f"obs_len + pred_len is {self.window_len}; a window "
+                             f"holds at most {MAX_TRACK_FRAMES} frames")
         count = param_count(self)
         if count > MAX_PARAMS:
             raise ValueError(f"the model would have {count} parameters; "
@@ -370,9 +376,7 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
 
 def attention_weights(logits: Tensor) -> Tensor:
     """Normalize one pedestrian's logits over its neighbors into weights
-    that sum to one."""
-    if logits.size == 0:
-        raise dc.EmptyNeighborSetError("no neighbor logits to normalize")
+    that sum to one. An empty set raises ``dc.EmptyNeighborSetError``."""
     return dc.masked_softmax(logits, np.ones(logits.size, dtype=bool))
 
 

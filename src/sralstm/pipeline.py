@@ -56,7 +56,7 @@ class RolloutResult:
     ped_ids: list
     predicted_abs: dict           # ped -> (pred_len, 2) absolute positions
     attention: Optional[list]     # per step: ped -> (neighbor ids, weights)
-    predictions: Tensor           # (P * pred_len * 2, 1) offsets: ped, step, x/y
+    predictions: Tensor           # (2 * pred_len, P) offsets: column per ped, rows step, x/y
 
 
 def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
@@ -106,16 +106,14 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
 
 def _columns(state: SceneState, by_ped: Mapping) -> Tensor:
     """One (2, n) tensor from a mapping of every pedestrian to a (2, 1)
-    tensor, or to the two coordinates of a constant position."""
+    tensor."""
     cols = []
     for p in state.ped_ids:
         if p not in by_ped:
             raise md.UnknownPedestrianError(p)
         col = by_ped[p]
-        if not isinstance(col, Tensor):
-            col = Constant(np.asarray(col, dtype=np.float64).reshape(-1, 1))
-        if col.shape != (2, 1):
-            raise dc.ShapeMismatchError(f"position of {p!r} must be (2, 1), got {col.shape}")
+        if not isinstance(col, Tensor) or col.shape != (2, 1):
+            raise dc.ShapeMismatchError(f"position of {p!r} must be a (2, 1) tensor, got {col!r}")
         cols.append(col)
     return dc.concat(cols, axis=1)
 
@@ -160,12 +158,11 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
             if t + 2 < cfg.window_len:  # the last prediction feeds no step
                 cur_abs = dc.add(predictions, anchor_columns)
     # (2 * pred_len, n): column k holds pedestrian k's offsets, step by step
-    by_step = dc.concat(steps, axis=0)
-    stacked = dc.concat([dc.matmul(by_step, u) for u in state.unit], axis=0)
-    offsets = stacked.values.reshape(len(peds), cfg.pred_len, 2)
-    predicted_abs = {p: md.nabs_decode(offsets[k], anchors[k]) for k, p in enumerate(peds)}
+    predictions = dc.concat(steps, axis=0)
+    offsets = predictions.values.reshape(cfg.pred_len, 2, len(peds))
+    predicted_abs = {p: md.nabs_decode(offsets[:, :, k], anchors[k]) for k, p in enumerate(peds)}
     return RolloutResult(ped_ids=peds, predicted_abs=predicted_abs,
-                         attention=trace, predictions=stacked)
+                         attention=trace, predictions=predictions)
 
 
 def window_truth_nabs(window: TrajectoryWindow) -> dict:
@@ -186,10 +183,11 @@ def l2_loss(result: RolloutResult, truth_nabs: Mapping) -> Tensor:
     if set(peds) != set(truth_nabs):
         raise ValueError("loss: prediction and truth pedestrian sets differ")
     truth = np.stack([np.asarray(truth_nabs[p], dtype=np.float64) for p in peds])
-    want = (len(peds), result.predictions.shape[0] // (2 * len(peds)), 2)
+    want = (len(peds), result.predictions.shape[0] // 2, 2)
     if truth.shape != want:
         raise ValueError(f"loss: truth has shape {truth.shape}, expected {want}")
-    d = dc.sub(result.predictions, Constant(truth.reshape(-1, 1)))
+    # laid out like the predictions: row 2s + xy, column per pedestrian
+    d = dc.sub(result.predictions, Constant(truth.transpose(1, 2, 0).reshape(-1, len(peds))))
     return dc.scale(dc.sum_all(dc.mul(d, d)), 1.0 / (want[0] * want[1]))
 
 

@@ -3,9 +3,12 @@ byte-determinism of the file outputs."""
 
 import argparse
 import json
+import os
 import platform
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import sralstm.data as data_module
 from sralstm.data import (SCENARIO_KINDS, TrajectoryWindow, build_windows,
                           parse_annotations, regrid, scene_to_annotation_text,
                           synth_scenario)
-from sralstm.model import MAX_PARAMS, AttentionStrategy
+from sralstm.model import MAX_PARAMS, AttentionStrategy, ModelConfig, ModelParams
 from sralstm.pipeline import CHECKPOINT_MAGIC, load_checkpoint, rollout, save_checkpoint
 
 from helpers import edit_checkpoint
@@ -821,6 +824,33 @@ def test_checkpoint_beyond_the_parameter_bound_is_data_error(data_dir, tmp_path,
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert "error: " in err and f"the bound is {MAX_PARAMS}" in err
+
+
+def test_model_window_longer_than_any_track_is_usage_error(data_dir, tmp_path, capsys):
+    cfg = base_config(data_dir, tmp_path / "long")
+    cfg["model"]["pred_len"] = 10**9
+    rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg)])
+    assert rc == EXIT_USAGE
+    assert "obs_len + pred_len" in capsys.readouterr().err
+    assert not (tmp_path / "long").exists()
+
+
+def test_predict_on_a_checkpoint_claiming_a_huge_pred_len_is_data_error(tmp_path):
+    # before, predict rolled out 10**9 steps; a subprocess with a timeout
+    # fails such a run instead of hanging the suite
+    path = tmp_path / "long.ckpt"
+    save_checkpoint(path, ModelParams.init(ModelConfig(embed_dim=4, hidden_dim=4), seed=0))
+    edit_checkpoint(path, lambda h, p: h["config"].update(pred_len=10**9))
+    out = tmp_path / "pred"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(data_module.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sralstm", "predict", "--checkpoint", str(path),
+         "--scenario", "meeting", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_DATA
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (out / "predictions.tsv").exists()
 
 
 # ---------------------------------------------------------------------------

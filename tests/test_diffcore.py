@@ -9,6 +9,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import sralstm.diffcore as dc
 from sralstm.diffcore import Tensor, Tape
@@ -104,30 +106,36 @@ def test_sigmoid_gradient_at_one():
 
 def test_sigmoid_saturates_without_overflow_error():
     out = dc.sigmoid(Tensor([[-800.0, 800.0]]))
-    assert out.values[0, 0] == 0.0
+    assert 0.0 <= out.values[0, 0] <= 1e-308
     assert out.values[0, 1] == 1.0
 
 
-@pytest.mark.parametrize("side", ["below", "at_or_above"])
-def test_sigmoid_is_bitwise_the_plain_formula_on_both_sides_of_its_gate(side):
-    # 10^5 inputs across +-30 in (64, 1) columns; "at_or_above" plants one
-    # large entry per column so the column takes the errstate path
+# exp(-x) of the plain formula overflows below this, ln of the largest float64
+PLAIN_FINITE = -709.782712893384
+
+
+@pytest.mark.parametrize("extremes", [False, True], ids=["moderate", "extreme"])
+def test_sigmoid_is_bitwise_the_plain_formula_where_that_does_not_overflow(extremes):
+    # 10^5 inputs across +-30 in (64, 1) columns; "extreme" plants one large
+    # entry per column, some below the point where exp(-x) overflows, and
+    # there the true value is below 1e-308
     rng = np.random.default_rng(11)
     columns = rng.uniform(-30.0, 30.0, size=(1563, 64, 1))
     columns.reshape(-1)[::97] = 0.0
-    if side == "at_or_above":
+    if extremes:
         columns[:, 0, 0] = rng.choice([-709.0, 709.0, -720.0, 800.0, -1e308], size=1563)
     for x in columns:
-        assert (np.vdot(x, x) >= dc._SIGMOID_SAFE) == (side == "at_or_above")
         with np.errstate(over="ignore"):
             want = 1.0 / (1.0 + np.exp(-x))
-        assert dc.sigmoid(Tensor(x)).values.tobytes() == want.tobytes()
+        got = dc.sigmoid(Tensor(x)).values
+        plain = x >= PLAIN_FINITE
+        assert got[plain].tobytes() == want[plain].tobytes()
+        assert np.all((0.0 <= got[~plain]) & (got[~plain] <= 1e-308))
 
 
-@pytest.mark.parametrize("v", [2.0, -800.0])
+@pytest.mark.parametrize("v", [2.0, -700.0])
 def test_sigmoid_of_a_0d_tensor_is_the_plain_formula(v):
-    with np.errstate(over="ignore"):
-        want = 1.0 / (1.0 + np.exp(-v))
+    want = 1.0 / (1.0 + np.exp(-v))
     out = dc.sigmoid(Tensor(v))
     assert out.shape == () and float(out.values) == want
 
@@ -136,11 +144,15 @@ def test_sigmoid_never_warns_on_extreme_inputs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for v in (800.0, -800.0, 1e308, -1e308):
-            out = dc.sigmoid(Tensor([[v]])).values[0, 0]
-            assert out == (1.0 if v > 0 else 0.0)
-        out = dc.sigmoid(Tensor([[-800.0], [800.0], [-1e308], [1e308]])).values
-    assert out.ravel().tolist() == [0.0, 1.0, 0.0, 1.0]
-    assert dc.sigmoid(Tensor([[-800.0]])).values.tobytes() == np.zeros((1, 1)).tobytes()
+            for x in ([[v]], v):   # a column and a 0-d tensor
+                out = float(dc.sigmoid(Tensor(x)).values.reshape(()))
+                if v > 0:
+                    assert out == 1.0
+                else:
+                    assert 0.0 <= out <= 1e-308
+        out = dc.sigmoid(Tensor([[-800.0], [800.0], [-1e308], [1e308]])).values.ravel()
+    assert out[1::2].tolist() == [1.0, 1.0]
+    assert np.all((0.0 <= out[::2]) & (out[::2] <= 1e-308))
 
 
 @pytest.mark.parametrize("op", ["sigmoid", "tanh", "relu", "exp"])
@@ -708,6 +720,126 @@ def test_backward_grads_never_share_memory():
     a.grad *= 10.0
     assert b.grad.tolist() == [[1.0], [1.0]]
     assert s.grad is None and c.grad is None and root.grad is None
+
+
+# ---------------------------------------------------------------------------
+# random op graphs: backward against the reference pass and finite differences
+
+GRAPH_ROWS, GRAPH_INPUT_COLS = 2, 3
+UNARY = {"sigmoid": dc.sigmoid, "tanh": dc.tanh, "relu": dc.relu,
+         "exp": lambda x: dc.exp(dc.tanh(x)), "scale": lambda x: dc.scale(x, -1.5)}
+BINARY = {"add": dc.add, "sub": dc.sub, "mul": dc.mul}
+GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend")
+GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                          suppress_health_check=[HealthCheck.filter_too_much])
+
+# a seed, the width of every intermediate (the right-hand columns of most
+# matmuls), and ops that each read one or two earlier results by index
+graph_specs = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 300),
+    st.lists(st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 15), st.integers(0, 15)),
+             min_size=1, max_size=8))
+
+
+class OpGraph:
+    """Leaves, constants and a builder for one random op graph.
+
+    Every intermediate is (GRAPH_ROWS, width). The leaf weight ``w`` is used
+    at least twice, ``v`` multiplies a concat along rows (with a constant
+    row of ones, as a folded bias), ``x`` enters through a product with a
+    constant, and ``y`` and ``z`` directly, so one op may hand both the same
+    adjoint. Each op's operands may be one tensor.
+    """
+
+    def __init__(self, seed, width):
+        rng = np.random.default_rng(seed)
+        r, k = GRAPH_ROWS, GRAPH_INPUT_COLS
+        self.leaves = {"w": Tensor(rng.uniform(-1.0, 1.0, (r, r))),
+                       "v": Tensor(rng.uniform(-1.0, 1.0, (r, 2 * r + 1))),
+                       "x": Tensor(rng.uniform(-1.0, 1.0, (r, k))),
+                       "y": Tensor(rng.uniform(-1.0, 1.0, (r, width))),
+                       "z": Tensor(rng.uniform(-1.0, 1.0, (r, width)))}
+        self.widen = dc.Constant(rng.normal(size=(k, width)))
+        self.rows = dc.Constant(rng.normal(size=(r, r)))
+        self.mix = dc.Constant(rng.normal(size=(width, width)) / math.sqrt(width))
+        self.merge = dc.Constant(rng.normal(size=(2 * width, width)) / math.sqrt(2 * width))
+        self.score = dc.Constant(rng.normal(size=(1, r)))
+        self.ones = dc.Constant(np.ones((1, width)))
+        self.target = dc.Constant(rng.normal(size=(r, width)) / (r * width))
+        self.mask = rng.random(width) < 0.7
+        self.mask[0] = True
+
+    def forward(self, ops):
+        """The scalar root. Every tensor made on the way goes to ``built``,
+        and the values each relu reads to ``relu_inputs``."""
+        w, v, x, y, z = (self.leaves[name] for name in "wvxyz")
+        widened = dc.matmul(x, self.widen)
+        pool = [widened, y, z, dc.matmul(w, widened)]
+        self.relu_inputs = []
+        for op, i, j in ops:
+            a, b = pool[i % len(pool)], pool[j % len(pool)]
+            if op == "relu":
+                self.relu_inputs.append(a.values)
+            if op in UNARY:
+                out = UNARY[op](a)
+            elif op in BINARY:
+                out = BINARY[op](a, b)
+            elif op == "weight":
+                out = dc.matmul(w, a)
+            elif op == "rows":
+                out = dc.matmul(self.rows, a)
+            elif op == "mix":
+                out = dc.matmul(a, self.mix)
+            elif op == "stack":
+                out = dc.matmul(v, dc.concat([a, b, self.ones], axis=0))
+            elif op == "join":
+                out = dc.matmul(dc.concat([a, b], axis=1), self.merge)
+            else:
+                weights = dc.masked_softmax(dc.matmul(self.score, a), self.mask)
+                out = dc.matmul(dc.weighted_sum(weights, b), self.ones)
+            pool.append(out)
+        self.built = pool
+        return dc.sum_all(dc.mul(dc.matmul(w, pool[-1]), self.target))
+
+
+@GRAPH_SETTINGS
+@given(graph_specs)
+@example((7, 300, [("weight", 3, 0), ("mix", 4, 4), ("add", 1, 2), ("join", 5, 6),
+                   ("stack", 7, 3), ("relu", 8, 0), ("attend", 9, 5)]))
+def test_backward_on_random_op_graphs(spec):
+    seed, width, ops = spec
+    graph = OpGraph(seed, width)
+    try:
+        with Tape() as tape:
+            root = graph.forward(ops)
+    except dc.NonFiniteError:
+        assume(False)
+    # finite differences step 1e-6; a relu input that close to its kink
+    # would make them meaningless
+    assume(all(np.abs(a).min() > 1e-4 for a in graph.relu_inputs))
+    assume(max(float(np.abs(t.values).max()) for t in graph.built) < 1e3)
+    leaves = graph.leaves.values()
+    reference_backward(tape, root)
+    want = {name: t.grad for name, t in graph.leaves.items()}
+    dc.zero_grads(leaves)
+    dc.backward(tape, root)
+    for name, t in graph.leaves.items():
+        if want[name] is None:
+            assert t.grad is None, name
+            continue
+        if np.any(want[name]):
+            assert scaled_err(t.grad, want[name]) <= 1e-12, name
+        else:
+            assert np.array_equal(t.grad, want[name]), name
+        # wide leaves are checked on their first columns
+        cols = t.values[:, :4]
+        fd = fd_grad(lambda: graph.forward(ops).item(), cols, h=1e-6)
+        assert rel_err(t.grad[:, :4], fd) <= 1e-4, name
+    values = [t.values for t in (*graph.built, *leaves, *vars(graph).values())
+              if isinstance(t, Tensor)]
+    grads = [t.grad for t in leaves if t.grad is not None]
+    for k, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in values + grads[k + 1:])
 
 
 def test_scale_gradient():

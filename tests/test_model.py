@@ -9,6 +9,7 @@ import pytest
 
 import sralstm.diffcore as dc
 import sralstm.model as md
+from sralstm.data import MAX_TRACK_FRAMES
 from sralstm.diffcore import Constant, Tensor
 from sralstm.model import (AttentionStrategy, ModelConfig, ModelParams,
                            SceneState)
@@ -122,6 +123,15 @@ def test_config_beyond_the_parameter_bound_is_rejected():
     for hidden_dim in (largest + 1, 1_000_000):
         with pytest.raises(ValueError, match=f"bound is {md.MAX_PARAMS}"):
             ModelConfig(hidden_dim=hidden_dim)
+
+
+def test_config_window_longer_than_any_track_is_rejected():
+    # before, a checkpoint that claimed pred_len 10**9 loaded, and predict
+    # rolled out 10**9 steps
+    assert ModelConfig(pred_len=MAX_TRACK_FRAMES - 8).window_len == MAX_TRACK_FRAMES
+    for pred_len in (MAX_TRACK_FRAMES - 7, 10**9):
+        with pytest.raises(ValueError, match=f"at most {MAX_TRACK_FRAMES} frames"):
+            ModelConfig(pred_len=pred_len)
 
 
 def test_param_count_strategy_deltas():

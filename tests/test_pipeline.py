@@ -46,7 +46,7 @@ def test_rollout_shapes_and_anchor():
     window = cv_window(n_peds=3, seed=1)
     result = rollout(params, window)
     assert result.ped_ids == [1, 2, 3]
-    assert result.predictions.shape == (3 * 12 * 2, 1)
+    assert result.predictions.shape == (12 * 2, 3)
     offsets = _offsets(result)
     for k, p in enumerate(result.ped_ids):
         assert result.predicted_abs[p].shape == (12, 2)
@@ -66,8 +66,8 @@ def test_rollout_decodes_offsets_exactly():
 
 
 def _offsets(result):
-    """The stacked prediction column as (P, pred_len, 2) offsets."""
-    return result.predictions.values.reshape(len(result.ped_ids), -1, 2)
+    """The (2 * pred_len, P) predictions as (P, pred_len, 2) offsets."""
+    return result.predictions.values.reshape(-1, 2, len(result.ped_ids)).transpose(2, 0, 1)
 
 
 def test_rollout_rejects_wrong_observation_length():
@@ -193,7 +193,7 @@ def test_rollout_grads_match_finite_differences(strategy, n):
         assert rel_err(float(np.sum(grad * direction)), fd) <= 1e-6, name
 
 
-def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
+def test_predictions_hold_a_column_per_sorted_pedestrian_and_rows_by_step():
     params = small_params(seed=11)
     base = cv_window(n_peds=3, seed=8)
     perm = [2, 0, 1]
@@ -201,9 +201,10 @@ def test_predictions_stack_offsets_by_sorted_pedestrian_then_step():
                      positions=base.positions[perm])
     _, offsets = _scripted_rollout_abs(params, window)
     result = rollout(params, window)
-    want = np.concatenate([offsets[p] for p in sorted(window.ped_ids)])
-    assert result.predictions.shape == (3 * 12 * 2, 1)
-    assert result.predictions.values.tobytes() == want.reshape(-1, 1).tobytes()
+    # row 2 s + xy of column k is pedestrian k's offset at prediction step s
+    want = np.stack([offsets[p] for p in sorted(window.ped_ids)], axis=-1)
+    assert result.predictions.shape == (12 * 2, 3)
+    assert result.predictions.values.tobytes() == want.reshape(-1, 3).tobytes()
 
 
 def _scripted_rollout_abs(params, window):
@@ -305,21 +306,23 @@ def test_scene_step_requires_positions_for_present_peds():
 
 
 def test_scene_step_answers_in_the_form_it_was_asked():
-    # columns in, columns out; a dict of per-pedestrian positions (tensors
-    # or coordinate pairs) in, a dict of (2, 1) predictions out, same bits
+    # columns in, columns out; a dict of per-pedestrian (2, 1) tensors in,
+    # a dict of (2, 1) predictions out, same bits
     params = small_params(seed=4)
     rng = np.random.default_rng(4)
     nabs, pos = rng.normal(size=(2, 3)), rng.uniform(-3.0, 3.0, size=(2, 3))
     by_columns, _ = scene_step(params, SceneState.initial([5, 6, 7], 8),
                                Tensor(nabs), Tensor(pos))
-    as_tensors = {p: Tensor(nabs[:, k:k + 1]) for k, p in enumerate((5, 6, 7))}
-    as_pairs = {p: tuple(pos[:, k]) for k, p in enumerate((5, 6, 7))}
-    by_ped, _ = scene_step(params, SceneState.initial([7, 5, 6], 8), as_tensors, as_pairs)
+    nabs_by_ped, pos_by_ped = ({p: Tensor(x[:, k:k + 1]) for k, p in enumerate((5, 6, 7))}
+                               for x in (nabs, pos))
+    by_ped, _ = scene_step(params, SceneState.initial([7, 5, 6], 8), nabs_by_ped, pos_by_ped)
     assert by_columns.shape == (2, 3)
     for k, p in enumerate((5, 6, 7)):
         assert by_ped[p].values.tobytes() == by_columns.values[:, k:k + 1].tobytes()
-    with pytest.raises(dc.ShapeMismatchError):
-        scene_step(params, SceneState.initial([1], 8), {1: (0.0, 1.0, 2.0)}, {1: (0.0, 0.0)})
+    zero = {1: Tensor(np.zeros((2, 1)))}
+    for bad in (Tensor(np.zeros((3, 1))), (0.0, 0.0)):
+        with pytest.raises(dc.ShapeMismatchError):
+            scene_step(params, SceneState.initial([1], 8), {1: bad}, zero)
 
 
 
@@ -353,7 +356,7 @@ def test_loss_one_for_unit_offset_in_x():
     params = small_params(seed=23)
     result = rollout(params, cv_window(seed=13))
     truth = dict(zip(result.ped_ids, _offsets(result) + np.array([1.0, 0.0])))
-    assert abs(l2_loss(result, truth).item() - 1.0) < 1e-12
+    assert abs(l2_loss(result, truth).item() - 1.0) <= 1e-15
 
 
 def test_loss_matches_mean_of_squares_oracle():
@@ -366,7 +369,7 @@ def test_loss_matches_mean_of_squares_oracle():
     for p, offsets in zip(result.ped_ids, _offsets(result)):
         diff = offsets - truth[p]
         per_step.extend(np.sum(diff * diff, axis=1).tolist())
-    assert rel_err(got, float(np.mean(per_step))) < 1e-12
+    assert rel_err(got, float(np.mean(per_step))) <= 1e-15
 
 
 def test_loss_rejects_mismatched_pedestrians_and_shapes():
@@ -417,11 +420,14 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 2, 1398), ("sra", 4, 4668), ("sra", 8, 18048), ("none", 2, 386)],
-    ids=["sra-2", "sra-4", "sra-8", "none-2"])
+    ("sra", 1, 383), ("sra", 2, 1395), ("sra", 4, 4663), ("sra", 8, 18039),
+    ("none", 1, 383), ("none", 2, 383), ("none", 8, 383), ("none", 16, 383)],
+    ids=["sra-1", "sra-2", "sra-4", "sra-8", "none-1", "none-2", "none-8", "none-16"])
 def test_tape_nodes_per_window(strategy, n, nodes):
     # the recorded work of one train step on the default model; this may
-    # tighten as the recurrence records fewer nodes, and must never loosen
+    # tighten as the recurrence records fewer nodes, and must never loosen.
+    # Without attention the scene is batched whole, so the count does not
+    # depend on n, and a lone pedestrian under sra records exactly that
     params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
     window = random_walk_window(n, seed=n)
     with dc.Tape() as tape:
@@ -756,6 +762,15 @@ def test_checkpoint_with_one_observed_frame_is_corrupt(tmp_path):
     save_checkpoint(path, small_params(seed=61))
     edit_checkpoint(path, lambda h, p: h["config"].update(obs_len=1))
     with pytest.raises(CheckpointCorruptError, match="obs_len"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_a_window_longer_than_any_track_is_corrupt(tmp_path):
+    # pred_len shapes no parameter, so only the config's bound stops it
+    path = tmp_path / "long.ckpt"
+    save_checkpoint(path, ModelParams.init(ModelConfig(embed_dim=4, hidden_dim=4), seed=0))
+    edit_checkpoint(path, lambda h, p: h["config"].update(pred_len=10**9))
+    with pytest.raises(CheckpointCorruptError, match="obs_len \\+ pred_len"):
         load_checkpoint(path)
 
 
