@@ -31,8 +31,8 @@ from .data import (DataError, GRID_DT, MAX_TRACK_FRAMES, SCENARIO_KINDS, Scene,
 from .evalkit import ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
 from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError,
-                       ParamMismatchError, atomic_write_text, load_checkpoint, rollout,
-                       save_checkpoint, train_epoch)
+                       ParamMismatchError, atomic_write_text, load_checkpoint, open_regular,
+                       rollout, save_checkpoint, train_epoch)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,7 +95,7 @@ _SETTINGS = [
 
 def _read_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_regular(path, "r", encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file {path}: {e}") from e
@@ -158,7 +158,7 @@ def build_run_config(args) -> RunConfig:
 
 def _load_scene(cfg: RunConfig, name: str, path: str) -> Scene:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_regular(path, "r", encoding="utf-8") as f:
             rows = parse_annotations(f)
     except DataError as e:
         raise DataError(f"scene {name!r} ({path}): {e}") from e

@@ -12,6 +12,7 @@ interpolation per pedestrian before windows are built.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -119,13 +120,12 @@ class TrajectoryWindow:
 def parse_annotations(source) -> list:
     """Parse annotation text (a string, open file, or line iterable).
 
-    Raises AnnotationError with a 1-based line number for malformed lines
-    and for duplicate (frame, pedestrian) observations.
+    A string splits into lines as a text-mode file does, at ``\n``,
+    ``\r\n`` and ``\r`` only, so it parses as the same text read from
+    a file. Raises AnnotationError with a 1-based line number for
+    malformed lines and for duplicate (frame, pedestrian) observations.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     rows: list[RawAnnotation] = []
     seen = set()
     for lineno, raw in enumerate(lines, start=1):

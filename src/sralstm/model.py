@@ -21,24 +21,24 @@ scores and social contexts read the previous step's motion states; the
 motion updates and offset predictions run last. ``pipeline.scene_step``
 drives that sequence; the functions here are the individual pieces.
 
-Column layout. The n pedestrians of a window are the columns of every
-per-pedestrian matrix, in the canonical order of ``SceneState``: positions
-and offsets are (2, n) and the motion state is (hidden, n), so the position
-embedding, the motion LSTM and the output head each run once per step for
-the whole scene. The work of pedestrian i over its n-1 neighbors is one
-block of n-1 columns, neighbors in canonical order: embedded displacements
-(e, n-1), relation states, repeated own and neighbor motion states (hidden,
-n-1), attention logits and weights (1, n-1). Columns move by products with
-constant one-hot matrices, which are exact, since each output entry has
-one nonzero term (two for a displacement):
+Column layout. Inside a step a pedestrian is its column k in every
+per-pedestrian matrix, in the canonical order of ``SceneState``; ids
+appear only at the edges. Positions and offsets are (2, n) and the motion
+state is (hidden, n), so the position embedding, the motion LSTM and the
+output head each run once per step for the whole scene. The work of
+pedestrian k over its n-1 neighbors is one block of n-1 columns, its m-th
+neighbor in column m: embedded displacements (e, n-1), relation states
+(``state.r[k][m]``, one (hidden, 1) state each), repeated own and neighbor
+motion states (hidden, n-1), attention logits and weights (1, n-1).
+Columns move by products with constant one-hot matrices, which are exact,
+since each output entry has one nonzero term (two for a displacement):
 
   * ``H @ others[k]`` gathers the neighbors' columns of k, ``H @ own[k]``
     repeats column k, and ``P @ spread[k]``, with ``spread[k] = others[k]
     - own[k]``, is exactly ``p_j - p_k`` for every neighbor j;
-  * ``E @ pick[m]`` takes column m of a neighbor block, and ``X @ unit[k]``
-    column k of a scene matrix. A one-column product keeps its left
-    operand's gradient as factor pairs (see ``diffcore``), so the adjoint of
-    a block is one exact scatter product.
+  * ``E @ pick[m]`` takes column m of a neighbor block. A one-column
+    product keeps its left operand's gradient as factor pairs (see
+    ``diffcore``), so the adjoint of a block is one exact scatter product.
 
 Every affine map is one product with its bias folded in, ``[W | b] @ [x;
 1]``: ``SceneState.fold`` concatenates each weight with its bias once per
@@ -73,7 +73,8 @@ MAX_PARAMS = 2**24
 
 
 class UnknownPedestrianError(KeyError):
-    """A pedestrian or pair id is not tracked by the scene state."""
+    """The dict form of ``pipeline.scene_step`` lacks a pedestrian of the
+    roster; inside a step a pedestrian is a column and cannot be unknown."""
 
 
 class AttentionStrategy(Enum):
@@ -219,12 +220,12 @@ class SceneState:
     window's constants.
 
     The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
-    ``ped_ids[k]``; the relationship encoder keeps one (hidden, 1) state
-    per ordered pair in ``r``/``cr``. The roster is fixed: a window holds
-    only pedestrians tracked through its whole span, so every state exists
-    from the first step. ``ped_ids`` is sorted once here, and every column
-    and every loop follows that canonical order, so listing the pedestrians
-    in another order cannot change a result bit.
+    ``ped_ids[k]``; ``r[k][m]``/``cr[k][m]`` is the (hidden, 1) relation
+    state of column k toward its m-th neighbor. The roster is fixed: a
+    window holds only pedestrians tracked through its whole span, so every
+    state exists from the first step. ``ped_ids`` is sorted once here, and
+    every column and every loop follows that canonical order, so listing
+    the pedestrians in another order cannot change a result bit.
 
     The constants are the one-hot matrices of the module docstring, built
     here, and the folded weights, built by ``fold`` on first use.
@@ -234,14 +235,12 @@ class SceneState:
     hidden_dim: int
     h: Tensor
     c: Tensor
-    r: dict
-    cr: dict
-    index: dict           # ped -> its column
+    r: list               # per column k: its n-1 relation states, by neighbor
+    cr: list
     others: list          # per column k: (n, n-1), column m picks neighbor m
     own: list             # per column k: (n, n-1), every column picks column k
     spread: list          # per column k: others[k] - own[k]
     pick: list            # (n-1, 1) one-hot columns, picking column m of a block
-    unit: list            # (n, 1) one-hot columns, picking column k
     ones: Tensor          # (1, n)
     ones_neighbors: Tensor  # (1, n-1)
     one: Tensor           # (1, 1)
@@ -258,31 +257,17 @@ class SceneState:
         eye = np.eye(n)
         others = [np.delete(eye, k, axis=1) for k in range(n)]
         own = [np.repeat(eye[:, k:k + 1], n_neighbors, axis=1) for k in range(n)]
-        pairs = [(i, j) for i in ids for j in ids if j != i]
         zeros = Constant.zeros
         return cls(
             ped_ids=ids, hidden_dim=hidden_dim,
             h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
-            r={p: zeros((hidden_dim, 1)) for p in pairs},
-            cr={p: zeros((hidden_dim, 1)) for p in pairs},
-            index={p: k for k, p in enumerate(ids)},
+            r=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
+            cr=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
             others=[Constant(m) for m in others], own=[Constant(m) for m in own],
             spread=[Constant(a - b) for a, b in zip(others, own)],
             pick=[Constant(col) for col in np.eye(n_neighbors)[:, :, None]],
-            unit=[Constant(col) for col in eye[:, :, None]],
             ones=Constant(np.ones((1, n))), ones_neighbors=Constant(np.ones((1, n_neighbors))),
             one=Constant(np.ones((1, 1))))
-
-    def column(self, ped) -> int:
-        """The column of ped in every per-pedestrian matrix."""
-        if ped not in self.index:
-            raise UnknownPedestrianError(ped)
-        return self.index[ped]
-
-    def neighbors(self, ped) -> list:
-        """Every pedestrian other than ped, in canonical order."""
-        self.column(ped)
-        return [j for j in self.ped_ids if j != ped]
 
     def fold(self, params: ModelParams, name: str):
         """params' weight of the affine map ``name`` ("re", "rae", "e" or
@@ -313,17 +298,16 @@ def _check_columns(x: Tensor, state: SceneState, what: str) -> None:
                                     f"got {x.shape}")
 
 
-def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, ped,
+def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k: int,
                    name: str = "re") -> Tensor:
-    """Embed the displacements from pedestrian ped to each of its neighbors
-    with the tensor pair ``w_<name>``/``b_<name>``: ``"re"`` feeds the
-    relationship encoder, ``"rae"`` the RA scorer. positions is (2, n); the
-    result is (e, n-1), neighbors in canonical order.
+    """Embed the displacements from the pedestrian of column k to each of
+    its neighbors with the tensor pair ``w_<name>``/``b_<name>``: ``"re"``
+    feeds the relationship encoder, ``"rae"`` the RA scorer. positions is
+    (2, n); the result is (e, n-1), neighbors in canonical order.
 
-    ``positions @ spread`` is exactly ``p_j - p_i``, so translating the
+    ``positions @ spread`` is exactly ``p_j - p_k``, so translating the
     whole scene leaves the result unchanged, bit for bit.
     """
-    k = state.column(ped)
     _check_columns(positions, state, "positions")
     disp = dc.matmul(positions, state.spread[k])
     return dc.relu(dc.matmul(state.fold(params, name),
@@ -343,14 +327,13 @@ def _lstm_step(gates, inputs, h: Tensor, c: Tensor, ones: Tensor):
     return dc.mul(o, dc.tanh(c)), c
 
 
-def relation_step(params: ModelParams, state: SceneState, pair, e_ij: Tensor):
-    """Advance the relationship encoder for one ordered pair on its (e, 1)
-    embedded displacement; returns (r, cr)."""
-    if pair not in state.r:
-        raise UnknownPedestrianError(pair)
-    r, cr = _lstm_step(state.fold(params, "rel"), [e_ij], state.r[pair], state.cr[pair],
+def relation_step(params: ModelParams, state: SceneState, k: int, m: int, e_ij: Tensor):
+    """Advance the relationship encoder of the pedestrian of column k
+    toward its m-th neighbor on their (e, 1) embedded displacement;
+    returns (r, cr)."""
+    r, cr = _lstm_step(state.fold(params, "rel"), [e_ij], state.r[k][m], state.cr[k][m],
                        state.one)
-    state.r[pair], state.cr[pair] = r, cr
+    state.r[k][m], state.cr[k][m] = r, cr
     return r, cr
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 import sys
 import tempfile
@@ -77,30 +78,32 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     if by_ped:
         nabs, abs_pos = _columns(state, nabs), _columns(state, abs_pos)
     strategy = params.config.strategy
+    n = len(state.ped_ids)
     attention = {} if record_attention else None
     weights, neighbors = [], []
-    if strategy is not AttentionStrategy.NONE and len(state.ped_ids) > 1:
-        for k, i in enumerate(state.ped_ids):
-            neigh = state.neighbors(i)
+    if strategy is not AttentionStrategy.NONE and n > 1:
+        for k in range(n):
             h_i = dc.matmul(state.h, state.own[k])
             h_j = dc.matmul(state.h, state.others[k])
             r_ij = e_rel = None
             if strategy is AttentionStrategy.SRA:
-                e = md.embed_relative(params, state, abs_pos, i)
-                r_ij = dc.concat([md.relation_step(params, state, (i, j), dc.matmul(e, pick))[0]
-                                  for j, pick in zip(neigh, state.pick)], axis=1)
+                e = md.embed_relative(params, state, abs_pos, k)
+                r_ij = dc.concat([md.relation_step(params, state, k, m, dc.matmul(e, pick))[0]
+                                  for m, pick in enumerate(state.pick)], axis=1)
             elif strategy is AttentionStrategy.RA:
-                e_rel = md.embed_relative(params, state, abs_pos, i, "rae")
+                e_rel = md.embed_relative(params, state, abs_pos, k, "rae")
             w = md.attention_weights(md.attention_logits(params, strategy, r_ij, h_i, h_j, e_rel))
             if record_attention:
-                attention[i] = (neigh, w.values.reshape(-1).copy())
+                i = state.ped_ids[k]
+                attention[i] = ([j for j in state.ped_ids if j != i], w.values.reshape(-1).copy())
             weights.append(w)
             neighbors.append(h_j)
     context = md.social_context(state, weights, neighbors, strategy)
     md.motion_step(params, state, md.embed_position(params, state, nabs), context)
     predictions = md.predict_offset(params, state)
     if by_ped:
-        predictions = {p: dc.matmul(predictions, u) for p, u in zip(state.ped_ids, state.unit)}
+        predictions = {p: dc.matmul(predictions, Constant(col))
+                       for p, col in zip(state.ped_ids, np.eye(n)[:, :, None])}
     return predictions, attention
 
 
@@ -305,6 +308,19 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def open_regular(path, mode: str = "rb", **kwargs):
+    """Open path for reading in mode if it is a regular file, else raise an
+    OSError naming it: a FIFO could block the read, a device never end."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"not a regular file: {str(path)!r}")
+        return os.fdopen(fd, mode, **kwargs)
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -340,7 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file fully before returning; a bad file raises a
     typed error and mutates nothing."""
     try:
-        with open(path, "rb") as f:
+        with open_regular(path) as f:
             blob = f.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e

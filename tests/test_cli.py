@@ -842,15 +842,67 @@ def test_predict_on_a_checkpoint_claiming_a_huge_pred_len_is_data_error(tmp_path
     save_checkpoint(path, ModelParams.init(ModelConfig(embed_dim=4, hidden_dim=4), seed=0))
     edit_checkpoint(path, lambda h, p: h["config"].update(pred_len=10**9))
     out = tmp_path / "pred"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(data_module.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sralstm", "predict", "--checkpoint", str(path),
-         "--scenario", "meeting", "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    proc = run_in_subprocess(["predict", "--checkpoint", str(path), "--scenario", "meeting",
+                              "--out", str(out)])
     assert proc.returncode == EXIT_DATA
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not (out / "predictions.tsv").exists()
+
+
+def run_in_subprocess(argv):
+    """The CLI on argv in a child process, killed after 60 s, so a run that
+    would not end fails the test instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(data_module.__file__)))
+    return subprocess.run([sys.executable, "-m", "sralstm", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+
+
+def input_argv(data_dir, tmp_path, reader, path, out):
+    """The argv that makes one of the three readers open path, and the exit
+    code a path that is not a regular file gives."""
+    if reader == "checkpoint":
+        return ["predict", "--checkpoint", path, "--scenario", "meeting",
+                "--out", str(out)], EXIT_DATA
+    if reader == "config":
+        return ["train", "--config", path], EXIT_USAGE
+    cfg = base_config(data_dir, out)
+    cfg["data"]["scenes"]["A"] = path
+    return ["train", "--config", write_config(tmp_path / "c.json", cfg)], EXIT_DATA
+
+
+READERS = ["checkpoint", "config", "scene"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("reader", READERS)
+def test_a_fifo_given_as_input_is_refused_without_blocking(data_dir, tmp_path, reader):
+    # before, opening a FIFO that no process writes blocked for good
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "out"
+    argv, code = input_argv(data_dir, tmp_path, reader, str(fifo), out)
+    proc = run_in_subprocess(argv)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not a regular file" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("reader", READERS)
+def test_a_device_given_as_input_is_refused(data_dir, tmp_path, reader, capsys):
+    # a device such as /dev/zero could be read without end; /dev/null
+    # stands in for it, since it ends at once if the check is missing
+    out = tmp_path / "out"
+    argv, code = input_argv(data_dir, tmp_path, reader, "/dev/null", out)
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not a regular file" in lines[0] and "/dev/null" in lines[0]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,32 @@ def test_parse_accepts_open_file(tmp_path):
         assert len(parse_annotations(f)) == 2
 
 
+def _parsed(source):
+    """The rows parse_annotations gives, or the text of its error."""
+    try:
+        return parse_annotations(source)
+    except AnnotationError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0 1 0.0 0.0\x0c1 1 0.5 0.5\n", "line 1: expected 4 fields, got 8"),
+    ("0 1 0.0 0.0\x851 1 0.5 0.5\n", "line 1: expected 4 fields, got 8"),
+    ("0 1 0.0 0.0\u20281 1 0.5 0.5\n", "line 1: expected 4 fields, got 8"),
+    ("0 1 0.0 0.0\r\n1 1 0.5 0.5\r\n", 2),
+    ("0 1 0.0 0.0\r1 1 0.5 0.5\r2 1 1.0 1.0", 3),
+], ids=["form-feed", "next-line", "line-separator", "crlf", "cr"])
+def test_parse_splits_a_string_into_lines_as_a_file_does(tmp_path, text, want):
+    # before, str.splitlines() also broke the string at \x0c, \x85 and
+    # \u2028, so the string gave rows where the file gave an error
+    path = tmp_path / "a.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as f:
+        from_file = _parsed(f)
+    assert _parsed(text) == from_file
+    assert (from_file if isinstance(want, str) else len(from_file)) == want
+
+
 def test_parse_bad_number_reports_line():
     with pytest.raises(AnnotationError, match="line 1"):
         parse_annotations("1 7 abc 0")

@@ -195,7 +195,7 @@ def test_tensor_directory_order_is_stable():
 def test_embed_relative_zero_displacement_is_relu_of_bias():
     params = ModelParams.init(SMALL, seed=3)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    out = md.embed_relative(params, state, columns((1.0, 2.0), (1.0, 2.0)), 1)
+    out = md.embed_relative(params, state, columns((1.0, 2.0), (1.0, 2.0)), 0)
     expected = np.maximum(params["b_re"].values, 0.0)
     assert np.array_equal(out.values, expected)
 
@@ -205,9 +205,9 @@ def test_embed_relative_translation_invariant_bitwise():
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
     a = columns((0.5, -1.0), (2.0, 3.0), (-4.25, 0.5))
     b = columns((10.5, -5.0), (12.0, -1.0), (5.75, -3.5))
-    for ped in (1, 2, 3):
-        assert np.array_equal(md.embed_relative(params, state, a, ped).values,
-                              md.embed_relative(params, state, b, ped).values)
+    for k in range(3):
+        assert np.array_equal(md.embed_relative(params, state, a, k).values,
+                              md.embed_relative(params, state, b, k).values)
 
 
 def test_embed_relative_matches_scripted_oracle():
@@ -216,10 +216,10 @@ def test_embed_relative_matches_scripted_oracle():
     state = SceneState.initial([3, 1, 2], hidden_dim=8)
     points = {1: (0.0, 0.0), 2: (1.0, 2.0), 3: (-0.5, 4.0)}
     pos = columns(*(points[p] for p in (1, 2, 3)))
-    for ped in (1, 2, 3):
-        out = md.embed_relative(params, state, pos, ped)
+    for k, ped in enumerate((1, 2, 3)):
+        out = md.embed_relative(params, state, pos, k)
         assert out.shape == (6, 2)
-        for m, j in enumerate(state.neighbors(ped)):
+        for m, j in enumerate(j for j in (1, 2, 3) if j != ped):
             disp = (np.array(points[j]) - np.array(points[ped])).reshape(2, 1)
             oracle = oracle_affine_relu(params["w_re"].values, disp, params["b_re"].values)
             assert rel_err(out.values[:, m:m + 1], oracle) < 1e-12
@@ -243,9 +243,9 @@ def test_ra_embedding_requires_ra_params():
     pos = columns((0.0, 0.0), (1.0, 2.0))
     sra = ModelParams.init(SMALL, seed=1)
     with pytest.raises(KeyError, match="w_rae"):
-        md.embed_relative(sra, state, pos, 1, "rae")
+        md.embed_relative(sra, state, pos, 0, "rae")
     ra = ModelParams.init(small_config("ra"), seed=1)
-    out = md.embed_relative(ra, state, pos, 1, "rae")
+    out = md.embed_relative(ra, state, pos, 0, "rae")
     oracle = oracle_affine_relu(ra["w_rae"].values,
                                 np.array([[1.0], [2.0]]), ra["b_rae"].values)
     assert rel_err(out.values, oracle) < 1e-12
@@ -260,9 +260,9 @@ def test_position_validation():
         md.embed_position(params, state, Tensor(np.zeros((2, 2))))
     pair = SceneState.initial([1, 2], hidden_dim=8)
     with pytest.raises(dc.ShapeMismatchError):
-        md.embed_relative(params, pair, Tensor(np.zeros((3, 2))), 1)
-    with pytest.raises(md.UnknownPedestrianError):
-        md.embed_relative(params, pair, Tensor(np.zeros((2, 2))), 3)
+        md.embed_relative(params, pair, Tensor(np.zeros((3, 2))), 0)
+    with pytest.raises(dc.ShapeMismatchError):
+        md.embed_relative(params, pair, Tensor(np.zeros((2, 1))), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +276,15 @@ def test_scene_state_rejects_duplicate_ids():
 def test_scene_state_zero_start_and_canonical_roster():
     state = SceneState.initial([3, 1, 2], hidden_dim=4)
     assert state.ped_ids == [1, 2, 3]
-    assert [state.column(p) for p in (1, 2, 3)] == [0, 1, 2]
     for t in (state.h, state.c):
         assert np.array_equal(t.values, np.zeros((4, 3)))
-    pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
-    assert sorted(state.r) == sorted(state.cr) == pairs
-    for t in [*state.r.values(), *state.cr.values()]:
+    # one zero state per ordered pair, n-1 per column, each its own tensor
+    assert [len(b) for b in state.r] == [len(b) for b in state.cr] == [2, 2, 2]
+    pair_states = [t for block in state.r + state.cr for t in block]
+    assert len({id(t) for t in pair_states}) == 12
+    for t in pair_states:
         assert np.array_equal(t.values, np.zeros((4, 1)))
-    assert state.neighbors(1) == [2, 3]
-    assert state.neighbors(3) == [1, 2]
+    assert SceneState.initial([4], 4).r == [[]]
 
 
 def _awkward_values(rng, shape):
@@ -309,8 +309,6 @@ def test_one_hot_products_select_exact_bytes(n):
         assert gathered.tobytes() == np.ascontiguousarray(h[:, picked]).tobytes()
         repeated = dc.matmul(Tensor(h), state.own[k]).values
         assert repeated.tobytes() == np.ascontiguousarray(h[:, [k] * (n - 1)]).tobytes()
-        column = dc.matmul(Tensor(h), state.unit[k]).values
-        assert column.tobytes() == np.ascontiguousarray(h[:, k:k + 1]).tobytes()
     for m, pick in enumerate(state.pick):
         column = dc.matmul(Tensor(block), pick).values
         assert column.tobytes() == np.ascontiguousarray(block[:, m:m + 1]).tobytes()
@@ -330,27 +328,18 @@ def test_displacement_product_is_the_exact_difference(n):
 
 def test_scene_state_constants_take_no_gradient():
     state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
-    constants = [*state.others, *state.own, *state.spread, *state.pick, *state.unit,
+    constants = [*state.others, *state.own, *state.spread, *state.pick,
                  state.ones, state.ones_neighbors, state.one, state.h, state.c,
-                 *state.r.values(), *state.cr.values()]
+                 *(t for block in state.r + state.cr for t in block)]
     assert all(type(t) is Constant for t in constants)
 
 
-def test_scene_state_unknown_ped_errors():
-    state = SceneState.initial([1, 2], hidden_dim=4)
-    with pytest.raises(md.UnknownPedestrianError):
-        state.neighbors(99)
-    with pytest.raises(md.UnknownPedestrianError):
-        state.column(99)
-    assert (1, 99) not in state.r
-    assert (1, 1) not in state.r
-
-
 def test_pair_store_keeps_directions_distinct():
+    # r[0][0] is 1 toward 2, r[1][0] is 2 toward 1
     state = SceneState.initial([1, 2], hidden_dim=4)
-    assert state.r[(1, 2)] is not state.r[(2, 1)]
-    state.r[(1, 2)] = Tensor(np.ones((4, 1)))
-    assert np.array_equal(state.r[(2, 1)].values, np.zeros((4, 1)))
+    assert state.r[0][0] is not state.r[1][0]
+    state.r[0][0] = Tensor(np.ones((4, 1)))
+    assert np.array_equal(state.r[1][0].values, np.zeros((4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +348,7 @@ def test_pair_store_keeps_directions_distinct():
 def test_relation_step_zero_weights_yields_zero_state():
     params = zeroed_params(SMALL)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    r, cr = md.relation_step(params, state, (1, 2), Tensor(np.ones((6, 1))))
+    r, cr = md.relation_step(params, state, 0, 0, Tensor(np.ones((6, 1))))
     assert np.array_equal(r.values, np.zeros((8, 1)))
     assert np.array_equal(cr.values, np.zeros((8, 1)))
 
@@ -368,8 +357,9 @@ def test_relation_step_shares_weights_across_pairs():
     params = ModelParams.init(SMALL, seed=8)
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
     e = Tensor(np.linspace(0.0, 1.0, 6).reshape(6, 1))
-    r_a, _ = md.relation_step(params, state, (1, 2), e)
-    r_b, _ = md.relation_step(params, state, (3, 1), Tensor(e.values.copy()))
+    # column 0 toward its neighbor 0 is 1 toward 2, column 2 toward 0 is 3 toward 1
+    r_a, _ = md.relation_step(params, state, 0, 0, e)
+    r_b, _ = md.relation_step(params, state, 2, 0, Tensor(e.values.copy()))
     assert np.array_equal(r_a.values, r_b.values)
 
 
@@ -377,24 +367,18 @@ def test_relation_step_matches_lstm_oracle():
     params = ModelParams.init(SMALL, seed=8)
     rng = np.random.default_rng(21)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    state.r[(1, 2)] = Tensor(rng.normal(size=(8, 1)))
-    state.cr[(1, 2)] = Tensor(rng.normal(size=(8, 1)))
+    state.r[1][0] = Tensor(rng.normal(size=(8, 1)))
+    state.cr[1][0] = Tensor(rng.normal(size=(8, 1)))
+    other = state.r[0][0]
     x = rng.normal(size=(6, 1))
     want_h, want_c = oracle_lstm_from_gates(
-        params, "rel", x, state.r[(1, 2)].values, state.cr[(1, 2)].values)
-    r, cr = md.relation_step(params, state, (1, 2), Tensor(x))
+        params, "rel", x, state.r[1][0].values, state.cr[1][0].values)
+    r, cr = md.relation_step(params, state, 1, 0, Tensor(x))
     assert rel_err(r.values, want_h) < 1e-12
     assert rel_err(cr.values, want_c) < 1e-12
-    # state advanced in place
-    assert state.r[(1, 2)] is r
-
-
-def test_relation_step_unknown_pair():
-    params = ModelParams.init(SMALL, seed=8)
-    state = SceneState.initial([1, 2], hidden_dim=8)
-    for pair in ((1, 3), (1, 1)):
-        with pytest.raises(md.UnknownPedestrianError):
-            md.relation_step(params, state, pair, Tensor(np.zeros((6, 1))))
+    # state advanced in place, the other direction untouched
+    assert state.r[1][0] is r and state.cr[1][0] is cr
+    assert state.r[0][0] is other
 
 
 def test_motion_step_matches_lstm_oracle_and_mutates():
@@ -487,7 +471,7 @@ def test_ra_logit_needs_embedding_and_matches_oracle():
     with pytest.raises(ValueError):
         md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    e_rel = md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0)), 1, "rae")
+    e_rel = md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0)), 0, "rae")
     out = md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j, e_rel)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
     assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sralstm.diffcore as dc
 import sralstm.model as md
@@ -224,14 +226,14 @@ def _scripted_rollout_abs(params, window):
     cur_abs, cur_nabs = Tensor(observed(0)), Tensor(observed(0) - anchors)
     collected = []
     for t in range(cfg.window_len - 1):
-        for i in peds:
-            e = md.embed_relative(params, state, cur_abs, i)
-            for j, pick in zip(state.neighbors(i), state.pick):
-                md.relation_step(params, state, (i, j), dc.matmul(e, pick))
+        for k in range(len(peds)):
+            e = md.embed_relative(params, state, cur_abs, k)
+            for m, pick in enumerate(state.pick):
+                md.relation_step(params, state, k, m, dc.matmul(e, pick))
         weights, blocks = [], []
         if cfg.strategy is not AttentionStrategy.NONE and len(peds) > 1:
-            for k, i in enumerate(peds):
-                r = dc.concat([state.r[(i, j)] for j in state.neighbors(i)], axis=1)
+            for k in range(len(peds)):
+                r = dc.concat(state.r[k], axis=1)
                 h_i = dc.matmul(state.h, state.own[k])
                 h_j = dc.matmul(state.h, state.others[k])
                 weights.append(md.attention_weights(
@@ -303,27 +305,47 @@ def test_scene_step_requires_positions_for_present_peds():
     pos = {1: Tensor(np.zeros((2, 1)))}
     with pytest.raises(md.UnknownPedestrianError):
         scene_step(params, state, pos, pos)
-
-
-def test_scene_step_answers_in_the_form_it_was_asked():
-    # columns in, columns out; a dict of per-pedestrian (2, 1) tensors in,
-    # a dict of (2, 1) predictions out, same bits
-    params = small_params(seed=4)
-    rng = np.random.default_rng(4)
-    nabs, pos = rng.normal(size=(2, 3)), rng.uniform(-3.0, 3.0, size=(2, 3))
-    by_columns, _ = scene_step(params, SceneState.initial([5, 6, 7], 8),
-                               Tensor(nabs), Tensor(pos))
-    nabs_by_ped, pos_by_ped = ({p: Tensor(x[:, k:k + 1]) for k, p in enumerate((5, 6, 7))}
-                               for x in (nabs, pos))
-    by_ped, _ = scene_step(params, SceneState.initial([7, 5, 6], 8), nabs_by_ped, pos_by_ped)
-    assert by_columns.shape == (2, 3)
-    for k, p in enumerate((5, 6, 7)):
-        assert by_ped[p].values.tobytes() == by_columns.values[:, k:k + 1].tobytes()
     zero = {1: Tensor(np.zeros((2, 1)))}
     for bad in (Tensor(np.zeros((3, 1))), (0.0, 0.0)):
         with pytest.raises(dc.ShapeMismatchError):
             scene_step(params, SceneState.initial([1], 8), {1: bad}, zero)
 
+
+@st.composite
+def scene_inputs(draw):
+    """1-6 distinct pedestrian ids in drawn order, and per id an anchored
+    offset and a position, each a pair of coordinates."""
+    ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6, unique=True))
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    return ids, {p: draw(st.lists(coord, min_size=4, max_size=4)) for p in ids}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.sampled_from([s.value for s in AttentionStrategy]), scene_inputs())
+def test_scene_step_answers_in_the_form_it_was_asked(strategy, scene):
+    # columns in, columns out; a dict of per-pedestrian (2, 1) tensors in,
+    # a dict of (2, 1) predictions out, with the same bits and attention
+    ids, points = scene
+    order = sorted(ids)
+    params = small_params(seed=4, strategy=strategy)
+    nabs, pos = (np.array([points[p][a:a + 2] for p in order]).T for a in (0, 2))
+    by_columns, seen_by_columns = scene_step(params, SceneState.initial(ids, 8),
+                                             Tensor(nabs), Tensor(pos), record_attention=True)
+    nabs_by_ped, pos_by_ped = ({p: Tensor(x[:, [order.index(p)]]) for p in ids}
+                               for x in (nabs, pos))
+    by_ped, seen_by_ped = scene_step(params, SceneState.initial(ids, 8), nabs_by_ped,
+                                     pos_by_ped, record_attention=True)
+    assert by_columns.shape == (2, len(ids))
+    assert sorted(by_ped) == order
+    for k, p in enumerate(order):
+        assert by_ped[p].shape == (2, 1)
+        assert by_ped[p].values.tobytes() == by_columns.values[:, k:k + 1].tobytes()
+    scored = order if strategy != "none" and len(ids) > 1 else []
+    assert sorted(seen_by_ped) == sorted(seen_by_columns) == scored
+    for p in scored:
+        (neighbors, weights), (neighbors_c, weights_c) = seen_by_ped[p], seen_by_columns[p]
+        assert neighbors == neighbors_c == [j for j in order if j != p]
+        assert weights.tobytes() == weights_c.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +885,18 @@ def test_checkpoint_metrics_survive_round_trip(tmp_path):
     save_checkpoint(path, params)
     after = evaluate(load_checkpoint(path).to_params(), windows)
     assert before.metrics_equal(after)
+
+
+def test_open_regular_reads_only_regular_files(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_bytes("é\n".encode("utf-8"))
+    with pl.open_regular(path) as f:
+        assert f.read() == "é\n".encode("utf-8")
+    with pl.open_regular(path, "r", encoding="utf-8") as f:
+        assert f.read() == "é\n"
+    for other in (tmp_path, os.devnull):
+        with pytest.raises(OSError, match=f"not a regular file: '{re.escape(str(other))}'"):
+            pl.open_regular(other)
 
 
 def test_atomic_write_replaces_not_appends(tmp_path):
