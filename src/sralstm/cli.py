@@ -32,7 +32,7 @@ from .evalkit import ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
 from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError,
                        ParamMismatchError, atomic_write_text, load_checkpoint, open_regular,
-                       rollout, save_checkpoint, train_epoch)
+                       rollout, save_checkpoint, train_epoch, unique_keys)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,9 +100,10 @@ def _read_config_file(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file {path}: {e}") from e
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: arrays or objects nested too deeply to decode
+        obj = json.loads(text, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:
+        # ValueError: bad JSON or a repeated key; RecursionError: arrays or
+        # objects nested too deeply to decode
         raise UsageError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -322,34 +323,30 @@ def cmd_predict(args) -> int:
     params = load_checkpoint(args.checkpoint).to_params()
     window = _predict_window(args, cfg, params.config)
     emit = set(args.emit or ["trajectories"])
-    has_truth = window.n_frames == params.config.window_len
     result = rollout(params, window, record_attention="attention" in emit)
     obs = params.config.obs_len
-    lines = ["# scene\twindow_start\tped_id\tframe\tkind\tx\ty"]
-    for k, p in enumerate(window.ped_ids):
-        track = window.track(p)
-        for t in range(obs):
-            x, y = track[t]
-            lines.append(_traj_row(window, p, window.start_frame + t, "obs", x, y))
-        if has_truth:
-            for t in range(obs, window.n_frames):
-                x, y = track[t]
-                lines.append(_traj_row(window, p, window.start_frame + t, "truth", x, y))
-        for i, (x, y) in enumerate(result.predicted_abs[p]):
-            lines.append(_traj_row(window, p, window.start_frame + obs + i, "pred", x, y))
-    atomic_write_text(os.path.join(cfg.out_dir, "predictions.tsv"),
-                      "\n".join(lines) + "\n")
-    print(f"wrote {os.path.join(cfg.out_dir, 'predictions.tsv')}")
+    tables = {}
+    if "trajectories" in emit:
+        rows = tables["predictions.tsv"] = ["# scene\twindow_start\tped_id\tframe\tkind\tx\ty"]
+        for p in window.ped_ids:
+            # a window holds either obs frames or obs + pred_len with truth
+            for t, (x, y) in enumerate(window.track(p)):
+                rows.append(_traj_row(window, p, window.start_frame + t,
+                                      "obs" if t < obs else "truth", x, y))
+            for i, (x, y) in enumerate(result.predicted_abs[p]):
+                rows.append(_traj_row(window, p, window.start_frame + obs + i, "pred", x, y))
     if "attention" in emit:
-        att = ["# scene\twindow_start\tstep\tped_id\tneighbor_id\tweight"]
+        rows = tables["attention.tsv"] = [
+            "# scene\twindow_start\tstep\tped_id\tneighbor_id\tweight"]
         for step, per_ped in enumerate(result.attention or []):
             for p, (neighbors, weights) in sorted(per_ped.items()):
                 for j, wgt in zip(neighbors, weights):
-                    att.append(f"{window.scene_name}\t{window.start_frame}\t{step}"
-                               f"\t{p}\t{j}\t{_float_text(wgt)}")
-        atomic_write_text(os.path.join(cfg.out_dir, "attention.tsv"),
-                          "\n".join(att) + "\n")
-        print(f"wrote {os.path.join(cfg.out_dir, 'attention.tsv')}")
+                    rows.append(f"{window.scene_name}\t{window.start_frame}\t{step}"
+                                f"\t{p}\t{j}\t{_float_text(wgt)}")
+    for name, rows in tables.items():
+        path = os.path.join(cfg.out_dir, name)
+        atomic_write_text(path, "\n".join(rows) + "\n")
+        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ interpolation per pedestrian before windows are built.
 
 from __future__ import annotations
 
+import decimal
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -117,6 +118,24 @@ class TrajectoryWindow:
         return self.positions[self.index_of(ped)]
 
 
+def _id(token: str) -> int:
+    """A frame or pedestrian id token as an int. Besides integers this reads
+    floats of integral value up to 2**53 in magnitude, such as "780.0", as
+    ETH/UCY text files commonly write their ids; anything else is a
+    ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        d = decimal.Decimal(token)
+    except decimal.InvalidOperation:
+        raise ValueError(token) from None
+    if not (d.is_finite() and -2 ** 53 <= d <= 2 ** 53 and d == d.to_integral_value()):
+        raise ValueError(token)
+    return int(d)
+
+
 def parse_annotations(source) -> list:
     """Parse annotation text (a string, open file, or line iterable).
 
@@ -136,8 +155,8 @@ def parse_annotations(source) -> list:
         if len(parts) != 4:
             raise AnnotationError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            frame = int(parts[0])
-            ped = int(parts[1])
+            frame = _id(parts[0])
+            ped = _id(parts[1])
         except ValueError:
             raise AnnotationError(
                 f"line {lineno}: frame_id and ped_id must be integers"

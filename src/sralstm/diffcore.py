@@ -196,10 +196,6 @@ class Tape:
         return len(self.nodes)
 
 
-def _not_2d(op: str, t: Tensor):
-    raise ShapeMismatchError(f"{op} needs 2-D operands, got shape {t.shape}")
-
-
 def _shapes_differ(op: str, a: Tensor, b: Tensor):
     raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
@@ -233,9 +229,6 @@ class _MatmulVjp:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        for t in (a, b):
-            if t.values.ndim != 2:
-                _not_2d("matmul", t)
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     out = _fresh(av.dot(bv))
     if _active_tape is not None:
@@ -326,11 +319,12 @@ def exp(x: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     vals = [t.values for t in tensors]
     try:
-        arr = np.concatenate(vals, axis=axis) if axis in (0, 1) else None
-    except ValueError:
-        arr = None
-    if arr is None or arr.ndim != 2:
-        _concat_error(tensors, axis)
+        arr = np.concatenate(vals, axis=axis)
+        if arr.ndim != 2 or axis not in (0, 1):
+            raise ValueError(f"got shape {arr.shape}; needs 2-D operands and axis 0 or 1")
+    except ValueError as err:
+        raise ShapeMismatchError(
+            f"concat on axis {axis} cannot join shapes {[t.shape for t in tensors]}") from err
     out = _wrap(arr)
     if _active_tape is not None:
         # the vjp hands out views of the incoming adjoint, one per input
@@ -346,25 +340,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         _active_tape.nodes.append(
             (tuple(inputs), out, lambda g: tuple([g[p] for p in pieces])))
     return out
-
-
-def _concat_error(tensors: Sequence[Tensor], axis: int):
-    """Raise the ShapeMismatchError that says why concat cannot join tensors."""
-    if not tensors:
-        raise ShapeMismatchError("concat of zero tensors")
-    if tensors[0].values.ndim != 2:
-        _not_2d("concat", tensors[0])
-    if axis not in (0, 1):
-        raise ShapeMismatchError(f"concat: axis {axis} out of range for 2-D tensors")
-    ext = tensors[0].shape[1 - axis]
-    for t in tensors[1:]:
-        if t.values.ndim != 2:
-            _not_2d("concat", t)
-        if t.shape[1 - axis] != ext:
-            raise ShapeMismatchError(
-                f"concat: shapes {tensors[0].shape} and {t.shape} disagree off-axis"
-            )
-    raise ShapeMismatchError(f"concat cannot join shapes {[t.shape for t in tensors]}")
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
@@ -404,7 +379,7 @@ def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
     """Sum of matrix columns scaled by per-column weights: columns @ weights."""
     cv = columns.values
     if cv.ndim != 2:
-        _not_2d("weighted_sum", columns)
+        raise ShapeMismatchError(f"weighted_sum needs 2-D columns, got shape {columns.shape}")
     w = weights.values.reshape(-1)
     if weights.values.ndim > 2:
         raise ShapeMismatchError(f"weighted_sum: weights shape {weights.shape} is not a vector")

@@ -291,13 +291,6 @@ class SceneState:
 # single-step operations
 
 
-def _check_columns(x: Tensor, state: SceneState, what: str) -> None:
-    want = (2, len(state.ped_ids))
-    if x.shape != want:
-        raise dc.ShapeMismatchError(f"{what} must be {want}, one column per pedestrian, "
-                                    f"got {x.shape}")
-
-
 def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k: int,
                    name: str = "re") -> Tensor:
     """Embed the displacements from the pedestrian of column k to each of
@@ -308,7 +301,6 @@ def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k:
     ``positions @ spread`` is exactly ``p_j - p_k``, so translating the
     whole scene leaves the result unchanged, bit for bit.
     """
-    _check_columns(positions, state, "positions")
     disp = dc.matmul(positions, state.spread[k])
     return dc.relu(dc.matmul(state.fold(params, name),
                              dc.concat([disp, state.ones_neighbors], axis=0)))
@@ -380,7 +372,6 @@ def social_context(state: SceneState, weights: Sequence, neighbors: Sequence,
 
 def embed_position(params: ModelParams, state: SceneState, nabs: Tensor) -> Tensor:
     """Embed the (2, n) anchored offsets for the motion LSTM: (e, n)."""
-    _check_columns(nabs, state, "offsets")
     return dc.relu(dc.matmul(state.fold(params, "e"), dc.concat([nabs, state.ones], axis=0)))
 
 

@@ -321,6 +321,17 @@ def open_regular(path, mode: str = "rb", **kwargs):
         raise
 
 
+def unique_keys(pairs: list) -> dict:
+    """An ``object_pairs_hook`` for ``json.loads`` that refuses, with a
+    ValueError, a key repeated within one object instead of keeping its
+    last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -370,9 +381,11 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < 16 + header_len:
         raise CheckpointCorruptError(f"{path} is truncated inside the header")
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: arrays or objects nested too deeply to decode
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"),
+                            object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:
+        # ValueError: bad UTF-8, bad JSON or a repeated key; RecursionError:
+        # arrays or objects nested too deeply to decode
         raise CheckpointCorruptError(f"{path} has a malformed header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointCorruptError(f"{path} has a non-object header")

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 
 from sralstm.data import TrajectoryWindow
+from sralstm.diffcore import ShapeMismatchError
 
 REL_FLOOR = 0.01  # denominators below this are treated as this
 
@@ -258,3 +259,14 @@ def random_walk_window(n_peds: int, seed: int, obs_len: int = 8,
         track = np.cumsum(steps, axis=0) + rng.uniform(-3.0, 3.0, size=2)
         tracks.append(track)
     return window_from_tracks(tracks, obs_len, pred_len, name=f"walk-{seed}")
+
+
+def raises_shape_mismatch_unless(valid: bool, call) -> None:
+    """call() must return when valid and raise ShapeMismatchError when not;
+    any other exception propagates and fails the caller."""
+    try:
+        call()
+    except ShapeMismatchError:
+        assert not valid, "a valid shape was refused"
+    else:
+        assert valid, "a wrong shape went through"

@@ -287,6 +287,21 @@ def test_predict_group_attention_sums(tmp_path, trained):
         assert abs(sum(weights) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("emit, written", [
+    ([], ["predictions.tsv"]),
+    (["attention"], ["attention.tsv"]),
+    (["attention", "trajectories"], ["attention.tsv", "predictions.tsv"]),
+], ids=["default", "attention", "both"])
+def test_predict_writes_only_the_files_emit_names(tmp_path, trained, emit, written):
+    # before, predictions.tsv was written whatever --emit said
+    out = tmp_path / "emit"
+    rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+               "--scenario", "meeting", "--out", str(out)]
+              + [arg for value in emit for arg in ("--emit", value)])
+    assert rc == EXIT_OK
+    assert sorted(os.listdir(out)) == written
+
+
 def test_predict_pure_future_without_truth(tmp_path, trained):
     scene = synth_scenario("parallel", seed=7)
     short = scene_to_annotation_text(scene)
@@ -801,6 +816,33 @@ def test_deeply_nested_checkpoint_header_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: " in err and "malformed header" in err
     assert "Traceback" not in err
+
+
+def test_repeated_config_key_is_usage_error(data_dir, tmp_path, capsys):
+    # before, the last of the repeated keys won without a word
+    out = tmp_path / "out"
+    text = json.dumps(base_config(data_dir, out))
+    assert '"epochs": 2' in text
+    path = tmp_path / "c.json"
+    path.write_text(text.replace('"epochs": 2', '"epochs": 3, "epochs": 1'))
+    assert main(["train", "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "repeated key 'epochs'" in err
+    assert not out.exists()
+
+
+def test_repeated_checkpoint_header_key_is_data_error(tmp_path, trained, capsys):
+    # before, the last of the repeated keys won without a word
+    blob = (trained / "checkpoint.ckpt").read_bytes()
+    (n,) = struct.unpack("<I", blob[12:16])
+    header = b'{"metadata": {}, ' + blob[17:16 + n]
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + n:])
+    rc = main(["predict", "--checkpoint", str(path), "--scenario", "meeting",
+               "--out", str(tmp_path / "x")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1 and "repeated key 'metadata'" in err
 
 
 def test_model_beyond_the_parameter_bound_is_usage_error(data_dir, tmp_path, capsys):

@@ -94,6 +94,24 @@ def test_parse_non_integer_ids_rejected():
         parse_annotations("0.5 1 0 0")
 
 
+def test_parse_integral_float_ids():
+    # ETH/UCY text files commonly write their ids as floats; before, these
+    # lines were refused
+    rows = parse_annotations("780.0\t1.0\t8.46\t3.59\n"
+                             "790 -2.00e0 8.5 3.6\n"
+                             "9007199254740992.0 3 0 0\n")
+    assert [(r.frame, r.ped) for r in rows] == [(780, 1), (790, -2), (2 ** 53, 3)]
+    assert all(type(r.frame) is int and type(r.ped) is int for r in rows)
+
+
+@pytest.mark.parametrize("token", ["0.5", "nan", "inf", "1e400", "9007199254740993.0",
+                                   "4503599627370496.5", "1.0000000000000001", "1e-400"])
+def test_parse_ids_of_non_integral_or_unsafe_value_rejected(token):
+    for line in (f"{token} 1 0 0", f"1 {token} 0 0"):
+        with pytest.raises(AnnotationError, match="line 2: frame_id and ped_id must be integers"):
+            parse_annotations("0 1 0 0\n" + line + "\n")
+
+
 def test_parse_non_finite_coordinate_rejected():
     with pytest.raises(AnnotationError, match="non-finite"):
         parse_annotations("0 1 nan 0")

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import sralstm.diffcore as dc
 from sralstm.diffcore import Tensor, Tape
 
-from helpers import (fd_check, fd_grad, oracle_sigmoid, reference_backward,
-                     rel_err, scaled_err)
+from helpers import (fd_check, fd_grad, oracle_sigmoid, raises_shape_mismatch_unless,
+                     reference_backward, rel_err, scaled_err)
 
 FD_TOL = 1e-6      # single-primitive gradients
 EXACT = 0.0
@@ -290,6 +290,34 @@ def test_concat_rejects_off_axis_mismatch_and_bad_axis():
         dc.concat([Tensor(np.ones((2, 1)))], axis=2)
     with pytest.raises(dc.ShapeMismatchError):
         dc.concat([], axis=0)
+
+
+# operand shapes of rank 0-3 with sizes 0-6, about half of them 2-D
+shapes = st.one_of(st.lists(st.integers(0, 6), max_size=3).map(tuple),
+                   st.tuples(st.integers(0, 6), st.integers(0, 6)))
+
+
+def _resized(shape: tuple, axis: int, size: int) -> tuple:
+    return shape[:axis] + (size,) + shape[axis + 1:] if 0 <= axis < len(shape) else shape
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_matmul_and_concat_fail_on_wrong_shapes_only_with_shape_mismatch(data):
+    a = data.draw(shapes)
+    b = data.draw(st.one_of(shapes, shapes.map(lambda s: a[-1:] + s[1:])))
+    raises_shape_mismatch_unless(
+        len(a) == 2 and len(b) == 2 and a[1] == b[0],
+        lambda: dc.matmul(Tensor(np.ones(a)), Tensor(np.ones(b))))
+    axis = data.draw(st.integers(-1, 2))
+    base = data.draw(shapes)
+    parts = data.draw(st.lists(
+        st.one_of(shapes, st.integers(0, 6).map(lambda m: _resized(base, axis, m))),
+        max_size=3))
+    valid = (len(parts) > 0 and axis in (0, 1) and all(len(p) == 2 for p in parts)
+             and len({p[1 - axis] for p in parts}) == 1)
+    raises_shape_mismatch_unless(
+        valid, lambda: dc.concat([Tensor(np.ones(p)) for p in parts], axis))
 
 
 # ---------------------------------------------------------------------------

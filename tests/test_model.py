@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sralstm.diffcore as dc
 import sralstm.model as md
@@ -16,8 +18,8 @@ from sralstm.model import (AttentionStrategy, ModelConfig, ModelParams,
 
 from sralstm.pipeline import rollout
 
-from helpers import (oracle_affine_relu, oracle_lstm_from_gates, random_walk_window,
-                     rel_err, scaled_err)
+from helpers import (oracle_affine_relu, oracle_lstm_from_gates, raises_shape_mismatch_unless,
+                     random_walk_window, rel_err, scaled_err)
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
 
@@ -263,6 +265,23 @@ def test_position_validation():
         md.embed_relative(params, pair, Tensor(np.zeros((3, 2))), 0)
     with pytest.raises(dc.ShapeMismatchError):
         md.embed_relative(params, pair, Tensor(np.zeros((2, 1))), 0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_embeddings_fail_on_wrong_shapes_only_with_shape_mismatch(data):
+    params = ModelParams.init(SMALL, seed=1)
+    n = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(0, n - 1))
+    state = SceneState.initial(list(range(n)), hidden_dim=8)
+    # rank 0-3 with sizes 0-6, or (2, n) and its near misses
+    shape = data.draw(st.one_of(st.lists(st.integers(0, 6), max_size=3).map(tuple),
+                                st.sampled_from([(2, n), (2, n - 1), (2, n + 1), (1, n),
+                                                 (3, n), (2, n, 1)])))
+    x = Tensor(np.ones(shape))
+    raises_shape_mismatch_unless(shape == (2, n), lambda: md.embed_position(params, state, x))
+    raises_shape_mismatch_unless(shape == (2, n),
+                                 lambda: md.embed_relative(params, state, x, k))
 
 
 # ---------------------------------------------------------------------------
