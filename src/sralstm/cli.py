@@ -13,13 +13,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .data import (DataError, GRID_DT, MAX_TRACK_FRAMES, SCENARIO_KINDS, Scene,
                    synth_scenario, window_at)
 from .evalkit import ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
-from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError,
+from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError, OutputError,
                        ParamMismatchError, atomic_write_text, load_checkpoint, open_regular,
                        rollout, save_checkpoint, train_epoch, unique_keys)
 
@@ -44,21 +45,8 @@ class UsageError(Exception):
     """Bad flags or a bad config file."""
 
 
-@dataclass
-class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    model_given: bool = False      # the config file or --strategy set the model
-    learning_rate: float = 1e-3
-    epochs: int = 300
-    seed: int = 1
-    clip_norm: float = CLIP_NORM
-    save_every: int = 0
-    augment: bool = True
-    scenes: dict = field(default_factory=dict)     # name -> annotation path
-    held_out: Optional[str] = None
-    stride: int = 1
-    source_timestep: float = GRID_DT
-    out_dir: str = "runs/out"
+class RunConfig(SimpleNamespace):
+    """``model``, ``model_given`` (set by the file or --strategy), each other _SETTINGS key."""
 
 
 def _positive(value) -> bool:
@@ -71,25 +59,25 @@ def _integer(least: int):
                           and value >= least)
 
 
-# One row per config key: (section, key, flag, check, what the check asks
-# for). Each key sets the RunConfig field of its name; a key with no section
-# sits at the top level of the file. ModelConfig checks the model section,
-# whose one row is here for its flag.
+# One row per config key: (section, key, default, flag, check, what the
+# check asks for). Each key sets the RunConfig attribute of its name; a key
+# with no section sits at the top level of the file. ModelConfig checks the
+# model section, whose one row is here for its flag.
 _SETTINGS = [
-    ("model", "strategy", "strategy", None, None),
-    ("train", "learning_rate", None, _positive, "a finite number greater than 0"),
-    ("train", "epochs", "epochs", _integer(1), "an integer of at least 1"),
-    ("train", "seed", "seed", _integer(0), "a non-negative integer"),
-    ("train", "clip_norm", None, _positive, "a finite number greater than 0"),
-    ("train", "save_every", None, _integer(0), "a non-negative integer"),
-    ("train", "augment", None, lambda v: isinstance(v, bool), "true or false"),
-    ("data", "scenes", None,
+    ("model", "strategy", ModelConfig.strategy, "--strategy", None, None),
+    ("train", "learning_rate", 1e-3, None, _positive, "a finite number greater than 0"),
+    ("train", "epochs", 300, "--epochs", _integer(1), "an integer of at least 1"),
+    ("train", "seed", 1, "--seed", _integer(0), "a non-negative integer"),
+    ("train", "clip_norm", CLIP_NORM, None, _positive, "a finite number greater than 0"),
+    ("train", "save_every", 0, None, _integer(0), "a non-negative integer"),
+    ("train", "augment", True, None, lambda v: isinstance(v, bool), "true or false"),
+    ("data", "scenes", {}, None,
      lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
      "an object that maps scene names to file paths"),
-    ("data", "held_out", "held_out", lambda v: v is None or isinstance(v, str), "a string"),
-    ("data", "stride", None, _integer(1), "an integer of at least 1"),
-    ("data", "source_timestep", None, _positive, "a finite number greater than 0"),
-    (None, "out_dir", "out", lambda v: isinstance(v, str), "a string"),
+    ("data", "held_out", None, "--held-out", lambda v: v is None or isinstance(v, str), "a string"),
+    ("data", "stride", 1, None, _integer(1), "an integer of at least 1"),
+    ("data", "source_timestep", GRID_DT, None, _positive, "a finite number greater than 0"),
+    (None, "out_dir", "runs/out", "--out", lambda v: isinstance(v, str), "a string"),
 ]
 
 
@@ -125,8 +113,8 @@ def build_run_config(args) -> RunConfig:
     """Defaults, then the config file, then the flags given; every value is
     checked by its _SETTINGS row, whichever of the three it came from."""
     raw = _read_config_file(args.config) if args.config else {}
-    for section, key, flag, _, _ in _SETTINGS:
-        value = getattr(args, flag, None) if flag else None
+    for section, key, _, flag, _, _ in _SETTINGS:
+        value = getattr(args, key, None) if flag else None
         if value not in (None, ""):     # an empty --held-out or --out is not given
             (raw.setdefault(section, {}) if section else raw)[key] = value
     try:
@@ -134,15 +122,14 @@ def build_run_config(args) -> RunConfig:
     except ValueError as e:
         raise UsageError(f"bad model config: {e}") from e
     cfg = RunConfig(model=model, model_given=bool(raw.get("model")))
-    for section, key, _, check, what in _SETTINGS:
-        values = raw.get(section, {}) if section else raw
-        if check is None or key not in values:
+    for section, key, default, _, check, what in _SETTINGS:
+        if check is None:
             continue
-        value = values[key]
+        value = (raw.get(section, {}) if section else raw).get(key, copy.copy(default))
         if not check(value):
             raise UsageError(f"{key} must be {what}, got {value!r}")
-        # a JSON integer read into a float field is stored as a float
-        setattr(cfg, key, float(value) if isinstance(getattr(cfg, key), float) else value)
+        # a JSON integer read into a float key is stored as a float
+        setattr(cfg, key, float(value) if isinstance(default, float) else value)
     if cfg.source_timestep / GRID_DT > MAX_TRACK_FRAMES:
         raise UsageError(f"source_timestep {cfg.source_timestep!r} puts consecutive frames "
                          f"more than {MAX_TRACK_FRAMES} grid frames apart")
@@ -230,11 +217,17 @@ def _meta(cfg: RunConfig, epoch: int, history) -> dict:
             "loss_history": list(history)}
 
 
+def _checkpoint_params(args, cfg: RunConfig):
+    """The --checkpoint file and its params, under the config's model when
+    the config names one: a model the file does not fit is a usage error."""
+    ckpt = load_checkpoint(args.checkpoint)
+    return ckpt, ckpt.to_params(cfg.model if cfg.model_given else None)
+
+
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    params = ckpt.to_params(cfg.model if cfg.model_given else None)
-    cfg = replace(cfg, model=params.config)
+    ckpt, params = _checkpoint_params(args, cfg)
+    cfg.model = params.config
     if not cfg.held_out:
         cfg.held_out = ckpt.metadata.get("held_out")
         if cfg.held_out is not None and not isinstance(cfg.held_out, str):
@@ -320,7 +313,7 @@ def _predict_window(args, cfg: RunConfig, model: ModelConfig) -> TrajectoryWindo
 
 def cmd_predict(args) -> int:
     cfg = build_run_config(args)
-    params = load_checkpoint(args.checkpoint).to_params()
+    _, params = _checkpoint_params(args, cfg)
     window = _predict_window(args, cfg, params.config)
     emit = set(args.emit or ["trajectories"])
     result = rollout(params, window, record_attention="attention" in emit)
@@ -379,22 +372,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_FLAGS = {
-    "held_out": ("--held-out", dict(dest="held_out", help="scene to hold out")),
-    "seed": ("--seed", dict(type=int, help="RNG seed")),
-    "epochs": ("--epochs", dict(type=int, help="training epochs")),
-    "strategy": ("--strategy", dict(choices=[s.value for s in AttentionStrategy],
-                                    help="attention strategy")),
-}
-
-
-def _add_common(sub, *flags):
-    """--config and --out, which every verb reads, plus the named _FLAGS."""
+def _add_common(sub, *keys):
+    """--config, the flags of the named settings, and --out, which every
+    verb reads; a setting's flag reads an int if its default is one."""
     sub.add_argument("--config", help="JSON config file")
-    for name in flags:
-        flag, kwargs = _FLAGS[name]
-        sub.add_argument(flag, **kwargs)
-    sub.add_argument("--out", help="output directory")
+    for key in (*keys, "out_dir"):
+        section, _, default, flag, _, _ = next(row for row in _SETTINGS if row[1] == key)
+        kwargs = {"type": int} if type(default) is int else {}
+        if isinstance(default, AttentionStrategy):
+            kwargs = {"choices": [s.value for s in AttentionStrategy]}
+        name = f"{section}.{key}" if section else key
+        sub.add_argument(flag, dest=key, help=f"sets {name}", **kwargs)
 
 
 _SYNTH_HELP = {"speed": "walking speed, m/s", "spacing": "inter-pedestrian gap, m",
@@ -434,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--scene-file", dest="scene_file", help="annotation file to predict from")
     source.add_argument("--scenario", choices=list(SCENARIO_KINDS),
-                        help="synthesize the input window instead")
+                        help="synthesize the input window instead, seeded by --seed")
     p.add_argument("--window-start", dest="window_start", type=int,
                    help="frame index where the window begins")
     _add_synth_shape(p)
@@ -443,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="generate a synthetic scene annotation file")
     _add_common(p, "seed")
     p.add_argument("--scenario", required=True, choices=list(SCENARIO_KINDS),
-                   help="scenario kind")
+                   help="scenario kind, seeded by --seed")
     _add_synth_shape(p)
     p.set_defaults(handler=cmd_synth)
     return parser
@@ -456,7 +444,7 @@ def main(argv=None) -> int:
         # inf/nan results are caught by the finite checks, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except (UsageError, ParamMismatchError) as e:
+    except (UsageError, ParamMismatchError, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, CheckpointError) as e:

@@ -148,12 +148,16 @@ def parse_annotations(source) -> list:
     rows: list[RawAnnotation] = []
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        text = raw.split("#", 1)[0]
+        line = text.strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 4:
             raise AnnotationError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        # int, float and Decimal would also read "1_0" and non-ASCII digits
+        if not text.isascii() or "_" in text:
+            raise AnnotationError(f"line {lineno}: numbers must be plain ASCII, without '_'")
         try:
             frame = _id(parts[0])
             ped = _id(parts[1])

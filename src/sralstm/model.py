@@ -211,9 +211,6 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # scene state
 
-_LSTMS = ("rel", "motion")
-
-
 @dataclass
 class SceneState:
     """Recurrent state for one window, all zero at the start, plus the
@@ -232,7 +229,6 @@ class SceneState:
     """
 
     ped_ids: list
-    hidden_dim: int
     h: Tensor
     c: Tensor
     r: list               # per column k: its n-1 relation states, by neighbor
@@ -259,8 +255,7 @@ class SceneState:
         own = [np.repeat(eye[:, k:k + 1], n_neighbors, axis=1) for k in range(n)]
         zeros = Constant.zeros
         return cls(
-            ped_ids=ids, hidden_dim=hidden_dim,
-            h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
+            ped_ids=ids, h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
             r=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
             cr=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
             others=[Constant(m) for m in others], own=[Constant(m) for m in own],
@@ -278,7 +273,7 @@ class SceneState:
             self.folded_for, self.folded = params, {}
         w = self.folded.get(name)
         if w is None:
-            if name in _LSTMS:
+            if name in ("rel", "motion"):
                 w = tuple(dc.concat([params[f"{name}_w{g}"], params[f"{name}_b{g}"]], axis=1)
                           for g in "ifgo")
             else:
@@ -291,16 +286,16 @@ class SceneState:
 # single-step operations
 
 
-def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k: int,
-                   name: str = "re") -> Tensor:
+def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k: int) -> Tensor:
     """Embed the displacements from the pedestrian of column k to each of
-    its neighbors with the tensor pair ``w_<name>``/``b_<name>``: ``"re"``
-    feeds the relationship encoder, ``"rae"`` the RA scorer. positions is
-    (2, n); the result is (e, n-1), neighbors in canonical order.
+    its neighbors, with ``w_rae``/``b_rae`` under ``ra`` and ``w_re``/``b_re``
+    otherwise. positions is (2, n); the result is (e, n-1), neighbors in
+    canonical order.
 
     ``positions @ spread`` is exactly ``p_j - p_k``, so translating the
     whole scene leaves the result unchanged, bit for bit.
     """
+    name = "rae" if params.config.strategy is AttentionStrategy.RA else "re"
     disp = dc.matmul(positions, state.spread[k])
     return dc.relu(dc.matmul(state.fold(params, name),
                              dc.concat([disp, state.ones_neighbors], axis=0)))
@@ -330,23 +325,22 @@ def relation_step(params: ModelParams, state: SceneState, k: int, m: int, e_ij: 
 
 
 def attention_logits(params: ModelParams, strategy: AttentionStrategy,
-                     r_ij: Tensor, h_i: Tensor, h_j: Tensor,
-                     e_rel: Optional[Tensor] = None) -> Tensor:
+                     pair: Optional[Tensor], h_i: Tensor, h_j: Tensor) -> Tensor:
     """Unnormalized attention scores of pedestrian i for k neighbors j, as a
-    (1, k) row. Each argument holds one column per neighbor: ``h_i``
-    repeats i's motion state, ``h_j`` holds the neighbors'. Every scorer
-    is linear, so its block on ``h_i`` (``w_at`` columns h..2h, ``w_sa``
-    0..h, ``w_ra`` e..e+h) adds the same term to each of i's logits, which
-    the softmax cancels: that block moves no prediction beyond rounding."""
-    if strategy is AttentionStrategy.SRA:
-        return dc.matmul(params["w_at"], dc.concat([r_ij, h_i, h_j], axis=0))
+    (1, k) row. Each argument holds one column per neighbor: ``pair`` the
+    pair feature, which ``sa`` ignores, ``h_i`` i's motion state repeated,
+    ``h_j`` the neighbors'. Every scorer is linear, so its block on ``h_i``
+    (``w_at`` columns h..2h, ``w_sa`` 0..h, ``w_ra`` e..e+h) adds the same
+    term to each of i's logits, which the softmax cancels: that block
+    moves no prediction beyond rounding."""
     if strategy is AttentionStrategy.SA:
         return dc.matmul(params["w_sa"], dc.concat([h_i, h_j], axis=0))
-    if strategy is AttentionStrategy.RA:
-        if e_rel is None:
-            raise ValueError("RA attention needs the embedded relative position")
-        return dc.matmul(params["w_ra"], dc.concat([e_rel, h_i, h_j], axis=0))
-    raise ValueError(f"strategy {strategy.value!r} scores no neighbors")
+    if strategy is AttentionStrategy.NONE:
+        raise ValueError(f"strategy {strategy.value!r} scores no neighbors")
+    if pair is None:
+        raise ValueError(f"{strategy.value!r} attention needs its pair feature")
+    w = params["w_at" if strategy is AttentionStrategy.SRA else "w_ra"]
+    return dc.matmul(w, dc.concat([pair, h_i, h_j], axis=0))
 
 
 def attention_weights(logits: Tensor) -> Tensor:
@@ -363,7 +357,7 @@ def social_context(state: SceneState, weights: Sequence, neighbors: Sequence,
     pedestrian."""
     n = len(state.ped_ids)
     if strategy is AttentionStrategy.NONE or n == 1:
-        return Constant.zeros((state.hidden_dim, n))
+        return Constant.zeros(state.h.shape)
     if len(weights) != n or len(neighbors) != n or any(w is None for w in weights):
         raise ValueError(f"attention weights required: each of the {n} pedestrians "
                          f"has neighbors")

@@ -68,9 +68,9 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     canonical order, and the predicted offsets come back as one (2, n)
     tensor; or they map each pedestrian to a (2, 1) tensor, and the
     predictions come back as such a dict. Each pedestrian's neighbors are
-    handled as one block: under ``sra`` each pair's relation state updates
-    and then the block is scored; under ``ra`` the embedded displacements
-    score it. Scores and social contexts read the motion states of the
+    one block, scored on one pair feature each: none under ``sa``, the
+    embedded displacement under ``ra``, the relation state it updates
+    under ``sra``. Scores and social contexts read the motion states of the
     previous step; motion updates and offset predictions run last. Returns
     (predictions, attention), attention keyed by pedestrian.
     """
@@ -85,14 +85,13 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
         for k in range(n):
             h_i = dc.matmul(state.h, state.own[k])
             h_j = dc.matmul(state.h, state.others[k])
-            r_ij = e_rel = None
+            pair = None
+            if strategy is not AttentionStrategy.SA:
+                pair = md.embed_relative(params, state, abs_pos, k)
             if strategy is AttentionStrategy.SRA:
-                e = md.embed_relative(params, state, abs_pos, k)
-                r_ij = dc.concat([md.relation_step(params, state, k, m, dc.matmul(e, pick))[0]
+                pair = dc.concat([md.relation_step(params, state, k, m, dc.matmul(pair, pick))[0]
                                   for m, pick in enumerate(state.pick)], axis=1)
-            elif strategy is AttentionStrategy.RA:
-                e_rel = md.embed_relative(params, state, abs_pos, k, "rae")
-            w = md.attention_weights(md.attention_logits(params, strategy, r_ij, h_i, h_j, e_rel))
+            w = md.attention_weights(md.attention_logits(params, strategy, pair, h_i, h_j))
             if record_attention:
                 i = state.ped_ids[k]
                 attention[i] = ([j for j in state.ped_ids if j != i], w.values.reshape(-1).copy())
@@ -260,6 +259,10 @@ class ParamMismatchError(ValueError):
     """A checkpoint's parameters do not fit the configuration asked for."""
 
 
+class OutputError(OSError):
+    """An output file cannot be written."""
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -294,18 +297,21 @@ class Checkpoint:
 
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    partial file. A failed write leaves no temp file and raises
+    OutputError naming path."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
+    finally:
+        if tmp is not None and os.path.lexists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def open_regular(path, mode: str = "rb", **kwargs):

@@ -11,6 +11,8 @@ would break the benchmark fails here first.
 
 import importlib.util
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +83,25 @@ def test_every_model_site_fires_in_an_sra_rollout():
     assert len(wanted) == 11
     assert [site for site in wanted if rec.site_calls[site] == 0] == []
     assert not hasattr(md.relation_step, "__wrapped__")
+
+
+def test_readme_tape_node_table_matches_the_counts():
+    # the README's "now" rows, against counts taken as perfbench/counts.py
+    # takes them: a Recorder around one rollout plus loss on the default model
+    readme = Path(SPANS_PATH).parent.parent.joinpath("README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` now \|(.*)\|$", readme, re.M)
+    table = {s: [int(c.replace(",", "")) for c in cells.split("|")] for s, cells in rows}
+    counted = {}
+    for strategy in ("sra", "ra", "sa", "none"):
+        params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
+        counted[strategy] = []
+        for n in (2, 4, 8, 16, 32):
+            window = random_walk_window(n, seed=n)
+            rec = SPANS.Recorder()
+            rec.install()
+            try:
+                pl.l2_loss(pl.rollout(params, window), pl.window_truth_nabs(window))
+            finally:
+                rec.uninstall()
+            counted[strategy].append(rec.ops)
+    assert table == counted

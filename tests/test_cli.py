@@ -380,6 +380,29 @@ def test_predict_scene_path_with_a_nul_is_data_error(tmp_path, trained, capsys):
     assert "error: " in err and "cannot read" in err
 
 
+def test_predict_config_model_that_misfits_the_checkpoint_is_usage_error(
+        tmp_path, trained, capsys):
+    # before, predict used the checkpoint's model and exited 0, where eval
+    # with the same config exited 1
+    cfg = {"model": {"embed_dim": 8, "hidden_dim": 16, "strategy": "sa"},
+           "out_dir": str(tmp_path / "out")}
+    rc = main(["predict", "--config", write_config(tmp_path / "c.json", cfg),
+               "--checkpoint", str(trained / "checkpoint.ckpt"), "--scenario", "meeting"])
+    assert rc == EXIT_USAGE
+    assert "does not fit the model asked for" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_predict_config_pred_len_sets_the_predicted_steps(tmp_path, trained):
+    out = tmp_path / "out"
+    cfg = {"model": dict(TINY_MODEL, pred_len=5), "out_dir": str(out)}
+    rc = main(["predict", "--config", write_config(tmp_path / "c.json", cfg),
+               "--checkpoint", str(trained / "checkpoint.ckpt"), "--scenario", "meeting"])
+    assert rc == EXIT_OK
+    kinds = [r["kind"] for r in read_tsv(out / "predictions.tsv")]
+    assert (kinds.count("obs"), kinds.count("truth"), kinds.count("pred")) == (16, 10, 10)
+
+
 def test_predict_without_input_is_a_usage_error(trained, capsys):
     rc = main(["predict", "--checkpoint", str(trained / "checkpoint.ckpt")])
     assert rc == EXIT_USAGE
@@ -425,6 +448,30 @@ def test_out_dir_under_a_regular_file_is_refused_before_any_work(
     assert str(bad) in captured.err
     assert "epoch" not in captured.out
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("verb,target", [
+    ("train", "checkpoint.ckpt"), ("eval", "report.json"), ("ablate", "ablation.json"),
+    ("predict", "predictions.tsv"), ("synth", "parallel-0.txt")])
+def test_unwritable_output_file_is_one_usage_error_line(
+        verb, target, data_dir, tmp_path, trained, capsys):
+    # before, a directory at the output path ended the run in an
+    # IsADirectoryError traceback from the rename
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    cfg = (eval_config if verb == "eval" else base_config)(data_dir, out)
+    cfg_path = write_config(tmp_path / "c.json", cfg)
+    ckpt = ["--checkpoint", str(trained / "checkpoint.ckpt")]
+    argv = {"train": ["train", "--config", cfg_path, "--epochs", "1"],
+            "eval": ["eval", "--config", cfg_path, *ckpt],
+            "ablate": ["ablate", "--config", cfg_path, "--epochs", "1"],
+            "predict": ["predict", *ckpt, "--scenario", "meeting", "--out", str(out)],
+            "synth": ["synth", "--scenario", "parallel", "--out", str(out)]}[verb]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {out / target}: ") and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == [target]
 
 
 def test_out_dir_that_is_a_regular_file_is_usage_error(tmp_path, capsys):

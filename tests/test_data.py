@@ -94,6 +94,22 @@ def test_parse_non_integer_ids_rejected():
         parse_annotations("0.5 1 0 0")
 
 
+@pytest.mark.parametrize("line", [
+    "1_0 1 0.0 0.0", "1 1_0 0.0 0.0", "1 1 1_0.5 0.0", "1 1 0.0 1_0",
+    "\u0661 1 0.0 0.0", "\uff11 1 0.0 0.0", "1\u00a01 0.0 0.0", "1 1 0.0 0.0\u00a0"],
+    ids=["frame-underscore", "ped-underscore", "x-underscore", "y-underscore",
+         "arabic-indic-digit", "full-width-digit", "nbsp-separator", "trailing-nbsp"])
+def test_parse_number_tokens_outside_ascii_rejected(line):
+    # before, int and float read 1_0 as 10 and any Unicode digit or space
+    with pytest.raises(AnnotationError, match="line 2: numbers must be plain ASCII"):
+        parse_annotations("0 1 0 0\n" + line + "\n")
+
+
+def test_parse_non_ascii_comment_accepted():
+    rows = parse_annotations("# caf\u00e9 \u0661_\n780.0 1 0.5 0.5  # \u00fcber 1_0\n")
+    assert [tuple(r) for r in rows] == [(780, 1, 0.5, 0.5)]
+
+
 def test_parse_integral_float_ids():
     # ETH/UCY text files commonly write their ids as floats; before, these
     # lines were refused

@@ -241,16 +241,18 @@ def test_embed_position_zero_input_and_oracle():
 
 
 def test_ra_embedding_requires_ra_params():
+    # under ra the displacement embedding is the scorer's own w_rae/b_rae,
+    # not the relationship encoder's w_re/b_re
     state = SceneState.initial([1, 2], hidden_dim=8)
     pos = columns((0.0, 0.0), (1.0, 2.0))
-    sra = ModelParams.init(SMALL, seed=1)
-    with pytest.raises(KeyError, match="w_rae"):
-        md.embed_relative(sra, state, pos, 0, "rae")
     ra = ModelParams.init(small_config("ra"), seed=1)
-    out = md.embed_relative(ra, state, pos, 0, "rae")
+    out = md.embed_relative(ra, state, pos, 0)
     oracle = oracle_affine_relu(ra["w_rae"].values,
                                 np.array([[1.0], [2.0]]), ra["b_rae"].values)
     assert rel_err(out.values, oracle) < 1e-12
+    without = ModelParams(ra.config, {k: t for k, t in ra.named.items() if k != "w_rae"})
+    with pytest.raises(KeyError, match="w_rae"):
+        md.embed_relative(without, state, pos, 0)
 
 
 def test_position_validation():
@@ -486,14 +488,23 @@ def test_sa_logit_matches_oracle():
 
 def test_ra_logit_needs_embedding_and_matches_oracle():
     ra = ModelParams.init(small_config("ra"), seed=5)
-    r, h_i, h_j = _attention_inputs()
+    _, h_i, h_j = _attention_inputs()
     with pytest.raises(ValueError):
-        md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j)
+        md.attention_logits(ra, AttentionStrategy.RA, None, h_i, h_j)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    e_rel = md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0)), 0, "rae")
-    out = md.attention_logits(ra, AttentionStrategy.RA, r, h_i, h_j, e_rel)
+    e_rel = md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0)), 0)
+    out = md.attention_logits(ra, AttentionStrategy.RA, e_rel, h_i, h_j)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
     assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12
+
+
+@pytest.mark.parametrize("strategy", ["sra", "ra"])
+def test_attention_logits_without_a_pair_feature_is_value_error(strategy):
+    # before, sra without its relation state died with an AttributeError
+    params = ModelParams.init(small_config(strategy), seed=5)
+    _, h_i, h_j = _attention_inputs()
+    with pytest.raises(ValueError, match="pair feature"):
+        md.attention_logits(params, AttentionStrategy(strategy), None, h_i, h_j)
 
 
 def test_attention_logits_score_a_block_column_by_column():

@@ -443,8 +443,11 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
 
 @pytest.mark.parametrize("strategy,n,nodes", [
     ("sra", 1, 383), ("sra", 2, 1395), ("sra", 4, 4663), ("sra", 8, 18039),
+    ("ra", 1, 383), ("ra", 2, 783), ("ra", 4, 1163), ("ra", 8, 1923),
+    ("sa", 1, 383), ("sa", 2, 630), ("sa", 4, 858), ("sa", 8, 1314),
     ("none", 1, 383), ("none", 2, 383), ("none", 8, 383), ("none", 16, 383)],
-    ids=["sra-1", "sra-2", "sra-4", "sra-8", "none-1", "none-2", "none-8", "none-16"])
+    ids=["sra-1", "sra-2", "sra-4", "sra-8", "ra-1", "ra-2", "ra-4", "ra-8",
+         "sa-1", "sa-2", "sa-4", "sa-8", "none-1", "none-2", "none-8", "none-16"])
 def test_tape_nodes_per_window(strategy, n, nodes):
     # the recorded work of one train step on the default model; this may
     # tighten as the recurrence records fewer nodes, and must never loosen.
