@@ -144,6 +144,16 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
+def _check_outputs(cfg: RunConfig, names) -> None:
+    """Refuse, before a long run, a directory standing at one of the named
+    files of out_dir: the rename that writes a file there fails on a
+    directory and replaces any other kind of file."""
+    for name in names:
+        path = os.path.join(cfg.out_dir, name)
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise OutputError(f"cannot write {path}: Is a directory")
+
+
 def _load_scene(cfg: RunConfig, name: str, path: str) -> Scene:
     try:
         with open_regular(path, "r", encoding="utf-8") as f:
@@ -188,6 +198,9 @@ def _float_text(x: float) -> str:
 
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
+    periodic = range(cfg.save_every, cfg.epochs, cfg.save_every) if cfg.save_every else ()
+    _check_outputs(cfg, [*(f"checkpoint.epoch{epoch}.ckpt" for epoch in periodic),
+                         "checkpoint.ckpt", "loss_log.tsv"])
     train_ws, _ = _split(cfg)
     if not train_ws:
         raise DataError("training split contains no windows")
@@ -226,6 +239,7 @@ def _checkpoint_params(args, cfg: RunConfig):
 
 def cmd_eval(args) -> int:
     cfg = build_run_config(args)
+    _check_outputs(cfg, ["report.json", "report.txt"])
     ckpt, params = _checkpoint_params(args, cfg)
     cfg.model = params.config
     if not cfg.held_out:
@@ -267,6 +281,7 @@ def _write_reports(out_dir: str, reports: list) -> None:
 
 def cmd_ablate(args) -> int:
     cfg = build_run_config(args)
+    _check_outputs(cfg, ["ablation.json", "ablation.txt"])
     train_ws, test_ws = _split(cfg)
     if not train_ws or not test_ws:
         raise DataError("ablation needs non-empty train and test splits")

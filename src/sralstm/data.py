@@ -149,7 +149,7 @@ def parse_annotations(source) -> list:
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0]
-        line = text.strip()
+        line = text.strip(" \t\r\n")
         if not line:
             continue
         parts = line.split()
@@ -158,6 +158,11 @@ def parse_annotations(source) -> list:
         # int, float and Decimal would also read "1_0" and non-ASCII digits
         if not text.isascii() or "_" in text:
             raise AnnotationError(f"line {lineno}: numbers must be plain ASCII, without '_'")
+        # str.split, int and float also take \x0b, \x0c and \x1c-\x1f for
+        # spaces, so "1\x1c2 3.0 4.0" would read as frame 1, pedestrian 2
+        if not line.isprintable() and not line.replace("\t", " ").isprintable():
+            raise AnnotationError(f"line {lineno}: fields must be separated by spaces or "
+                                  "tabs, without control characters")
         try:
             frame = _id(parts[0])
             ped = _id(parts[1])

@@ -17,17 +17,23 @@ Conventions:
   * a ``Constant`` is a tensor that takes no gradient (a one-hot selector,
     a row of ones, an observed input). ``matmul`` and ``concat``, the ops
     that meet constants, form no adjoint for one, and ``backward`` writes
-    no grad to one.
+    no grad to one;
+  * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
+    ``sigmoid`` and ``tanh``, and the product of two such tensors.
 
 Only the ops that can turn finite inputs into a non-finite output check
-it: ``matmul``, ``add``, ``sub``, ``mul``, ``exp``, ``weighted_sum``,
-``sum_all`` and ``scale`` can all overflow. The check first tests the self
-dot product of the output, and runs the exact elementwise test only when
-that is not finite (a NaN, an infinity, or finite values whose squares
-overflow). The other ops are bounded on finite inputs and skip the check:
-``sigmoid`` and ``tanh`` map into [0, 1] and [-1, 1], ``relu`` and
-``concat`` only select input values, and ``masked_softmax`` divides terms
-in [0, 1] by a sum of at least 1.
+it: ``matmul``, ``sub``, ``exp``, ``weighted_sum``, ``sum_all`` and
+``scale`` can all overflow, and so can ``mul`` and ``add`` unless an
+operand is ``Bounded``. A product with such an operand is at most the
+other operand in magnitude, and a sum at most one more, which rounds to
+the largest float64 at worst; so an LSTM cell's three products and its
+sum run unchecked. The check first tests the self dot product of the
+output, and runs the exact elementwise test only when that is not finite
+(a NaN, an infinity, or finite values whose squares overflow). The other
+ops are bounded on finite inputs and skip the check: ``sigmoid`` and
+``tanh`` map into [0, 1] and [-1, 1], ``relu`` and ``concat`` only select
+input values, and ``masked_softmax`` divides terms in [0, 1] by a sum of
+at least 1.
 
 ``sigmoid`` clips ``x`` below at -709.78, ln of the largest float64, so
 its ``exp(-x)`` never overflows, and it gives the bits of the plain
@@ -141,9 +147,16 @@ class Constant(Tensor):
     __slots__ = ()
 
 
-def _wrap(arr: np.ndarray) -> Tensor:
+class Bounded(Tensor):
+    """A tensor whose entries lie in [-1, 1], so ``mul`` and ``add`` with it
+    as an operand cannot overflow and skip the finite check."""
+
+    __slots__ = ()
+
+
+def _wrap(arr: np.ndarray, cls=Tensor) -> Tensor:
     """Wrap the output of an op that maps finite inputs to finite outputs."""
-    t = Tensor.__new__(Tensor)
+    t = cls.__new__(cls)
     t.values = arr
     t.grad = None
     return t
@@ -254,7 +267,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         _shapes_differ("add", a, b)
-    out = _fresh(av + bv)
+    out = (_wrap if type(a) is Bounded or type(b) is Bounded else _fresh)(av + bv)
     if _active_tape is not None:
         _active_tape.nodes.append(((a, b), out, _add_vjp))
     return out
@@ -274,7 +287,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         _shapes_differ("mul", a, b)
-    out = _fresh(av * bv)
+    if type(a) is Bounded or type(b) is Bounded:
+        out = _wrap(av * bv, Bounded if type(a) is type(b) else Tensor)
+    else:
+        out = _fresh(av * bv)
     if _active_tape is not None:
         _active_tape.nodes.append(((a, b), out, lambda g: (g * bv, g * av)))
     return out
@@ -285,15 +301,21 @@ _EXP_MAX = 709.782712893384
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = _wrap(1.0 / (1.0 + np.exp(-np.maximum(x.values, -_EXP_MAX))))
+    # 1 / (1 + exp(-max(x, -_EXP_MAX))), in place in one array; a ufunc
+    # gives a 0-d array back only when it is handed one to write
+    v = x.values
+    s = np.negative(v) if v.ndim else np.negative(v, out=np.empty(()))
+    np.minimum(s, _EXP_MAX, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    out = _wrap(np.reciprocal(s, out=s), Bounded)
     if _active_tape is not None:
-        s = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * s * (1.0 - s),)))
     return out
 
 
 def tanh(x: Tensor) -> Tensor:
-    out = _wrap(np.tanh(x.values))
+    out = _wrap(np.tanh(x.values), Bounded)
     if _active_tape is not None:
         t = out.values
         _active_tape.nodes.append(((x,), out, lambda g: (g * (1.0 - t * t),)))

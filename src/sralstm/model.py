@@ -28,15 +28,16 @@ state is (hidden, n), so the position embedding, the motion LSTM and the
 output head each run once per step for the whole scene. The work of
 pedestrian k over its n-1 neighbors is one block of n-1 columns, its m-th
 neighbor in column m: embedded displacements (e, n-1), relation states
-(``state.r[k][m]``, one (hidden, 1) state each), repeated own and neighbor
-motion states (hidden, n-1), attention logits and weights (1, n-1).
-Columns move by products with constant one-hot matrices, which are exact,
-since each output entry has one nonzero term (two for a displacement):
+(``state.r[k]``, hidden, n-1), the relation gates' pre-activations (four
+(hidden, n-1) blocks), repeated own and neighbor motion states (hidden,
+n-1), attention logits and weights (1, n-1). Columns move by products with
+constant one-hot matrices, which are exact, since each output entry has
+one nonzero term (two for a displacement):
 
   * ``H @ others[k]`` gathers the neighbors' columns of k, ``H @ own[k]``
     repeats column k, and ``P @ spread[k]``, with ``spread[k] = others[k]
     - own[k]``, is exactly ``p_j - p_k`` for every neighbor j;
-  * ``E @ pick[m]`` takes column m of a neighbor block. A one-column
+  * ``G @ pick[m]`` takes column m of a neighbor block. A one-column
     product keeps its left operand's gradient as factor pairs (see
     ``diffcore``), so the adjoint of a block is one exact scatter product.
 
@@ -45,11 +46,13 @@ Every affine map is one product with its bias folded in, ``[W | b] @ [x;
 window, on the open tape, and the concat routes the gradients back to the
 named tensors, so names and checkpoints stay as they are.
 
-The relationship encoder alone stays one ``relation_step`` call on one
-(hidden, 1) column per ordered pair and step. The benchmark in
-``perfbench`` counts those calls against the closed form 19 n (n - 1) per
-window; a call that advanced a block of pairs would do the same work but
-fail that check, until the benchmark counts state columns instead.
+The relationship encoder forms the four gate products of pedestrian k's
+n-1 cells once per step, on the whole block (``relation_gates``), since
+they read only k's embedded displacements and relation states. Its
+elementwise rest stays one ``relation_step`` call per ordered pair and
+step, on that pair's (hidden, 1) column: the benchmark in ``perfbench``
+counts those calls against the closed form 19 n (n - 1) per window. A
+one-neighbor block is its own column, and then no column is picked.
 """
 
 from __future__ import annotations
@@ -217,8 +220,11 @@ class SceneState:
     window's constants.
 
     The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
-    ``ped_ids[k]``; ``r[k][m]``/``cr[k][m]`` is the (hidden, 1) relation
-    state of column k toward its m-th neighbor. The roster is fixed: a
+    ``ped_ids[k]``. Column k's relation states toward its n-1 neighbors
+    are the block ``r[k]`` (hidden, n-1), column m toward its m-th
+    neighbor, since they enter only products; its cell states, which
+    enter only elementwise ops, are n-1 (hidden, 1) columns ``cr[k][m]``.
+    The roster is fixed: a
     window holds only pedestrians tracked through its whole span, so every
     state exists from the first step. ``ped_ids`` is sorted once here, and
     every column and every loop follows that canonical order, so listing
@@ -231,15 +237,14 @@ class SceneState:
     ped_ids: list
     h: Tensor
     c: Tensor
-    r: list               # per column k: its n-1 relation states, by neighbor
-    cr: list
+    r: list               # per column k: its (hidden, n-1) relation states
+    cr: list              # per column k: its n-1 (hidden, 1) relation cell states
     others: list          # per column k: (n, n-1), column m picks neighbor m
     own: list             # per column k: (n, n-1), every column picks column k
     spread: list          # per column k: others[k] - own[k]
     pick: list            # (n-1, 1) one-hot columns, picking column m of a block
     ones: Tensor          # (1, n)
     ones_neighbors: Tensor  # (1, n-1)
-    one: Tensor           # (1, 1)
     folded: dict = field(default_factory=dict, repr=False)
     folded_for: Optional[ModelParams] = field(default=None, repr=False)
 
@@ -256,13 +261,12 @@ class SceneState:
         zeros = Constant.zeros
         return cls(
             ped_ids=ids, h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
-            r=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
+            r=[zeros((hidden_dim, n_neighbors)) for _ in range(n)],
             cr=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
             others=[Constant(m) for m in others], own=[Constant(m) for m in own],
             spread=[Constant(a - b) for a, b in zip(others, own)],
             pick=[Constant(col) for col in np.eye(n_neighbors)[:, :, None]],
-            ones=Constant(np.ones((1, n))), ones_neighbors=Constant(np.ones((1, n_neighbors))),
-            one=Constant(np.ones((1, 1))))
+            ones=Constant(np.ones((1, n))), ones_neighbors=Constant(np.ones((1, n_neighbors))))
 
     def fold(self, params: ModelParams, name: str):
         """params' weight of the affine map ``name`` ("re", "rae", "e" or
@@ -301,27 +305,39 @@ def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k:
                              dc.concat([disp, state.ones_neighbors], axis=0)))
 
 
-def _lstm_step(gates, inputs, h: Tensor, c: Tensor, ones: Tensor):
-    """One step of an LSTM with folded gate weights over ``[*inputs; h; 1]``,
-    one column per sequence; returns the new (h, c)."""
-    wi, wf, wg, wo = gates
+def _gate_products(gates, inputs, h: Tensor, ones: Tensor) -> list:
+    """The four gate pre-activations (i, f, g, o) of an LSTM with folded
+    gate weights over ``[*inputs; h; 1]``, one column per sequence."""
     xh = dc.concat([*inputs, h, ones], axis=0)
-    i = dc.sigmoid(dc.matmul(wi, xh))
-    f = dc.sigmoid(dc.matmul(wf, xh))
-    g = dc.tanh(dc.matmul(wg, xh))
-    o = dc.sigmoid(dc.matmul(wo, xh))
+    return [dc.matmul(w, xh) for w in gates]
+
+
+def _lstm_cell(i: Tensor, f: Tensor, g: Tensor, o: Tensor, c: Tensor):
+    """The elementwise rest of an LSTM step, on its four gate
+    pre-activations; returns the new (h, c)."""
+    i, f, g, o = dc.sigmoid(i), dc.sigmoid(f), dc.tanh(g), dc.sigmoid(o)
     c = dc.add(dc.mul(f, c), dc.mul(i, g))
     return dc.mul(o, dc.tanh(c)), c
 
 
-def relation_step(params: ModelParams, state: SceneState, k: int, m: int, e_ij: Tensor):
+def relation_gates(params: ModelParams, state: SceneState, k: int, e: Tensor) -> list:
+    """The gate pre-activations (i, f, g, o) of every relation cell of the
+    pedestrian of column k, from its (e, n-1) embedded displacements of
+    this step and its relation states of the last: four (hidden, n-1)
+    blocks, column m toward its m-th neighbor."""
+    return _gate_products(state.fold(params, "rel"), [e], state.r[k], state.ones_neighbors)
+
+
+def relation_step(params: ModelParams, state: SceneState, k: int, m: int, gates):
     """Advance the relationship encoder of the pedestrian of column k
-    toward its m-th neighbor on their (e, 1) embedded displacement;
-    returns (r, cr)."""
-    r, cr = _lstm_step(state.fold(params, "rel"), [e_ij], state.r[k][m], state.cr[k][m],
-                       state.one)
-    state.r[k][m], state.cr[k][m] = r, cr
-    return r, cr
+    toward its m-th neighbor, on column m of the blocks ``relation_gates``
+    formed for k this step; a one-neighbor block is its own column.
+    Returns (r, cr) and keeps cr; ``pipeline.scene_step`` keeps the block
+    of k's new r columns."""
+    if len(state.pick) > 1:
+        gates = [dc.matmul(block, state.pick[m]) for block in gates]
+    r, state.cr[k][m] = _lstm_cell(*gates, state.cr[k][m])
+    return r, state.cr[k][m]
 
 
 def attention_logits(params: ModelParams, strategy: AttentionStrategy,
@@ -372,10 +388,9 @@ def embed_position(params: ModelParams, state: SceneState, nabs: Tensor) -> Tens
 def motion_step(params: ModelParams, state: SceneState, e: Tensor, context: Tensor):
     """Advance every pedestrian's motion LSTM on its embedded offset and
     social context; returns the new (h, c)."""
-    h, c = _lstm_step(state.fold(params, "motion"), [e, context], state.h, state.c,
-                      state.ones)
-    state.h, state.c = h, c
-    return h, c
+    gates = _gate_products(state.fold(params, "motion"), [e, context], state.h, state.ones)
+    state.h, state.c = _lstm_cell(*gates, state.c)
+    return state.h, state.c
 
 
 def predict_offset(params: ModelParams, state: SceneState) -> Tensor:

@@ -89,8 +89,10 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
             if strategy is not AttentionStrategy.SA:
                 pair = md.embed_relative(params, state, abs_pos, k)
             if strategy is AttentionStrategy.SRA:
-                pair = dc.concat([md.relation_step(params, state, k, m, dc.matmul(pair, pick))[0]
-                                  for m, pick in enumerate(state.pick)], axis=1)
+                gates = md.relation_gates(params, state, k, pair)
+                pair = state.r[k] = dc.concat(
+                    [md.relation_step(params, state, k, m, gates)[0] for m in range(n - 1)],
+                    axis=1)
             w = md.attention_weights(md.attention_logits(params, strategy, pair, h_i, h_j))
             if record_attention:
                 i = state.ped_ids[k]

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from sralstm.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          UsageError, build_parser, build_run_config, main)
+import sralstm.cli
 import sralstm.data as data_module
+import sralstm.evalkit
 from sralstm.data import (SCENARIO_KINDS, TrajectoryWindow, build_windows,
                           parse_annotations, regrid, scene_to_annotation_text,
                           synth_scenario)
@@ -454,9 +456,15 @@ def test_out_dir_under_a_regular_file_is_refused_before_any_work(
     ("train", "checkpoint.ckpt"), ("eval", "report.json"), ("ablate", "ablation.json"),
     ("predict", "predictions.tsv"), ("synth", "parallel-0.txt")])
 def test_unwritable_output_file_is_one_usage_error_line(
-        verb, target, data_dir, tmp_path, trained, capsys):
+        verb, target, data_dir, tmp_path, trained, capsys, monkeypatch):
     # before, a directory at the output path ended the run in an
-    # IsADirectoryError traceback from the rename
+    # IsADirectoryError traceback from the rename, and then train and
+    # ablate found it only after their last epoch
+    epochs = []
+    for module in (sralstm.cli, sralstm.evalkit):
+        real = module.train_epoch
+        monkeypatch.setattr(module, "train_epoch",
+                            lambda *a, real=real, **k: epochs.append(1) or real(*a, **k))
     out = tmp_path / "out"
     (out / target).mkdir(parents=True)
     cfg = (eval_config if verb == "eval" else base_config)(data_dir, out)
@@ -468,10 +476,25 @@ def test_unwritable_output_file_is_one_usage_error_line(
             "predict": ["predict", *ckpt, "--scenario", "meeting", "--out", str(out)],
             "synth": ["synth", "--scenario", "parallel", "--out", str(out)]}[verb]
     rc = main(argv)
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert rc == EXIT_USAGE
+    err = captured.err
     assert err.startswith(f"error: cannot write {out / target}: ") and err.count("\n") == 1
     assert [p.name for p in out.iterdir()] == [target]
+    assert "epoch" not in captured.out and epochs == []
+
+
+@pytest.mark.parametrize("target", ["loss_log.tsv", "checkpoint.epoch2.ckpt"])
+def test_train_refuses_a_directory_at_any_of_its_outputs_before_training(
+        target, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    cfg = base_config(data_dir, out)
+    cfg["train"]["save_every"] = 2
+    rc = main(["train", "--config", write_config(tmp_path / "c.json", cfg), "--epochs", "3"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE and "epoch" not in captured.out
+    assert captured.err == f"error: cannot write {out / target}: Is a directory\n"
 
 
 def test_out_dir_that_is_a_regular_file_is_usage_error(tmp_path, capsys):
@@ -1130,6 +1153,12 @@ def annotation_texts():
 
     return st.builds(text, st.lists(track, min_size=1, max_size=3),
                      st.lists(junk, max_size=2))
+
+
+def test_a_control_character_between_fields_is_a_data_error(trained, tmp_path, capsys):
+    text = straight_rows(range(20)) + "3\x1c2 0.5 0.0\n"
+    assert predict_scene_text(tmp_path, trained, text) == EXIT_DATA
+    assert "line 21: fields must be separated by spaces or tabs" in capsys.readouterr().err
 
 
 def test_annotation_text_ends_in_an_exit_code(trained, tmp_path):

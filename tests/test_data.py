@@ -105,6 +105,22 @@ def test_parse_number_tokens_outside_ascii_rejected(line):
         parse_annotations("0 1 0 0\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line", [
+    "1\x1c2 3.0 4.0", "1\x1d2 3.0 4.0", "1\x1e2 3.0 4.0", "1\x1f3\x1d3.0 4.0",
+    "1\x0b2 3.0 4.0", "1\x0c2 3.0 4.0", "1 2 3.0 4.0\x0b", "\x0c1 2 3.0 4.0"],
+    ids=["x1c", "x1d", "x1e", "x1f-x1d", "x0b", "x0c", "trailing-x0b", "leading-x0c"])
+def test_parse_control_characters_between_fields_rejected(line):
+    # before, str.split broke fields at these characters and int and float
+    # stripped them, so "1\x1c2 3.0 4.0" read as frame 1, pedestrian 2
+    with pytest.raises(AnnotationError, match="line 2: fields must be separated by spaces or tabs"):
+        parse_annotations("0 1 0 0\n" + line + "\n")
+
+
+def test_parse_tabs_and_spaces_separate_fields():
+    rows = parse_annotations("\t1\t2 \t3.0  4.0 \t\r\n")
+    assert [tuple(r) for r in rows] == [(1, 2, 3.0, 4.0)]
+
+
 def test_parse_non_ascii_comment_accepted():
     rows = parse_annotations("# caf\u00e9 \u0661_\n780.0 1 0.5 0.5  # \u00fcber 1_0\n")
     assert [tuple(r) for r in rows] == [(780, 1, 0.5, 0.5)]

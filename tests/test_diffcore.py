@@ -3,6 +3,7 @@ tape semantics, and the Adam update."""
 
 import gc
 import math
+import sys
 import warnings
 import weakref
 import zlib
@@ -234,6 +235,29 @@ def test_checked_op_accepts_a_finite_output_whose_squares_overflow(op):
     assert not math.isfinite(np.vdot(out, out))   # the fast test fails ...
     assert np.isfinite(out).all()                 # ... and the exact one passes
     assert out.flat[0] == pytest.approx(1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_overflowing_add_or_mul_of_unbounded_tensors_raises(op):
+    big = Tensor([[1.0], [1.7e308]])
+    with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError):
+        getattr(dc, op)(big, Tensor(big.values.copy()))
+
+
+def test_bounded_operands_skip_the_check_and_stay_finite():
+    # sigmoid and tanh outputs lie in [-1, 1]; a product with one is at
+    # most the other operand, a sum at most one more, which rounds to the
+    # largest float64
+    unit = dc.sigmoid(Tensor([[30.0], [-1.0]]))
+    signed = dc.tanh(Tensor([[-30.0], [0.5]]))
+    assert type(unit) is type(signed) is dc.Bounded
+    big = Tensor([[sys.float_info.max], [-sys.float_info.max]])
+    for out in (dc.mul(unit, big), dc.mul(big, signed), dc.add(unit, big), dc.add(big, signed)):
+        assert type(out) is Tensor and np.isfinite(out.values).all()
+    assert dc.add(unit, big).values[0, 0] == sys.float_info.max
+    # only a product of two bounded tensors is bounded again
+    assert type(dc.mul(unit, signed)) is dc.Bounded
+    assert type(dc.add(unit, signed)) is Tensor
 
 
 @pytest.mark.parametrize("op", ["sigmoid", "tanh", "relu", "concat", "masked_softmax"])

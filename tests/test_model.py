@@ -299,13 +299,17 @@ def test_scene_state_zero_start_and_canonical_roster():
     assert state.ped_ids == [1, 2, 3]
     for t in (state.h, state.c):
         assert np.array_equal(t.values, np.zeros((4, 3)))
-    # one zero state per ordered pair, n-1 per column, each its own tensor
-    assert [len(b) for b in state.r] == [len(b) for b in state.cr] == [2, 2, 2]
-    pair_states = [t for block in state.r + state.cr for t in block]
-    assert len({id(t) for t in pair_states}) == 12
-    for t in pair_states:
+    # per column one zero relation-state block of n-1 columns and n-1 zero
+    # cell-state columns, one per ordered pair, each its own tensor
+    assert len(state.r) == 3 and [len(b) for b in state.cr] == [2, 2, 2]
+    cells = [t for block in state.cr for t in block]
+    assert len({id(t) for t in state.r + cells}) == 3 + 6
+    for t in state.r:
+        assert np.array_equal(t.values, np.zeros((4, 2)))
+    for t in cells:
         assert np.array_equal(t.values, np.zeros((4, 1)))
-    assert SceneState.initial([4], 4).r == [[]]
+    lone = SceneState.initial([4], 4)
+    assert lone.r[0].shape == (4, 0) and lone.cr == [[]]
 
 
 def _awkward_values(rng, shape):
@@ -350,17 +354,20 @@ def test_displacement_product_is_the_exact_difference(n):
 def test_scene_state_constants_take_no_gradient():
     state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
     constants = [*state.others, *state.own, *state.spread, *state.pick,
-                 state.ones, state.ones_neighbors, state.one, state.h, state.c,
-                 *(t for block in state.r + state.cr for t in block)]
+                 state.ones, state.ones_neighbors, state.h, state.c, *state.r,
+                 *(t for block in state.cr for t in block)]
     assert all(type(t) is Constant for t in constants)
 
 
 def test_pair_store_keeps_directions_distinct():
-    # r[0][0] is 1 toward 2, r[1][0] is 2 toward 1
+    # column 0 of r[0] is 1 toward 2, column 0 of r[1] is 2 toward 1
     state = SceneState.initial([1, 2], hidden_dim=4)
-    assert state.r[0][0] is not state.r[1][0]
-    state.r[0][0] = Tensor(np.ones((4, 1)))
-    assert np.array_equal(state.r[1][0].values, np.zeros((4, 1)))
+    assert state.r[0] is not state.r[1]
+    assert state.cr[0][0] is not state.cr[1][0]
+    state.r[0] = Tensor(np.ones((4, 1)))
+    state.cr[0][0] = Tensor(np.ones((4, 1)))
+    assert np.array_equal(state.r[1].values, np.zeros((4, 1)))
+    assert np.array_equal(state.cr[1][0].values, np.zeros((4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,38 +375,55 @@ def test_pair_store_keeps_directions_distinct():
 
 def test_relation_step_zero_weights_yields_zero_state():
     params = zeroed_params(SMALL)
-    state = SceneState.initial([1, 2], hidden_dim=8)
-    r, cr = md.relation_step(params, state, 0, 0, Tensor(np.ones((6, 1))))
-    assert np.array_equal(r.values, np.zeros((8, 1)))
-    assert np.array_equal(cr.values, np.zeros((8, 1)))
+    for n in (2, 3):
+        state = SceneState.initial(list(range(n)), hidden_dim=8)
+        gates = md.relation_gates(params, state, 0, Tensor(np.ones((6, n - 1))))
+        for m in range(n - 1):
+            r, cr = md.relation_step(params, state, 0, m, gates)
+            assert np.array_equal(r.values, np.zeros((8, 1)))
+            assert np.array_equal(cr.values, np.zeros((8, 1)))
 
 
 def test_relation_step_shares_weights_across_pairs():
     params = ModelParams.init(SMALL, seed=8)
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
-    e = Tensor(np.linspace(0.0, 1.0, 6).reshape(6, 1))
-    # column 0 toward its neighbor 0 is 1 toward 2, column 2 toward 0 is 3 toward 1
-    r_a, _ = md.relation_step(params, state, 0, 0, e)
-    r_b, _ = md.relation_step(params, state, 2, 0, Tensor(e.values.copy()))
+    e = np.linspace(0.0, 1.0, 6).reshape(6, 1)
+    # column 0 toward its neighbor 0 is 1 toward 2, column 2 toward 0 is 3
+    # toward 1; the blocks' other columns differ and must not matter
+    blocks = {0: np.hstack([e, np.zeros((6, 1))]), 2: np.hstack([e, -2.0 * e])}
+    r_a, _ = md.relation_step(params, state, 0, 0,
+                              md.relation_gates(params, state, 0, Tensor(blocks[0])))
+    r_b, _ = md.relation_step(params, state, 2, 0,
+                              md.relation_gates(params, state, 2, Tensor(blocks[2])))
     assert np.array_equal(r_a.values, r_b.values)
 
 
 def test_relation_step_matches_lstm_oracle():
+    # the block products plus each pair step, against the one-pair oracle;
+    # n = 2 takes the one-neighbor path, which picks no column
     params = ModelParams.init(SMALL, seed=8)
     rng = np.random.default_rng(21)
-    state = SceneState.initial([1, 2], hidden_dim=8)
-    state.r[1][0] = Tensor(rng.normal(size=(8, 1)))
-    state.cr[1][0] = Tensor(rng.normal(size=(8, 1)))
-    other = state.r[0][0]
-    x = rng.normal(size=(6, 1))
-    want_h, want_c = oracle_lstm_from_gates(
-        params, "rel", x, state.r[1][0].values, state.cr[1][0].values)
-    r, cr = md.relation_step(params, state, 1, 0, Tensor(x))
-    assert rel_err(r.values, want_h) < 1e-12
-    assert rel_err(cr.values, want_c) < 1e-12
-    # state advanced in place, the other direction untouched
-    assert state.r[1][0] is r and state.cr[1][0] is cr
-    assert state.r[0][0] is other
+    for n in (2, 4):
+        state = SceneState.initial(list(range(n)), hidden_dim=8)
+        state.r[1] = Tensor(rng.normal(size=(8, n - 1)))
+        state.cr[1] = [Tensor(rng.normal(size=(8, 1))) for _ in range(n - 1)]
+        r_before, cr_before = state.r[1], list(state.cr[1])
+        other_r, other_cr = state.r[0], list(state.cr[0])
+        x = rng.normal(size=(6, n - 1))
+        gates = md.relation_gates(params, state, 1, Tensor(x))
+        assert [g.shape for g in gates] == [(8, n - 1)] * 4
+        for m in range(n - 1):
+            want_h, want_c = oracle_lstm_from_gates(
+                params, "rel", x[:, m:m + 1], r_before.values[:, m:m + 1], cr_before[m].values)
+            r, cr = md.relation_step(params, state, 1, m, gates)
+            assert rel_err(r.values, want_h) < 1e-12
+            assert rel_err(cr.values, want_c) < 1e-12
+            # the cell state advanced in place
+            assert state.cr[1][m] is cr
+        # the relation block waits for the scene step; the other direction
+        # is untouched
+        assert state.r[1] is r_before
+        assert state.r[0] is other_r and all(a is b for a, b in zip(state.cr[0], other_cr))
 
 
 def test_motion_step_matches_lstm_oracle_and_mutates():
