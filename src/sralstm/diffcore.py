@@ -17,23 +17,29 @@ Conventions:
   * a ``Constant`` is a tensor that takes no gradient (a one-hot selector,
     a row of ones, an observed input). ``matmul`` and ``concat``, the ops
     that meet constants, form no adjoint for one, and ``backward`` writes
-    no grad to one;
+    no grad to one. ``matmul_or_constant`` and ``concat_or_constant`` do
+    work on constants alone without the tape and give a ``Constant``, so
+    no node records what no gradient can cross;
+  * a ``Selector`` is a ``Constant`` whose every column is one-hot, so
+    ``x @ s`` picks or repeats columns of ``x`` exactly;
   * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
-    ``sigmoid`` and ``tanh``, and the product of two such tensors.
+    ``sigmoid`` and ``tanh``, the product of two such tensors, and the
+    columns a ``Selector`` picks from one.
 
 Only the ops that can turn finite inputs into a non-finite output check
 it: ``matmul``, ``sub``, ``exp``, ``weighted_sum``, ``sum_all`` and
 ``scale`` can all overflow, and so can ``mul`` and ``add`` unless an
 operand is ``Bounded``. A product with such an operand is at most the
 other operand in magnitude, and a sum at most one more, which rounds to
-the largest float64 at worst; so an LSTM cell's three products and its
-sum run unchecked. The check first tests the self dot product of the
-output, and runs the exact elementwise test only when that is not finite
-(a NaN, an infinity, or finite values whose squares overflow). The other
-ops are bounded on finite inputs and skip the check: ``sigmoid`` and
-``tanh`` map into [0, 1] and [-1, 1], ``relu`` and ``concat`` only select
-input values, and ``masked_softmax`` divides terms in [0, 1] by a sum of
-at least 1.
+the largest float64 at worst; so an LSTM cell's products and its sum run
+unchecked, on a whole block or on columns picked from one. The check
+first tests the self dot product of the output, and runs the exact
+elementwise test only when that is not finite (a NaN, an infinity, or
+finite values whose squares overflow). The other ops are bounded on
+finite inputs and skip the check: ``sigmoid`` and ``tanh`` map into
+[0, 1] and [-1, 1], ``relu``, ``concat`` and a ``matmul`` by a
+``Selector`` only select input values, and ``masked_softmax`` divides
+terms in [0, 1] by a sum of at least 1.
 
 ``sigmoid`` clips ``x`` below at -709.78, ln of the largest float64, so
 its ``exp(-x)`` never overflows, and it gives the bits of the plain
@@ -147,6 +153,15 @@ class Constant(Tensor):
     __slots__ = ()
 
 
+class Selector(Constant):
+    """A ``Constant`` whose every column is one-hot, so a product ``x @ s``
+    only picks or repeats columns of ``x``: each output entry is one input
+    entry, exactly. ``matmul`` skips the finite check of such a product
+    and keeps a ``Bounded`` ``x`` ``Bounded``."""
+
+    __slots__ = ()
+
+
 class Bounded(Tensor):
     """A tensor whose entries lie in [-1, 1], so ``mul`` and ``add`` with it
     as an operand cannot overflow and skip the finite check."""
@@ -162,7 +177,7 @@ def _wrap(arr: np.ndarray, cls=Tensor) -> Tensor:
     return t
 
 
-def _fresh(arr: np.ndarray) -> Tensor:
+def _fresh(arr: np.ndarray, cls=Tensor) -> Tensor:
     """Wrap the output of an op that can overflow; it must be finite.
 
     A NaN or an infinity makes the self dot product non-finite. So does a
@@ -171,7 +186,7 @@ def _fresh(arr: np.ndarray) -> Tensor:
     """
     if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NonFiniteError("operation produced non-finite values")
-    return _wrap(arr)
+    return _wrap(arr, cls)
 
 
 _active_tape = None  # the open Tape, if any
@@ -243,13 +258,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    out = _fresh(av.dot(bv))
+    if type(b) is Selector:
+        out = _wrap(av.dot(bv), Bounded if type(a) is Bounded else Tensor)
+    else:
+        out = _fresh(av.dot(bv))
     if _active_tape is not None:
         at = bt = None
         inputs = ()
-        if type(a) is not Constant:
+        if not isinstance(a, Constant):
             bt, inputs = bv.T, (a,)
-        if type(b) is not Constant:
+        if not isinstance(b, Constant):
             at, inputs = av.T, inputs + (b,)
         _active_tape.nodes.append((inputs, out, _MatmulVjp(at, bt)))
     return out
@@ -338,8 +356,7 @@ def exp(x: Tensor) -> Tensor:
     return out
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    vals = [t.values for t in tensors]
+def _joined(tensors: Sequence[Tensor], vals: list, axis: int) -> np.ndarray:
     try:
         arr = np.concatenate(vals, axis=axis)
         if arr.ndim != 2 or axis not in (0, 1):
@@ -347,7 +364,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     except ValueError as err:
         raise ShapeMismatchError(
             f"concat on axis {axis} cannot join shapes {[t.shape for t in tensors]}") from err
-    out = _wrap(arr)
+    return arr
+
+
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    vals = [t.values for t in tensors]
+    out = _wrap(_joined(tensors, vals, axis))
     if _active_tape is not None:
         # the vjp hands out views of the incoming adjoint, one per input
         # that takes a gradient
@@ -355,7 +377,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         lo = 0
         for t, v in zip(tensors, vals):
             hi = lo + v.shape[axis]
-            if type(t) is not Constant:
+            if not isinstance(t, Constant):
                 inputs.append(t)
                 pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
             lo = hi
@@ -432,6 +454,33 @@ def scale(x: Tensor, alpha: float) -> Tensor:
     if _active_tape is not None:
         _active_tape.nodes.append(((x,), out, lambda g: (g * a,)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# constant folding
+#
+# Work on constants alone carries no gradient. These two do it on the arrays
+# and return a ``Constant``, so nothing is recorded, with the bits and the
+# checks of the primitive they stand for; any other operands go to that
+# primitive. They are no primitives themselves, so every primitive call still
+# records exactly one node.
+
+def matmul_or_constant(a: Tensor, b: Tensor) -> Tensor:
+    """``matmul(a, b)``, or a ``Constant`` and no node when both are one."""
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        av, bv = a.values, b.values
+        if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
+            return _fresh(av.dot(bv), Constant)
+    return matmul(a, b)
+
+
+def concat_or_constant(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """``concat(tensors, axis)``, or a ``Constant`` and no node when every
+    tensor is one."""
+    for t in tensors:
+        if not isinstance(t, Constant):
+            return concat(tensors, axis)
+    return _wrap(_joined(tensors, [t.values for t in tensors], axis), Constant)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +564,7 @@ def backward(tape: Tape, root: Tensor) -> None:
     # be an array a vjp also handed to another tensor
     for t in [*factors, *adjoint]:
         g = finish(t)
-        if g is None or type(t) is Constant:
+        if g is None or isinstance(t, Constant):
             continue
         t.grad = g.copy() if t.grad is None else t.grad + g
 

@@ -28,7 +28,7 @@ state is (hidden, n), so the position embedding, the motion LSTM and the
 output head each run once per step for the whole scene. The work of
 pedestrian k over its n-1 neighbors is one block of n-1 columns, its m-th
 neighbor in column m: embedded displacements (e, n-1), relation states
-(``state.r[k]``, hidden, n-1), the relation gates' pre-activations (four
+(``state.r[k]``, hidden, n-1), the relation gates' activations (three
 (hidden, n-1) blocks), repeated own and neighbor motion states (hidden,
 n-1), attention logits and weights (1, n-1). Columns move by products with
 constant one-hot matrices, which are exact, since each output entry has
@@ -41,18 +41,28 @@ one nonzero term (two for a displacement):
     product keeps its left operand's gradient as factor pairs (see
     ``diffcore``), so the adjoint of a block is one exact scatter product.
 
+``others``, ``own`` and ``pick`` are ``dc.Selector`` matrices, every
+column one-hot, so their products skip the finite check and keep a
+``Bounded`` operand ``Bounded``; ``spread``'s differences can overflow, so
+it is a plain ``Constant``. Work on constants alone (observed positions,
+the zero motion state of the first step) goes through
+``dc.matmul_or_constant`` and ``dc.concat_or_constant``, which give a
+``Constant`` and record no tape node.
+
 Every affine map is one product with its bias folded in, ``[W | b] @ [x;
 1]``: ``SceneState.fold`` concatenates each weight with its bias once per
 window, on the open tape, and the concat routes the gradients back to the
 named tensors, so names and checkpoints stay as they are.
 
-The relationship encoder forms the four gate products of pedestrian k's
-n-1 cells once per step, on the whole block (``relation_gates``), since
-they read only k's embedded displacements and relation states. Its
-elementwise rest stays one ``relation_step`` call per ordered pair and
-step, on that pair's (hidden, 1) column: the benchmark in ``perfbench``
-counts those calls against the closed form 19 n (n - 1) per window. A
-one-neighbor block is its own column, and then no column is picked.
+The relationship encoder does every op of pedestrian k's n-1 cells that
+does not read a cell state once per step, on the whole block
+(``relation_gates``): the four gate products, which read only k's
+embedded displacements and relation states, their activations and the
+product of input gate and candidate. Only the memory update stays one
+``relation_step`` call per ordered pair and step, on that pair's
+(hidden, 1) column: the benchmark in ``perfbench`` counts those calls
+against the closed form 19 n (n - 1) per window. A one-neighbor block is
+its own column, and then no column is picked.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .data import MAX_TRACK_FRAMES
-from .diffcore import Constant, Tensor
+from .diffcore import Constant, Selector, Tensor
 
 
 # Trainable scalars per model: 128 MiB per float64 copy (params, grads and
@@ -222,16 +232,17 @@ class SceneState:
     The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
     ``ped_ids[k]``. Column k's relation states toward its n-1 neighbors
     are the block ``r[k]`` (hidden, n-1), column m toward its m-th
-    neighbor, since they enter only products; its cell states, which
-    enter only elementwise ops, are n-1 (hidden, 1) columns ``cr[k][m]``.
-    The roster is fixed: a
+    neighbor, since they enter the block's gate products; its cell
+    states, which enter only a pair's own memory update, are n-1
+    (hidden, 1) columns ``cr[k][m]``. The roster is fixed: a
     window holds only pedestrians tracked through its whole span, so every
     state exists from the first step. ``ped_ids`` is sorted once here, and
     every column and every loop follows that canonical order, so listing
     the pedestrians in another order cannot change a result bit.
 
     The constants are the one-hot matrices of the module docstring, built
-    here, and the folded weights, built by ``fold`` on first use.
+    here (``others``, ``own`` and ``pick`` as ``Selector``), and the
+    folded weights, built by ``fold`` on first use.
     """
 
     ped_ids: list
@@ -263,9 +274,9 @@ class SceneState:
             ped_ids=ids, h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
             r=[zeros((hidden_dim, n_neighbors)) for _ in range(n)],
             cr=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
-            others=[Constant(m) for m in others], own=[Constant(m) for m in own],
+            others=[Selector(m) for m in others], own=[Selector(m) for m in own],
             spread=[Constant(a - b) for a, b in zip(others, own)],
-            pick=[Constant(col) for col in np.eye(n_neighbors)[:, :, None]],
+            pick=[Selector(col) for col in np.eye(n_neighbors)[:, :, None]],
             ones=Constant(np.ones((1, n))), ones_neighbors=Constant(np.ones((1, n_neighbors))))
 
     def fold(self, params: ModelParams, name: str):
@@ -300,9 +311,9 @@ def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k:
     whole scene leaves the result unchanged, bit for bit.
     """
     name = "rae" if params.config.strategy is AttentionStrategy.RA else "re"
-    disp = dc.matmul(positions, state.spread[k])
+    disp = dc.matmul_or_constant(positions, state.spread[k])
     return dc.relu(dc.matmul(state.fold(params, name),
-                             dc.concat([disp, state.ones_neighbors], axis=0)))
+                             dc.concat_or_constant([disp, state.ones_neighbors], axis=0)))
 
 
 def _gate_products(gates, inputs, h: Tensor, ones: Tensor) -> list:
@@ -320,24 +331,31 @@ def _lstm_cell(i: Tensor, f: Tensor, g: Tensor, o: Tensor, c: Tensor):
     return dc.mul(o, dc.tanh(c)), c
 
 
-def relation_gates(params: ModelParams, state: SceneState, k: int, e: Tensor) -> list:
-    """The gate pre-activations (i, f, g, o) of every relation cell of the
-    pedestrian of column k, from its (e, n-1) embedded displacements of
-    this step and its relation states of the last: four (hidden, n-1)
-    blocks, column m toward its m-th neighbor."""
-    return _gate_products(state.fold(params, "rel"), [e], state.r[k], state.ones_neighbors)
+def relation_gates(params: ModelParams, state: SceneState, k: int, e: Tensor) -> tuple:
+    """The activated gates of every relation cell of the pedestrian of
+    column k, from its (e, n-1) embedded displacements of this step and
+    its relation states of the last: the forget gate f, the input gate
+    times the candidate, i*g, and the output gate o, three ``Bounded``
+    (hidden, n-1) blocks, column m toward its m-th neighbor. None of them
+    reads a cell state, so each op runs once on the whole block."""
+    i, f, g, o = _gate_products(state.fold(params, "rel"), [e], state.r[k],
+                                state.ones_neighbors)
+    return dc.sigmoid(f), dc.mul(dc.sigmoid(i), dc.tanh(g)), dc.sigmoid(o)
 
 
 def relation_step(params: ModelParams, state: SceneState, k: int, m: int, gates):
     """Advance the relationship encoder of the pedestrian of column k
     toward its m-th neighbor, on column m of the blocks ``relation_gates``
-    formed for k this step; a one-neighbor block is its own column.
+    formed for k this step; a one-neighbor block is its own column. Only
+    the memory update runs here, ``c = f*c + i*g`` and ``r = o*tanh(c)``.
     Returns (r, cr) and keeps cr; ``pipeline.scene_step`` keeps the block
     of k's new r columns."""
+    f, ig, o = gates
     if len(state.pick) > 1:
-        gates = [dc.matmul(block, state.pick[m]) for block in gates]
-    r, state.cr[k][m] = _lstm_cell(*gates, state.cr[k][m])
-    return r, state.cr[k][m]
+        pick = state.pick[m]
+        f, ig, o = dc.matmul(f, pick), dc.matmul(ig, pick), dc.matmul(o, pick)
+    c = state.cr[k][m] = dc.add(dc.mul(f, state.cr[k][m]), ig)
+    return dc.mul(o, dc.tanh(c)), c
 
 
 def attention_logits(params: ModelParams, strategy: AttentionStrategy,
@@ -350,7 +368,7 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
     term to each of i's logits, which the softmax cancels: that block
     moves no prediction beyond rounding."""
     if strategy is AttentionStrategy.SA:
-        return dc.matmul(params["w_sa"], dc.concat([h_i, h_j], axis=0))
+        return dc.matmul(params["w_sa"], dc.concat_or_constant([h_i, h_j], axis=0))
     if strategy is AttentionStrategy.NONE:
         raise ValueError(f"strategy {strategy.value!r} scores no neighbors")
     if pair is None:
@@ -382,7 +400,8 @@ def social_context(state: SceneState, weights: Sequence, neighbors: Sequence,
 
 def embed_position(params: ModelParams, state: SceneState, nabs: Tensor) -> Tensor:
     """Embed the (2, n) anchored offsets for the motion LSTM: (e, n)."""
-    return dc.relu(dc.matmul(state.fold(params, "e"), dc.concat([nabs, state.ones], axis=0)))
+    return dc.relu(dc.matmul(state.fold(params, "e"),
+                             dc.concat_or_constant([nabs, state.ones], axis=0)))
 
 
 def motion_step(params: ModelParams, state: SceneState, e: Tensor, context: Tensor):

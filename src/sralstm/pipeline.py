@@ -15,7 +15,7 @@ Checkpoint byte layout (version 1, all integers little-endian):
 
     offset 0   8 bytes   magic b"SRALCKPT"
     offset 8   u32       format version
-    offset 12  u32       header length N
+    offset 12  u32       header length N, at most MAX_HEADER_BYTES
     offset 16  N bytes   UTF-8 JSON header
     then, for each entry of header["arrays"] in order, the raw row-major
     float64 little-endian payload (8 * prod(shape) bytes), and nothing
@@ -30,6 +30,8 @@ the parameter table in order, then, with Adam state, each parameter's
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
@@ -61,7 +63,7 @@ class RolloutResult:
 
 
 def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
-               record_attention: bool = False):
+               record_attention: bool = False, predict: bool = True):
     """Advance every pedestrian of the scene state by one time step.
 
     nabs and abs_pos are (2, n) tensors, one column per pedestrian in the
@@ -72,7 +74,9 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     embedded displacement under ``ra``, the relation state it updates
     under ``sra``. Scores and social contexts read the motion states of the
     previous step; motion updates and offset predictions run last. Returns
-    (predictions, attention), attention keyed by pedestrian.
+    (predictions, attention), attention keyed by pedestrian; with
+    ``predict`` false, for a step whose predictions nothing reads, the
+    offsets are not formed and predictions is None.
     """
     by_ped = not isinstance(nabs, Tensor)
     if by_ped:
@@ -83,8 +87,8 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     weights, neighbors = [], []
     if strategy is not AttentionStrategy.NONE and n > 1:
         for k in range(n):
-            h_i = dc.matmul(state.h, state.own[k])
-            h_j = dc.matmul(state.h, state.others[k])
+            h_i = dc.matmul_or_constant(state.h, state.own[k])
+            h_j = dc.matmul_or_constant(state.h, state.others[k])
             pair = None
             if strategy is not AttentionStrategy.SA:
                 pair = md.embed_relative(params, state, abs_pos, k)
@@ -101,9 +105,11 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
             neighbors.append(h_j)
     context = md.social_context(state, weights, neighbors, strategy)
     md.motion_step(params, state, md.embed_position(params, state, nabs), context)
+    if not predict:
+        return None, attention
     predictions = md.predict_offset(params, state)
     if by_ped:
-        predictions = {p: dc.matmul(predictions, Constant(col))
+        predictions = {p: dc.matmul(predictions, dc.Selector(col))
                        for p, col in zip(state.ped_ids, np.eye(n)[:, :, None])}
     return predictions, attention
 
@@ -119,7 +125,7 @@ def _columns(state: SceneState, by_ped: Mapping) -> Tensor:
         if not isinstance(col, Tensor) or col.shape != (2, 1):
             raise dc.ShapeMismatchError(f"position of {p!r} must be a (2, 1) tensor, got {col!r}")
         cols.append(col)
-    return dc.concat(cols, axis=1)
+    return dc.concat_or_constant(cols, axis=1)
 
 
 def rollout(params: ModelParams, window: TrajectoryWindow,
@@ -127,7 +133,11 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
     """Run the recurrence over one window and decode predictions.
 
     Gradients flow through the whole prediction phase when a tape is open,
-    including through the fed-back positions.
+    including through the fed-back positions. Work no prediction reads is
+    skipped, so a tape records only nodes with a path to the predictions:
+    the observation steps before the last form no offsets, and the
+    fed-back absolute positions are formed only when some pedestrian
+    embeds displacements (``ra`` and ``sra`` with neighbors).
     """
     cfg = params.config
     if not window.ped_ids:
@@ -143,6 +153,8 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
     track = window.positions[[window.index_of(p) for p in peds], :cfg.obs_len]
     anchors = track[:, -1]
     anchor_columns = Constant(anchors.T)
+    reads_positions = (len(peds) > 1
+                       and cfg.strategy in (AttentionStrategy.RA, AttentionStrategy.SRA))
     steps = []
     trace = [] if record_attention else None
     for t in range(cfg.window_len - 1):
@@ -151,7 +163,8 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
             cur_abs = Constant(track[:, t].T)
         try:
             predictions, attention = scene_step(
-                params, state, cur_nabs, cur_abs, record_attention)
+                params, state, cur_nabs, cur_abs, record_attention,
+                predict=t + 1 >= cfg.obs_len)
         except dc.NonFiniteError as e:
             raise dc.NonFiniteError(f"rollout step {t}: {e}") from e
         if record_attention:
@@ -159,7 +172,7 @@ def rollout(params: ModelParams, window: TrajectoryWindow,
         if t + 1 >= cfg.obs_len:
             steps.append(predictions)
             cur_nabs = predictions
-            if t + 2 < cfg.window_len:  # the last prediction feeds no step
+            if reads_positions and t + 2 < cfg.window_len:  # the last feeds no step
                 cur_abs = dc.add(predictions, anchor_columns)
     # (2 * pred_len, n): column k holds pedestrian k's offsets, step by step
     predictions = dc.concat(steps, axis=0)
@@ -243,6 +256,14 @@ CHECKPOINT_MAGIC = b"SRALCKPT"
 CHECKPOINT_VERSION = 1
 OPTIMIZER_SCALARS = ("lr", "beta1", "beta2", "eps")
 MOMENT_PREFIXES = ("adam.m.", "adam.v.")
+
+
+# The largest header a checkpoint may hold. What ``train`` writes is a few
+# kilobytes plus one loss per epoch (at most 25 bytes each) and the
+# held-out scene name, so it stays under this bound up to some 2.5 million
+# epochs; ``save_checkpoint`` refuses a larger header rather than write a
+# file that would not load.
+MAX_HEADER_BYTES = 2**26
 
 
 class CheckpointError(ValueError):
@@ -362,6 +383,9 @@ def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState]
         "optimizer": opt_header,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    if len(header_bytes) > MAX_HEADER_BYTES:
+        raise OutputError(f"cannot write {path}: its {len(header_bytes)}-byte header "
+                          f"is over the bound of {MAX_HEADER_BYTES}")
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
@@ -373,23 +397,32 @@ def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState]
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file fully before returning; a bad file raises a
-    typed error and mutates nothing."""
+    typed error and mutates nothing. The payload is read only once the
+    header checks out and the file's size is the one its directory
+    implies, so a bad file costs no more memory than a good one."""
     try:
         with open_regular(path) as f:
-            blob = f.read()
+            return _read_checkpoint(path, f, os.fstat(f.fileno()).st_size)
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if len(blob) < 16 or blob[:8] != CHECKPOINT_MAGIC:
+
+
+def _read_checkpoint(path, f, size: int) -> Checkpoint:
+    preamble = f.read(16)
+    if len(preamble) < 16 or preamble[:8] != CHECKPOINT_MAGIC:
         raise CheckpointCorruptError(f"{path} is not a checkpoint (bad magic)")
-    version, header_len = struct.unpack("<II", blob[8:16])
+    version, header_len = struct.unpack("<II", preamble[8:16])
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path} has format version {version}; this build reads "
             f"version {CHECKPOINT_VERSION}")
-    if len(blob) < 16 + header_len:
+    if size < 16 + header_len:
         raise CheckpointCorruptError(f"{path} is truncated inside the header")
+    if header_len > MAX_HEADER_BYTES:
+        raise CheckpointCorruptError(f"{path} has a {header_len}-byte header; "
+                                     f"the bound is {MAX_HEADER_BYTES}")
     try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"),
+        header = json.loads(f.read(header_len).decode("utf-8"),
                             object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:
         # ValueError: bad UTF-8, bad JSON or a repeated key; RecursionError:
@@ -412,20 +445,27 @@ def load_checkpoint(path) -> Checkpoint:
     if _json_text(header["arrays"]) != _json_text(directory):
         raise CheckpointCorruptError(
             f"{path} {_first_difference(header['arrays'], directory)}")
-    offset = 16 + header_len
+    # each array's end offset in the file; the file must end at the last
+    ends = list(itertools.accumulate((8 * math.prod(e["shape"]) for e in directory),
+                                     initial=16 + header_len))[1:]
+    if size > ends[-1]:
+        raise CheckpointCorruptError(f"{path} has {size - ends[-1]} trailing bytes")
+    if size == ends[-1]:
+        payload = f.read(size - 16 - header_len)
+        size = 16 + header_len + len(payload)   # short if the file shrank since fstat
+    if size < ends[-1]:
+        name = directory[bisect.bisect_right(ends, size)]["name"]
+        raise CheckpointCorruptError(f"{path} is truncated inside array {name!r}")
     arrays = {}
+    offset = 0
     for entry in directory:
         name, shape = entry["name"], entry["shape"]
-        nbytes = 8 * math.prod(shape)
-        if offset + nbytes > len(blob):
-            raise CheckpointCorruptError(f"{path} is truncated inside array {name!r}")
-        flat = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=offset)
+        count = math.prod(shape)
+        flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         if not np.all(np.isfinite(flat)):
             raise CheckpointCorruptError(f"{path} has non-finite values in array {name!r}")
         arrays[name] = flat.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointCorruptError(f"{path} has {len(blob) - offset} trailing bytes")
+        offset += 8 * count
     names = [name for name, _, _ in md.param_table(config)]
     params = OrderedDict((name, arrays[name]) for name in names)
     if with_optimizer:

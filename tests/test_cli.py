@@ -962,11 +962,25 @@ def test_predict_on_a_checkpoint_claiming_a_huge_pred_len_is_data_error(tmp_path
     assert not (out / "predictions.tsv").exists()
 
 
-def run_in_subprocess(argv):
+# the CLI's entry point, followed by the child's own peak RSS in KiB as
+# the last stderr line
+PEAK_RSS_MAIN = """
+import resource, sys
+from sralstm.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_in_subprocess(argv, report_peak_rss: bool = False):
     """The CLI on argv in a child process, killed after 60 s, so a run that
-    would not end fails the test instead of hanging the suite."""
+    would not end fails the test instead of hanging the suite. With
+    report_peak_rss the child prints its own peak RSS as the last line of
+    its stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(data_module.__file__)))
-    return subprocess.run([sys.executable, "-m", "sralstm", *argv],
+    entry = ["-c", PEAK_RSS_MAIN] if report_peak_rss else ["-m", "sralstm"]
+    return subprocess.run([sys.executable, *entry, *argv],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=60)
 
@@ -1014,6 +1028,42 @@ def test_a_device_given_as_input_is_refused(data_dir, tmp_path, reader, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "not a regular file" in lines[0] and "/dev/null" in lines[0]
+    assert not out.exists()
+
+
+def refuse_checkpoint(path, out):
+    """predict on the checkpoint at path in a child; returns its exit code,
+    its stderr lines before the peak RSS and that RSS in KiB."""
+    proc = run_in_subprocess(["predict", "--checkpoint", str(path), "--scenario", "meeting",
+                              "--out", str(out)], report_peak_rss=True)
+    *lines, peak = proc.stderr.splitlines()
+    return proc.returncode, lines, int(peak)
+
+
+HUGE_FILE = 200 * 2**20
+
+
+@pytest.mark.parametrize("junk", ["nul bytes", "trailing bytes", "header length"])
+def test_a_huge_bad_checkpoint_is_refused_without_reading_it(trained, tmp_path, junk):
+    # a sparse file takes no disk; before, load_checkpoint read the whole of
+    # it first, so refusing it cost its size in memory
+    tiny = tmp_path / "tiny.ckpt"
+    tiny.write_bytes(b"junkjunk")
+    code, lines, tiny_peak = refuse_checkpoint(tiny, tmp_path / "out")
+    assert code == EXIT_DATA and len(lines) == 1 and "bad magic" in lines[0]
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes({"nul bytes": b"",
+                      "trailing bytes": (trained / "checkpoint.ckpt").read_bytes(),
+                      "header length": CHECKPOINT_MAGIC + struct.pack("<II", 1, HUGE_FILE - 16),
+                      }[junk])
+    os.truncate(path, HUGE_FILE)
+    out = tmp_path / "out"
+    code, lines, peak = refuse_checkpoint(path, out)
+    assert code == EXIT_DATA
+    assert peak - tiny_peak < 32 * 2**10
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert {"nul bytes": "bad magic", "trailing bytes": "trailing bytes",
+            "header length": "the bound is"}[junk] in lines[0]
     assert not out.exists()
 
 

@@ -260,6 +260,55 @@ def test_bounded_operands_skip_the_check_and_stay_finite():
     assert type(dc.add(unit, signed)) is Tensor
 
 
+def test_a_selector_product_picks_exact_entries_and_takes_no_gradient(monkeypatch):
+    # every column of a selector is one-hot, so the product only picks and
+    # repeats columns: each entry exactly, with no finite check, and
+    # columns of a bounded tensor are bounded
+    sel = dc.Selector([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    big = Tensor([[sys.float_info.max, -1e-300, 3.0], [0.1, -sys.float_info.max, 5e-324]])
+    checked, fresh = [], dc._fresh
+    monkeypatch.setattr(dc, "_fresh", lambda arr: checked.append(arr) or fresh(arr))
+    out = dc.matmul(big, sel)
+    assert checked == [] and type(out) is Tensor
+    assert out.values.tobytes() == big.values[:, [1, 0, 2, 1]].tobytes()
+    x = Tensor(np.random.default_rng(4).normal(size=(2, 3)))
+    weights = dc.Constant(np.arange(8.0).reshape(2, 4))
+    with Tape() as tape:
+        picked = dc.matmul(dc.tanh(x), sel)
+        root = dc.sum_all(dc.mul(picked, weights))
+    assert type(picked) is dc.Bounded
+    assert picked.values.tobytes() == np.tanh(x.values)[:, [1, 0, 2, 1]].tobytes()
+    assert not any(t is sel for inputs, _, _ in tape.nodes for t in inputs)
+    dc.backward(tape, root)
+    assert sel.grad is None
+    want = weights.values.dot(sel.values.T) * (1.0 - np.tanh(x.values) ** 2)
+    assert rel_err(x.grad, want) <= 1e-15
+
+
+def test_work_on_constants_alone_is_folded_and_recorded_nowhere():
+    rng = np.random.default_rng(6)
+    a, ones = dc.Constant(rng.normal(size=(2, 3))), dc.Constant(np.ones((1, 3)))
+    b, w = dc.Selector(np.eye(3)[:, [2, 0]]), Tensor(rng.normal(size=(2, 3)))
+    with Tape() as tape:
+        folded = [dc.matmul_or_constant(a, b), dc.concat_or_constant([a, ones], axis=0),
+                  dc.concat_or_constant([a, a], axis=1)]
+        assert len(tape) == 0
+        mixed = [dc.matmul_or_constant(w, b), dc.concat_or_constant([w, ones], axis=0)]
+        assert len(tape) == 2
+    assert all(type(t) is dc.Constant for t in folded)
+    assert all(type(t) is Tensor for t in mixed)
+    plain = [dc.matmul(a, b), dc.concat([a, ones], axis=0), dc.concat([a, a], axis=1)]
+    assert [t.values.tobytes() for t in folded] == [t.values.tobytes() for t in plain]
+    # the checks of the primitives stay
+    big = dc.Constant([[1e200]])
+    with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError):
+        dc.matmul_or_constant(big, big)
+    with pytest.raises(dc.ShapeMismatchError):
+        dc.matmul_or_constant(a, a)
+    with pytest.raises(dc.ShapeMismatchError):
+        dc.concat_or_constant([a, ones], axis=1)
+
+
 @pytest.mark.parametrize("op", ["sigmoid", "tanh", "relu", "concat", "masked_softmax"])
 def test_bounded_op_stays_finite_on_extreme_inputs(op):
     x = Tensor([[1e308], [-1e308], [0.0]])
@@ -781,7 +830,7 @@ GRAPH_ROWS, GRAPH_INPUT_COLS = 2, 3
 UNARY = {"sigmoid": dc.sigmoid, "tanh": dc.tanh, "relu": dc.relu,
          "exp": lambda x: dc.exp(dc.tanh(x)), "scale": lambda x: dc.scale(x, -1.5)}
 BINARY = {"add": dc.add, "sub": dc.sub, "mul": dc.mul}
-GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend")
+GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend", "pick")
 GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
                           suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -800,7 +849,9 @@ class OpGraph:
     at least twice, ``v`` multiplies a concat along rows (with a constant
     row of ones, as a folded bias), ``x`` enters through a product with a
     constant, and ``y`` and ``z`` directly, so one op may hand both the same
-    adjoint. Each op's operands may be one tensor.
+    adjoint. Each op's operands may be one tensor. ``pick`` picks columns
+    of a sigmoid output by a ``Selector``, repeating some and dropping
+    others, as a relation cell picks its column of a gate block.
     """
 
     def __init__(self, seed, width):
@@ -820,6 +871,7 @@ class OpGraph:
         self.target = dc.Constant(rng.normal(size=(r, width)) / (r * width))
         self.mask = rng.random(width) < 0.7
         self.mask[0] = True
+        self.pick = dc.Selector(np.eye(width)[:, rng.integers(0, width, width)])
 
     def forward(self, ops):
         """The scalar root. Every tensor made on the way goes to ``built``,
@@ -846,6 +898,8 @@ class OpGraph:
                 out = dc.matmul(v, dc.concat([a, b, self.ones], axis=0))
             elif op == "join":
                 out = dc.matmul(dc.concat([a, b], axis=1), self.merge)
+            elif op == "pick":
+                out = dc.matmul(dc.sigmoid(a), self.pick)
             else:
                 weights = dc.masked_softmax(dc.matmul(self.score, a), self.mask)
                 out = dc.matmul(dc.weighted_sum(weights, b), self.ones)

@@ -356,7 +356,10 @@ def test_scene_state_constants_take_no_gradient():
     constants = [*state.others, *state.own, *state.spread, *state.pick,
                  state.ones, state.ones_neighbors, state.h, state.c, *state.r,
                  *(t for block in state.cr for t in block)]
-    assert all(type(t) is Constant for t in constants)
+    assert all(isinstance(t, Constant) for t in constants)
+    # the one-hot matrices are selectors; spread's differences are not
+    assert all(type(t) is dc.Selector for t in (*state.others, *state.own, *state.pick))
+    assert not any(isinstance(t, dc.Selector) for t in constants[2 * 4:3 * 4])
 
 
 def test_pair_store_keeps_directions_distinct():
@@ -399,8 +402,9 @@ def test_relation_step_shares_weights_across_pairs():
 
 
 def test_relation_step_matches_lstm_oracle():
-    # the block products plus each pair step, against the one-pair oracle;
-    # n = 2 takes the one-neighbor path, which picks no column
+    # the block's gate products and activations plus each pair's memory
+    # update, against the one-pair oracle; n = 2 takes the one-neighbor
+    # path, which picks no column
     params = ModelParams.init(SMALL, seed=8)
     rng = np.random.default_rng(21)
     for n in (2, 4):
@@ -411,7 +415,9 @@ def test_relation_step_matches_lstm_oracle():
         other_r, other_cr = state.r[0], list(state.cr[0])
         x = rng.normal(size=(6, n - 1))
         gates = md.relation_gates(params, state, 1, Tensor(x))
-        assert [g.shape for g in gates] == [(8, n - 1)] * 4
+        # f, i*g and o, each in [-1, 1]
+        assert [g.shape for g in gates] == [(8, n - 1)] * 3
+        assert all(type(g) is dc.Bounded for g in gates)
         for m in range(n - 1):
             want_h, want_c = oracle_lstm_from_gates(
                 params, "rel", x[:, m:m + 1], r_before.values[:, m:m + 1], cr_before[m].values)

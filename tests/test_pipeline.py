@@ -443,10 +443,10 @@ def test_attention_weight_gets_no_signal_from_a_single_neighbor():
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 1, 383), ("sra", 2, 1357), ("sra", 4, 4587), ("sra", 8, 16671),
-    ("ra", 1, 383), ("ra", 2, 783), ("ra", 4, 1163), ("ra", 8, 1923),
-    ("sa", 1, 383), ("sa", 2, 630), ("sa", 4, 858), ("sa", 8, 1314),
-    ("none", 1, 383), ("none", 2, 383), ("none", 8, 383), ("none", 16, 383)],
+    ("sra", 1, 350), ("sra", 2, 1299), ("sra", 4, 3505), ("sra", 8, 10881),
+    ("ra", 1, 350), ("ra", 2, 725), ("ra", 4, 1069), ("ra", 8, 1757),
+    ("sa", 1, 350), ("sa", 2, 591), ("sa", 4, 813), ("sa", 8, 1257),
+    ("none", 1, 350), ("none", 2, 350), ("none", 8, 350), ("none", 16, 350)],
     ids=["sra-1", "sra-2", "sra-4", "sra-8", "ra-1", "ra-2", "ra-4", "ra-8",
          "sa-1", "sa-2", "sa-4", "sa-8", "none-1", "none-2", "none-8", "none-16"])
 def test_tape_nodes_per_window(strategy, n, nodes):
@@ -461,10 +461,30 @@ def test_tape_nodes_per_window(strategy, n, nodes):
     assert len(tape) == nodes
 
 
-@pytest.mark.parametrize("n,picks", [(2, 0), (3, 4 * 3 * 2)])
+@pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_train_step_records_only_work_that_reaches_the_loss(strategy, n):
+    # walked before backward: every node has an input, so it is no work on
+    # constants alone, and a path to the loss, so its output is read
+    params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
+    window = random_walk_window(n, seed=n)
+    with dc.Tape() as tape:
+        loss = l2_loss(rollout(params, window), window_truth_nabs(window))
+    assert [out for inputs, out, _ in tape.nodes if not inputs] == []
+    live, dead = {loss}, 0
+    for inputs, out, _ in reversed(tape.nodes):
+        if out in live:
+            live.update(inputs)
+        else:
+            dead += 1
+    assert dead == 0
+
+
+@pytest.mark.parametrize("n,picks", [(2, 0), (3, 3 * 3 * 2)])
 def test_only_a_block_of_several_neighbors_is_picked_by_column(monkeypatch, n, picks):
-    # every pair picks its column of each of the four gate blocks, except
-    # that a one-neighbor block is its own column and records no product
+    # every pair picks its column of each of the three activated gate
+    # blocks, except that a one-neighbor block is its own column and
+    # records no product
     params = small_params(seed=3)
     state = SceneState.initial(list(range(n)), hidden_dim=8)
     right, matmul = [], dc.matmul
@@ -479,18 +499,20 @@ def test_backward_matches_reference_on_a_rollout():
     # every parameter of a full sra step is the left operand of a matmul or
     # folded into one, so backward sums its products' factor pairs in one
     # product per block where the plain dict-accumulating pass sums one
-    # dense adjoint per use: only the summation order moves
-    params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
-    window = random_walk_window(3, seed=3)
-    named = params.tensors()
-    with dc.Tape() as tape:
-        loss = l2_loss(rollout(params, window), window_truth_nabs(window))
-    reference_backward(tape, loss)
-    expected = {name: t.grad for name, t in named.items()}
-    dc.zero_grads(named.values())
-    dc.backward(tape, loss)
-    for name, t in named.items():
-        assert scaled_err(t.grad, expected[name]) <= 1e-12, name
+    # dense adjoint per use: only the summation order moves. At n = 5 each
+    # activated gate block scatters four picked columns back
+    for n in (3, 5):
+        params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
+        window = random_walk_window(n, seed=3)
+        named = params.tensors()
+        with dc.Tape() as tape:
+            loss = l2_loss(rollout(params, window), window_truth_nabs(window))
+        reference_backward(tape, loss)
+        expected = {name: t.grad for name, t in named.items()}
+        dc.zero_grads(named.values())
+        dc.backward(tape, loss)
+        for name, t in named.items():
+            assert scaled_err(t.grad, expected[name]) <= 1e-12, (n, name)
 
 
 GRAD_DIGEST = """
@@ -665,6 +687,20 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(CheckpointCorruptError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_is_bounded_on_save_and_on_load(tmp_path, monkeypatch):
+    # train's headers stay far under the real bound; a small one stands in
+    params, _ = trained_state(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    header_len = struct.unpack("<I", path.read_bytes()[12:16])[0]
+    monkeypatch.setattr(pl, "MAX_HEADER_BYTES", header_len - 1)
+    with pytest.raises(CheckpointCorruptError, match=f"{header_len}-byte header"):
+        load_checkpoint(path)
+    with pytest.raises(pl.OutputError, match="over the bound"):
+        save_checkpoint(tmp_path / "other.ckpt", params)
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):

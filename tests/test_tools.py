@@ -11,15 +11,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_ab_time_prints_one_line_per_side():
+    for extra, strategy in (([], "sra"), (["--strategy", "sa"], "sa")):
+        proc = subprocess.run(
+            [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".",
+             "--n", "2", "--mode", "eval", "--reps", "1", *extra],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["A", "B", "A/B"]
+        for line in lines[:2]:
+            assert " best " in line and " median " in line
+            assert f"(eval, {strategy}, n=2," in line
     proc = subprocess.run(
-        [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".",
-         "--n", "2", "--mode", "eval", "--reps", "1"],
+        [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".", "--strategy", "xa"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["A", "B", "A/B"]
-    for line in lines[:2]:
-        assert " best " in line and " median " in line
+    assert proc.returncode == 2 and "invalid choice" in proc.stderr
 
 
 def test_state_digest_prints_one_json_line_with_every_case():

@@ -1,10 +1,12 @@
 """Time two checkouts against each other in one process.
 
     python3 tools/ab_time.py A B [--n N] [--mode eval|train] [--reps R]
+                             [--strategy none|sa|ra|sra]
 
 Imports ``A/src/sralstm`` and ``B/src/sralstm`` under distinct package
 names, builds one seeded random-walk window of N pedestrians and a fresh
-default ``sra`` model (seed 0) for each side, and then alternates the
+default-size model (seed 0) of the given attention strategy (default
+``sra``) for each side, and then alternates the
 sides call by call, the order flipping each repetition: a tape-free
 ``rollout`` (``--mode eval``) or a ``train_step`` with Adam
 (``--mode train``). Each side makes one untimed warm-up call first. It
@@ -46,11 +48,11 @@ def load(root: str, name: str) -> dict:
             for sub in ("data", "diffcore", "model", "pipeline")}
 
 
-def make_call(mods: dict, positions: np.ndarray, mode: str):
+def make_call(mods: dict, positions: np.ndarray, mode: str, strategy: str):
     md, pl = mods["model"], mods["pipeline"]
     n = positions.shape[0]
     window = mods["data"].TrajectoryWindow("ab", 0, list(range(n)), positions.copy(), 8, 12)
-    params = md.ModelParams.init(md.ModelConfig(), seed=0)
+    params = md.ModelParams.init(md.ModelConfig(strategy=strategy), seed=0)
     if mode == "eval":
         return lambda: pl.rollout(params, window)
     opt = mods["diffcore"].AdamState(params.tensors())
@@ -64,6 +66,8 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=int, default=8, help="pedestrians in the window")
     ap.add_argument("--mode", choices=("eval", "train"), default="eval")
     ap.add_argument("--reps", type=int, default=20, help="timed calls per side")
+    ap.add_argument("--strategy", choices=("none", "sa", "ra", "sra"), default="sra",
+                    help="attention strategy of both sides' models")
     args = ap.parse_args(argv)
     if args.n < 1 or args.reps < 1:
         ap.error("--n and --reps must be at least 1")
@@ -71,8 +75,8 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     steps = rng.normal(0.0, 0.35, size=(args.n, 20, 2))
     positions = np.cumsum(steps, axis=1) + rng.uniform(-3.0, 3.0, size=(args.n, 1, 2))
-    sides = [("A", args.a, make_call(load(args.a, "ab_side_a"), positions, args.mode)),
-             ("B", args.b, make_call(load(args.b, "ab_side_b"), positions, args.mode))]
+    sides = [(label, root, make_call(load(root, name), positions, args.mode, args.strategy))
+             for label, root, name in (("A", args.a, "ab_side_a"), ("B", args.b, "ab_side_b"))]
     times = {label: [] for label, _, _ in sides}
     for _, _, call in sides:
         call()
@@ -86,7 +90,8 @@ def main(argv=None) -> int:
     median = {k: statistics.median(v) for k, v in times.items()}
     for label, root, _ in sides:
         print(f"{label} best {1e3 * best[label]:.3f} ms  median {1e3 * median[label]:.3f} ms"
-              f"  ({args.mode}, n={args.n}, reps={args.reps}, {os.path.abspath(root)})")
+              f"  ({args.mode}, {args.strategy}, n={args.n}, reps={args.reps}, "
+              f"{os.path.abspath(root)})")
     print(f"A/B best {best['A'] / best['B']:.3f}  median {median['A'] / median['B']:.3f}")
     return 0
 
