@@ -40,6 +40,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# The largest config file read. A config holds a few settings and one path
+# per scene, so a bigger file is refused before it is read.
+MAX_CONFIG_BYTES = 2**20
+
 
 class UsageError(Exception):
     """Bad flags or a bad config file."""
@@ -84,6 +88,10 @@ _SETTINGS = [
 def _read_config_file(path: str) -> dict:
     try:
         with open_regular(path, "r", encoding="utf-8") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size > MAX_CONFIG_BYTES:
+                raise UsageError(f"config file {path} holds {size} bytes; "
+                                 f"the bound is {MAX_CONFIG_BYTES}")
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file {path}: {e}") from e

@@ -3,8 +3,9 @@
 Both metrics are Euclidean: ADE averages point-to-point displacement over
 every pedestrian and prediction step, FDE averages the displacement at the
 final step only. Evaluation rolls each window out once, deterministically
-(observation phase teacher-forced, prediction phase free), and pools
-per-pedestrian means across windows.
+(observation phase teacher-forced, prediction phase free), windows of one
+crowd size stacked into one rollout, and pools per-pedestrian means across
+windows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from . import diffcore as dc
 from .data import DataError, TrajectoryWindow
 from .model import ModelConfig, ModelParams, param_count
 from .pipeline import CLIP_NORM, rollout, train_epoch
+
+# Pedestrians one stacked evaluation rollout holds at most. A stack shares
+# each step's position embedding, motion LSTM and head, while its
+# per-pedestrian products grow with its width.
+STACK_PEDESTRIANS = 32
 
 
 def _displacements(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -82,24 +88,34 @@ def evaluate(params: ModelParams, windows: Sequence[TrajectoryWindow]) -> EvalRe
     """Free-rollout evaluation over a window set, reported under the first
     window's scene name.
 
-    ADE/FDE pool per-pedestrian means across all windows.
+    Windows of one crowd size roll out together, in stacks of at most
+    ``STACK_PEDESTRIANS`` pedestrians (a larger window alone), one
+    ``rollout`` call per stack. Records keep the input order, and ADE/FDE
+    pool per-pedestrian means across all windows in that order.
     """
     if len(windows) == 0:
         raise ValueError("evaluation over zero windows")
     cfg = params.config
-    records = []
-    per_ped_means = []
-    per_ped_finals = []
-    for w in windows:
+    by_size = {}
+    for i, w in enumerate(windows):
         if w.n_frames != cfg.window_len:
             raise DataError(
                 f"window has {w.n_frames} frames; scoring needs exactly {cfg.window_len}")
-        result = rollout(params, w)
-        truth = w.positions[:, cfg.obs_len:]
-        predicted = np.stack([result.predicted_abs[p] for p in w.ped_ids])
-        disp = _displacements(predicted, truth)
-        records.append(WindowRecord(w.scene_name, w.start_frame,
-                                    list(w.ped_ids), disp))
+        by_size.setdefault(len(w.ped_ids), []).append(i)
+    predicted = [None] * len(windows)
+    for n, indices in by_size.items():
+        per_stack = max(1, STACK_PEDESTRIANS // n)
+        for s in range(0, len(indices), per_stack):
+            stack = indices[s:s + per_stack]
+            result = rollout(params, [windows[i] for i in stack])
+            for j, i in enumerate(stack):
+                predicted[i] = np.stack([result.predicted_abs[j, p] for p in windows[i].ped_ids])
+    records = []
+    per_ped_means = []
+    per_ped_finals = []
+    for w, pred in zip(windows, predicted):
+        disp = _displacements(pred, w.positions[:, cfg.obs_len:])
+        records.append(WindowRecord(w.scene_name, w.start_frame, list(w.ped_ids), disp))
         per_ped_means.extend(disp.mean(axis=1).tolist())
         per_ped_finals.extend(disp[:, -1].tolist())
     return EvalReport(

@@ -25,7 +25,12 @@ Column layout. Inside a step a pedestrian is its column k in every
 per-pedestrian matrix, in the canonical order of ``SceneState``; ids
 appear only at the edges. Positions and offsets are (2, n) and the motion
 state is (hidden, n), so the position embedding, the motion LSTM and the
-output head each run once per step for the whole scene. The work of
+output head each run once per step for the whole scene. A scene may
+also be a stack of windows of one crowd size (``SceneState.initial``
+with ``stacked``): their columns are concatenated, and each pedestrian's
+neighbors are those of its own window only, so a stack shares each step's
+position embedding, motion LSTM and head while every per-pedestrian and
+per-pair op is the one its window alone would run. The work of
 pedestrian k over its n-1 neighbors is one block of n-1 columns, its m-th
 neighbor in column m: embedded displacements (e, n-1), relation states
 (``state.r[k]``, hidden, n-1), the relation gates' activations (three
@@ -67,6 +72,7 @@ its own column, and then no column is picked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
@@ -226,8 +232,8 @@ class ModelParams:
 
 @dataclass
 class SceneState:
-    """Recurrent state for one window, all zero at the start, plus the
-    window's constants.
+    """Recurrent state for one window, or a stack of windows, all zero at
+    the start, plus the scene's constants.
 
     The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
     ``ped_ids[k]``. Column k's relation states toward its n-1 neighbors
@@ -242,7 +248,8 @@ class SceneState:
 
     The constants are the one-hot matrices of the module docstring, built
     here (``others``, ``own`` and ``pick`` as ``Selector``), and the
-    folded weights, built by ``fold`` on first use.
+    folded weights, built by ``fold`` on first use. Every block has
+    ``len(pick)`` columns, none for lone pedestrians.
     """
 
     ped_ids: list
@@ -250,8 +257,8 @@ class SceneState:
     c: Tensor
     r: list               # per column k: its (hidden, n-1) relation states
     cr: list              # per column k: its n-1 (hidden, 1) relation cell states
-    others: list          # per column k: (n, n-1), column m picks neighbor m
-    own: list             # per column k: (n, n-1), every column picks column k
+    others: list          # per column k: (columns, n-1), column m picks neighbor m
+    own: list             # per column k: (columns, n-1), every column picks column k
     spread: list          # per column k: others[k] - own[k]
     pick: list            # (n-1, 1) one-hot columns, picking column m of a block
     ones: Tensor          # (1, n)
@@ -260,14 +267,29 @@ class SceneState:
     folded_for: Optional[ModelParams] = field(default=None, repr=False)
 
     @classmethod
-    def initial(cls, ped_ids: Sequence, hidden_dim: int) -> "SceneState":
+    def initial(cls, ped_ids: Sequence, hidden_dim: int, stacked: bool = False) -> "SceneState":
+        """The zero state of one window's pedestrians, all neighbors of one
+        another; or, ``stacked``, of several windows at once: each id is
+        then a ``(window, id)`` pair, as ``pipeline.rollout`` keys them, and
+        a pedestrian's neighbors are the others of its window. The windows
+        must hold one number of pedestrians, so every block has one width.
+        Sorted, a window's columns are contiguous, and a stack of one window
+        gets the constants of the plain state exactly."""
         ids = sorted(ped_ids)
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate pedestrian ids in scene state")
-        n = len(ids)
-        n_neighbors = max(n - 1, 0)
+        n = size = len(ids)
+        if stacked:
+            sizes = {len(list(g)) for _, g in itertools.groupby(ids, key=lambda p: p[0])}
+            if len(sizes) > 1:
+                raise ValueError(f"stacked windows hold {sorted(sizes)} pedestrians; "
+                                 f"a stack needs one number")
+            size = sizes.pop() if sizes else 0
+        n_neighbors = max(size - 1, 0)
         eye = np.eye(n)
-        others = [np.delete(eye, k, axis=1) for k in range(n)]
+        # column k's window spans columns k - k % size .. k - k % size + size
+        others = [np.delete(eye[:, k - k % size:k - k % size + size], k % size, axis=1)
+                  for k in range(n)]
         own = [np.repeat(eye[:, k:k + 1], n_neighbors, axis=1) for k in range(n)]
         zeros = Constant.zeros
         return cls(
@@ -387,10 +409,10 @@ def social_context(state: SceneState, weights: Sequence, neighbors: Sequence,
                    strategy: AttentionStrategy) -> Tensor:
     """The (hidden, n) social contexts: column k weighs the (hidden, n-1)
     block ``neighbors[k]`` of pedestrian k's neighbor motion states by
-    ``weights[k]`` and sums them. Zeros under NONE and for a lone
-    pedestrian."""
+    ``weights[k]`` and sums them. Zeros under NONE and for lone
+    pedestrians."""
     n = len(state.ped_ids)
-    if strategy is AttentionStrategy.NONE or n == 1:
+    if strategy is AttentionStrategy.NONE or not state.pick:
         return Constant.zeros(state.h.shape)
     if len(weights) != n or len(neighbors) != n or any(w is None for w in weights):
         raise ValueError(f"attention weights required: each of the {n} pedestrians "

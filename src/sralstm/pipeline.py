@@ -9,14 +9,16 @@ consumed or scored. A rollout reads only the observation frames, so it
 runs the same on a window with or without future truth; the callers that
 score against the future (``train_step``, ``evalkit.evaluate``) check
 that the window carries it. Every pedestrian of the window takes part in
-every step, in the canonical order of ``SceneState``.
+every step, in the canonical order of ``SceneState``. Several windows of
+one crowd size can roll out as one stacked scene, each pedestrian's
+neighbors still those of its own window; ``evalkit.evaluate`` does so.
 
 Checkpoint byte layout (version 1, all integers little-endian):
 
     offset 0   8 bytes   magic b"SRALCKPT"
     offset 8   u32       format version
     offset 12  u32       header length N, at most MAX_HEADER_BYTES
-    offset 16  N bytes   UTF-8 JSON header
+    offset 16  N bytes   UTF-8 JSON header, an object: its first byte is "{"
     then, for each entry of header["arrays"] in order, the raw row-major
     float64 little-endian payload (8 * prod(shape) bytes), and nothing
     after the last array.
@@ -56,10 +58,13 @@ CLIP_NORM = 10.0
 
 @dataclass
 class RolloutResult:
-    ped_ids: list
-    predicted_abs: dict           # ped -> (pred_len, 2) absolute positions
-    attention: Optional[list]     # per step: ped -> (neighbor ids, weights)
-    predictions: Tensor           # (2 * pred_len, P) offsets: column per ped, rows step, x/y
+    """What ``rollout`` computed. A pedestrian is keyed by its id, or, in a
+    rollout over a sequence of windows, by ``(window index, id)``."""
+
+    ped_ids: list                 # keys in canonical order
+    predicted_abs: dict           # key -> (pred_len, 2) absolute positions
+    attention: Optional[list]     # per step: key -> (neighbor keys, weights)
+    predictions: Tensor           # (2 * pred_len, P) offsets: column per key, rows step, x/y
 
 
 def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
@@ -69,8 +74,10 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     nabs and abs_pos are (2, n) tensors, one column per pedestrian in the
     canonical order, and the predicted offsets come back as one (2, n)
     tensor; or they map each pedestrian to a (2, 1) tensor, and the
-    predictions come back as such a dict. Each pedestrian's neighbors are
-    one block, scored on one pair feature each: none under ``sa``, the
+    predictions come back as such a dict. abs_pos may be None when no
+    pedestrian embeds displacements (``none``, ``sa`` or no neighbors).
+    Each pedestrian's neighbors (the others of its window, in a stack)
+    are one block, scored on one pair feature each: none under ``sa``, the
     embedded displacement under ``ra``, the relation state it updates
     under ``sra``. Scores and social contexts read the motion states of the
     previous step; motion updates and offset predictions run last. Returns
@@ -80,12 +87,14 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     """
     by_ped = not isinstance(nabs, Tensor)
     if by_ped:
-        nabs, abs_pos = _columns(state, nabs), _columns(state, abs_pos)
+        nabs = _columns(state, nabs)
+        abs_pos = None if abs_pos is None else _columns(state, abs_pos)
     strategy = params.config.strategy
     n = len(state.ped_ids)
+    n_neighbors = len(state.pick)   # the same for every pedestrian of the scene
     attention = {} if record_attention else None
     weights, neighbors = [], []
-    if strategy is not AttentionStrategy.NONE and n > 1:
+    if strategy is not AttentionStrategy.NONE and n_neighbors:
         for k in range(n):
             h_i = dc.matmul_or_constant(state.h, state.own[k])
             h_j = dc.matmul_or_constant(state.h, state.others[k])
@@ -95,12 +104,14 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
             if strategy is AttentionStrategy.SRA:
                 gates = md.relation_gates(params, state, k, pair)
                 pair = state.r[k] = dc.concat(
-                    [md.relation_step(params, state, k, m, gates)[0] for m in range(n - 1)],
+                    [md.relation_step(params, state, k, m, gates)[0]
+                     for m in range(n_neighbors)],
                     axis=1)
             w = md.attention_weights(md.attention_logits(params, strategy, pair, h_i, h_j))
             if record_attention:
-                i = state.ped_ids[k]
-                attention[i] = ([j for j in state.ped_ids if j != i], w.values.reshape(-1).copy())
+                attention[state.ped_ids[k]] = (
+                    [state.ped_ids[j] for j in state.others[k].values.argmax(axis=0)],
+                    w.values.reshape(-1).copy())
             weights.append(w)
             neighbors.append(h_j)
     context = md.social_context(state, weights, neighbors, strategy)
@@ -128,39 +139,58 @@ def _columns(state: SceneState, by_ped: Mapping) -> Tensor:
     return dc.concat_or_constant(cols, axis=1)
 
 
-def rollout(params: ModelParams, window: TrajectoryWindow,
-            record_attention: bool = False) -> RolloutResult:
+def rollout(params: ModelParams, windows, record_attention: bool = False) -> RolloutResult:
     """Run the recurrence over one window and decode predictions.
+
+    windows is one ``TrajectoryWindow``, whose pedestrians the result keys
+    by id; or a sequence of windows of one crowd size, rolled out as one
+    stacked scene (``SceneState.initial`` with ``stacked``), whose
+    pedestrians it keys by ``(window index, id)``. Each window's
+    predictions are those of its own rollout up to the summation order of
+    the shared products.
 
     Gradients flow through the whole prediction phase when a tape is open,
     including through the fed-back positions. Work no prediction reads is
     skipped, so a tape records only nodes with a path to the predictions:
     the observation steps before the last form no offsets, and the
-    fed-back absolute positions are formed only when some pedestrian
-    embeds displacements (``ra`` and ``sra`` with neighbors).
+    absolute positions, observed or fed back, are formed only when some
+    pedestrian embeds displacements (``ra`` and ``sra`` with neighbors).
     """
     cfg = params.config
-    if not window.ped_ids:
-        raise DataError("rollout needs at least one pedestrian")
-    if window.obs_len != cfg.obs_len:
-        raise DataError(
-            f"window observation length {window.obs_len} != model's {cfg.obs_len}")
-    if window.n_frames < cfg.obs_len:
-        raise DataError(
-            f"window has {window.n_frames} frames; a rollout needs {cfg.obs_len}")
-    state = SceneState.initial(window.ped_ids, cfg.hidden_dim)
+    stacked = not isinstance(windows, TrajectoryWindow)
+    windows = list(windows) if stacked else [windows]
+    if not windows:
+        raise DataError("rollout needs at least one window")
+    for window in windows:
+        if not window.ped_ids:
+            raise DataError("rollout needs at least one pedestrian")
+        if window.obs_len != cfg.obs_len:
+            raise DataError(
+                f"window observation length {window.obs_len} != model's {cfg.obs_len}")
+        if window.n_frames < cfg.obs_len:
+            raise DataError(
+                f"window has {window.n_frames} frames; a rollout needs {cfg.obs_len}")
+    if stacked:
+        keys = [(i, p) for i, window in enumerate(windows) for p in window.ped_ids]
+        state = SceneState.initial(keys, cfg.hidden_dim, stacked=True)
+        rows = [(windows[i], p) for i, p in state.ped_ids]
+    else:
+        state = SceneState.initial(windows[0].ped_ids, cfg.hidden_dim)
+        rows = [(windows[0], p) for p in state.ped_ids]
     peds = state.ped_ids
-    track = window.positions[[window.index_of(p) for p in peds], :cfg.obs_len]
+    track = np.stack([w.positions[w.index_of(p), :cfg.obs_len] for w, p in rows])
     anchors = track[:, -1]
-    anchor_columns = Constant(anchors.T)
-    reads_positions = (len(peds) > 1
-                       and cfg.strategy in (AttentionStrategy.RA, AttentionStrategy.SRA))
+    reads_positions = bool(state.pick) and cfg.strategy in (AttentionStrategy.RA,
+                                                            AttentionStrategy.SRA)
+    anchor_columns = Constant(anchors.T) if reads_positions else None
+    cur_abs = None
     steps = []
     trace = [] if record_attention else None
     for t in range(cfg.window_len - 1):
         if t < cfg.obs_len:
             cur_nabs = Constant((track[:, t] - anchors).T)
-            cur_abs = Constant(track[:, t].T)
+            if reads_positions:
+                cur_abs = Constant(track[:, t].T)
         try:
             predictions, attention = scene_step(
                 params, state, cur_nabs, cur_abs, record_attention,
@@ -421,15 +451,19 @@ def _read_checkpoint(path, f, size: int) -> Checkpoint:
     if header_len > MAX_HEADER_BYTES:
         raise CheckpointCorruptError(f"{path} has a {header_len}-byte header; "
                                      f"the bound is {MAX_HEADER_BYTES}")
+    # save_checkpoint writes a JSON object; anything else is refused before
+    # the rest of a header of up to MAX_HEADER_BYTES is read
+    first = f.read(min(header_len, 1))
+    if first != b"{":
+        raise CheckpointCorruptError(f"{path} has a malformed header: it does not "
+                                     f"start with '{{' but with {first!r}")
     try:
-        header = json.loads(f.read(header_len).decode("utf-8"),
+        header = json.loads((first + f.read(header_len - 1)).decode("utf-8"),
                             object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:
         # ValueError: bad UTF-8, bad JSON or a repeated key; RecursionError:
         # arrays or objects nested too deeply to decode
         raise CheckpointCorruptError(f"{path} has a malformed header: {e}") from e
-    if not isinstance(header, dict):
-        raise CheckpointCorruptError(f"{path} has a non-object header")
     for key in ("config", "metadata", "arrays"):
         if key not in header:
             raise CheckpointCorruptError(f"{path} header lacks {key!r}")

@@ -26,7 +26,8 @@ from sralstm.data import (SCENARIO_KINDS, TrajectoryWindow, build_windows,
                           parse_annotations, regrid, scene_to_annotation_text,
                           synth_scenario)
 from sralstm.model import MAX_PARAMS, AttentionStrategy, ModelConfig, ModelParams
-from sralstm.pipeline import CHECKPOINT_MAGIC, load_checkpoint, rollout, save_checkpoint
+from sralstm.pipeline import (CHECKPOINT_MAGIC, MAX_HEADER_BYTES, load_checkpoint, rollout,
+                              save_checkpoint)
 
 from helpers import edit_checkpoint
 
@@ -1043,10 +1044,12 @@ def refuse_checkpoint(path, out):
 HUGE_FILE = 200 * 2**20
 
 
-@pytest.mark.parametrize("junk", ["nul bytes", "trailing bytes", "header length"])
+@pytest.mark.parametrize("junk", ["nul bytes", "trailing bytes", "header length",
+                                  "nul header"])
 def test_a_huge_bad_checkpoint_is_refused_without_reading_it(trained, tmp_path, junk):
     # a sparse file takes no disk; before, load_checkpoint read the whole of
-    # it first, so refusing it cost its size in memory
+    # it first, and later a whole header of up to MAX_HEADER_BYTES, so
+    # refusing it cost that size in memory
     tiny = tmp_path / "tiny.ckpt"
     tiny.write_bytes(b"junkjunk")
     code, lines, tiny_peak = refuse_checkpoint(tiny, tmp_path / "out")
@@ -1055,6 +1058,7 @@ def test_a_huge_bad_checkpoint_is_refused_without_reading_it(trained, tmp_path, 
     path.write_bytes({"nul bytes": b"",
                       "trailing bytes": (trained / "checkpoint.ckpt").read_bytes(),
                       "header length": CHECKPOINT_MAGIC + struct.pack("<II", 1, HUGE_FILE - 16),
+                      "nul header": CHECKPOINT_MAGIC + struct.pack("<II", 1, MAX_HEADER_BYTES),
                       }[junk])
     os.truncate(path, HUGE_FILE)
     out = tmp_path / "out"
@@ -1063,8 +1067,32 @@ def test_a_huge_bad_checkpoint_is_refused_without_reading_it(trained, tmp_path, 
     assert peak - tiny_peak < 32 * 2**10
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert {"nul bytes": "bad magic", "trailing bytes": "trailing bytes",
-            "header length": "the bound is"}[junk] in lines[0]
+            "header length": "the bound is", "nul header": "malformed header",
+            }[junk] in lines[0]
     assert not out.exists()
+
+
+def test_a_huge_config_file_is_refused_without_reading_it(tmp_path):
+    # before, the whole file was read and decoded before the JSON failed
+    out = tmp_path / "out"
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text("{")
+    proc = run_in_subprocess(["train", "--config", str(tiny), "--out", str(out)],
+                             report_peak_rss=True)
+    *lines, tiny_peak = proc.stderr.splitlines()
+    assert proc.returncode == EXIT_USAGE and len(lines) == 1
+    path = tmp_path / "huge.json"
+    path.write_text("{")
+    os.truncate(path, HUGE_FILE)
+    proc = run_in_subprocess(["train", "--config", str(path), "--out", str(out)],
+                             report_peak_rss=True)
+    *lines, peak = proc.stderr.splitlines()
+    assert proc.returncode == EXIT_USAGE
+    assert int(peak) - int(tiny_peak) < 32 * 2**10
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{HUGE_FILE} bytes" in lines[0] and f"the bound is {2**20}" in lines[0]
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "tiny.json"]
 
 
 # ---------------------------------------------------------------------------

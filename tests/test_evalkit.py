@@ -9,11 +9,12 @@ import pytest
 
 import sralstm.evalkit as ek
 import sralstm.model as md
+import sralstm.pipeline as pl
 from sralstm.data import DataError, TrajectoryWindow
 from sralstm.evalkit import AblationRow, ablate, ade, evaluate, fde
 from sralstm.model import ModelConfig, ModelParams
 
-from helpers import constant_velocity_tracks, rel_err, window_from_tracks
+from helpers import constant_velocity_tracks, random_walk_window, rel_err, window_from_tracks
 
 SMALL = ModelConfig(embed_dim=6, hidden_dim=8)
 
@@ -177,6 +178,144 @@ def test_evaluate_rejects_a_window_of_another_length_before_its_rollout(
                                 pred_len=pred_len)
     with pytest.raises(DataError, match=f"window has {8 + pred_len} frames"):
         evaluate(ModelParams.init(SMALL, seed=0), [window])
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation: windows of one crowd size share a rollout
+
+# crowd sizes 1-5 interleaved, so every size's stack gathers windows from
+# all over the input; ids run down from 9, so they repeat across windows
+MIXED_SIZES = [3, 1, 5, 2, 4, 2, 1, 3, 5, 4, 2, 3]
+
+
+def mixed_windows(sizes=MIXED_SIZES):
+    return [replace(random_walk_window(n, seed=10 + i), start_frame=i,
+                    ped_ids=list(range(9, 9 - n, -1)))
+            for i, n in enumerate(sizes)]
+
+
+def recording_rollouts(monkeypatch):
+    """Route evaluate's rollouts through a wrapper; returns the list of
+    (windows, result) it records."""
+    calls = []
+    original = ek.rollout
+
+    def recorded(params, windows, *args, **kwargs):
+        result = original(params, windows, *args, **kwargs)
+        calls.append((list(windows), result))
+        return result
+
+    monkeypatch.setattr(ek, "rollout", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
+def test_stacked_predictions_equal_single_window_rollouts(monkeypatch, strategy):
+    params = ModelParams.init(replace(SMALL, strategy=strategy), seed=3)
+    windows = mixed_windows()
+    calls = recording_rollouts(monkeypatch)
+    report = evaluate(params, windows)
+    assert len(calls) == len(set(MIXED_SIZES))
+    seen = []
+    for stack, result in calls:
+        assert len({len(w.ped_ids) for w in stack}) == 1
+        for i, w in enumerate(stack):
+            single = pl.rollout(params, w)
+            for p in w.ped_ids:
+                gap = np.abs(result.predicted_abs[i, p] - single.predicted_abs[p]).max()
+                assert gap <= 1e-12, (strategy, len(w.ped_ids), p, gap)
+            seen.append(w.start_frame)
+    assert sorted(seen) == list(range(len(windows)))
+    for w, record in zip(windows, report.windows):
+        single = pl.rollout(params, w)
+        predicted = np.stack([single.predicted_abs[p] for p in w.ped_ids])
+        truth = np.linalg.norm(predicted - w.positions[:, 8:], axis=-1)
+        assert np.abs(record.displacements - truth).max() <= 1e-12
+
+
+def test_a_stacked_rollout_updates_each_ordered_pair_of_its_windows(monkeypatch):
+    params = ModelParams.init(SMALL, seed=4)
+    calls = []
+    original = md.relation_step
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return original(*args)
+
+    monkeypatch.setattr(md, "relation_step", counted)
+    for n in (1, 2, 3, 5):
+        calls.clear()
+        windows = mixed_windows([n] * 3)
+        result = pl.rollout(params, windows)
+        assert len(calls) == sum(19 * n * (n - 1) for _ in windows)
+        assert result.ped_ids == [(i, p) for i in range(3) for p in range(10 - n, 10)]
+
+
+def test_a_stacked_rollout_keys_attention_by_window():
+    params = ModelParams.init(SMALL, seed=4)
+    result = pl.rollout(params, mixed_windows([3, 3]), record_attention=True)
+    for step in result.attention:
+        assert set(step) == set(result.ped_ids)
+        for (i, p), (neighbors, weights) in step.items():
+            assert neighbors == [(i, q) for q in (7, 8, 9) if q != p]
+            assert weights.sum() == pytest.approx(1.0)
+
+
+def test_a_stack_holds_one_crowd_size():
+    with pytest.raises(ValueError, match="one number"):
+        pl.rollout(ModelParams.init(SMALL, seed=0), mixed_windows([2, 3]))
+
+
+def test_shifting_the_rollouts_predictions_moves_every_record(monkeypatch):
+    # the benchmark's --corrupt path: evaluate must score what rollout returns
+    params = ModelParams.init(SMALL, seed=5)
+    windows = mixed_windows()
+    clean = evaluate(params, windows)
+    original = ek.rollout
+
+    def shifted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        for key in result.predicted_abs:
+            result.predicted_abs[key] = result.predicted_abs[key] + 1e-6
+        return result
+
+    monkeypatch.setattr(ek, "rollout", shifted)
+    bad = evaluate(params, windows)
+    for a, b in zip(clean.windows, bad.windows):
+        assert np.all(a.displacements != b.displacements)
+
+
+def test_evaluate_rolls_out_one_stack_per_cap_of_pedestrians(monkeypatch):
+    windows = mixed_windows([2] * 20)
+    calls = recording_rollouts(monkeypatch)
+    evaluate(ModelParams.init(SMALL, seed=6), windows)
+    assert len(calls) == -(-40 // ek.STACK_PEDESTRIANS)
+    assert all(sum(len(w.ped_ids) for w in stack) <= ek.STACK_PEDESTRIANS
+               for stack, _ in calls)
+    # a window over the cap rolls out alone
+    big = random_walk_window(ek.STACK_PEDESTRIANS + 1, seed=1)
+    calls.clear()
+    evaluate(ModelParams.init(SMALL, seed=6), [big, big])
+    assert [len(stack) for stack, _ in calls] == [1, 1]
+
+
+def test_records_and_ade_keep_the_input_order():
+    params = ModelParams.init(SMALL, seed=7)
+    windows = mixed_windows()
+    report = evaluate(params, windows)
+    assert [(r.start_frame, r.ped_ids) for r in report.windows] == [
+        (w.start_frame, w.ped_ids) for w in windows]
+    alone = [evaluate(params, [w]) for w in windows]
+    for record, single in zip(report.windows, alone):
+        assert np.abs(record.displacements - single.windows[0].displacements).max() <= 1e-12
+    means = np.concatenate([r.windows[0].displacements.mean(axis=1) for r in alone])
+    finals = np.concatenate([r.windows[0].displacements[:, -1] for r in alone])
+    assert report.pedestrian_count == len(means) == sum(MIXED_SIZES)
+    assert abs(report.ade - float(np.mean(means))) <= 1e-12
+    assert abs(report.fde - float(np.mean(finals))) <= 1e-12
+    # pooled in input order, bit for bit
+    own = np.concatenate([r.displacements.mean(axis=1) for r in report.windows])
+    assert report.ade == float(np.mean(own))
 
 
 # ---------------------------------------------------------------------------

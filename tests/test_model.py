@@ -351,6 +351,43 @@ def test_displacement_product_is_the_exact_difference(n):
             assert disp.tobytes() == (pos[:, picked] - pos[:, [k]]).tobytes()
 
 
+def test_a_stack_of_one_window_builds_the_plain_constants_exactly():
+    ids = [5, 9, 7, 2]
+    plain = SceneState.initial(ids, hidden_dim=4)
+    stack = SceneState.initial([(0, p) for p in ids], hidden_dim=4, stacked=True)
+    assert stack.ped_ids == [(0, p) for p in plain.ped_ids]
+    for name in ("others", "own", "spread", "pick"):
+        for a, b in zip(getattr(plain, name), getattr(stack, name), strict=True):
+            assert type(a) is type(b) and a.values.tobytes() == b.values.tobytes()
+    for name in ("ones", "ones_neighbors", "h", "c"):
+        assert getattr(plain, name).values.tobytes() == getattr(stack, name).values.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_windows_see_only_their_own_neighbors(n):
+    # three windows whose ids repeat; listed out of order
+    keys = [(i, p) for p in range(n) for i in (2, 0, 1)]
+    state = SceneState.initial(keys, hidden_dim=4, stacked=True)
+    assert state.ped_ids == sorted(keys)
+    rng = np.random.default_rng(n)
+    pos = _awkward_values(rng, (2, 3 * n))
+    h = _awkward_values(rng, (4, 3 * n))
+    assert len(state.pick) == n - 1 and state.ones_neighbors.shape == (1, n - 1)
+    for k, (i, p) in enumerate(state.ped_ids):
+        picked = [j for j, (w, _) in enumerate(state.ped_ids) if w == i and j != k]
+        assert dc.matmul(Tensor(h), state.others[k]).values.tobytes() == \
+            np.ascontiguousarray(h[:, picked]).tobytes()
+        assert dc.matmul(Tensor(h), state.own[k]).values.tobytes() == \
+            np.ascontiguousarray(h[:, [k] * (n - 1)]).tobytes()
+        assert dc.matmul(Tensor(pos), state.spread[k]).values.tobytes() == \
+            (pos[:, picked] - pos[:, [k]]).tobytes()
+
+
+def test_stacked_windows_must_hold_one_crowd_size():
+    with pytest.raises(ValueError, match="a stack needs one number"):
+        SceneState.initial([(0, 1), (0, 2), (1, 1)], hidden_dim=4, stacked=True)
+
+
 def test_scene_state_constants_take_no_gradient():
     state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
     constants = [*state.others, *state.own, *state.spread, *state.pick,

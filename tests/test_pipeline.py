@@ -480,6 +480,27 @@ def test_a_train_step_records_only_work_that_reaches_the_loss(strategy, n):
     assert dead == 0
 
 
+@pytest.mark.parametrize("strategy,n,made", [
+    ("none", 3, 8), ("sa", 3, 8), ("ra", 1, 8), ("sra", 1, 8), ("ra", 2, 17), ("sra", 3, 17)])
+def test_rollout_builds_absolute_positions_only_when_a_step_reads_them(
+        monkeypatch, strategy, n, made):
+    # one observed-offset constant per observation step; the observed
+    # absolute positions and the anchor columns only when some pedestrian
+    # embeds displacements
+    made_here = []
+
+    class Counted(dc.Constant):
+        __slots__ = ()
+
+        def __init__(self, values):
+            made_here.append(np.shape(values))
+            super().__init__(values)
+
+    monkeypatch.setattr(pl, "Constant", Counted)
+    rollout(small_params(strategy=strategy), random_walk_window(n, seed=n))
+    assert made_here == [(2, n)] * made
+
+
 @pytest.mark.parametrize("n,picks", [(2, 0), (3, 3 * 3 * 2)])
 def test_only_a_block_of_several_neighbors_is_picked_by_column(monkeypatch, n, picks):
     # every pair picks its column of each of the three activated gate

@@ -11,7 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_ab_time_prints_one_line_per_side():
-    for extra, strategy in (([], "sra"), (["--strategy", "sa"], "sa")):
+    for extra, strategy, windows in (([], "sra", 1), (["--strategy", "sa"], "sa", 1),
+                                     (["--windows", "4"], "sra", 4)):
         proc = subprocess.run(
             [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".",
              "--n", "2", "--mode", "eval", "--reps", "1", *extra],
@@ -21,7 +22,7 @@ def test_ab_time_prints_one_line_per_side():
         assert [line.split()[0] for line in lines] == ["A", "B", "A/B"]
         for line in lines[:2]:
             assert " best " in line and " median " in line
-            assert f"(eval, {strategy}, n=2," in line
+            assert f"(eval, {strategy}, n=2, windows={windows}," in line
     proc = subprocess.run(
         [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".", "--strategy", "xa"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)

@@ -1,17 +1,18 @@
 """Time two checkouts against each other in one process.
 
-    python3 tools/ab_time.py A B [--n N] [--mode eval|train] [--reps R]
-                             [--strategy none|sa|ra|sra]
+    python3 tools/ab_time.py A B [--n N] [--windows K] [--mode eval|train]
+                             [--reps R] [--strategy none|sa|ra|sra]
 
 Imports ``A/src/sralstm`` and ``B/src/sralstm`` under distinct package
-names, builds one seeded random-walk window of N pedestrians and a fresh
-default-size model (seed 0) of the given attention strategy (default
-``sra``) for each side, and then alternates the
-sides call by call, the order flipping each repetition: a tape-free
-``rollout`` (``--mode eval``) or a ``train_step`` with Adam
-(``--mode train``). Each side makes one untimed warm-up call first. It
-prints one line per side with its best and median call time, then the
-ratios A/B, and writes and asserts nothing.
+names, builds K (default 1) seeded random-walk windows of N pedestrians
+and a fresh default-size model (seed 0) of the given attention strategy
+(default ``sra``) for each side, and then alternates the sides call by
+call, the order flipping each repetition: one tape-free
+``evalkit.evaluate`` call over the K windows (``--mode eval``) or a
+``train_step`` with Adam on the first window (``--mode train``). Each
+side makes one untimed warm-up call first. It prints one line per side
+with its best and median call time, then the ratios A/B, and writes and
+asserts nothing.
 
 Timings of separate processes swing widely on a shared host; alternating
 in one process puts the same drift on both sides, so the ratio is stable.
@@ -45,36 +46,41 @@ def load(root: str, name: str) -> dict:
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("data", "diffcore", "model", "pipeline")}
+            for sub in ("data", "diffcore", "evalkit", "model", "pipeline")}
 
 
 def make_call(mods: dict, positions: np.ndarray, mode: str, strategy: str):
-    md, pl = mods["model"], mods["pipeline"]
-    n = positions.shape[0]
-    window = mods["data"].TrajectoryWindow("ab", 0, list(range(n)), positions.copy(), 8, 12)
+    """positions is (K, N, 20, 2): K windows of N pedestrians."""
+    md = mods["model"]
+    windows = [mods["data"].TrajectoryWindow("ab", 20 * i, list(range(p.shape[0])),
+                                             p.copy(), 8, 12)
+               for i, p in enumerate(positions)]
     params = md.ModelParams.init(md.ModelConfig(strategy=strategy), seed=0)
     if mode == "eval":
-        return lambda: pl.rollout(params, window)
+        return lambda: mods["evalkit"].evaluate(params, windows)
     opt = mods["diffcore"].AdamState(params.tensors())
-    return lambda: pl.train_step(params, opt, window)
+    return lambda: mods["pipeline"].train_step(params, opt, windows[0])
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", metavar="A", help="checkout root of side A")
     ap.add_argument("b", metavar="B", help="checkout root of side B")
-    ap.add_argument("--n", type=int, default=8, help="pedestrians in the window")
+    ap.add_argument("--n", type=int, default=8, help="pedestrians per window")
+    ap.add_argument("--windows", type=int, default=1,
+                    help="windows one eval call scores")
     ap.add_argument("--mode", choices=("eval", "train"), default="eval")
     ap.add_argument("--reps", type=int, default=20, help="timed calls per side")
     ap.add_argument("--strategy", choices=("none", "sa", "ra", "sra"), default="sra",
                     help="attention strategy of both sides' models")
     args = ap.parse_args(argv)
-    if args.n < 1 or args.reps < 1:
-        ap.error("--n and --reps must be at least 1")
+    if args.n < 1 or args.windows < 1 or args.reps < 1:
+        ap.error("--n, --windows and --reps must be at least 1")
 
     rng = np.random.default_rng(0)
-    steps = rng.normal(0.0, 0.35, size=(args.n, 20, 2))
-    positions = np.cumsum(steps, axis=1) + rng.uniform(-3.0, 3.0, size=(args.n, 1, 2))
+    steps = rng.normal(0.0, 0.35, size=(args.windows, args.n, 20, 2))
+    positions = (np.cumsum(steps, axis=2)
+                 + rng.uniform(-3.0, 3.0, size=(args.windows, args.n, 1, 2)))
     sides = [(label, root, make_call(load(root, name), positions, args.mode, args.strategy))
              for label, root, name in (("A", args.a, "ab_side_a"), ("B", args.b, "ab_side_b"))]
     times = {label: [] for label, _, _ in sides}
@@ -90,7 +96,8 @@ def main(argv=None) -> int:
     median = {k: statistics.median(v) for k, v in times.items()}
     for label, root, _ in sides:
         print(f"{label} best {1e3 * best[label]:.3f} ms  median {1e3 * median[label]:.3f} ms"
-              f"  ({args.mode}, {args.strategy}, n={args.n}, reps={args.reps}, "
+              f"  ({args.mode}, {args.strategy}, n={args.n}, windows={args.windows}, "
+              f"reps={args.reps}, "
               f"{os.path.abspath(root)})")
     print(f"A/B best {best['A'] / best['B']:.3f}  median {median['A'] / median['B']:.3f}")
     return 0
