@@ -28,6 +28,13 @@ GRID_DT = 0.4
 # without limit.
 MAX_TRACK_FRAMES = 10_000
 
+# The longest line, in characters, that ``parse_annotations`` reads from a
+# file. A data line is four numbers, some tens of characters, and a long
+# comment fits well within this; without a bound a file with no line end
+# (a binary or sparse file) would be read whole into one string before its
+# first line could be refused.
+MAX_LINE_CHARS = 2**16
+
 CANONICAL_SCENES = ("ETH-univ", "ETH-hotel", "UCY-zara01", "UCY-zara02", "UCY-univ")
 
 
@@ -143,11 +150,23 @@ def parse_annotations(source) -> list:
     ``\r\n`` and ``\r`` only, so it parses as the same text read from
     a file. Raises AnnotationError with a 1-based line number for
     malformed lines and for duplicate (frame, pedestrian) observations.
+    A file is read a line at a time, each of at most ``MAX_LINE_CHARS``
+    characters; a longer line is an AnnotationError.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    limit = None
+    if isinstance(source, str):
+        lines = io.StringIO(source, newline=None)
+    elif hasattr(source, "readline"):
+        limit = MAX_LINE_CHARS
+        lines = iter(lambda: source.readline(limit), "")
+    else:
+        lines = source
     rows: list[RawAnnotation] = []
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
+        if len(raw) == limit and not raw.endswith("\n"):
+            raise AnnotationError(
+                f"line {lineno}: longer than {MAX_LINE_CHARS - 1} characters")
         text = raw.split("#", 1)[0]
         line = text.strip(" \t\r\n")
         if not line:

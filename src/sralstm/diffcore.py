@@ -75,6 +75,16 @@ kept lean accordingly:
     column gets the bits of its single outer product;
   * ``backward`` replays every node through its vjp, except a matmul,
     which it replays inline to keep its factor pair;
+  * a vjp returns None for an input whose adjoint is identically zero,
+    and ``backward`` adds nothing for it. A node that no adjoint reaches
+    is not replayed, and a leaf that none reaches keeps ``grad`` None, as
+    a leaf outside the graph does. The case is ``masked_softmax`` over
+    one unmasked entry, whose output is the constant 1 at that entry: a
+    pedestrian with one neighbor, so at n = 2 a train step replays none of
+    the relation encoder and scorer behind its logits. The node is still
+    recorded, with the logits as its input, so the tape, its node count,
+    the relation updates a window counts and the rule that every recorded
+    node has a path to the loss stay as they are;
   * an open ``Tape`` pauses the cyclic garbage collector and restores its
     previous state on exit. Nodes form no reference cycles, so a
     collection while recording would only re-walk the growing tape.
@@ -389,7 +399,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def masked_softmax(logits: Tensor, mask) -> Tensor:
     """Softmax over the unmasked entries of a vector; masked entries are 0.
 
-    The max-shift keeps exp in range.
+    The max-shift keeps exp in range. Over one unmasked entry the output
+    is constant, so the node passes no adjoint to the logits.
     """
     if logits.values.ndim > 2 or (logits.values.ndim == 2 and 1 not in logits.shape):
         raise ShapeMismatchError(f"masked_softmax needs a vector, got shape {logits.shape}")
@@ -415,8 +426,13 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
             # s is exactly 0 on masked entries, so they get exactly 0 gradient
             return ((s * (gf - inner)).reshape(shape),)
 
-        _active_tape.nodes.append(((logits,), out, vjp))
+        _active_tape.nodes.append(
+            ((logits,), out, _no_adjoint if np.count_nonzero(m) == 1 else vjp))
     return out
+
+
+def _no_adjoint(g):
+    return (None,)
 
 
 def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
@@ -557,6 +573,8 @@ def backward(tape: Tape, root: Tensor) -> None:
         else:
             contributions = zip(inputs, vjp(g))
         for t, gi in contributions:
+            if gi is None:
+                continue
             prev = get_adjoint(t)
             adjoint[t] = gi if prev is None else prev + gi
     # each produced tensor's adjoint and factors went with its node, so only

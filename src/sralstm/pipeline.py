@@ -249,7 +249,8 @@ def train_step(params: ModelParams, opt: dc.AdamState, window: TrajectoryWindow,
         dc.backward(tape, loss)
     tensors = list(named.values())
     for t in tensors:
-        # parameters outside the active strategy's graph get zero gradient
+        # parameters no adjoint reached get zero gradient: those outside the
+        # active strategy's graph, and at n = 2 those behind the softmax
         if t.grad is None:
             t.grad = np.zeros_like(t.values)
     dc.clip_grad_norm(tensors, clip_norm)

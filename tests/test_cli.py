@@ -1095,6 +1095,33 @@ def test_a_huge_config_file_is_refused_without_reading_it(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "tiny.json"]
 
 
+def test_a_huge_scene_file_without_line_ends_is_refused_a_line_in(trained, tmp_path):
+    # before, a file with no line end was read whole as its first line
+    # before its fields were counted, so refusing it cost its size in memory
+    out = tmp_path / "out"
+
+    def refuse(path):
+        proc = run_in_subprocess(["predict", "--checkpoint", str(trained / "checkpoint.ckpt"),
+                                  "--scene-file", str(path), "--out", str(out)],
+                                 report_peak_rss=True)
+        *lines, peak = proc.stderr.splitlines()
+        return proc.returncode, lines, int(peak)
+
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text("junk\n")
+    code, lines, tiny_peak = refuse(tiny)
+    assert code == EXIT_DATA and len(lines) == 1 and "expected 4 fields" in lines[0]
+    path = tmp_path / "huge.txt"
+    path.touch()
+    os.truncate(path, HUGE_FILE)
+    code, lines, peak = refuse(path)
+    assert code == EXIT_DATA
+    assert peak - tiny_peak < 32 * 2**10
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"line 1: longer than {data_module.MAX_LINE_CHARS - 1} characters" in lines[0]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # mutated inputs: eval ends in an exit code, never a traceback
 #

@@ -459,6 +459,64 @@ def test_masked_softmax_gradient_zero_on_masked_entries():
     assert logits.grad[1, 0] == 0.0
 
 
+@pytest.mark.parametrize("mask", [[True, True], [True, False, True], [False, True, True, True]])
+def test_masked_softmax_gradient_over_two_or_more_entries(mask):
+    rng = np.random.default_rng(len(mask))
+    logits = Tensor(rng.normal(size=(len(mask), 1)))
+    probe = Tensor(rng.normal(size=(len(mask), 1)))
+
+    def f():
+        return dc.sum_all(dc.mul(dc.masked_softmax(logits, mask), probe))
+
+    with Tape() as tape:
+        dc.backward(tape, f())
+    assert fd_check(lambda: f().item(), logits) < FD_TOL
+
+
+@pytest.mark.parametrize("mask", [[True], [False, True, False]])
+def test_a_one_entry_softmax_is_recorded_but_passes_no_adjoint(mask):
+    # its output is the constant 1 at that entry, so the adjoint of its
+    # logits is identically zero: backward adds none and replays nothing
+    # behind them, and a leaf that feeds only them gets no grad
+    k = len(mask)
+    a, b = Tensor(np.full((k, 1), 0.5)), Tensor(np.arange(1.0, k + 1.0).reshape(k, 1))
+    values = Tensor(np.full((3, k), 2.0))
+    with Tape() as tape:
+        logits = dc.mul(a, b)
+        weights = dc.masked_softmax(logits, mask)
+        root = dc.sum_all(dc.weighted_sum(weights, values))
+    assert len(tape) == 4
+    assert tape.nodes[1][:2] == ((logits,), weights)
+    replayed = []
+    inputs, out, vjp = tape.nodes[0]
+    tape.nodes[0] = (inputs, out, lambda g: replayed.append(g) or vjp(g))
+    dc.backward(tape, root)
+    assert replayed == []
+    assert a.grad is None and b.grad is None
+    assert np.array_equal(values.grad, np.tile(weights.values.T, (3, 1)))
+
+
+def test_a_tensor_behind_a_one_entry_softmax_keeps_its_live_grad_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x, v = Tensor(rng.normal(size=(4, 1))), Tensor(rng.normal(size=(4, 1)))
+    w = Tensor(rng.normal(size=(1, 4)))
+
+    def live(h):
+        return dc.sum_all(dc.mul(dc.sigmoid(dc.mul(h, v)), h))
+
+    with Tape() as tape:
+        dc.backward(tape, live(dc.tanh(x)))
+    want = x.grad
+    dc.zero_grads([x, v])
+    with Tape() as tape:
+        h = dc.tanh(x)
+        weights = dc.masked_softmax(dc.matmul(w, h), [True])
+        dead = dc.sum_all(dc.weighted_sum(weights, dc.Constant([[3.0]])))
+        dc.backward(tape, dc.add(live(h), dead))
+    assert x.grad.tobytes() == want.tobytes()
+    assert w.grad is None
+
+
 # ---------------------------------------------------------------------------
 # weighted sum
 

@@ -431,15 +431,43 @@ def test_loss_truth_is_a_constant_that_takes_no_grad():
     assert truth.grad is None
 
 
+# the parameters behind each strategy's logits, which reach the loss only
+# through the softmax
+SCORED = {"sra": ["w_at", "w_re", "b_re", *(f"rel_{k}{g}" for k in "wb" for g in "ifgo")],
+          "ra": ["w_ra", "w_rae", "b_rae"],
+          "sa": ["w_sa"]}
+
+
 def test_attention_weight_gets_no_signal_from_a_single_neighbor():
-    # with one neighbor the softmax output is the constant 1, so the
-    # attention row vector cannot receive gradient from a 2-pedestrian scene
-    params = small_params(seed=29)
+    # with one neighbor the softmax output is the constant 1, so no adjoint
+    # reaches the scorer or the relation encoder of a 2-pedestrian scene,
+    # and their grads stay unset; the motion path still gets its grads
     window = cv_window(n_peds=2, seed=15)
-    with dc.Tape() as tape:
-        result = rollout(params, window)
-        dc.backward(tape, l2_loss(result, window_truth_nabs(window)))
-    assert np.all(params["w_at"].grad == 0.0)
+    for strategy, scored in SCORED.items():
+        params = small_params(seed=29, strategy=strategy)
+        with dc.Tape() as tape:
+            result = rollout(params, window)
+            dc.backward(tape, l2_loss(result, window_truth_nabs(window)))
+        assert [name for name in scored if params[name].grad is not None] == [], strategy
+        assert all(params[name].grad is not None for name in ("w_e", "motion_wi", "w_p"))
+
+
+@pytest.mark.parametrize("strategy", sorted(SCORED))
+def test_a_two_pedestrian_train_step_keeps_its_bits_without_the_dead_replay(
+        monkeypatch, strategy):
+    # the same step with the one-entry softmax passing a zero adjoint, as
+    # every softmax did before, which replays the encoder and scorer
+    def train(zero_adjoint):
+        with monkeypatch.context() as patch:
+            if zero_adjoint:
+                patch.setattr(dc, "_no_adjoint", lambda g: (np.zeros_like(g),))
+            params = small_params(seed=31, strategy=strategy)
+            opt = dc.AdamState(params.tensors())
+            pl.train_step(params, opt, random_walk_window(2, seed=17))
+        return [a.tobytes() for name, t in params.tensors().items()
+                for a in (t.values, opt.m[name], opt.v[name])]
+
+    assert train(zero_adjoint=False) == train(zero_adjoint=True)
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [

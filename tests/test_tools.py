@@ -11,8 +11,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_ab_time_prints_one_line_per_side():
-    for extra, strategy, windows in (([], "sra", 1), (["--strategy", "sa"], "sa", 1),
-                                     (["--windows", "4"], "sra", 4)):
+    for extra, mode, strategy, n, windows in (
+            ([], "eval", "sra", "2", 1), (["--strategy", "sa"], "eval", "sa", "2", 1),
+            (["--windows", "4"], "eval", "sra", "2", 4),
+            (["--n", "2,3,2", "--windows", "2"], "eval", "sra", "2,3,2", 2),
+            (["--n", "2,1", "--mode", "train"], "train", "sra", "2,1", 1)):
         proc = subprocess.run(
             [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".",
              "--n", "2", "--mode", "eval", "--reps", "1", *extra],
@@ -22,11 +25,51 @@ def test_ab_time_prints_one_line_per_side():
         assert [line.split()[0] for line in lines] == ["A", "B", "A/B"]
         for line in lines[:2]:
             assert " best " in line and " median " in line
-            assert f"(eval, {strategy}, n=2, windows={windows}," in line
+            assert f"({mode}, {strategy}, n={n}, windows={windows}," in line
     proc = subprocess.run(
         [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".", "--strategy", "xa"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2 and "invalid choice" in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, os.path.join("tools", "ab_time.py"), ".", ".", "--n", "2,x"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and "not a comma list of integers" in proc.stderr
+
+
+def write_sweep(directory, workload, seeds, factor):
+    """A sweep directory as ``perfbench/sweep.py`` leaves it, with one
+    result per side and seed; the change side's rate is factor times the
+    parent's and its time the parent's over factor."""
+    for side, f in (("parent", 1.0), ("change", factor)):
+        results = directory / side / "results"
+        results.mkdir(parents=True)
+        for seed in seeds:
+            record = {"workload": workload, "trace": 0, "seed": seed, "failed": 0,
+                      "environment": {"host": "test"},
+                      "metrics": {"train.windows_per_s": {"value": f * (40.0 + seed / 8),
+                                                          "unit": "1/s"},
+                                  "diffcore.backward_ms": {"value": (9.0 + seed / 8) / f,
+                                                           "unit": "ms"}}}
+            (results / f"{workload}-{seed}.json").write_text(json.dumps(record))
+
+
+def test_bench_file_leaves_a_one_seed_group_unresolved(tmp_path):
+    # one pair shows no spread; two or more keep compare.py's verdict
+    write_sweep(tmp_path / "one", "train-crowd", [11], 0.5)
+    write_sweep(tmp_path / "many", "train-small", range(1, 11), 1.5)
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join("tools", "bench_file.py"), "--out", str(out),
+         str(tmp_path / "one"), str(tmp_path / "many")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = {g["workload"]: {name: m["verdict"] for name, m in g["metrics"].items()}
+                for g in json.loads(out.read_text())["groups"]}
+    assert verdicts == {
+        "train-crowd": {"train.windows_per_s": "unresolved",
+                        "diffcore.backward_ms": "unresolved"},
+        "train-small": {"train.windows_per_s": "improved",
+                        "diffcore.backward_ms": "improved"}}
 
 
 def test_state_digest_prints_one_json_line_with_every_case():

@@ -1,18 +1,20 @@
 """Time two checkouts against each other in one process.
 
-    python3 tools/ab_time.py A B [--n N] [--windows K] [--mode eval|train]
+    python3 tools/ab_time.py A B [--n N[,N ...]] [--windows K] [--mode eval|train]
                              [--reps R] [--strategy none|sa|ra|sra]
 
 Imports ``A/src/sralstm`` and ``B/src/sralstm`` under distinct package
-names, builds K (default 1) seeded random-walk windows of N pedestrians
-and a fresh default-size model (seed 0) of the given attention strategy
-(default ``sra``) for each side, and then alternates the sides call by
-call, the order flipping each repetition: one tape-free
-``evalkit.evaluate`` call over the K windows (``--mode eval``) or a
-``train_step`` with Adam on the first window (``--mode train``). Each
-side makes one untimed warm-up call first. It prints one line per side
-with its best and median call time, then the ratios A/B, and writes and
-asserts nothing.
+names, builds K (default 1) seeded random-walk windows of each listed
+crowd size N and a fresh default-size model (seed 0) of the given
+attention strategy (default ``sra``) for each side, and then alternates
+the sides call by call, the order flipping each repetition: one
+tape-free ``evalkit.evaluate`` call over all the windows (``--mode
+eval``), or one ``train_step`` with Adam on the first window of each
+listed size, in the listed order (``--mode train``). A list such as
+``--n 2,2,2,2,2,2,2,2,4,4`` times a mix of crowd sizes, as a training
+epoch over mixed windows meets them. Each side makes one untimed warm-up
+call first. It prints one line per side with its best and median call
+time, then the ratios A/B, and writes and asserts nothing.
 
 Timings of separate processes swing widely on a shared host; alternating
 in one process puts the same drift on both sides, so the ratio is stable.
@@ -23,6 +25,7 @@ already sets ``OPENBLAS_NUM_THREADS``.
 import argparse
 import importlib
 import importlib.util
+import itertools
 import os
 import statistics
 import sys
@@ -49,24 +52,41 @@ def load(root: str, name: str) -> dict:
             for sub in ("data", "diffcore", "evalkit", "model", "pipeline")}
 
 
-def make_call(mods: dict, positions: np.ndarray, mode: str, strategy: str):
-    """positions is (K, N, 20, 2): K windows of N pedestrians."""
+def make_call(mods: dict, positions: list, mode: str, strategy: str):
+    """positions holds one (K, N, 20, 2) array per listed size: K windows
+    of N pedestrians."""
     md = mods["model"]
-    windows = [mods["data"].TrajectoryWindow("ab", 20 * i, list(range(p.shape[0])),
+    starts = itertools.count(0, 20)
+    groups = [[mods["data"].TrajectoryWindow("ab", next(starts), list(range(p.shape[0])),
                                              p.copy(), 8, 12)
-               for i, p in enumerate(positions)]
+               for p in group] for group in positions]
     params = md.ModelParams.init(md.ModelConfig(strategy=strategy), seed=0)
     if mode == "eval":
+        windows = [w for group in groups for w in group]
         return lambda: mods["evalkit"].evaluate(params, windows)
     opt = mods["diffcore"].AdamState(params.tensors())
-    return lambda: mods["pipeline"].train_step(params, opt, windows[0])
+    train_step = mods["pipeline"].train_step
+
+    def call():
+        for group in groups:
+            train_step(params, opt, group[0])
+    return call
+
+
+def crowd_sizes(text: str) -> list:
+    """``--n``: one crowd size, or a comma list of them."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", metavar="A", help="checkout root of side A")
     ap.add_argument("b", metavar="B", help="checkout root of side B")
-    ap.add_argument("--n", type=int, default=8, help="pedestrians per window")
+    ap.add_argument("--n", type=crowd_sizes, default=[8],
+                    help="pedestrians per window, or a comma list of crowd sizes")
     ap.add_argument("--windows", type=int, default=1,
                     help="windows one eval call scores")
     ap.add_argument("--mode", choices=("eval", "train"), default="eval")
@@ -74,13 +94,15 @@ def main(argv=None) -> int:
     ap.add_argument("--strategy", choices=("none", "sa", "ra", "sra"), default="sra",
                     help="attention strategy of both sides' models")
     args = ap.parse_args(argv)
-    if args.n < 1 or args.windows < 1 or args.reps < 1:
+    if min(args.n) < 1 or args.windows < 1 or args.reps < 1:
         ap.error("--n, --windows and --reps must be at least 1")
 
     rng = np.random.default_rng(0)
-    steps = rng.normal(0.0, 0.35, size=(args.windows, args.n, 20, 2))
-    positions = (np.cumsum(steps, axis=2)
-                 + rng.uniform(-3.0, 3.0, size=(args.windows, args.n, 1, 2)))
+    positions = []
+    for n in args.n:
+        steps = rng.normal(0.0, 0.35, size=(args.windows, n, 20, 2))
+        positions.append(np.cumsum(steps, axis=2)
+                         + rng.uniform(-3.0, 3.0, size=(args.windows, n, 1, 2)))
     sides = [(label, root, make_call(load(root, name), positions, args.mode, args.strategy))
              for label, root, name in (("A", args.a, "ab_side_a"), ("B", args.b, "ab_side_b"))]
     times = {label: [] for label, _, _ in sides}
@@ -94,9 +116,10 @@ def main(argv=None) -> int:
 
     best = {k: min(v) for k, v in times.items()}
     median = {k: statistics.median(v) for k, v in times.items()}
+    sizes = ",".join(map(str, args.n))
     for label, root, _ in sides:
         print(f"{label} best {1e3 * best[label]:.3f} ms  median {1e3 * median[label]:.3f} ms"
-              f"  ({args.mode}, {args.strategy}, n={args.n}, windows={args.windows}, "
+              f"  ({args.mode}, {args.strategy}, n={sizes}, windows={args.windows}, "
               f"reps={args.reps}, "
               f"{os.path.abspath(root)})")
     print(f"A/B best {best['A'] / best['B']:.3f}  median {median['A'] / median['B']:.3f}")

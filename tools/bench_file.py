@@ -6,8 +6,10 @@ Each SWEEP_DIR is an ``--out`` directory of ``perfbench/sweep.py`` run
 with ``--side parent=PARENT_CHECKOUT --side change=CHANGE_CHECKOUT``. For
 every workload and trace mode found, the file records each side's
 per-seed values and quartiles of every metric, the share of pairs the
-change won, and ``perfbench/compare.py``'s verdict for it. Run from the
-root of a checkout.
+change won, and ``perfbench/compare.py``'s verdict for it. A group with
+fewer than two paired seeds, such as a single traced run, reads
+``unresolved`` on every metric: one pair shows no spread, so it can tell
+no change from noise. Run from the root of a checkout.
 """
 
 import argparse
@@ -40,6 +42,8 @@ def groups(sweep_dir: str, spec: dict) -> list:
             m = spec.get(name, {"better": "lower"})
             verdict, share = compare.verdict(values["parent"], values["change"],
                                              m["better"], m.get("bound"))
+            if len(seeds) < 2:
+                verdict = "unresolved"
             metrics[name] = {
                 "unit": runs["parent"][seeds[0]]["metrics"][name]["unit"],
                 "better": m["better"],
