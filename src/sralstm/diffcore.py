@@ -21,7 +21,10 @@ Conventions:
     work on constants alone without the tape and give a ``Constant``, so
     no node records what no gradient can cross;
   * a ``Selector`` is a ``Constant`` whose every column is one-hot, so
-    ``x @ s`` picks or repeats columns of ``x`` exactly;
+    ``x @ s`` picks or repeats columns of ``x`` exactly. A ``ColumnRange``
+    is a ``Selector`` of a contiguous run of columns, kept as the run
+    alone; ``x @ r`` is a view of those columns of ``x``, the only op
+    whose output shares memory with an input;
   * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
     ``sigmoid`` and ``tanh``, the product of two such tensors, and the
     columns a ``Selector`` picks from one.
@@ -57,24 +60,34 @@ kept lean accordingly:
     tape-free forward pass allocates no closures;
   * ``backward`` empties its tape, freeing each node and its output's
     adjoint as it replays it, and fills the grads of leaves only. Every
-    sum of two contributions is a new array, and the only array it writes
-    is a contraction it has just computed. So it never writes an array a
-    vjp returned: that may be the incoming adjoint itself (``add``), a
-    view of it (``concat``) or the root's seed of ones;
+    sum of two contributions is a new array, and the only arrays it
+    writes are a contraction it has just computed and a zero buffer it
+    made itself. So it never writes an array a vjp returned: that may be
+    the incoming adjoint itself (``add``), a view of it (``concat``) or
+    the root's seed of ones;
+  * the adjoint of a ``ColumnRange`` product is added into those columns
+    of one zero buffer per operand, which is exact for finite values, as
+    the one-hot product is: no product is formed, and no (N, N) matrix
+    for N single-column picks. The buffer is column-major, so a column
+    is contiguous: a scene's pair blocks are wider than the cache, and a
+    strided column add cost a third more;
   * a weight's gradient is formed in few products, by one rule for every
     product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint, whatever
     ``x``'s column count; ``backward`` keeps the factors ``g`` and ``x.T``
     instead and sums them as ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style
-    RNN kernels do, Appleyard et al. 2016, arXiv:1604.01946), one product
-    each time ``W``'s pending factors reach ``CONTRACT_BLOCK`` columns and
-    one for the rest, each added into ``W``'s adjoint in turn. A single
-    product over a long contraction gives bits that depend on the BLAS
-    thread count; a block's product, computed transposed (see
+    RNN kernels do, Appleyard et al. 2016, arXiv:1604.01946), each time
+    ``W``'s pending factors reach ``CONTRACT_BLOCK`` columns and once for
+    the rest, each added into ``W``'s adjoint in turn. ``_contract`` takes
+    at most ``CONTRACT_BLOCK`` columns per product and adds the products
+    in order, so a single use over a scene's pair columns is cut the same
+    way. A single product over a long contraction gives bits that depend
+    on the BLAS thread count; a block's product, computed transposed (see
     ``_contract``), does not, so grads have the same bits at 1 and 2
     threads on one machine and BLAS build. A weight used once on one
     column gets the bits of its single outer product;
   * ``backward`` replays every node through its vjp, except a matmul,
-    which it replays inline to keep its factor pair;
+    which it replays inline to keep its factor pair or to place its
+    picked columns' adjoint;
   * a vjp returns None for an input whose adjoint is identically zero,
     and ``backward`` adds nothing for it. A node that no adjoint reaches
     is not replayed, and a leaf that none reaches keeps ``grad`` None, as
@@ -172,6 +185,42 @@ class Selector(Constant):
     __slots__ = ()
 
 
+class ColumnRange(Selector):
+    """A ``Selector`` that picks the contiguous columns ``lo .. hi - 1`` of
+    an operand with ``rows`` columns, kept as that range alone: a scene's
+    pair columns are picked one at a time, and their one-hot matrices
+    would take memory quadratic in their number. ``matmul`` returns a view
+    of the picked columns, and ``backward`` adds their adjoint into the
+    same columns; ``values`` builds the one-hot matrix on demand.
+
+    It is also the vjp its products record: called on the adjoint of the
+    picked columns, it returns the operand's adjoint, zero elsewhere.
+    ``backward`` instead adds it into one buffer per operand."""
+
+    __slots__ = ("lo", "hi", "rows")
+
+    def __init__(self, lo: int, hi: int, rows: int):
+        if not 0 <= lo <= hi <= rows:
+            raise ValueError(f"column range {lo}..{hi} outside {rows} columns")
+        self.lo, self.hi, self.rows = lo, hi, rows
+        self.grad = None
+
+    @property
+    def values(self) -> np.ndarray:
+        eye = np.zeros((self.rows, self.hi - self.lo))
+        eye[self.lo:self.hi] = np.eye(self.hi - self.lo)
+        return eye
+
+    @property
+    def shape(self):
+        return (self.rows, self.hi - self.lo)
+
+    def __call__(self, g: np.ndarray) -> tuple:
+        dense = np.zeros((g.shape[0], self.rows))
+        dense[:, self.lo:self.hi] = g
+        return (dense,)
+
+
 class Bounded(Tensor):
     """A tensor whose entries lie in [-1, 1], so ``mul`` and ``add`` with it
     as an operand cannot overflow and skip the finite check."""
@@ -264,7 +313,20 @@ class _MatmulVjp:
         return grads if self.at is None else grads + (self.at.dot(g),)
 
 
+def _pick(a: Tensor, b: ColumnRange, cls) -> Tensor:
+    """The view of the columns b picks from a, wrapped as cls."""
+    av = a.values
+    if av.ndim != 2 or av.shape[1] != b.rows:
+        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+    return _wrap(av[:, b.lo:b.hi], cls)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if type(b) is ColumnRange:
+        out = _pick(a, b, Bounded if type(a) is Bounded else Tensor)
+        if _active_tape is not None:
+            _active_tape.nodes.append(((a,) if not isinstance(a, Constant) else (), out, b))
+        return out
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
@@ -396,8 +458,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
-def masked_softmax(logits: Tensor, mask) -> Tensor:
+def masked_softmax(logits: Tensor, mask=None) -> Tensor:
     """Softmax over the unmasked entries of a vector; masked entries are 0.
+    Without a mask every entry is unmasked, and no mask is built.
 
     The max-shift keeps exp in range. Over one unmasked entry the output
     is constant, so the node passes no adjoint to the logits.
@@ -405,16 +468,24 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     if logits.values.ndim > 2 or (logits.values.ndim == 2 and 1 not in logits.shape):
         raise ShapeMismatchError(f"masked_softmax needs a vector, got shape {logits.shape}")
     flat = logits.values.reshape(-1)
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    if m.shape != flat.shape:
-        raise ShapeMismatchError(
-            f"masked_softmax: mask length {m.size} != logits length {flat.size}"
-        )
-    if not m.any():
-        raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
-    shifted = np.zeros_like(flat)
-    shifted[m] = np.exp(flat[m] - flat[m].max())
-    total = float(np.sum(shifted[m]))
+    if mask is None:
+        if not flat.size:
+            raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
+        shifted = np.exp(flat - flat.max())
+        total = float(np.sum(shifted))
+        unmasked = flat.size
+    else:
+        m = np.asarray(mask, dtype=bool).reshape(-1)
+        if m.shape != flat.shape:
+            raise ShapeMismatchError(
+                f"masked_softmax: mask length {m.size} != logits length {flat.size}"
+            )
+        if not m.any():
+            raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
+        shifted = np.zeros_like(flat)
+        shifted[m] = np.exp(flat[m] - flat[m].max())
+        total = float(np.sum(shifted[m]))
+        unmasked = np.count_nonzero(m)
     out = _wrap((shifted / total).reshape(logits.shape))
     if _active_tape is not None:
         s = out.values.reshape(-1)
@@ -427,7 +498,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
             return ((s * (gf - inner)).reshape(shape),)
 
         _active_tape.nodes.append(
-            ((logits,), out, _no_adjoint if np.count_nonzero(m) == 1 else vjp))
+            ((logits,), out, _no_adjoint if unmasked == 1 else vjp))
     return out
 
 
@@ -483,6 +554,8 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 
 def matmul_or_constant(a: Tensor, b: Tensor) -> Tensor:
     """``matmul(a, b)``, or a ``Constant`` and no node when both are one."""
+    if isinstance(a, Constant) and type(b) is ColumnRange:
+        return _pick(a, b, Constant)
     if isinstance(a, Constant) and isinstance(b, Constant):
         av, bv = a.values, b.values
         if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
@@ -507,16 +580,23 @@ CONTRACT_BLOCK = 256
 
 
 def _contract(gs: list, bts: list) -> np.ndarray:
-    """Sum of the products ``gs[k] @ bts[k]``, as one product over all k.
+    """Sum of the products ``gs[k] @ bts[k]``: ``G @ B`` over the joined
+    factors, one product per run of at most ``CONTRACT_BLOCK`` of their
+    columns, the runs added in order.
 
-    The product is computed transposed, as ``B.T @ G.T``, so its columns
+    Each product is computed transposed, as ``B.T @ G.T``, so its columns
     are the adjoint's rows (the hidden size), not its columns: with an odd
     column count, such as a folded weight's ``in + 1``, the plain product's
-    bits depended on the BLAS thread count. A single one-column pair gives
-    exactly the bits of the vjp's own outer product; a wider one may not.
+    bits depended on the BLAS thread count, and so did those of one product
+    over a scene's pair columns (552 at 24 pedestrians). A single
+    one-column pair gives exactly the bits of the vjp's own outer product;
+    a wider one may not.
     """
-    return np.ascontiguousarray(
-        np.concatenate(bts, axis=0).T.dot(np.concatenate(gs, axis=1).T).T)
+    g, b = np.concatenate(gs, axis=1), np.concatenate(bts, axis=0)
+    total = b[:CONTRACT_BLOCK].T.dot(g[:, :CONTRACT_BLOCK].T)
+    for lo in range(CONTRACT_BLOCK, g.shape[1], CONTRACT_BLOCK):
+        total += b[lo:lo + CONTRACT_BLOCK].T.dot(g[:, lo:lo + CONTRACT_BLOCK].T)
+    return np.ascontiguousarray(total.T)
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -528,24 +608,32 @@ def backward(tape: Tape, root: Tensor) -> None:
 
     The left operand of a matmul gets no dense contribution: its factor
     pair ``(g, bt)`` is kept instead, and once a tensor's pending pairs
-    reach ``CONTRACT_BLOCK`` columns they are contracted in one product.
-    ``finish`` contracts the rest and adds the tensor's dense adjoint, when
-    its own node is replayed or, for a leaf, once the replay ends.
+    reach ``CONTRACT_BLOCK`` columns they are contracted. A product by a
+    ``ColumnRange`` adds its adjoint into the picked columns of a zero
+    buffer its operand owns. ``finish`` contracts the rest and adds the
+    buffer and then the tensor's dense adjoint, when its own node is
+    replayed or, for a leaf, once the replay ends.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     # tensors hash by identity, so they key their own adjoints
     adjoint: dict[Tensor, np.ndarray] = {root: np.ones_like(root.values)}
     factors: dict[Tensor, list] = {}   # [pending columns, gs, bts]
+    placed: dict[Tensor, np.ndarray] = {}   # picked columns' adjoints
     get_adjoint, pop_adjoint, nodes = adjoint.get, adjoint.pop, tape.nodes
     get_factors, pop_factors = factors.get, factors.pop
+    get_placed, pop_placed = placed.get, placed.pop
 
     def finish(t: Tensor):
         """t's whole adjoint, or None if it got no contribution."""
-        g, pending = pop_adjoint(t, None), pop_factors(t, None)
-        if pending is None:
+        g, pending, dense = pop_adjoint(t, None), pop_factors(t, None), pop_placed(t, None)
+        if pending is not None:
+            part = _contract(pending[1], pending[2])
+            if dense is not None:
+                part += dense
+            dense = part
+        if dense is None:
             return g
-        dense = _contract(pending[1], pending[2])
         if g is not None:
             dense += g
         return dense
@@ -554,6 +642,15 @@ def backward(tape: Tape, root: Tensor) -> None:
         inputs, output, vjp = nodes.pop()
         g = finish(output)
         if g is None:
+            continue
+        # a column pick adds its adjoint into its operand's buffer
+        if type(vjp) is ColumnRange:
+            if inputs:
+                a = inputs[0]
+                buf = get_placed(a)
+                if buf is None:
+                    buf = placed[a] = np.zeros((g.shape[0], vjp.rows), order="F")
+                buf[:, vjp.lo:vjp.hi] += g
             continue
         # a matmul replays inline, keeping its left operand's factor pair
         if type(vjp) is _MatmulVjp:
@@ -580,7 +677,7 @@ def backward(tape: Tape, root: Tensor) -> None:
     # each produced tensor's adjoint and factors went with its node, so only
     # leaves are left; a first grad is a private copy, since the adjoint may
     # be an array a vjp also handed to another tensor
-    for t in [*factors, *adjoint]:
+    for t in [*factors, *placed, *adjoint]:
         g = finish(t)
         if g is None or isinstance(t, Constant):
             continue

@@ -28,46 +28,53 @@ state is (hidden, n), so the position embedding, the motion LSTM and the
 output head each run once per step for the whole scene. A scene may
 also be a stack of windows of one crowd size (``SceneState.initial``
 with ``stacked``): their columns are concatenated, and each pedestrian's
-neighbors are those of its own window only, so a stack shares each step's
-position embedding, motion LSTM and head while every per-pedestrian and
-per-pair op is the one its window alone would run. The work of
-pedestrian k over its n-1 neighbors is one block of n-1 columns, its m-th
-neighbor in column m: embedded displacements (e, n-1), relation states
-(``state.r[k]``, hidden, n-1), the relation gates' activations (three
-(hidden, n-1) blocks), repeated own and neighbor motion states (hidden,
-n-1), attention logits and weights (1, n-1). Columns move by products with
-constant one-hot matrices, which are exact, since each output entry has
-one nonzero term (two for a displacement):
+neighbors are those of its own window only, so a stack of windows of s
+pedestrians is one scene whose pedestrians each have s - 1 neighbors.
 
-  * ``H @ others[k]`` gathers the neighbors' columns of k, ``H @ own[k]``
-    repeats column k, and ``P @ spread[k]``, with ``spread[k] = others[k]
-    - own[k]``, is exactly ``p_j - p_k`` for every neighbor j;
-  * ``G @ pick[m]`` takes column m of a neighbor block. A one-column
-    product keeps its left operand's gradient as factor pairs (see
-    ``diffcore``), so the adjoint of a block is one exact scatter product.
+Every ordered pair is a column of the scene's pair blocks, N = n (s - 1)
+columns in all: pedestrian k's neighbors are the contiguous run of
+columns k (s - 1) .. (k + 1) (s - 1) - 1, its m-th neighbor in canonical
+order at the m-th column of the run. The embedded displacements (e, N),
+the relation states ``state.r`` (hidden, N), the relation gates'
+activations (three (hidden, N) blocks), the repeated own and the gathered
+neighbor motion states (hidden, N) and the attention logits (1, N) are
+each one such block, so each of these ops runs once per step for the
+whole scene. Columns move by products with constant one-hot matrices,
+which are exact, since each output entry has one nonzero term (two for a
+displacement):
 
-``others``, ``own`` and ``pick`` are ``dc.Selector`` matrices, every
-column one-hot, so their products skip the finite check and keep a
-``Bounded`` operand ``Bounded``; ``spread``'s differences can overflow, so
-it is a plain ``Constant``. Work on constants alone (observed positions,
-the zero motion state of the first step) goes through
-``dc.matmul_or_constant`` and ``dc.concat_or_constant``, which give a
-``Constant`` and record no tape node.
+  * ``H @ others`` gathers every pair's neighbor column, ``H @ own``
+    repeats every pair's own column, and ``P @ spread``, with ``spread =
+    others - own``, is exactly ``p_j - p_k`` for every pair;
+  * a ``dc.ColumnRange`` picks a run of columns: ``state.pick[col]`` one
+    pair's column of a gate block, ``state.runs[k]`` pedestrian k's run of
+    the logits and of the neighbor states. Its product is a view of those
+    columns, and ``backward`` adds the picked columns' adjoints back into
+    them, so picking costs no product and no (N, N) matrix.
+
+Only what is one pedestrian's own stays per pedestrian: the softmax over
+its run of logits and the weighted sum of its run of neighbor states.
+``others`` and ``own`` are ``dc.Selector`` matrices, every column one-hot,
+so their products skip the finite check and keep a ``Bounded`` operand
+``Bounded``; ``spread``'s differences can overflow, so it is a plain
+``Constant``. Work on constants alone (observed positions, the zero
+motion state of the first step) goes through ``dc.matmul_or_constant``
+and ``dc.concat_or_constant``, which give a ``Constant`` and record no
+tape node.
 
 Every affine map is one product with its bias folded in, ``[W | b] @ [x;
 1]``: ``SceneState.fold`` concatenates each weight with its bias once per
 window, on the open tape, and the concat routes the gradients back to the
 named tensors, so names and checkpoints stay as they are.
 
-The relationship encoder does every op of pedestrian k's n-1 cells that
-does not read a cell state once per step, on the whole block
-(``relation_gates``): the four gate products, which read only k's
-embedded displacements and relation states, their activations and the
-product of input gate and candidate. Only the memory update stays one
-``relation_step`` call per ordered pair and step, on that pair's
-(hidden, 1) column: the benchmark in ``perfbench`` counts those calls
-against the closed form 19 n (n - 1) per window. A one-neighbor block is
-its own column, and then no column is picked.
+The relationship encoder does every op that does not read a cell state
+once per step, on the scene's whole pair block (``relation_gates``): the
+four gate products, which read only the embedded displacements and the
+relation states, their activations and the product of input gate and
+candidate. Only the memory update stays one ``relation_step`` call per
+ordered pair and step, on that pair's (hidden, 1) column: the benchmark
+in ``perfbench`` counts those calls against the closed form 19 n (n - 1)
+per window.
 """
 
 from __future__ import annotations
@@ -236,33 +243,34 @@ class SceneState:
     the start, plus the scene's constants.
 
     The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
-    ``ped_ids[k]``. Column k's relation states toward its n-1 neighbors
-    are the block ``r[k]`` (hidden, n-1), column m toward its m-th
-    neighbor, since they enter the block's gate products; its cell
-    states, which enter only a pair's own memory update, are n-1
-    (hidden, 1) columns ``cr[k][m]``. The roster is fixed: a
-    window holds only pedestrians tracked through its whole span, so every
-    state exists from the first step. ``ped_ids`` is sorted once here, and
-    every column and every loop follows that canonical order, so listing
-    the pedestrians in another order cannot change a result bit.
+    ``ped_ids[k]``. The relation states are one (hidden, N) block ``r``,
+    a column per ordered pair in the layout of the module docstring, since
+    they enter the scene's gate products; the relation cell states, which
+    enter only a pair's own memory update, are N (hidden, 1) columns
+    ``cr[col]``. The roster is fixed: a window holds only pedestrians
+    tracked through its whole span, so every state exists from the first
+    step. ``ped_ids`` is sorted once here, and every column and every loop
+    follows that canonical order, so listing the pedestrians in another
+    order cannot change a result bit.
 
     The constants are the one-hot matrices of the module docstring, built
-    here (``others``, ``own`` and ``pick`` as ``Selector``), and the
-    folded weights, built by ``fold`` on first use. Every block has
-    ``len(pick)`` columns, none for lone pedestrians.
+    here (``others`` and ``own`` as ``Selector``, ``pick`` and ``runs`` as
+    ``ColumnRange``), and the folded weights, built by ``fold`` on first
+    use. ``len(pick)`` is N, zero for lone pedestrians.
     """
 
     ped_ids: list
     h: Tensor
     c: Tensor
-    r: list               # per column k: its (hidden, n-1) relation states
-    cr: list              # per column k: its n-1 (hidden, 1) relation cell states
-    others: list          # per column k: (columns, n-1), column m picks neighbor m
-    own: list             # per column k: (columns, n-1), every column picks column k
-    spread: list          # per column k: others[k] - own[k]
-    pick: list            # (n-1, 1) one-hot columns, picking column m of a block
+    r: Tensor             # (hidden, N) relation states, a column per ordered pair
+    cr: list              # N (hidden, 1) relation cell states
+    others: Tensor        # (n, N): pair column k, m picks k's m-th neighbor
+    own: Tensor           # (n, N): pair column k, m picks k
+    spread: Tensor        # others - own
+    pick: list            # N ColumnRange: pair column col of an (·, N) block
+    runs: list            # n ColumnRange: pedestrian k's run of pair columns
     ones: Tensor          # (1, n)
-    ones_neighbors: Tensor  # (1, n-1)
+    ones_pairs: Tensor    # (1, N)
     folded: dict = field(default_factory=dict, repr=False)
     folded_for: Optional[ModelParams] = field(default=None, repr=False)
 
@@ -272,7 +280,7 @@ class SceneState:
         another; or, ``stacked``, of several windows at once: each id is
         then a ``(window, id)`` pair, as ``pipeline.rollout`` keys them, and
         a pedestrian's neighbors are the others of its window. The windows
-        must hold one number of pedestrians, so every block has one width.
+        must hold one number of pedestrians, so every run has one width.
         Sorted, a window's columns are contiguous, and a stack of one window
         gets the constants of the plain state exactly."""
         ids = sorted(ped_ids)
@@ -285,21 +293,26 @@ class SceneState:
                 raise ValueError(f"stacked windows hold {sorted(sizes)} pedestrians; "
                                  f"a stack needs one number")
             size = sizes.pop() if sizes else 0
-        n_neighbors = max(size - 1, 0)
-        eye = np.eye(n)
-        # column k's window spans columns k - k % size .. k - k % size + size
-        others = [np.delete(eye[:, k - k % size:k - k % size + size], k % size, axis=1)
-                  for k in range(n)]
-        own = [np.repeat(eye[:, k:k + 1], n_neighbors, axis=1) for k in range(n)]
+        width = max(size - 1, 0)
+        pairs = n * width
+        # pair column k * width + m: pedestrian k, the i-th of its window,
+        # toward the m-th other pedestrian of that window (k, m and i are
+        # empty when there are no pairs)
+        k = np.repeat(np.arange(n), width)
+        m = np.tile(np.arange(width), n)
+        i = k % size if width else k
+        j = k - i + m + (m >= i)
+        others, own = np.zeros((n, pairs)), np.zeros((n, pairs))
+        others[j, np.arange(pairs)] = 1.0
+        own[k, np.arange(pairs)] = 1.0
         zeros = Constant.zeros
         return cls(
             ped_ids=ids, h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
-            r=[zeros((hidden_dim, n_neighbors)) for _ in range(n)],
-            cr=[[zeros((hidden_dim, 1)) for _ in range(n_neighbors)] for _ in range(n)],
-            others=[Selector(m) for m in others], own=[Selector(m) for m in own],
-            spread=[Constant(a - b) for a, b in zip(others, own)],
-            pick=[Selector(col) for col in np.eye(n_neighbors)[:, :, None]],
-            ones=Constant(np.ones((1, n))), ones_neighbors=Constant(np.ones((1, n_neighbors))))
+            r=zeros((hidden_dim, pairs)), cr=[zeros((hidden_dim, 1)) for _ in range(pairs)],
+            others=Selector(others), own=Selector(own), spread=Constant(others - own),
+            pick=[dc.ColumnRange(col, col + 1, pairs) for col in range(pairs)],
+            runs=[dc.ColumnRange(q * width, (q + 1) * width, pairs) for q in range(n)],
+            ones=Constant(np.ones((1, n))), ones_pairs=Constant(np.ones((1, pairs))))
 
     def fold(self, params: ModelParams, name: str):
         """params' weight of the affine map ``name`` ("re", "rae", "e" or
@@ -323,19 +336,19 @@ class SceneState:
 # single-step operations
 
 
-def embed_relative(params: ModelParams, state: SceneState, positions: Tensor, k: int) -> Tensor:
-    """Embed the displacements from the pedestrian of column k to each of
-    its neighbors, with ``w_rae``/``b_rae`` under ``ra`` and ``w_re``/``b_re``
-    otherwise. positions is (2, n); the result is (e, n-1), neighbors in
-    canonical order.
+def embed_relative(params: ModelParams, state: SceneState, positions: Tensor) -> Tensor:
+    """Embed the displacement of every ordered pair, from the pedestrian
+    toward its neighbor, with ``w_rae``/``b_rae`` under ``ra`` and
+    ``w_re``/``b_re`` otherwise. positions is (2, n); the result is (e, N),
+    a column per pair.
 
     ``positions @ spread`` is exactly ``p_j - p_k``, so translating the
     whole scene leaves the result unchanged, bit for bit.
     """
     name = "rae" if params.config.strategy is AttentionStrategy.RA else "re"
-    disp = dc.matmul_or_constant(positions, state.spread[k])
+    disp = dc.matmul_or_constant(positions, state.spread)
     return dc.relu(dc.matmul(state.fold(params, name),
-                             dc.concat_or_constant([disp, state.ones_neighbors], axis=0)))
+                             dc.concat_or_constant([disp, state.ones_pairs], axis=0)))
 
 
 def _gate_products(gates, inputs, h: Tensor, ones: Tensor) -> list:
@@ -353,42 +366,39 @@ def _lstm_cell(i: Tensor, f: Tensor, g: Tensor, o: Tensor, c: Tensor):
     return dc.mul(o, dc.tanh(c)), c
 
 
-def relation_gates(params: ModelParams, state: SceneState, k: int, e: Tensor) -> tuple:
-    """The activated gates of every relation cell of the pedestrian of
-    column k, from its (e, n-1) embedded displacements of this step and
-    its relation states of the last: the forget gate f, the input gate
-    times the candidate, i*g, and the output gate o, three ``Bounded``
-    (hidden, n-1) blocks, column m toward its m-th neighbor. None of them
-    reads a cell state, so each op runs once on the whole block."""
-    i, f, g, o = _gate_products(state.fold(params, "rel"), [e], state.r[k],
-                                state.ones_neighbors)
+def relation_gates(params: ModelParams, state: SceneState, e: Tensor) -> tuple:
+    """The activated gates of every relation cell of the scene, from the
+    (e, N) embedded displacements of this step and the relation states of
+    the last: the forget gate f, the input gate times the candidate, i*g,
+    and the output gate o, three ``Bounded`` (hidden, N) blocks, a column
+    per ordered pair. None of them reads a cell state, so each op runs
+    once on the whole block."""
+    i, f, g, o = _gate_products(state.fold(params, "rel"), [e], state.r, state.ones_pairs)
     return dc.sigmoid(f), dc.mul(dc.sigmoid(i), dc.tanh(g)), dc.sigmoid(o)
 
 
-def relation_step(params: ModelParams, state: SceneState, k: int, m: int, gates):
-    """Advance the relationship encoder of the pedestrian of column k
-    toward its m-th neighbor, on column m of the blocks ``relation_gates``
-    formed for k this step; a one-neighbor block is its own column. Only
+def relation_step(params: ModelParams, state: SceneState, col: int, gates):
+    """Advance the relationship encoder of the ordered pair of column col,
+    on that column of the blocks ``relation_gates`` formed this step. Only
     the memory update runs here, ``c = f*c + i*g`` and ``r = o*tanh(c)``.
     Returns (r, cr) and keeps cr; ``pipeline.scene_step`` keeps the block
-    of k's new r columns."""
+    of the new r columns."""
     f, ig, o = gates
-    if len(state.pick) > 1:
-        pick = state.pick[m]
-        f, ig, o = dc.matmul(f, pick), dc.matmul(ig, pick), dc.matmul(o, pick)
-    c = state.cr[k][m] = dc.add(dc.mul(f, state.cr[k][m]), ig)
+    pick = state.pick[col]
+    f, ig, o = dc.matmul(f, pick), dc.matmul(ig, pick), dc.matmul(o, pick)
+    c = state.cr[col] = dc.add(dc.mul(f, state.cr[col]), ig)
     return dc.mul(o, dc.tanh(c)), c
 
 
 def attention_logits(params: ModelParams, strategy: AttentionStrategy,
                      pair: Optional[Tensor], h_i: Tensor, h_j: Tensor) -> Tensor:
-    """Unnormalized attention scores of pedestrian i for k neighbors j, as a
-    (1, k) row. Each argument holds one column per neighbor: ``pair`` the
-    pair feature, which ``sa`` ignores, ``h_i`` i's motion state repeated,
-    ``h_j`` the neighbors'. Every scorer is linear, so its block on ``h_i``
-    (``w_at`` columns h..2h, ``w_sa`` 0..h, ``w_ra`` e..e+h) adds the same
-    term to each of i's logits, which the softmax cancels: that block
-    moves no prediction beyond rounding."""
+    """Unnormalized attention scores of pedestrians i for neighbors j, as a
+    (1, k) row for k ordered pairs (i, j). Each argument holds one column
+    per pair: ``pair`` the pair feature, which ``sa`` ignores, ``h_i`` i's
+    motion state, ``h_j`` the neighbor's. Every scorer is linear, so its
+    block on ``h_i`` (``w_at`` columns h..2h, ``w_sa`` 0..h, ``w_ra``
+    e..e+h) adds the same term to each of i's logits, which the softmax
+    cancels: that block moves no prediction beyond rounding."""
     if strategy is AttentionStrategy.SA:
         return dc.matmul(params["w_sa"], dc.concat_or_constant([h_i, h_j], axis=0))
     if strategy is AttentionStrategy.NONE:
@@ -402,22 +412,23 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
 def attention_weights(logits: Tensor) -> Tensor:
     """Normalize one pedestrian's logits over its neighbors into weights
     that sum to one. An empty set raises ``dc.EmptyNeighborSetError``."""
-    return dc.masked_softmax(logits, np.ones(logits.size, dtype=bool))
+    return dc.masked_softmax(logits)
 
 
-def social_context(state: SceneState, weights: Sequence, neighbors: Sequence,
+def social_context(state: SceneState, weights: Sequence, neighbors: Optional[Tensor],
                    strategy: AttentionStrategy) -> Tensor:
-    """The (hidden, n) social contexts: column k weighs the (hidden, n-1)
-    block ``neighbors[k]`` of pedestrian k's neighbor motion states by
+    """The (hidden, n) social contexts: column k weighs pedestrian k's run
+    of the (hidden, N) neighbor motion states ``neighbors`` by
     ``weights[k]`` and sums them. Zeros under NONE and for lone
     pedestrians."""
     n = len(state.ped_ids)
     if strategy is AttentionStrategy.NONE or not state.pick:
         return Constant.zeros(state.h.shape)
-    if len(weights) != n or len(neighbors) != n or any(w is None for w in weights):
+    if len(weights) != n or any(w is None for w in weights):
         raise ValueError(f"attention weights required: each of the {n} pedestrians "
                          f"has neighbors")
-    return dc.concat([dc.weighted_sum(w, nb) for w, nb in zip(weights, neighbors)], axis=1)
+    return dc.concat([dc.weighted_sum(w, dc.matmul_or_constant(neighbors, run))
+                      for w, run in zip(weights, state.runs)], axis=1)
 
 
 def embed_position(params: ModelParams, state: SceneState, nabs: Tensor) -> Tensor:

@@ -76,12 +76,15 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     tensor; or they map each pedestrian to a (2, 1) tensor, and the
     predictions come back as such a dict. abs_pos may be None when no
     pedestrian embeds displacements (``none``, ``sa`` or no neighbors).
-    Each pedestrian's neighbors (the others of its window, in a stack)
-    are one block, scored on one pair feature each: none under ``sa``, the
-    embedded displacement under ``ra``, the relation state it updates
-    under ``sra``. Scores and social contexts read the motion states of the
-    previous step; motion updates and offset predictions run last. Returns
-    (predictions, attention), attention keyed by pedestrian; with
+    Each ordered pair of pedestrians (of one window, in a stack) is a
+    column of the scene's pair blocks, scored on one pair feature: none
+    under ``sa``, the embedded displacement under ``ra``, the relation
+    state it updates under ``sra``. The pair blocks run once per step for
+    the whole scene, each pair's relation memory update once per pair, and
+    each pedestrian's softmax and context sum once per pedestrian, on its
+    run of pair columns. Scores and social contexts read the motion states
+    of the previous step; motion updates and offset predictions run last.
+    Returns (predictions, attention), attention keyed by pedestrian; with
     ``predict`` false, for a step whose predictions nothing reads, the
     offsets are not formed and predictions is None.
     """
@@ -90,38 +93,45 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
         nabs = _columns(state, nabs)
         abs_pos = None if abs_pos is None else _columns(state, abs_pos)
     strategy = params.config.strategy
-    n = len(state.ped_ids)
-    n_neighbors = len(state.pick)   # the same for every pedestrian of the scene
     attention = {} if record_attention else None
-    weights, neighbors = [], []
-    if strategy is not AttentionStrategy.NONE and n_neighbors:
-        for k in range(n):
-            h_i = dc.matmul_or_constant(state.h, state.own[k])
-            h_j = dc.matmul_or_constant(state.h, state.others[k])
-            pair = None
-            if strategy is not AttentionStrategy.SA:
-                pair = md.embed_relative(params, state, abs_pos, k)
-            if strategy is AttentionStrategy.SRA:
-                gates = md.relation_gates(params, state, k, pair)
-                pair = state.r[k] = dc.concat(
-                    [md.relation_step(params, state, k, m, gates)[0]
-                     for m in range(n_neighbors)],
-                    axis=1)
-            w = md.attention_weights(md.attention_logits(params, strategy, pair, h_i, h_j))
-            if record_attention:
-                attention[state.ped_ids[k]] = (
-                    [state.ped_ids[j] for j in state.others[k].values.argmax(axis=0)],
-                    w.values.reshape(-1).copy())
-            weights.append(w)
-            neighbors.append(h_j)
-    context = md.social_context(state, weights, neighbors, strategy)
+    weights, h_j = [], None
+    if strategy is not AttentionStrategy.NONE and state.pick:
+        h_i = dc.matmul_or_constant(state.h, state.own)
+        h_j = dc.matmul_or_constant(state.h, state.others)
+        pair = None
+        if strategy is not AttentionStrategy.SA:
+            pair = md.embed_relative(params, state, abs_pos)
+        if strategy is AttentionStrategy.SRA:
+            gates = md.relation_gates(params, state, pair)
+            pair = state.r = dc.concat(
+                [md.relation_step(params, state, col, gates)[0]
+                 for col in range(len(state.pick))],
+                axis=1)
+        if pair is None and isinstance(h_i, Constant):
+            # sa scores the first step's zero motion states, constants
+            # alone: each run is picked before scoring, which records no pick
+            logits = [md.attention_logits(params, strategy, None,
+                                          dc.matmul_or_constant(h_i, run),
+                                          dc.matmul_or_constant(h_j, run))
+                      for run in state.runs]
+        else:
+            block = md.attention_logits(params, strategy, pair, h_i, h_j)
+            logits = [dc.matmul(block, run) for run in state.runs]
+        weights = [md.attention_weights(x) for x in logits]
+        if record_attention:
+            neighbor = state.others.values.argmax(axis=0)
+            for p, run, w in zip(state.ped_ids, state.runs, weights):
+                attention[p] = ([state.ped_ids[j] for j in neighbor[run.lo:run.hi]],
+                                w.values.reshape(-1).copy())
+    context = md.social_context(state, weights, h_j, strategy)
     md.motion_step(params, state, md.embed_position(params, state, nabs), context)
     if not predict:
         return None, attention
     predictions = md.predict_offset(params, state)
     if by_ped:
-        predictions = {p: dc.matmul(predictions, dc.Selector(col))
-                       for p, col in zip(state.ped_ids, np.eye(n)[:, :, None])}
+        n = len(state.ped_ids)
+        predictions = {p: dc.matmul(predictions, dc.ColumnRange(k, k + 1, n))
+                       for k, p in enumerate(state.ped_ids)}
     return predictions, attention
 
 

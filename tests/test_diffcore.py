@@ -285,6 +285,84 @@ def test_a_selector_product_picks_exact_entries_and_takes_no_gradient(monkeypatc
     assert rel_err(x.grad, want) <= 1e-15
 
 
+def _range_pick_root(x, ranges, weights, one_hot: bool):
+    """sum(tanh(x) @ R * weights) over the picks R of ranges, each by a
+    ColumnRange or by its dense one-hot Selector."""
+    root = None
+    for (lo, hi), wt in zip(ranges, weights):
+        r = dc.ColumnRange(lo, hi, x.shape[1])
+        picked = dc.matmul(dc.tanh(x), dc.Selector(r.values) if one_hot else r)
+        term = dc.sum_all(dc.mul(picked, dc.Constant(wt)))
+        root = term if root is None else dc.add(root, term)
+    return root
+
+
+@pytest.mark.parametrize("ranges", [[(3, 4)], [(1, 5)], [(0, 7)], [(1, 5), (3, 7), (4, 5)]],
+                         ids=["one-column", "range", "all", "overlapping"])
+def test_a_column_range_product_is_the_one_hot_product_bit_for_bit(ranges):
+    rng = np.random.default_rng(len(ranges))
+    x = Tensor(rng.normal(size=(5, 7)))
+    weights = [rng.normal(size=(5, hi - lo)) for lo, hi in ranges]
+    r = dc.ColumnRange(*ranges[0], 7)
+    assert r.shape == r.values.shape == (7, ranges[0][1] - ranges[0][0])
+    assert r.values.tobytes() == np.eye(7)[:, slice(*ranges[0])].tobytes()
+    picked = dc.matmul(x, r)
+    assert picked.values.tobytes() == dc.matmul(x, dc.Selector(r.values)).values.tobytes()
+    assert np.shares_memory(picked.values, x.values)
+    grads = []
+    for one_hot in (True, False):
+        x.grad = None
+        with Tape() as tape:
+            root = _range_pick_root(x, ranges, weights, one_hot)
+        dc.backward(tape, root)
+        grads.append(x.grad)
+    # overlapping picks of one tensor add their adjoints in replay order
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_column_range_picks_a_constant_or_a_bounded_operand():
+    c = dc.Constant(np.arange(12.0).reshape(3, 4))
+    r = dc.ColumnRange(1, 3, 4)
+    with Tape() as tape:
+        folded = dc.matmul_or_constant(c, r)
+        assert len(tape) == 0
+        plain = dc.matmul(c, r)
+        bounded = dc.matmul(dc.tanh(Tensor(c.values / 12.0)), r)
+    assert type(folded) is dc.Constant
+    assert folded.values.tobytes() == plain.values.tobytes() == c.values[:, 1:3].tobytes()
+    # a constant operand takes no gradient, so its pick has no input
+    assert tape.nodes[0][0] == ()
+    assert type(plain) is Tensor and type(bounded) is dc.Bounded
+    assert r.grad is None
+
+
+def test_a_column_range_checks_its_range_and_its_operand():
+    for lo, hi in ((-1, 2), (3, 2), (0, 5)):
+        with pytest.raises(ValueError, match="outside 4 columns"):
+            dc.ColumnRange(lo, hi, 4)
+    for shape in ((3, 3), (3, 5), (4,), (2, 3, 4)):
+        with pytest.raises(dc.ShapeMismatchError):
+            dc.matmul(Tensor(np.ones(shape)), dc.ColumnRange(0, 2, 4))
+
+
+def test_column_range_gradients_match_finite_differences():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 6)))
+    probe = [dc.Constant(rng.normal(size=(3, 3))), dc.Constant(rng.normal(size=(3, 1)))]
+
+    def f():
+        head = dc.matmul(dc.tanh(x), dc.ColumnRange(1, 4, 6))
+        tail = dc.matmul(x, dc.ColumnRange(3, 4, 6))
+        return dc.add(dc.sum_all(dc.mul(dc.mul(head, head), probe[0])),
+                      dc.sum_all(dc.mul(tail, probe[1])))
+
+    with Tape() as tape:
+        dc.backward(tape, f())
+    assert fd_check(lambda: f().item(), x) < FD_TOL
+    # columns no range picks take an exact zero
+    assert not x.grad[:, [0, 4, 5]].any()
+
+
 def test_work_on_constants_alone_is_folded_and_recorded_nowhere():
     rng = np.random.default_rng(6)
     a, ones = dc.Constant(rng.normal(size=(2, 3))), dc.Constant(np.ones((1, 3)))
@@ -449,6 +527,27 @@ def test_masked_softmax_gradient():
         out = dc.masked_softmax(logits, [True] * 3)
         dc.backward(tape, dc.sum_all(dc.mul(out, Tensor(probe))))
     assert fd_check(f, logits) < FD_TOL
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_softmax_without_a_mask_is_the_all_true_mask_bit_for_bit(k):
+    # values, vjp and the one-entry rule are those of a mask that leaves
+    # every entry unmasked
+    rng = np.random.default_rng(k)
+    logits = Tensor(rng.normal(size=(1, k)) * 30.0)
+    g = rng.normal(size=(1, k))
+    nodes = []
+    for mask in ([True] * k, None):
+        with Tape() as tape:
+            out = dc.masked_softmax(logits) if mask is None else dc.masked_softmax(logits, mask)
+        nodes.append((out.values.tobytes(), tape.nodes[0][2](g)))
+    assert nodes[0][0] == nodes[1][0]
+    if k == 1:
+        assert nodes[0][1] == nodes[1][1] == (None,)
+    else:
+        assert nodes[0][1][0].tobytes() == nodes[1][1][0].tobytes()
+    with pytest.raises(dc.EmptyNeighborSetError):
+        dc.masked_softmax(Tensor(np.zeros((1, 0))))
 
 
 def test_masked_softmax_gradient_zero_on_masked_entries():
@@ -652,12 +751,27 @@ def test_contract_adds_its_blocks_in_order():
             blocks.append([])
         blocks[-1].append((c, x.T))
     assert [sum(g.shape[1] for g, _ in block) for block in blocks] == [269, 256, 35]
+    # each block is contracted in products of at most CONTRACT_BLOCK columns
     want = None
     for block in blocks:
         gs, bts = zip(*block)
-        part = (np.concatenate(bts, axis=0).T @ np.concatenate(gs, axis=1).T).T
-        want = part if want is None else want + part
+        g, b = np.concatenate(gs, axis=1), np.concatenate(bts, axis=0)
+        for lo in range(0, g.shape[1], dc.CONTRACT_BLOCK):
+            hi = lo + dc.CONTRACT_BLOCK
+            part = (b[lo:hi].T @ g[:, lo:hi].T).T
+            want = part if want is None else want + part
     assert w.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cols", [257, 600])
+def test_contract_cuts_one_wide_pair_into_blocks_added_in_order(cols):
+    # one use over a scene's pair columns is one factor pair wider than a
+    # block; it is summed block by block, not in one product
+    rng = np.random.default_rng(cols)
+    g, bt = rng.normal(size=(64, cols)), rng.normal(size=(cols, 97))
+    want = sum(b.T.dot(gp.T) for b, gp in zip(np.split(bt, range(256, cols, 256)),
+                                              np.split(g, range(256, cols, 256), axis=1))).T
+    assert dc._contract([g], [bt]).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +1002,8 @@ GRAPH_ROWS, GRAPH_INPUT_COLS = 2, 3
 UNARY = {"sigmoid": dc.sigmoid, "tanh": dc.tanh, "relu": dc.relu,
          "exp": lambda x: dc.exp(dc.tanh(x)), "scale": lambda x: dc.scale(x, -1.5)}
 BINARY = {"add": dc.add, "sub": dc.sub, "mul": dc.mul}
-GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend", "pick")
+GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend", "pick",
+             "columns")
 GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
                           suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -909,7 +1024,9 @@ class OpGraph:
     constant, and ``y`` and ``z`` directly, so one op may hand both the same
     adjoint. Each op's operands may be one tensor. ``pick`` picks columns
     of a sigmoid output by a ``Selector``, repeating some and dropping
-    others, as a relation cell picks its column of a gate block.
+    others. ``columns`` joins a run of one operand's columns and an
+    overlapping run of the other's, picked by ``ColumnRange``, as a scene
+    step picks a pair's column or a pedestrian's run of a pair block.
     """
 
     def __init__(self, seed, width):
@@ -930,6 +1047,10 @@ class OpGraph:
         self.mask = rng.random(width) < 0.7
         self.mask[0] = True
         self.pick = dc.Selector(np.eye(width)[:, rng.integers(0, width, width)])
+        split = int(rng.integers(0, width + 1))
+        start = int(rng.integers(0, split + 1))
+        self.head = dc.ColumnRange(0, split, width)
+        self.tail = dc.ColumnRange(start, start + width - split, width)
 
     def forward(self, ops):
         """The scalar root. Every tensor made on the way goes to ``built``,
@@ -958,6 +1079,8 @@ class OpGraph:
                 out = dc.matmul(dc.concat([a, b], axis=1), self.merge)
             elif op == "pick":
                 out = dc.matmul(dc.sigmoid(a), self.pick)
+            elif op == "columns":
+                out = dc.concat([dc.matmul(a, self.head), dc.matmul(b, self.tail)], axis=1)
             else:
                 weights = dc.masked_softmax(dc.matmul(self.score, a), self.mask)
                 out = dc.matmul(dc.weighted_sum(weights, b), self.ones)
@@ -970,6 +1093,7 @@ class OpGraph:
 @given(graph_specs)
 @example((7, 300, [("weight", 3, 0), ("mix", 4, 4), ("add", 1, 2), ("join", 5, 6),
                    ("stack", 7, 3), ("relu", 8, 0), ("attend", 9, 5)]))
+@example((4, 9, [("columns", 0, 1), ("columns", 4, 4), ("weight", 5, 0)]))
 def test_backward_on_random_op_graphs(spec):
     seed, width, ops = spec
     graph = OpGraph(seed, width)

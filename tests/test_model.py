@@ -2,6 +2,7 @@
 attention strategies, social context, and anchored-offset coordinates."""
 
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,12 +195,18 @@ def test_tensor_directory_order_is_stable():
 # ---------------------------------------------------------------------------
 # embeddings
 
+def pair_columns(n):
+    """(k, j) for every pair column of an n-pedestrian scene, in order:
+    pedestrian k's neighbors j in a run, in canonical order."""
+    return [(k, j) for k in range(n) for j in range(n) if j != k]
+
+
 def test_embed_relative_zero_displacement_is_relu_of_bias():
     params = ModelParams.init(SMALL, seed=3)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    out = md.embed_relative(params, state, columns((1.0, 2.0), (1.0, 2.0)), 0)
+    out = md.embed_relative(params, state, columns((1.0, 2.0), (1.0, 2.0)))
     expected = np.maximum(params["b_re"].values, 0.0)
-    assert np.array_equal(out.values, expected)
+    assert np.array_equal(out.values, np.hstack([expected, expected]))
 
 
 def test_embed_relative_translation_invariant_bitwise():
@@ -207,24 +214,23 @@ def test_embed_relative_translation_invariant_bitwise():
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
     a = columns((0.5, -1.0), (2.0, 3.0), (-4.25, 0.5))
     b = columns((10.5, -5.0), (12.0, -1.0), (5.75, -3.5))
-    for k in range(3):
-        assert np.array_equal(md.embed_relative(params, state, a, k).values,
-                              md.embed_relative(params, state, b, k).values)
+    assert np.array_equal(md.embed_relative(params, state, a).values,
+                          md.embed_relative(params, state, b).values)
 
 
 def test_embed_relative_matches_scripted_oracle():
-    # one column per neighbor, neighbors in canonical order
+    # one column per ordered pair: each pedestrian's neighbors in a run,
+    # in canonical order
     params = ModelParams.init(SMALL, seed=3)
     state = SceneState.initial([3, 1, 2], hidden_dim=8)
     points = {1: (0.0, 0.0), 2: (1.0, 2.0), 3: (-0.5, 4.0)}
     pos = columns(*(points[p] for p in (1, 2, 3)))
-    for k, ped in enumerate((1, 2, 3)):
-        out = md.embed_relative(params, state, pos, k)
-        assert out.shape == (6, 2)
-        for m, j in enumerate(j for j in (1, 2, 3) if j != ped):
-            disp = (np.array(points[j]) - np.array(points[ped])).reshape(2, 1)
-            oracle = oracle_affine_relu(params["w_re"].values, disp, params["b_re"].values)
-            assert rel_err(out.values[:, m:m + 1], oracle) < 1e-12
+    out = md.embed_relative(params, state, pos)
+    assert out.shape == (6, 6)
+    for col, (k, j) in enumerate(pair_columns(3)):
+        disp = (np.array(points[j + 1]) - np.array(points[k + 1])).reshape(2, 1)
+        oracle = oracle_affine_relu(params["w_re"].values, disp, params["b_re"].values)
+        assert rel_err(out.values[:, col:col + 1], oracle) < 1e-12
 
 
 def test_embed_position_zero_input_and_oracle():
@@ -246,13 +252,13 @@ def test_ra_embedding_requires_ra_params():
     state = SceneState.initial([1, 2], hidden_dim=8)
     pos = columns((0.0, 0.0), (1.0, 2.0))
     ra = ModelParams.init(small_config("ra"), seed=1)
-    out = md.embed_relative(ra, state, pos, 0)
-    oracle = oracle_affine_relu(ra["w_rae"].values,
-                                np.array([[1.0], [2.0]]), ra["b_rae"].values)
+    out = md.embed_relative(ra, state, pos)
+    oracle = oracle_affine_relu(ra["w_rae"].values, np.array([[1.0, -1.0], [2.0, -2.0]]),
+                                ra["b_rae"].values)
     assert rel_err(out.values, oracle) < 1e-12
     without = ModelParams(ra.config, {k: t for k, t in ra.named.items() if k != "w_rae"})
     with pytest.raises(KeyError, match="w_rae"):
-        md.embed_relative(without, state, pos, 0)
+        md.embed_relative(without, state, pos)
 
 
 def test_position_validation():
@@ -264,9 +270,9 @@ def test_position_validation():
         md.embed_position(params, state, Tensor(np.zeros((2, 2))))
     pair = SceneState.initial([1, 2], hidden_dim=8)
     with pytest.raises(dc.ShapeMismatchError):
-        md.embed_relative(params, pair, Tensor(np.zeros((3, 2))), 0)
+        md.embed_relative(params, pair, Tensor(np.zeros((3, 2))))
     with pytest.raises(dc.ShapeMismatchError):
-        md.embed_relative(params, pair, Tensor(np.zeros((2, 1))), 0)
+        md.embed_relative(params, pair, Tensor(np.zeros((2, 1))))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -274,7 +280,6 @@ def test_position_validation():
 def test_embeddings_fail_on_wrong_shapes_only_with_shape_mismatch(data):
     params = ModelParams.init(SMALL, seed=1)
     n = data.draw(st.integers(2, 5))
-    k = data.draw(st.integers(0, n - 1))
     state = SceneState.initial(list(range(n)), hidden_dim=8)
     # rank 0-3 with sizes 0-6, or (2, n) and its near misses
     shape = data.draw(st.one_of(st.lists(st.integers(0, 6), max_size=3).map(tuple),
@@ -283,7 +288,7 @@ def test_embeddings_fail_on_wrong_shapes_only_with_shape_mismatch(data):
     x = Tensor(np.ones(shape))
     raises_shape_mismatch_unless(shape == (2, n), lambda: md.embed_position(params, state, x))
     raises_shape_mismatch_unless(shape == (2, n),
-                                 lambda: md.embed_relative(params, state, x, k))
+                                 lambda: md.embed_relative(params, state, x))
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +304,19 @@ def test_scene_state_zero_start_and_canonical_roster():
     assert state.ped_ids == [1, 2, 3]
     for t in (state.h, state.c):
         assert np.array_equal(t.values, np.zeros((4, 3)))
-    # per column one zero relation-state block of n-1 columns and n-1 zero
-    # cell-state columns, one per ordered pair, each its own tensor
-    assert len(state.r) == 3 and [len(b) for b in state.cr] == [2, 2, 2]
-    cells = [t for block in state.cr for t in block]
-    assert len({id(t) for t in state.r + cells}) == 3 + 6
-    for t in state.r:
-        assert np.array_equal(t.values, np.zeros((4, 2)))
-    for t in cells:
+    # one zero relation-state block with a column per ordered pair, and a
+    # zero cell-state column per ordered pair, each its own tensor
+    assert state.r.shape == (4, 6) and len(state.cr) == 6
+    assert len({id(t) for t in [state.r, *state.cr]}) == 1 + 6
+    assert np.array_equal(state.r.values, np.zeros((4, 6)))
+    for t in state.cr:
         assert np.array_equal(t.values, np.zeros((4, 1)))
+    # pedestrian k's neighbors are the run of columns 2k, 2k + 1
+    assert [(run.lo, run.hi) for run in state.runs] == [(0, 2), (2, 4), (4, 6)]
+    assert [(p.lo, p.hi) for p in state.pick] == [(col, col + 1) for col in range(6)]
     lone = SceneState.initial([4], 4)
-    assert lone.r[0].shape == (4, 0) and lone.cr == [[]]
+    assert lone.r.shape == (4, 0) and lone.cr == [] and lone.pick == []
+    assert [(run.lo, run.hi) for run in lone.runs] == [(0, 0)]
 
 
 def _awkward_values(rng, shape):
@@ -327,28 +334,30 @@ def test_one_hot_products_select_exact_bytes(n):
     rng = np.random.default_rng(n)
     state = SceneState.initial(list(range(n)), hidden_dim=4)
     h = _awkward_values(rng, (4, n))
-    block = _awkward_values(rng, (6, n - 1))
-    for k in range(n):
-        picked = [j for j in range(n) if j != k]
-        gathered = dc.matmul(Tensor(h), state.others[k]).values
-        assert gathered.tobytes() == np.ascontiguousarray(h[:, picked]).tobytes()
-        repeated = dc.matmul(Tensor(h), state.own[k]).values
-        assert repeated.tobytes() == np.ascontiguousarray(h[:, [k] * (n - 1)]).tobytes()
-    for m, pick in enumerate(state.pick):
+    block = _awkward_values(rng, (6, n * (n - 1)))
+    ks, js = (list(c) for c in zip(*pair_columns(n)))
+    gathered = dc.matmul(Tensor(h), state.others).values
+    assert gathered.tobytes() == np.ascontiguousarray(h[:, js]).tobytes()
+    repeated = dc.matmul(Tensor(h), state.own).values
+    assert repeated.tobytes() == np.ascontiguousarray(h[:, ks]).tobytes()
+    for col, pick in enumerate(state.pick):
         column = dc.matmul(Tensor(block), pick).values
-        assert column.tobytes() == np.ascontiguousarray(block[:, m:m + 1]).tobytes()
+        assert column.tobytes() == np.ascontiguousarray(block[:, col:col + 1]).tobytes()
+    for k, run in enumerate(state.runs):
+        part = dc.matmul(Tensor(block), run).values
+        assert part.tobytes() == np.ascontiguousarray(
+            block[:, k * (n - 1):(k + 1) * (n - 1)]).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
 def test_displacement_product_is_the_exact_difference(n):
     rng = np.random.default_rng(100 + n)
     state = SceneState.initial(list(range(n)), hidden_dim=4)
+    ks, js = (list(c) for c in zip(*pair_columns(n)))
     for _ in range(20):
         pos = _awkward_values(rng, (2, n))
-        for k in range(n):
-            picked = [j for j in range(n) if j != k]
-            disp = dc.matmul(Tensor(pos), state.spread[k]).values
-            assert disp.tobytes() == (pos[:, picked] - pos[:, [k]]).tobytes()
+        disp = dc.matmul(Tensor(pos), state.spread).values
+        assert disp.tobytes() == (pos[:, js] - pos[:, ks]).tobytes()
 
 
 def test_a_stack_of_one_window_builds_the_plain_constants_exactly():
@@ -356,11 +365,12 @@ def test_a_stack_of_one_window_builds_the_plain_constants_exactly():
     plain = SceneState.initial(ids, hidden_dim=4)
     stack = SceneState.initial([(0, p) for p in ids], hidden_dim=4, stacked=True)
     assert stack.ped_ids == [(0, p) for p in plain.ped_ids]
-    for name in ("others", "own", "spread", "pick"):
+    for name in ("pick", "runs"):
         for a, b in zip(getattr(plain, name), getattr(stack, name), strict=True):
-            assert type(a) is type(b) and a.values.tobytes() == b.values.tobytes()
-    for name in ("ones", "ones_neighbors", "h", "c"):
-        assert getattr(plain, name).values.tobytes() == getattr(stack, name).values.tobytes()
+            assert type(a) is type(b) and (a.lo, a.hi, a.rows) == (b.lo, b.hi, b.rows)
+    for name in ("others", "own", "spread", "ones", "ones_pairs", "h", "c", "r"):
+        a, b = getattr(plain, name), getattr(stack, name)
+        assert type(a) is type(b) and a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -372,14 +382,19 @@ def test_stacked_windows_see_only_their_own_neighbors(n):
     rng = np.random.default_rng(n)
     pos = _awkward_values(rng, (2, 3 * n))
     h = _awkward_values(rng, (4, 3 * n))
-    assert len(state.pick) == n - 1 and state.ones_neighbors.shape == (1, n - 1)
+    assert len(state.pick) == 3 * n * (n - 1) and state.ones_pairs.shape == (1, 3 * n * (n - 1))
+    gathered = dc.matmul(Tensor(h), state.others).values
+    repeated = dc.matmul(Tensor(h), state.own).values
+    disp = dc.matmul(Tensor(pos), state.spread).values
     for k, (i, p) in enumerate(state.ped_ids):
         picked = [j for j, (w, _) in enumerate(state.ped_ids) if w == i and j != k]
-        assert dc.matmul(Tensor(h), state.others[k]).values.tobytes() == \
+        run = state.runs[k]
+        assert (run.lo, run.hi) == (k * (n - 1), (k + 1) * (n - 1))
+        assert gathered[:, run.lo:run.hi].tobytes() == \
             np.ascontiguousarray(h[:, picked]).tobytes()
-        assert dc.matmul(Tensor(h), state.own[k]).values.tobytes() == \
+        assert repeated[:, run.lo:run.hi].tobytes() == \
             np.ascontiguousarray(h[:, [k] * (n - 1)]).tobytes()
-        assert dc.matmul(Tensor(pos), state.spread[k]).values.tobytes() == \
+        assert disp[:, run.lo:run.hi].tobytes() == \
             (pos[:, picked] - pos[:, [k]]).tobytes()
 
 
@@ -390,24 +405,42 @@ def test_stacked_windows_must_hold_one_crowd_size():
 
 def test_scene_state_constants_take_no_gradient():
     state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
-    constants = [*state.others, *state.own, *state.spread, *state.pick,
-                 state.ones, state.ones_neighbors, state.h, state.c, *state.r,
-                 *(t for block in state.cr for t in block)]
+    constants = [state.others, state.own, state.spread, *state.pick, *state.runs,
+                 state.ones, state.ones_pairs, state.h, state.c, state.r, *state.cr]
     assert all(isinstance(t, Constant) for t in constants)
-    # the one-hot matrices are selectors; spread's differences are not
-    assert all(type(t) is dc.Selector for t in (*state.others, *state.own, *state.pick))
-    assert not any(isinstance(t, dc.Selector) for t in constants[2 * 4:3 * 4])
+    # the one-hot matrices are selectors, the picks column ranges; spread's
+    # differences are no selector
+    assert type(state.others) is type(state.own) is dc.Selector
+    assert all(type(t) is dc.ColumnRange for t in (*state.pick, *state.runs))
+    assert not isinstance(state.spread, dc.Selector)
+
+
+def test_a_scene_state_of_100_pedestrians_stays_within_32_5_mib_of_arrays():
+    # 9,900 ordered pairs: a one-hot (N, 1) matrix per pair pick would take
+    # 784 MB, so the picks are column ranges that hold no array; the
+    # gathers and the relation states are O(n^3) and stay at the 32.5 MiB
+    # the per-pedestrian blocks took. Array bytes, not the process's RSS
+    state = SceneState.initial(list(range(100)), hidden_dim=64)
+    assert len(state.pick) == 9900
+    total = 0
+    for f in fields(state):
+        value = getattr(state, f.name)
+        for t in value if isinstance(value, list) else [value]:
+            if type(t) is dc.ColumnRange:
+                assert not hasattr(t, "__dict__")   # only its range and vjp
+            elif isinstance(t, Tensor):
+                total += t.values.nbytes
+    assert total <= 34_080_000
 
 
 def test_pair_store_keeps_directions_distinct():
-    # column 0 of r[0] is 1 toward 2, column 0 of r[1] is 2 toward 1
+    # pair column 0 is 1 toward 2, column 1 is 2 toward 1
     state = SceneState.initial([1, 2], hidden_dim=4)
-    assert state.r[0] is not state.r[1]
-    assert state.cr[0][0] is not state.cr[1][0]
-    state.r[0] = Tensor(np.ones((4, 1)))
-    state.cr[0][0] = Tensor(np.ones((4, 1)))
-    assert np.array_equal(state.r[1].values, np.zeros((4, 1)))
-    assert np.array_equal(state.cr[1][0].values, np.zeros((4, 1)))
+    assert state.cr[0] is not state.cr[1]
+    assert state.others.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert state.own.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    state.cr[0] = Tensor(np.ones((4, 1)))
+    assert np.array_equal(state.cr[1].values, np.zeros((4, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +450,9 @@ def test_relation_step_zero_weights_yields_zero_state():
     params = zeroed_params(SMALL)
     for n in (2, 3):
         state = SceneState.initial(list(range(n)), hidden_dim=8)
-        gates = md.relation_gates(params, state, 0, Tensor(np.ones((6, n - 1))))
-        for m in range(n - 1):
-            r, cr = md.relation_step(params, state, 0, m, gates)
+        gates = md.relation_gates(params, state, Tensor(np.ones((6, n * (n - 1)))))
+        for col in range(n * (n - 1)):
+            r, cr = md.relation_step(params, state, col, gates)
             assert np.array_equal(r.values, np.zeros((8, 1)))
             assert np.array_equal(cr.values, np.zeros((8, 1)))
 
@@ -428,45 +461,44 @@ def test_relation_step_shares_weights_across_pairs():
     params = ModelParams.init(SMALL, seed=8)
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
     e = np.linspace(0.0, 1.0, 6).reshape(6, 1)
-    # column 0 toward its neighbor 0 is 1 toward 2, column 2 toward 0 is 3
-    # toward 1; the blocks' other columns differ and must not matter
-    blocks = {0: np.hstack([e, np.zeros((6, 1))]), 2: np.hstack([e, -2.0 * e])}
-    r_a, _ = md.relation_step(params, state, 0, 0,
-                              md.relation_gates(params, state, 0, Tensor(blocks[0])))
-    r_b, _ = md.relation_step(params, state, 2, 0,
-                              md.relation_gates(params, state, 2, Tensor(blocks[2])))
+    # pair column 0 is 1 toward 2, column 4 is 3 toward 1; both read e, and
+    # the block's other columns differ and must not matter
+    block = np.hstack([e, np.zeros((6, 1)), -e, 3.0 * e, e, -2.0 * e])
+    gates = md.relation_gates(params, state, Tensor(block))
+    r_a, _ = md.relation_step(params, state, 0, gates)
+    r_b, _ = md.relation_step(params, state, 4, gates)
     assert np.array_equal(r_a.values, r_b.values)
 
 
 def test_relation_step_matches_lstm_oracle():
-    # the block's gate products and activations plus each pair's memory
-    # update, against the one-pair oracle; n = 2 takes the one-neighbor
-    # path, which picks no column
+    # the scene's gate products and activations plus each pair's memory
+    # update, against the one-pair oracle
     params = ModelParams.init(SMALL, seed=8)
     rng = np.random.default_rng(21)
     for n in (2, 4):
+        pairs = n * (n - 1)
         state = SceneState.initial(list(range(n)), hidden_dim=8)
-        state.r[1] = Tensor(rng.normal(size=(8, n - 1)))
-        state.cr[1] = [Tensor(rng.normal(size=(8, 1))) for _ in range(n - 1)]
-        r_before, cr_before = state.r[1], list(state.cr[1])
-        other_r, other_cr = state.r[0], list(state.cr[0])
-        x = rng.normal(size=(6, n - 1))
-        gates = md.relation_gates(params, state, 1, Tensor(x))
+        state.r = Tensor(rng.normal(size=(8, pairs)))
+        state.cr = [Tensor(rng.normal(size=(8, 1))) for _ in range(pairs)]
+        r_before, cr_before = state.r, list(state.cr)
+        x = rng.normal(size=(6, pairs))
+        gates = md.relation_gates(params, state, Tensor(x))
         # f, i*g and o, each in [-1, 1]
-        assert [g.shape for g in gates] == [(8, n - 1)] * 3
+        assert [g.shape for g in gates] == [(8, pairs)] * 3
         assert all(type(g) is dc.Bounded for g in gates)
-        for m in range(n - 1):
+        # pair columns 1 .. pairs - 1 advance; column 0 is left alone
+        for col in range(1, pairs):
             want_h, want_c = oracle_lstm_from_gates(
-                params, "rel", x[:, m:m + 1], r_before.values[:, m:m + 1], cr_before[m].values)
-            r, cr = md.relation_step(params, state, 1, m, gates)
+                params, "rel", x[:, col:col + 1], r_before.values[:, col:col + 1],
+                cr_before[col].values)
+            r, cr = md.relation_step(params, state, col, gates)
             assert rel_err(r.values, want_h) < 1e-12
             assert rel_err(cr.values, want_c) < 1e-12
             # the cell state advanced in place
-            assert state.cr[1][m] is cr
-        # the relation block waits for the scene step; the other direction
-        # is untouched
-        assert state.r[1] is r_before
-        assert state.r[0] is other_r and all(a is b for a, b in zip(state.cr[0], other_cr))
+            assert state.cr[col] is cr
+        # the relation block waits for the scene step; the pair not
+        # stepped is untouched
+        assert state.r is r_before and state.cr[0] is cr_before[0]
 
 
 def test_motion_step_matches_lstm_oracle_and_mutates():
@@ -559,7 +591,8 @@ def test_ra_logit_needs_embedding_and_matches_oracle():
     with pytest.raises(ValueError):
         md.attention_logits(ra, AttentionStrategy.RA, None, h_i, h_j)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    e_rel = md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0)), 0)
+    e_rel = dc.matmul(md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0))),
+                      state.pick[0])
     out = md.attention_logits(ra, AttentionStrategy.RA, e_rel, h_i, h_j)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
     assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12
@@ -608,24 +641,24 @@ def test_attention_weights_empty_neighbor_set():
         md.attention_weights(Tensor(np.zeros((1, 0))))
 
 
-def neighbor_blocks(state):
-    """Each pedestrian's (hidden, n-1) block of neighbor motion states."""
-    return [dc.matmul(state.h, others) for others in state.others]
+def neighbor_block(state):
+    """The (hidden, N) neighbor motion states, a column per ordered pair."""
+    return dc.matmul(state.h, state.others)
 
 
 def test_social_context_none_strategy_and_lonely_ped_are_zero():
     state = SceneState.initial([1, 2], hidden_dim=8)
-    ctx = md.social_context(state, [], [], AttentionStrategy.NONE)
+    ctx = md.social_context(state, [], None, AttentionStrategy.NONE)
     assert np.array_equal(ctx.values, np.zeros((8, 2)))
     solo = SceneState.initial([1], hidden_dim=8)
-    ctx = md.social_context(solo, [], [], AttentionStrategy.SRA)
+    ctx = md.social_context(solo, [], None, AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, np.zeros((8, 1)))
 
 
 def test_social_context_single_neighbor_copies_its_state():
     state = state_with_h(np.linspace(-1.0, 1.0, 16).reshape(8, 2))
     weights = [md.attention_weights(Tensor([[0.9]])) for _ in range(2)]
-    ctx = md.social_context(state, weights, neighbor_blocks(state), AttentionStrategy.SRA)
+    ctx = md.social_context(state, weights, neighbor_block(state), AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, state.h.values[:, ::-1])
 
 
@@ -633,7 +666,7 @@ def test_social_context_weighted_mix_frozen():
     state = state_with_h(np.repeat([[0.0, 1.0, 2.0]], 8, axis=0))
     # pedestrian 1 weighs 2 and 3, pedestrian 2 weighs 1 and 3, 3 weighs 1 and 2
     weights = [Tensor([[0.25, 0.75]]), Tensor([[0.5, 0.5]]), Tensor([[1.0, 0.0]])]
-    ctx = md.social_context(state, weights, neighbor_blocks(state), AttentionStrategy.SRA)
+    ctx = md.social_context(state, weights, neighbor_block(state), AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, np.repeat([[1.75, 1.0, 0.0]], 8, axis=0))
 
 
@@ -641,13 +674,13 @@ def test_social_context_weight_count_mismatch():
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
     weights = [Tensor(np.array([[1.0]]))] * 3
     with pytest.raises(dc.ShapeMismatchError):
-        md.social_context(state, weights, neighbor_blocks(state), AttentionStrategy.SRA)
+        md.social_context(state, weights, neighbor_block(state), AttentionStrategy.SRA)
 
 
 def test_social_context_requires_weights_with_neighbors():
     state = SceneState.initial([1, 2], hidden_dim=8)
     with pytest.raises(ValueError):
-        md.social_context(state, [None, None], neighbor_blocks(state),
+        md.social_context(state, [None, None], neighbor_block(state),
                           AttentionStrategy.SRA)
 
 

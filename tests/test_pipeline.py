@@ -210,11 +210,12 @@ def test_predictions_hold_a_column_per_sorted_pedestrian_and_rows_by_step():
 
 
 def _scripted_rollout_abs(params, window):
-    """Drive the single-step ops by hand in an all-pairs-first order:
-    relations for all ordered pairs, then attention, then motion. scene_step
-    instead updates a pedestrian's pairs just before scoring them, so a
-    bit-for-bit match shows that the two orders agree. Returns the predicted
-    absolute positions and offsets, ped -> (pred_len, 2)."""
+    """Drive the single-step ops by hand: relations for all ordered pairs,
+    then attention, then motion. Each pedestrian is scored on its own run
+    of pair columns, where scene_step scores every pair in one block, so a
+    bit-for-bit match shows that scoring a block scores each column alone.
+    Returns the predicted absolute positions and offsets, ped -> (pred_len,
+    2)."""
     cfg = params.config
     peds = sorted(window.ped_ids)
     state = SceneState.initial(peds, cfg.hidden_dim)
@@ -226,21 +227,19 @@ def _scripted_rollout_abs(params, window):
     cur_abs, cur_nabs = Tensor(observed(0)), Tensor(observed(0) - anchors)
     collected = []
     for t in range(cfg.window_len - 1):
-        for k in range(len(peds) if len(peds) > 1 else 0):   # a lone pedestrian has no pairs
-            e = md.embed_relative(params, state, cur_abs, k)
-            gates = md.relation_gates(params, state, k, e)
-            state.r[k] = dc.concat([md.relation_step(params, state, k, m, gates)[0]
-                                    for m in range(len(peds) - 1)], axis=1)
-        weights, blocks = [], []
+        if len(peds) > 1:   # a lone pedestrian has no pairs
+            gates = md.relation_gates(params, state, md.embed_relative(params, state, cur_abs))
+            state.r = dc.concat([md.relation_step(params, state, col, gates)[0]
+                                 for col in range(len(state.pick))], axis=1)
+        weights, h_j = [], None
         if cfg.strategy is not AttentionStrategy.NONE and len(peds) > 1:
-            for k in range(len(peds)):
-                r = state.r[k]
-                h_i = dc.matmul(state.h, state.own[k])
-                h_j = dc.matmul(state.h, state.others[k])
+            h_i = dc.matmul(state.h, state.own)
+            h_j = dc.matmul(state.h, state.others)
+            for run in state.runs:
+                r_k, h_ik, h_jk = (dc.matmul(t, run) for t in (state.r, h_i, h_j))
                 weights.append(md.attention_weights(
-                    md.attention_logits(params, cfg.strategy, r, h_i, h_j)))
-                blocks.append(h_j)
-        context = md.social_context(state, weights, blocks, cfg.strategy)
+                    md.attention_logits(params, cfg.strategy, r_k, h_ik, h_jk)))
+        context = md.social_context(state, weights, h_j, cfg.strategy)
         md.motion_step(params, state, md.embed_position(params, state, cur_nabs), context)
         preds = md.predict_offset(params, state)
         nxt = t + 1
@@ -471,9 +470,9 @@ def test_a_two_pedestrian_train_step_keeps_its_bits_without_the_dead_replay(
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 1, 350), ("sra", 2, 1299), ("sra", 4, 3505), ("sra", 8, 10881),
-    ("ra", 1, 350), ("ra", 2, 725), ("ra", 4, 1069), ("ra", 8, 1757),
-    ("sa", 1, 350), ("sa", 2, 591), ("sa", 4, 813), ("sa", 8, 1257),
+    ("sra", 1, 350), ("sra", 2, 1144), ("sra", 4, 2624), ("sra", 8, 8776),
+    ("ra", 1, 350), ("ra", 2, 665), ("ra", 4, 815), ("ra", 8, 1115),
+    ("sa", 1, 350), ("sa", 2, 591), ("sa", 4, 741), ("sa", 8, 1041),
     ("none", 1, 350), ("none", 2, 350), ("none", 8, 350), ("none", 16, 350)],
     ids=["sra-1", "sra-2", "sra-4", "sra-8", "ra-1", "ra-2", "ra-4", "ra-8",
          "sa-1", "sa-2", "sa-4", "sa-8", "none-1", "none-2", "none-8", "none-16"])
@@ -529,19 +528,24 @@ def test_rollout_builds_absolute_positions_only_when_a_step_reads_them(
     assert made_here == [(2, n)] * made
 
 
-@pytest.mark.parametrize("n,picks", [(2, 0), (3, 3 * 3 * 2)])
-def test_only_a_block_of_several_neighbors_is_picked_by_column(monkeypatch, n, picks):
-    # every pair picks its column of each of the three activated gate
-    # blocks, except that a one-neighbor block is its own column and
-    # records no product
+@pytest.mark.parametrize("n,picks", [(2, 3 * 2), (3, 3 * 3 * 2)])
+def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
+    # every ordered pair picks its column of each of the three activated
+    # gate blocks, as a view, and each pedestrian its run of the logits and
+    # of the neighbor states
     params = small_params(seed=3)
     state = SceneState.initial(list(range(n)), hidden_dim=8)
     right, matmul = [], dc.matmul
-    monkeypatch.setattr(dc, "matmul", lambda a, b: right.append(b) or matmul(a, b))
+    monkeypatch.setattr(dc, "matmul", lambda a, b: right.append((a, b)) or matmul(a, b))
     pos = Tensor(np.arange(2.0 * n).reshape(2, n))
+    state.h = Tensor(np.ones((8, n)))
     with dc.Tape():
         scene_step(params, state, pos, pos)
-    assert sum(any(b is pick for pick in state.pick) for b in right) == picks
+    picked = [(a, b) for a, b in right if any(b is pick for pick in state.pick)]
+    assert len(picked) == picks
+    assert all(b.lo == col for (_, b), col in zip(picked, np.repeat(range(len(state.pick)), 3)))
+    runs = [b for _, b in right if any(b is run for run in state.runs)]
+    assert runs == state.runs * 2
 
 
 def test_backward_matches_reference_on_a_rollout():
@@ -549,7 +553,7 @@ def test_backward_matches_reference_on_a_rollout():
     # folded into one, so backward sums its products' factor pairs in one
     # product per block where the plain dict-accumulating pass sums one
     # dense adjoint per use: only the summation order moves. At n = 5 each
-    # activated gate block scatters four picked columns back
+    # activated gate block takes 20 picked columns' adjoints back in place
     for n in (3, 5):
         params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
         window = random_walk_window(n, seed=3)
@@ -571,7 +575,7 @@ from sralstm.model import ModelConfig, ModelParams
 from sralstm.pipeline import l2_loss, rollout, window_truth_nabs
 from helpers import random_walk_window
 
-for n in (8, 24):
+for n in (8, 24, 32):
     params = ModelParams.init(ModelConfig(strategy="sra"), seed=5)
     window = random_walk_window(n, seed=5)
     with dc.Tape() as tape:
@@ -586,10 +590,11 @@ for n in (8, 24):
 
 
 def test_grads_do_not_depend_on_the_blas_thread_count():
-    # at n=8 each relation weight sums 19 * 56 = 1,064 one-column products,
-    # which one plain product would sum in a thread-dependent order; at n=24
-    # a motion gate's 24-column uses fill a block only past CONTRACT_BLOCK
-    # columns, so blocks of a fixed number of uses would sum 456 columns
+    # each relation weight's use covers every ordered pair: 56, 552 and 992
+    # columns at n = 8, 24 and 32, which one plain product would sum in a
+    # thread-dependent order past CONTRACT_BLOCK columns; at n=24 a motion
+    # gate's 24-column uses fill a block only past CONTRACT_BLOCK columns,
+    # so blocks of a fixed number of uses would sum 456 columns
     paths = [os.path.dirname(os.path.dirname(pl.__file__)), os.path.dirname(__file__)]
     digests = []
     for threads in ("1", "2"):
@@ -600,7 +605,7 @@ def test_grads_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert [len(d) for d in digests[0]] == [64, 64]
+    assert [len(d) for d in digests[0]] == [64, 64, 64]
     assert digests[0] == digests[1]
 
 

@@ -17,9 +17,15 @@ call first. It prints one line per side with its best and median call
 time, then the ratios A/B, and writes and asserts nothing.
 
 Timings of separate processes swing widely on a shared host; alternating
-in one process puts the same drift on both sides, so the ratio is stable.
-BLAS is pinned to one thread, as in the benchmark, unless the environment
-already sets ``OPENBLAS_NUM_THREADS``.
+in one process puts the same drift on both sides, but the ratio still
+spreads: an A/A run of one checkout against itself, ``ab_time.py repo
+repo --n 6,7,8,10,12 --mode train --reps 6``, read 1.084 best and 1.020
+median on a shared 2-core x86-64 host. So a ratio within that spread of 1
+shows nothing. Before reading a speed-up from it, run both side orders
+(A B, then B A) and an A/A run of the parent against itself; a claim still
+needs a ``perfbench/sweep.py`` pair. BLAS is pinned to one thread, as
+in the benchmark, unless the environment already sets
+``OPENBLAS_NUM_THREADS``.
 """
 
 import argparse
