@@ -5,7 +5,12 @@ is composed from the primitives in this module, so training needs no
 hand-derived gradients anywhere else.
 
 Conventions:
-  * all values are float64 numpy arrays, row-major;
+  * all values are float64 numpy arrays, row-major, except three kinds
+    whose columns are read or written one at a time, which are
+    column-major: the relation gate blocks of ``model.relation_gates``,
+    the adjoint an axis-1 ``concat`` hands its inputs, and ``backward``'s
+    buffers of picked columns. A scene's pair blocks are wider than the
+    cache, and an op on a strided (h, 1) column took about twice as long;
   * binary entrywise ops require identical shapes (no broadcasting);
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
@@ -58,43 +63,34 @@ kept lean accordingly:
   * a node is a plain ``(inputs, output, vjp)`` tuple;
   * a primitive builds its vjp closure only while a tape is open, so a
     tape-free forward pass allocates no closures;
-  * ``backward`` empties its tape, freeing each node and its output's
-    adjoint as it replays it, and fills the grads of leaves only. Every
-    sum of two contributions is a new array, and the only arrays it
-    writes are a contraction it has just computed and a zero buffer it
-    made itself. So it never writes an array a vjp returned: that may be
-    the incoming adjoint itself (``add``), a view of it (``concat``) or
-    the root's seed of ones;
+  * ``backward`` finds an adjoint with one table lookup, empties its tape,
+    freeing each node and its output's adjoint as it replays it, and fills
+    the grads of leaves only. Every sum of two contributions is a new
+    array, and the only arrays it writes are a contraction it has just
+    computed and a zero buffer it made itself, so never one a vjp
+    returned: the incoming adjoint itself (``add``), a view of it or of
+    its column-major copy (``concat``) or the root's seed of ones;
   * the adjoint of a ``ColumnRange`` product is added into those columns
-    of one zero buffer per operand, which is exact for finite values, as
-    the one-hot product is: no product is formed, and no (N, N) matrix
-    for N single-column picks. The buffer is column-major, so a column
-    is contiguous: a scene's pair blocks are wider than the cache, and a
-    strided column add cost a third more;
+    of one zero buffer per operand, exact for finite values as the
+    one-hot product is, with no product and no (N, N) matrix for N picks;
   * a weight's gradient is formed in few products, by one rule for every
-    product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint, whatever
-    ``x``'s column count; ``backward`` keeps the factors ``g`` and ``x.T``
-    instead and sums them as ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style
-    RNN kernels do, Appleyard et al. 2016, arXiv:1604.01946), each time
-    ``W``'s pending factors reach ``CONTRACT_BLOCK`` columns and once for
-    the rest, each added into ``W``'s adjoint in turn. ``_contract`` takes
-    at most ``CONTRACT_BLOCK`` columns per product and adds the products
-    in order, so a single use over a scene's pair columns is cut the same
-    way. A single product over a long contraction gives bits that depend
-    on the BLAS thread count; a block's product, computed transposed (see
-    ``_contract``), does not, so grads have the same bits at 1 and 2
-    threads on one machine and BLAS build. A weight used once on one
-    column gets the bits of its single outer product;
+    product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint; ``backward``
+    keeps the factors ``g`` and ``x.T`` instead and sums them as
+    ``[g1 .. gk] @ [x1 .. xk].T`` (as cuDNN-style RNN kernels do, Appleyard
+    et al. 2016, arXiv:1604.01946), each time ``W``'s pending factors reach
+    ``CONTRACT_BLOCK`` columns and once for the rest, in blocks of at most
+    that many columns added in order, so on one BLAS build grads have the
+    same bits at 1 and 2 threads (see ``_contract``). A weight used once
+    on one column gets the bits of its single outer product;
   * ``backward`` replays every node through its vjp, except a matmul,
     which it replays inline to keep its factor pair or to place its
     picked columns' adjoint;
   * a vjp returns None for an input whose adjoint is identically zero,
-    and ``backward`` adds nothing for it. A node that no adjoint reaches
-    is not replayed, and a leaf that none reaches keeps ``grad`` None, as
-    a leaf outside the graph does. The case is ``masked_softmax`` over
-    one unmasked entry, whose output is the constant 1 at that entry: a
-    pedestrian with one neighbor, so at n = 2 a train step replays none of
-    the relation encoder and scorer behind its logits. The node is still
+    and ``backward`` adds nothing for it; a node no adjoint reaches is not
+    replayed, and a leaf none reaches keeps ``grad`` None. The case is
+    ``masked_softmax`` over one unmasked entry (a pedestrian with one
+    neighbor), whose output is the constant 1: at n = 2 a train step
+    replays none of the relation encoder and scorer. The node is still
     recorded, with the logits as its input, so the tape, its node count,
     the relation updates a window counts and the rule that every recorded
     node has a path to the loss stay as they are;
@@ -444,7 +440,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = _wrap(_joined(tensors, vals, axis))
     if _active_tape is not None:
         # the vjp hands out views of the incoming adjoint, one per input
-        # that takes a gradient
+        # that takes a gradient; on axis 1 they are views of a column-major
+        # copy, so each input's columns are contiguous
         inputs, pieces = [], []
         lo = 0
         for t, v in zip(tensors, vals):
@@ -453,14 +450,17 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 inputs.append(t)
                 pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
             lo = hi
-        _active_tape.nodes.append(
-            (tuple(inputs), out, lambda g: tuple([g[p] for p in pieces])))
+        def vjp(g):
+            g = np.asfortranarray(g) if axis else g
+            return tuple([g[p] for p in pieces])
+        _active_tape.nodes.append((tuple(inputs), out, vjp))
     return out
 
 
 def masked_softmax(logits: Tensor, mask=None) -> Tensor:
     """Softmax over the unmasked entries of a vector; masked entries are 0.
-    Without a mask every entry is unmasked, and no mask is built.
+    Without a mask every entry is unmasked, and no mask is built; the
+    mask form's caller is acceptance gate 2's gradient suite.
 
     The max-shift keeps exp in range. Over one unmasked entry the output
     is constant, so the node passes no adjoint to the logits.
@@ -599,6 +599,35 @@ def _contract(gs: list, bts: list) -> np.ndarray:
     return np.ascontiguousarray(total.T)
 
 
+class _Adjoint:
+    """A tensor's adjoint in ``backward`` once it is a matmul's left operand
+    or is picked: the dense sum (``+`` adds to it, as to an array), pending
+    factor pairs with their column count, and the buffer of picked columns."""
+
+    __slots__ = ("dense", "columns", "gs", "bts", "placed")
+
+    def __init__(self, dense):
+        self.dense, self.columns, self.gs, self.bts, self.placed = dense, 0, [], [], None
+
+    def __add__(self, g):
+        self.dense = g if self.dense is None else self.dense + g
+        return self
+
+    def contract(self) -> np.ndarray:
+        g = _contract(self.gs, self.bts)
+        self.columns, self.gs, self.bts = 0, [], []
+        return g
+
+    def total(self):
+        """The pending pairs' contraction, plus the picked columns, plus
+        the dense sum, in that order; None if nothing was added."""
+        g = self.contract() if self.gs else None
+        for part in (self.placed, self.dense):
+            if part is not None:
+                g = part if g is None else g + part
+        return g
+
+
 def backward(tape: Tape, root: Tensor) -> None:
     """Add d(root)/d(leaf) into every leaf's grad slot, emptying the tape.
 
@@ -606,37 +635,28 @@ def backward(tape: Tape, root: Tensor) -> None:
     initial states); grads accumulate across tapes until zeroed. Every sum
     of two contributions to an adjoint is a new array.
 
-    The left operand of a matmul gets no dense contribution: its factor
-    pair ``(g, bt)`` is kept instead, and once a tensor's pending pairs
-    reach ``CONTRACT_BLOCK`` columns they are contracted. A product by a
-    ``ColumnRange`` adds its adjoint into the picked columns of a zero
-    buffer its operand owns. ``finish`` contracts the rest and adds the
-    buffer and then the tensor's dense adjoint, when its own node is
-    replayed or, for a leaf, once the replay ends.
+    An adjoint is an array, or an ``_Adjoint`` once the tensor is a
+    matmul's left operand, whose factor pairs ``(g, bt)`` are contracted
+    per ``CONTRACT_BLOCK`` columns, or a ``ColumnRange``'s, whose picked
+    columns' adjoints go into a zero buffer. ``finish`` takes the whole
+    adjoint when the tensor's node is replayed or, for a leaf, at the end.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
     # tensors hash by identity, so they key their own adjoints
-    adjoint: dict[Tensor, np.ndarray] = {root: np.ones_like(root.values)}
-    factors: dict[Tensor, list] = {}   # [pending columns, gs, bts]
-    placed: dict[Tensor, np.ndarray] = {}   # picked columns' adjoints
-    get_adjoint, pop_adjoint, nodes = adjoint.get, adjoint.pop, tape.nodes
-    get_factors, pop_factors = factors.get, factors.pop
-    get_placed, pop_placed = placed.get, placed.pop
+    adjoint: dict = {root: np.ones_like(root.values)}
+    get, pop, nodes = adjoint.get, adjoint.pop, tape.nodes
+
+    def entry(t: Tensor) -> _Adjoint:
+        acc = get(t)
+        if type(acc) is not _Adjoint:
+            acc = adjoint[t] = _Adjoint(acc)
+        return acc
 
     def finish(t: Tensor):
         """t's whole adjoint, or None if it got no contribution."""
-        g, pending, dense = pop_adjoint(t, None), pop_factors(t, None), pop_placed(t, None)
-        if pending is not None:
-            part = _contract(pending[1], pending[2])
-            if dense is not None:
-                part += dense
-            dense = part
-        if dense is None:
-            return g
-        if g is not None:
-            dense += g
-        return dense
+        g = pop(t, None)
+        return g.total() if type(g) is _Adjoint else g
 
     while nodes:
         inputs, output, vjp = nodes.pop()
@@ -646,38 +666,33 @@ def backward(tape: Tape, root: Tensor) -> None:
         # a column pick adds its adjoint into its operand's buffer
         if type(vjp) is ColumnRange:
             if inputs:
-                a = inputs[0]
-                buf = get_placed(a)
-                if buf is None:
-                    buf = placed[a] = np.zeros((g.shape[0], vjp.rows), order="F")
-                buf[:, vjp.lo:vjp.hi] += g
+                acc = entry(inputs[0])
+                if acc.placed is None:
+                    acc.placed = np.zeros((g.shape[0], vjp.rows), order="F")
+                acc.placed[:, vjp.lo:vjp.hi] += g
             continue
         # a matmul replays inline, keeping its left operand's factor pair
         if type(vjp) is _MatmulVjp:
             at, bt = vjp.at, vjp.bt
             contributions = () if at is None else ((inputs[-1], at.dot(g)),)
             if bt is not None:
-                a = inputs[0]
-                pending = get_factors(a)
-                if pending is None:
-                    pending = factors[a] = [0, [], []]
-                pending[0] += g.shape[1]
-                pending[1].append(g)
-                pending[2].append(bt)
-                if pending[0] >= CONTRACT_BLOCK:
-                    del factors[a]
-                    contributions += ((a, _contract(pending[1], pending[2])),)
+                acc = entry(inputs[0])
+                acc.columns += g.shape[1]
+                acc.gs.append(g)
+                acc.bts.append(bt)
+                if acc.columns >= CONTRACT_BLOCK:
+                    contributions += ((inputs[0], acc.contract()),)
         else:
             contributions = zip(inputs, vjp(g))
         for t, gi in contributions:
             if gi is None:
                 continue
-            prev = get_adjoint(t)
+            prev = get(t)
             adjoint[t] = gi if prev is None else prev + gi
-    # each produced tensor's adjoint and factors went with its node, so only
-    # leaves are left; a first grad is a private copy, since the adjoint may
-    # be an array a vjp also handed to another tensor
-    for t in [*factors, *placed, *adjoint]:
+    # each produced tensor's adjoint went with its node, so only leaves are
+    # left; a first grad is a private copy, since the adjoint may be an
+    # array a vjp also handed to another tensor
+    for t in list(adjoint):
         g = finish(t)
         if g is None or isinstance(t, Constant):
             continue

@@ -74,7 +74,9 @@ relation states, their activations and the product of input gate and
 candidate. Only the memory update stays one ``relation_step`` call per
 ordered pair and step, on that pair's (hidden, 1) column: the benchmark
 in ``perfbench`` counts those calls against the closed form 19 n (n - 1)
-per window.
+per window. So that the column is contiguous, the activated gate blocks
+are column-major, and so is the adjoint each pair takes back from the
+concat of its new relation state into ``state.r``.
 """
 
 from __future__ import annotations
@@ -247,11 +249,13 @@ class SceneState:
     a column per ordered pair in the layout of the module docstring, since
     they enter the scene's gate products; the relation cell states, which
     enter only a pair's own memory update, are N (hidden, 1) columns
-    ``cr[col]``. The roster is fixed: a window holds only pedestrians
-    tracked through its whole span, so every state exists from the first
-    step. ``ped_ids`` is sorted once here, and every column and every loop
-    follows that canonical order, so listing the pedestrians in another
-    order cannot change a result bit.
+    ``cr[col]``. ``r`` is row-major, as the gate products read it; the
+    adjoint of each of its columns is contiguous (``dc.concat``). The
+    roster is fixed: a window holds only pedestrians tracked through its
+    whole span, so every state exists from the first step. ``ped_ids``
+    is sorted once here, and every column and every loop follows that
+    canonical order, so listing the pedestrians in another order cannot
+    change a result bit.
 
     The constants are the one-hot matrices of the module docstring, built
     here (``others`` and ``own`` as ``Selector``, ``pick`` and ``runs`` as
@@ -372,8 +376,15 @@ def relation_gates(params: ModelParams, state: SceneState, e: Tensor) -> tuple:
     the last: the forget gate f, the input gate times the candidate, i*g,
     and the output gate o, three ``Bounded`` (hidden, N) blocks, a column
     per ordered pair. None of them reads a cell state, so each op runs
-    once on the whole block."""
+    once on the whole block.
+
+    The blocks are column-major, so the column each pair's
+    ``relation_step`` picks is contiguous: the gate products are copied
+    to that layout before activation, which keeps every bit, since a
+    product's output is not read by its own vjp."""
     i, f, g, o = _gate_products(state.fold(params, "rel"), [e], state.r, state.ones_pairs)
+    for t in (i, f, g, o):
+        t.values = np.asfortranarray(t.values)
     return dc.sigmoid(f), dc.mul(dc.sigmoid(i), dc.tanh(g)), dc.sigmoid(o)
 
 

@@ -952,6 +952,48 @@ def test_weight_grad_adds_factors_and_dense_contributions(matmuls, dense):
         assert scaled_err(w.grad, expected) <= 1e-12
 
 
+def test_one_adjoint_sums_factor_pairs_picks_and_dense_terms_in_order():
+    # w is the left operand of three products whose factor pairs pass
+    # CONTRACT_BLOCK columns, so one block is contracted mid-replay and the
+    # rest at the end; it is also picked by two overlapping column ranges
+    # and takes two dense adjoints. Each use's output adjoint is its
+    # constant c, and backward replays the uses last to first
+    rng = np.random.default_rng(21)
+    w = Tensor(rng.normal(size=(4, 6)))
+    xs = {"a": 50, "b": 220, "c": 100}
+    xs = {k: rng.normal(size=(6, cols)) for k, cols in xs.items()}
+    ds = {k: rng.normal(size=(4, 6)) for k in ("d1", "d2")}
+    ranges = {"p1": (1, 4), "p2": (3, 5)}
+    order = ["a", "d1", "p1", "b", "d2", "p2", "c"]
+    assert sum(x.shape[1] for x in xs.values()) > dc.CONTRACT_BLOCK
+    cs = {}
+    with Tape() as tape:
+        loss = None
+        for k in order:
+            if k in xs:
+                y = dc.matmul(w, dc.Constant(xs[k]))
+            elif k in ds:
+                y = dc.mul(w, dc.Constant(ds[k]))
+            else:
+                y = dc.matmul(w, dc.ColumnRange(*ranges[k], 6))
+            cs[k] = rng.normal(size=y.shape)
+            term = dc.sum_all(dc.mul(y, dc.Constant(cs[k])))
+            loss = term if loss is None else dc.add(loss, term)
+        dc.backward(tape, loss)
+    # replayed: c and b fill a block (320 columns), contracted into the
+    # dense sum after d2's term; a stays pending until the end
+    dense = cs["d2"] * ds["d2"]
+    dense = dense + dc._contract([cs["c"], cs["b"]], [xs["c"].T, xs["b"].T])
+    dense = dense + cs["d1"] * ds["d1"]
+    placed = np.zeros((4, 6), order="F")
+    for k in ("p2", "p1"):
+        placed[:, slice(*ranges[k])] += cs[k]
+    want = dc._contract([cs["a"]], [xs["a"].T])
+    want += placed
+    want += dense
+    assert w.grad.tobytes() == want.tobytes()
+
+
 def test_non_leaf_left_operand_gets_its_factors_when_replayed():
     rng = np.random.default_rng(13)
     w = Tensor(rng.normal(size=(4, 3)))

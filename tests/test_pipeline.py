@@ -548,6 +548,39 @@ def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
     assert runs == state.runs * 2
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_pair_columns_and_their_adjoints_are_contiguous(n):
+    # each pair's memory update reads its column of the three gate blocks
+    # and takes back its column of the new relation block's adjoint; both
+    # are contiguous, so no elementwise op on a pair strides across a block
+    # (layout only, not time)
+    params = small_params(seed=n)
+    window = random_walk_window(n, seed=n)
+    pairs = n * (n - 1)
+    with dc.Tape() as tape:
+        loss = l2_loss(rollout(params, window), window_truth_nabs(window))
+    picks = [out for _, out, vjp in tape.nodes
+             if type(vjp) is dc.ColumnRange and vjp.hi - vjp.lo == 1 and vjp.rows == pairs]
+    assert len(picks) == 19 * pairs * 3
+    assert all(out.values.flags.c_contiguous for out in picks)
+    handed = []
+
+    def recorded(vjp):
+        def pass_on(g):
+            pieces = vjp(g)
+            handed.extend(p.flags.c_contiguous for p in pieces)
+            return pieces
+        return pass_on
+
+    for k, (inputs, out, vjp) in enumerate(tape.nodes):
+        if len(inputs) == pairs and out.shape == (8, pairs):
+            assert all(t.shape == (8, 1) for t in inputs)
+            tape.nodes[k] = (inputs, out, recorded(vjp))
+    dc.backward(tape, loss)
+    assert len(handed) == 19 * pairs
+    assert all(handed)
+
+
 def test_backward_matches_reference_on_a_rollout():
     # every parameter of a full sra step is the left operand of a matmul or
     # folded into one, so backward sums its products' factor pairs in one

@@ -86,6 +86,11 @@ def test_state_digest_prints_one_json_line_with_every_case():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert sorted(report["losses"]) == sorted(f"{s}-{n}" for s, n in tool.CASES)
+    # one digest per kind of state, so a moved sha256 names what moved
+    assert sorted(report["parts"]) == sorted(tool.PARTS)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in report["parts"].values())
+    # a checkpoint gives back exactly the state it saved
+    assert report["parts"]["reloaded"] == report["parts"]["trained"]
     for losses in report["losses"].values():
         assert len(losses) == tool.EPOCHS
         assert all(float(loss) >= 0.0 for loss in losses)

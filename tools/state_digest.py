@@ -9,7 +9,10 @@ it. It also saves each case's checkpoint with Adam state and loads it
 back. It prints one JSON line: ``sha256``, a SHA-256 over every case's
 parameters, Adam moments, per-window eval displacements, checkpoint
 bytes, and the parameters and moments the loaded checkpoint gives back;
-and ``losses``, each case's epoch losses as ``repr`` strings.
+``parts``, one SHA-256 over each of these four kinds across the cases
+(``trained``, ``eval``, ``checkpoint``, ``reloaded``), which names the
+kind that moved when ``sha256`` does; and ``losses``, each case's epoch
+losses as ``repr`` strings.
 
 Run it on two checkouts, for example a parent commit exported with
 ``git archive`` and a change, and compare the lines: an equal ``sha256``
@@ -29,6 +32,7 @@ CASES = ([(s, n) for s in ("none", "sa", "ra") for n in (1, 2, 3)]
 EPOCHS = 2
 WINDOWS = 2
 SEED = 0
+PARTS = ("trained", "eval", "checkpoint", "reloaded")
 
 
 def main(argv) -> int:
@@ -58,13 +62,18 @@ def main(argv) -> int:
         return out
 
     digest = hashlib.sha256()
+    parts = {part: hashlib.sha256() for part in PARTS}
     losses = {}
 
-    def add_state(params, opt):
+    def add(part, data: bytes):
+        digest.update(data)
+        parts[part].update(data)
+
+    def add_state(part, params, opt):
         for name, t in params.tensors().items():
-            digest.update(name.encode())
+            add(part, name.encode())
             for arr in (t.values, opt.m[name], opt.v[name]):
-                digest.update(arr.tobytes())
+                add(part, arr.tobytes())
 
     with tempfile.TemporaryDirectory() as work:
         ckpt_path = os.path.join(work, "case.ckpt")
@@ -75,16 +84,18 @@ def main(argv) -> int:
             rng = np.random.default_rng(case)
             losses[f"{strategy}-{n}"] = [
                 repr(pipeline.train_epoch(params, opt, wins, rng)) for _ in range(EPOCHS)]
-            add_state(params, opt)
+            add_state("trained", params, opt)
             for record in evalkit.evaluate(params, wins).windows:
-                digest.update(record.displacements.tobytes())
+                add("eval", record.displacements.tobytes())
             pipeline.save_checkpoint(ckpt_path, params, opt, {"case": case})
             with open(ckpt_path, "rb") as f:
-                digest.update(f.read())
+                add("checkpoint", f.read())
             ckpt = pipeline.load_checkpoint(ckpt_path)
             loaded = ckpt.to_params()
-            add_state(loaded, ckpt.to_optimizer(loaded))
-    print(json.dumps({"sha256": digest.hexdigest(), "losses": losses}, sort_keys=True))
+            add_state("reloaded", loaded, ckpt.to_optimizer(loaded))
+    print(json.dumps({"sha256": digest.hexdigest(), "losses": losses,
+                      "parts": {part: h.hexdigest() for part, h in parts.items()}},
+                     sort_keys=True))
     return 0
 
 
