@@ -9,8 +9,9 @@ Conventions:
     whose columns are read or written one at a time, which are
     column-major: the relation gate blocks of ``model.relation_gates``,
     the adjoint an axis-1 ``concat`` hands its inputs, and ``backward``'s
-    buffers of picked columns. A scene's pair blocks are wider than the
-    cache, and an op on a strided (h, 1) column took about twice as long;
+    buffers of picked columns. A scene's pair blocks (laid out as
+    ``model``'s docstring states) are wider than the cache, and an op on
+    a strided (h, 1) column took about twice as long;
   * binary entrywise ops require identical shapes (no broadcasting);
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
@@ -27,9 +28,9 @@ Conventions:
     no node records what no gradient can cross;
   * a ``Selector`` is a ``Constant`` whose every column is one-hot, so
     ``x @ s`` picks or repeats columns of ``x`` exactly. A ``ColumnRange``
-    is a ``Selector`` of a contiguous run of columns, kept as the run
-    alone; ``x @ r`` is a view of those columns of ``x``, the only op
-    whose output shares memory with an input;
+    is a ``Selector`` of contiguous columns, kept as their range alone;
+    ``x @ r`` is a view of those columns of ``x``, the only op whose
+    output shares memory with an input;
   * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
     ``sigmoid`` and ``tanh``, the product of two such tensors, and the
     columns a ``Selector`` picks from one.
@@ -88,7 +89,7 @@ kept lean accordingly:
   * a vjp returns None for an input whose adjoint is identically zero,
     and ``backward`` adds nothing for it; a node no adjoint reaches is not
     replayed, and a leaf none reaches keeps ``grad`` None. The case is
-    ``masked_softmax`` over one unmasked entry (a pedestrian with one
+    ``masked_softmax`` over runs of one entry (pedestrians with one
     neighbor), whose output is the constant 1: at n = 2 a train step
     replays none of the relation encoder and scorer. The node is still
     recorded, with the logits as its input, so the tape, its node count,
@@ -309,21 +310,16 @@ class _MatmulVjp:
         return grads if self.at is None else grads + (self.at.dot(g),)
 
 
-def _pick(a: Tensor, b: ColumnRange, cls) -> Tensor:
-    """The view of the columns b picks from a, wrapped as cls."""
-    av = a.values
-    if av.ndim != 2 or av.shape[1] != b.rows:
-        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    return _wrap(av[:, b.lo:b.hi], cls)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    av = a.values
     if type(b) is ColumnRange:
-        out = _pick(a, b, Bounded if type(a) is Bounded else Tensor)
+        if av.ndim != 2 or av.shape[1] != b.rows:
+            raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+        out = _wrap(av[:, b.lo:b.hi], Bounded if type(a) is Bounded else Tensor)
         if _active_tape is not None:
             _active_tape.nodes.append(((a,) if not isinstance(a, Constant) else (), out, b))
         return out
-    av, bv = a.values, b.values
+    bv = b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
     if type(b) is Selector:
@@ -457,45 +453,58 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
-def masked_softmax(logits: Tensor, mask=None) -> Tensor:
+def _runs(op: str, size: int, width) -> tuple:
+    """The number and width of the runs of ``size`` columns; one run without a width."""
+    if width is None:
+        return 1, size
+    if width < 1 or size % width:
+        raise ShapeMismatchError(f"{op}: width {width} does not split {size} columns into runs")
+    return size // width, width
+
+
+def masked_softmax(logits: Tensor, mask=None, width=None) -> Tensor:
     """Softmax over the unmasked entries of a vector; masked entries are 0.
     Without a mask every entry is unmasked, and no mask is built; the
-    mask form's caller is acceptance gate 2's gradient suite.
+    mask form's caller is acceptance gate 2's gradient suite. With a
+    ``width`` w instead, each run of w entries is normalized on its own,
+    along its contiguous axis, with the bits of its own softmax: the
+    segment softmax of graph attention (Velickovic et al. 2018,
+    arXiv:1710.10903) over a scene's (1, N) logits.
 
-    The max-shift keeps exp in range. Over one unmasked entry the output
-    is constant, so the node passes no adjoint to the logits.
+    The max-shift keeps exp in range. Over one unmasked entry (w = 1) the
+    output is constant, so the node passes no adjoint to the logits.
     """
     if logits.values.ndim > 2 or (logits.values.ndim == 2 and 1 not in logits.shape):
         raise ShapeMismatchError(f"masked_softmax needs a vector, got shape {logits.shape}")
     flat = logits.values.reshape(-1)
+    if not flat.size:
+        raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
     if mask is None:
-        if not flat.size:
-            raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
-        shifted = np.exp(flat - flat.max())
-        total = float(np.sum(shifted))
-        unmasked = flat.size
+        unmasked = _runs("masked_softmax", flat.size, width)[1]
+        x = flat.reshape(-1, unmasked)
+        shifted = np.exp(x - x.max(axis=1, keepdims=True))
+        s = shifted / shifted.sum(axis=1, keepdims=True)
     else:
+        if width is not None:
+            raise ShapeMismatchError("masked_softmax takes a mask or a width, not both")
         m = np.asarray(mask, dtype=bool).reshape(-1)
         if m.shape != flat.shape:
             raise ShapeMismatchError(
-                f"masked_softmax: mask length {m.size} != logits length {flat.size}"
-            )
+                f"masked_softmax: mask length {m.size} != logits length {flat.size}")
         if not m.any():
             raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
-        shifted = np.zeros_like(flat)
-        shifted[m] = np.exp(flat[m] - flat[m].max())
-        total = float(np.sum(shifted[m]))
+        shifted = np.zeros((1, flat.size))
+        shifted[0, m] = np.exp(flat[m] - flat[m].max())
+        s = shifted / float(np.sum(shifted[0, m]))
         unmasked = np.count_nonzero(m)
-    out = _wrap((shifted / total).reshape(logits.shape))
+    out = _wrap(s.reshape(logits.shape))
     if _active_tape is not None:
-        s = out.values.reshape(-1)
-        shape = logits.shape
-
         def vjp(g):
-            gf = g.reshape(-1)
-            inner = float(np.dot(gf, s))
+            gs = g.reshape(s.shape)
+            # one inner product per run, each a dot as a lone vector's is;
             # s is exactly 0 on masked entries, so they get exactly 0 gradient
-            return ((s * (gf - inner)).reshape(shape),)
+            inner = np.matmul(gs[:, np.newaxis, :], s[:, :, np.newaxis])[:, 0]
+            return ((s * (gs - inner)).reshape(out.shape),)
 
         _active_tape.nodes.append(
             ((logits,), out, _no_adjoint if unmasked == 1 else vjp))
@@ -506,24 +515,34 @@ def _no_adjoint(g):
     return (None,)
 
 
-def weighted_sum(weights: Tensor, columns: Tensor) -> Tensor:
-    """Sum of matrix columns scaled by per-column weights: columns @ weights."""
+def weighted_sum(weights: Tensor, columns: Tensor, width=None) -> Tensor:
+    """Sum of matrix columns scaled by per-column weights: columns @ weights,
+    an (h, 1) column; with a ``width`` w, a column per run of w columns,
+    summed by its run of weights (a scene's (h, n) social contexts from
+    its (1, N) weights and (h, N) neighbor states). Each stacked product
+    has the bits ``ndarray.dot`` gives on a run of a scene's block: the
+    weights' adjoint is a gemv of the run copied to row-major, as ``dot``
+    copies a strided run of w > 1 columns (a scene drops it at w = 1)."""
     cv = columns.values
     if cv.ndim != 2:
         raise ShapeMismatchError(f"weighted_sum needs 2-D columns, got shape {columns.shape}")
-    w = weights.values.reshape(-1)
     if weights.values.ndim > 2:
         raise ShapeMismatchError(f"weighted_sum: weights shape {weights.shape} is not a vector")
-    if w.size != cv.shape[1]:
-        raise ShapeMismatchError(
-            f"weighted_sum: {w.size} weights for {cv.shape[1]} columns"
-        )
-    out = _fresh(cv.dot(w).reshape(cv.shape[0], 1))
+    h, size = cv.shape
+    if weights.values.size != size:
+        raise ShapeMismatchError(f"weighted_sum: {weights.values.size} weights for {size} columns")
+    n, width = _runs("weighted_sum", size, width)
+    runs = cv.reshape(h, n, width).transpose(1, 0, 2)
+    w = weights.values.reshape(n, width, 1)
+    out = _fresh(np.ascontiguousarray(np.matmul(runs, w)[:, :, 0].T))
     if _active_tape is not None:
-        wshape = weights.values.shape
-        _active_tape.nodes.append(
-            ((weights, columns), out,
-             lambda g: (cv.T.dot(g).reshape(wshape), g.dot(w[np.newaxis, :]))))
+        def vjp(g):
+            gt = np.ascontiguousarray(g.T)[:, :, np.newaxis]
+            gw = np.matmul(np.ascontiguousarray(runs.transpose(0, 2, 1)), gt)
+            gc = np.matmul(gt, w.transpose(0, 2, 1))
+            return gw.reshape(weights.shape), gc.transpose(1, 0, 2).reshape(h, size)
+
+        _active_tape.nodes.append(((weights, columns), out, vjp))
     return out
 
 
@@ -554,8 +573,6 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 
 def matmul_or_constant(a: Tensor, b: Tensor) -> Tensor:
     """``matmul(a, b)``, or a ``Constant`` and no node when both are one."""
-    if isinstance(a, Constant) and type(b) is ColumnRange:
-        return _pick(a, b, Constant)
     if isinstance(a, Constant) and isinstance(b, Constant):
         av, bv = a.values, b.values
         if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:

@@ -31,29 +31,27 @@ with ``stacked``): their columns are concatenated, and each pedestrian's
 neighbors are those of its own window only, so a stack of windows of s
 pedestrians is one scene whose pedestrians each have s - 1 neighbors.
 
-Every ordered pair is a column of the scene's pair blocks, N = n (s - 1)
-columns in all: pedestrian k's neighbors are the contiguous run of
-columns k (s - 1) .. (k + 1) (s - 1) - 1, its m-th neighbor in canonical
-order at the m-th column of the run. The embedded displacements (e, N),
-the relation states ``state.r`` (hidden, N), the relation gates'
-activations (three (hidden, N) blocks), the repeated own and the gathered
-neighbor motion states (hidden, N) and the attention logits (1, N) are
-each one such block, so each of these ops runs once per step for the
-whole scene. Columns move by products with constant one-hot matrices,
-which are exact, since each output entry has one nonzero term (two for a
+Every ordered pair is a column of the scene's pair blocks, N = n w
+columns in all, with w = s - 1 (``SceneState.width``): pedestrian k's
+neighbors are the run of columns k w .. (k + 1) w - 1, its m-th neighbor
+in canonical order at the m-th column of the run. The embedded
+displacements (e, N), the relation states ``state.r`` and their gates'
+activations (hidden, N), the repeated own and gathered neighbor motion
+states (hidden, N) and the attention logits and weights (1, N) are each
+one such block, so every op on them runs once per step for the whole
+scene; the softmax and the context sum take each run as a segment
+(``width=w``). Columns move by products with constant one-hot matrices,
+exact since each output entry has one nonzero term (two for a
 displacement):
 
   * ``H @ others`` gathers every pair's neighbor column, ``H @ own``
     repeats every pair's own column, and ``P @ spread``, with ``spread =
     others - own``, is exactly ``p_j - p_k`` for every pair;
-  * a ``dc.ColumnRange`` picks a run of columns: ``state.pick[col]`` one
-    pair's column of a gate block, ``state.runs[k]`` pedestrian k's run of
-    the logits and of the neighbor states. Its product is a view of those
-    columns, and ``backward`` adds the picked columns' adjoints back into
-    them, so picking costs no product and no (N, N) matrix.
+  * ``state.pick[col]``, a ``dc.ColumnRange``, picks one pair's column of
+    a gate block. Its product is a view of that column, and ``backward``
+    adds the picked columns' adjoints back into them, so picking costs no
+    product and no (N, N) matrix.
 
-Only what is one pedestrian's own stays per pedestrian: the softmax over
-its run of logits and the weighted sum of its run of neighbor states.
 ``others`` and ``own`` are ``dc.Selector`` matrices, every column one-hot,
 so their products skip the finite check and keep a ``Bounded`` operand
 ``Bounded``; ``spread``'s differences can overflow, so it is a plain
@@ -74,9 +72,7 @@ relation states, their activations and the product of input gate and
 candidate. Only the memory update stays one ``relation_step`` call per
 ordered pair and step, on that pair's (hidden, 1) column: the benchmark
 in ``perfbench`` counts those calls against the closed form 19 n (n - 1)
-per window. So that the column is contiguous, the activated gate blocks
-are column-major, and so is the adjoint each pair takes back from the
-concat of its new relation state into ``state.r``.
+per window.
 """
 
 from __future__ import annotations
@@ -242,13 +238,13 @@ class ModelParams:
 @dataclass
 class SceneState:
     """Recurrent state for one window, or a stack of windows, all zero at
-    the start, plus the scene's constants.
+    the start, plus the scene's constants, in the layout of the module
+    docstring.
 
     The motion state ``h``/``c`` is (hidden, n), column k for pedestrian
     ``ped_ids[k]``. The relation states are one (hidden, N) block ``r``,
-    a column per ordered pair in the layout of the module docstring, since
-    they enter the scene's gate products; the relation cell states, which
-    enter only a pair's own memory update, are N (hidden, 1) columns
+    since they enter the scene's gate products; the relation cell states,
+    which enter only a pair's own memory update, are N (hidden, 1) columns
     ``cr[col]``. ``r`` is row-major, as the gate products read it; the
     adjoint of each of its columns is contiguous (``dc.concat``). The
     roster is fixed: a window holds only pedestrians tracked through its
@@ -257,10 +253,11 @@ class SceneState:
     canonical order, so listing the pedestrians in another order cannot
     change a result bit.
 
-    The constants are the one-hot matrices of the module docstring, built
-    here (``others`` and ``own`` as ``Selector``, ``pick`` and ``runs`` as
-    ``ColumnRange``), and the folded weights, built by ``fold`` on first
-    use. ``len(pick)`` is N, zero for lone pedestrians.
+    The constants are the one-hot matrices ``others`` and ``own``
+    (``Selector``), ``spread``, the pair picks ``pick`` (``ColumnRange``)
+    and the run width ``width``, built here, and the folded weights, built
+    by ``fold`` on first use. ``len(pick)`` is N, and ``width`` is 0, for
+    lone pedestrians.
     """
 
     ped_ids: list
@@ -272,7 +269,7 @@ class SceneState:
     own: Tensor           # (n, N): pair column k, m picks k
     spread: Tensor        # others - own
     pick: list            # N ColumnRange: pair column col of an (·, N) block
-    runs: list            # n ColumnRange: pedestrian k's run of pair columns
+    width: int            # pair columns per pedestrian: its run's width
     ones: Tensor          # (1, n)
     ones_pairs: Tensor    # (1, N)
     folded: dict = field(default_factory=dict, repr=False)
@@ -315,7 +312,7 @@ class SceneState:
             r=zeros((hidden_dim, pairs)), cr=[zeros((hidden_dim, 1)) for _ in range(pairs)],
             others=Selector(others), own=Selector(own), spread=Constant(others - own),
             pick=[dc.ColumnRange(col, col + 1, pairs) for col in range(pairs)],
-            runs=[dc.ColumnRange(q * width, (q + 1) * width, pairs) for q in range(n)],
+            width=width,
             ones=Constant(np.ones((1, n))), ones_pairs=Constant(np.ones((1, pairs))))
 
     def fold(self, params: ModelParams, name: str):
@@ -420,26 +417,22 @@ def attention_logits(params: ModelParams, strategy: AttentionStrategy,
     return dc.matmul(w, dc.concat([pair, h_i, h_j], axis=0))
 
 
-def attention_weights(logits: Tensor) -> Tensor:
-    """Normalize one pedestrian's logits over its neighbors into weights
-    that sum to one. An empty set raises ``dc.EmptyNeighborSetError``."""
-    return dc.masked_softmax(logits)
+def attention_weights(logits: Tensor, width: int) -> Tensor:
+    """Normalize each pedestrian's run of ``width`` logits, its neighbors,
+    into weights that sum to one, in one node for the whole (1, N) block.
+    An empty set raises ``dc.EmptyNeighborSetError``."""
+    return dc.masked_softmax(logits, width=width)
 
 
-def social_context(state: SceneState, weights: Sequence, neighbors: Optional[Tensor],
+def social_context(state: SceneState, weights: Optional[Tensor], neighbors: Optional[Tensor],
                    strategy: AttentionStrategy) -> Tensor:
     """The (hidden, n) social contexts: column k weighs pedestrian k's run
-    of the (hidden, N) neighbor motion states ``neighbors`` by
-    ``weights[k]`` and sums them. Zeros under NONE and for lone
-    pedestrians."""
-    n = len(state.ped_ids)
-    if strategy is AttentionStrategy.NONE or not state.pick:
+    of the (hidden, N) neighbor motion states ``neighbors`` by its run of
+    the (1, N) ``weights`` and sums them, in one node for the scene. Zeros
+    under NONE and for lone pedestrians."""
+    if strategy is AttentionStrategy.NONE or not state.width:
         return Constant.zeros(state.h.shape)
-    if len(weights) != n or any(w is None for w in weights):
-        raise ValueError(f"attention weights required: each of the {n} pedestrians "
-                         f"has neighbors")
-    return dc.concat([dc.weighted_sum(w, dc.matmul_or_constant(neighbors, run))
-                      for w, run in zip(weights, state.runs)], axis=1)
+    return dc.weighted_sum(weights, neighbors, width=state.width)
 
 
 def embed_position(params: ModelParams, state: SceneState, nabs: Tensor) -> Tensor:

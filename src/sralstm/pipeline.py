@@ -77,13 +77,13 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     predictions come back as such a dict. abs_pos may be None when no
     pedestrian embeds displacements (``none``, ``sa`` or no neighbors).
     Each ordered pair of pedestrians (of one window, in a stack) is a
-    column of the scene's pair blocks, scored on one pair feature: none
-    under ``sa``, the embedded displacement under ``ra``, the relation
-    state it updates under ``sra``. The pair blocks run once per step for
-    the whole scene, each pair's relation memory update once per pair, and
-    each pedestrian's softmax and context sum once per pedestrian, on its
-    run of pair columns. Scores and social contexts read the motion states
-    of the previous step; motion updates and offset predictions run last.
+    column of the scene's pair blocks, laid out as ``model``'s docstring
+    states, and is scored on one pair feature: none under ``sa``, the
+    embedded displacement under ``ra``, the relation state it updates
+    under ``sra``. Every op runs once per step for the whole scene except
+    each pair's relation memory update, which runs once per pair. Scores
+    and social contexts read the motion states of the previous step;
+    motion updates and offset predictions run last.
     Returns (predictions, attention), attention keyed by pedestrian; with
     ``predict`` false, for a step whose predictions nothing reads, the
     offsets are not formed and predictions is None.
@@ -94,8 +94,8 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
         abs_pos = None if abs_pos is None else _columns(state, abs_pos)
     strategy = params.config.strategy
     attention = {} if record_attention else None
-    weights, h_j = [], None
-    if strategy is not AttentionStrategy.NONE and state.pick:
+    weights = h_j = None
+    if strategy is not AttentionStrategy.NONE and state.width:
         h_i = dc.matmul_or_constant(state.h, state.own)
         h_j = dc.matmul_or_constant(state.h, state.others)
         pair = None
@@ -103,26 +103,14 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
             pair = md.embed_relative(params, state, abs_pos)
         if strategy is AttentionStrategy.SRA:
             gates = md.relation_gates(params, state, pair)
-            pair = state.r = dc.concat(
-                [md.relation_step(params, state, col, gates)[0]
-                 for col in range(len(state.pick))],
-                axis=1)
-        if pair is None and isinstance(h_i, Constant):
-            # sa scores the first step's zero motion states, constants
-            # alone: each run is picked before scoring, which records no pick
-            logits = [md.attention_logits(params, strategy, None,
-                                          dc.matmul_or_constant(h_i, run),
-                                          dc.matmul_or_constant(h_j, run))
-                      for run in state.runs]
-        else:
-            block = md.attention_logits(params, strategy, pair, h_i, h_j)
-            logits = [dc.matmul(block, run) for run in state.runs]
-        weights = [md.attention_weights(x) for x in logits]
+            pair = state.r = dc.concat([md.relation_step(params, state, col, gates)[0]
+                                        for col in range(len(state.pick))], axis=1)
+        weights = md.attention_weights(
+            md.attention_logits(params, strategy, pair, h_i, h_j), state.width)
         if record_attention:
-            neighbor = state.others.values.argmax(axis=0)
-            for p, run, w in zip(state.ped_ids, state.runs, weights):
-                attention[p] = ([state.ped_ids[j] for j in neighbor[run.lo:run.hi]],
-                                w.values.reshape(-1).copy())
+            js = state.others.values.argmax(axis=0).reshape(-1, state.width)
+            for p, run, w in zip(state.ped_ids, js, weights.values.reshape(-1, state.width)):
+                attention[p] = ([state.ped_ids[j] for j in run], w.copy())
     context = md.social_context(state, weights, h_j, strategy)
     md.motion_step(params, state, md.embed_position(params, state, nabs), context)
     if not predict:

@@ -85,23 +85,17 @@ def test_every_model_site_fires_in_an_sra_rollout():
     assert not hasattr(md.relation_step, "__wrapped__")
 
 
-def test_readme_tape_node_table_matches_the_counts():
-    # the README's "now" rows, against counts taken as perfbench/counts.py
-    # takes them: a Recorder around one rollout plus loss on the default model
+def test_readme_tape_node_table_matches_the_counts(monkeypatch):
+    # the README's "now" rows, against perfbench/counts.py's own counts;
+    # it imports spans.py as a sibling module
+    monkeypatch.syspath_prepend(os.path.dirname(SPANS_PATH))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_counts", os.path.join(os.path.dirname(SPANS_PATH), "counts.py"))
+    counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counts)
     readme = Path(SPANS_PATH).parent.parent.joinpath("README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` now \|(.*)\|$", readme, re.M)
     table = {s: [int(c.replace(",", "")) for c in cells.split("|")] for s, cells in rows}
-    counted = {}
-    for strategy in ("sra", "ra", "sa", "none"):
-        params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
-        counted[strategy] = []
-        for n in (2, 4, 8, 16, 32):
-            window = random_walk_window(n, seed=n)
-            rec = SPANS.Recorder()
-            rec.install()
-            try:
-                pl.l2_loss(pl.rollout(params, window), pl.window_truth_nabs(window))
-            finally:
-                rec.uninstall()
-            counted[strategy].append(rec.ops)
+    counted = {s: [counts.counts(s, n)["diffcore.tape_nodes_per_window"] for n in counts.SIZES]
+               for s in counts.STRATEGIES}
     assert table == counted

@@ -716,8 +716,113 @@ def test_weighted_sum_products_are_byte_identical_to_matmul_operator(k):
     (_, _, vjp), = tape.nodes
     gw, gc_ = vjp(g)
     assert out.values.tobytes() == (cv @ wv.reshape(-1)).reshape(64, 1).tobytes()
-    assert gw.tobytes() == (cv.T @ g).tobytes()
+    # the weights' adjoint is the product over the columns copied to
+    # row-major, as ndarray.dot forms it for a run picked from a scene's
+    # block; cv.T @ g on the contiguous block runs another gemv kernel
+    assert gw.tobytes() == (np.ascontiguousarray(cv.T) @ g).tobytes()
     assert gc_.tobytes() == (g @ wv.reshape(1, -1)).tobytes()
+
+
+def _segment_case(w, n=5):
+    """A scene-like block of n runs of w columns, with exact zeros of both
+    signs: (h, n w) neighbor states, (1, n w) logits and the adjoints of
+    the (h, n) contexts and of the (1, n w) weights."""
+    rng = np.random.default_rng(w)
+    return (_signed_zeros(rng, (64, n * w)), rng.normal(size=(1, n * w)) * 3.0,
+            _signed_zeros(rng, (64, n)), _signed_zeros(rng, (1, n * w)))
+
+
+def _vjp_of(op):
+    """The value and the vjp of the one node op() records."""
+    with Tape() as tape:
+        out = op()
+    (_, _, vjp), = tape.nodes
+    return out.values, vjp
+
+
+@pytest.mark.parametrize("w", range(1, 16))
+def test_segment_forms_are_the_per_run_vector_forms_bit_for_bit(w):
+    block, logits, g_ctx, g_weights = _segment_case(w)
+    n = block.shape[1] // w
+    runs = [slice(k * w, (k + 1) * w) for k in range(n)]
+    soft, soft_vjp = _vjp_of(lambda: dc.masked_softmax(Tensor(logits), width=w))
+    ctx, ctx_vjp = _vjp_of(lambda: dc.weighted_sum(Tensor(soft), Tensor(block), width=w))
+    (d_logits,), (d_weights, d_block) = soft_vjp(g_weights), ctx_vjp(g_ctx)
+    assert soft.shape == d_weights.shape == (1, n * w) and ctx.shape == (64, n)
+    for k, run in enumerate(runs):
+        one, one_vjp = _vjp_of(lambda: dc.masked_softmax(Tensor(logits[:, run])))
+        assert soft[:, run].tobytes() == one.tobytes()
+        if w > 1:
+            assert d_logits[:, run].tobytes() == one_vjp(g_weights[:, run])[0].tobytes()
+        col, col_vjp = _vjp_of(lambda: dc.weighted_sum(Tensor(one), Tensor(block[:, run])))
+        g = np.ascontiguousarray(g_ctx[:, k:k + 1])
+        gw, gc_ = col_vjp(g)
+        assert ctx[:, k:k + 1].tobytes() == col.tobytes()
+        assert d_weights[:, run].tobytes() == gw.tobytes()
+        assert np.ascontiguousarray(d_block[:, run]).tobytes() == gc_.tobytes()
+        # and the bits the scene's per-run products had, on a strided view
+        # of the block: ndarray.dot copies such a run to row-major. At w = 1
+        # it reads the strided column in place, and those weights' adjoint
+        # goes nowhere: a one-entry softmax passes none
+        view, wk = block[:, run], one.reshape(-1)
+        assert col.tobytes() == view.dot(wk).reshape(64, 1).tobytes()
+        if w > 1:
+            assert gw.tobytes() == view.T.dot(g).tobytes()
+        assert gc_.tobytes() == g.dot(wk[np.newaxis, :]).tobytes()
+    if w == 1:
+        assert soft_vjp(g_weights) == (None,)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 7])
+def test_segment_forms_match_finite_differences(w):
+    rng = np.random.default_rng(20 + w)
+    n = 3
+    logits = Tensor(rng.normal(size=(1, n * w)))
+    block = Tensor(rng.normal(size=(4, n * w)))
+    probe = Tensor(rng.normal(size=(4, n)))
+
+    def f():
+        weights = dc.masked_softmax(logits, width=w)
+        return dc.sum_all(dc.mul(dc.weighted_sum(weights, block, width=w), probe))
+
+    with Tape() as tape:
+        dc.backward(tape, f())
+    assert fd_check(lambda: f().item(), block) < FD_TOL
+    if w == 1:
+        # every weight is the constant 1
+        assert logits.grad is None
+    else:
+        assert fd_check(lambda: f().item(), logits) < FD_TOL
+    weights = Tensor(rng.normal(size=(1, n * w)))
+    with Tape() as tape:
+        dc.backward(tape, dc.sum_all(dc.mul(dc.weighted_sum(weights, block, width=w), probe)))
+    assert fd_check(lambda: dc.sum_all(dc.mul(dc.weighted_sum(weights, block, width=w),
+                                              probe)).item(), weights) < FD_TOL
+
+
+def test_a_one_wide_segment_softmax_is_recorded_but_passes_no_adjoint():
+    logits = Tensor([[0.3, -2.0, 5.0]])
+    with Tape() as tape:
+        weights = dc.masked_softmax(logits, width=1)
+        root = dc.sum_all(dc.weighted_sum(weights, Tensor(np.ones((2, 3))), width=1))
+    assert weights.values.tolist() == [[1.0, 1.0, 1.0]]
+    assert tape.nodes[0][:2] == ((logits,), weights)
+    assert tape.nodes[0][2](np.ones((1, 3))) == (None,)
+    dc.backward(tape, root)
+    assert logits.grad is None
+
+
+def test_segment_widths_must_split_the_columns():
+    logits, block = Tensor(np.zeros((1, 6))), Tensor(np.zeros((2, 6)))
+    for width in (0, -2, 4, 7):
+        with pytest.raises(dc.ShapeMismatchError, match="does not split"):
+            dc.masked_softmax(logits, width=width)
+        with pytest.raises(dc.ShapeMismatchError, match="does not split"):
+            dc.weighted_sum(logits, block, width=width)
+    with pytest.raises(dc.ShapeMismatchError, match="not both"):
+        dc.masked_softmax(logits, [True] * 6, width=3)
+    # a width that splits the columns: 6 = 2 runs of 3
+    assert dc.weighted_sum(logits, block, width=3).shape == (2, 2)
 
 
 @pytest.mark.parametrize("k", [2, 56, 256])
@@ -1045,7 +1150,7 @@ UNARY = {"sigmoid": dc.sigmoid, "tanh": dc.tanh, "relu": dc.relu,
          "exp": lambda x: dc.exp(dc.tanh(x)), "scale": lambda x: dc.scale(x, -1.5)}
 BINARY = {"add": dc.add, "sub": dc.sub, "mul": dc.mul}
 GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend", "pick",
-             "columns")
+             "columns", "softmax_runs", "sum_runs")
 GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
                           suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -1068,7 +1173,10 @@ class OpGraph:
     of a sigmoid output by a ``Selector``, repeating some and dropping
     others. ``columns`` joins a run of one operand's columns and an
     overlapping run of the other's, picked by ``ColumnRange``, as a scene
-    step picks a pair's column or a pedestrian's run of a pair block.
+    step picks a pair's column of a pair block. ``softmax_runs`` normalizes
+    each run of ``run`` columns of a score row, and ``sum_runs`` sums each
+    run of one operand's columns weighted by a score row of the other, as
+    a scene step forms its attention weights and social contexts.
     """
 
     def __init__(self, seed, width):
@@ -1093,6 +1201,9 @@ class OpGraph:
         start = int(rng.integers(0, split + 1))
         self.head = dc.ColumnRange(0, split, width)
         self.tail = dc.ColumnRange(start, start + width - split, width)
+        self.run = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
+        self.lift = dc.Constant(rng.normal(size=(r, 1)))
+        self.spread = dc.Constant(np.repeat(np.eye(width // self.run), self.run, axis=1))
 
     def forward(self, ops):
         """The scalar root. Every tensor made on the way goes to ``built``,
@@ -1123,6 +1234,12 @@ class OpGraph:
                 out = dc.matmul(dc.sigmoid(a), self.pick)
             elif op == "columns":
                 out = dc.concat([dc.matmul(a, self.head), dc.matmul(b, self.tail)], axis=1)
+            elif op == "softmax_runs":
+                scores = dc.matmul(self.score, a)
+                out = dc.matmul(self.lift, dc.masked_softmax(scores, width=self.run))
+            elif op == "sum_runs":
+                scores = dc.matmul(self.score, b)
+                out = dc.matmul(dc.weighted_sum(scores, a, width=self.run), self.spread)
             else:
                 weights = dc.masked_softmax(dc.matmul(self.score, a), self.mask)
                 out = dc.matmul(dc.weighted_sum(weights, b), self.ones)
@@ -1136,6 +1253,8 @@ class OpGraph:
 @example((7, 300, [("weight", 3, 0), ("mix", 4, 4), ("add", 1, 2), ("join", 5, 6),
                    ("stack", 7, 3), ("relu", 8, 0), ("attend", 9, 5)]))
 @example((4, 9, [("columns", 0, 1), ("columns", 4, 4), ("weight", 5, 0)]))
+@example((2, 12, [("softmax_runs", 0, 0), ("sum_runs", 4, 1), ("sum_runs", 2, 5),
+                  ("weight", 6, 0)]))
 def test_backward_on_random_op_graphs(spec):
     seed, width, ops = spec
     graph = OpGraph(seed, width)

@@ -312,11 +312,11 @@ def test_scene_state_zero_start_and_canonical_roster():
     for t in state.cr:
         assert np.array_equal(t.values, np.zeros((4, 1)))
     # pedestrian k's neighbors are the run of columns 2k, 2k + 1
-    assert [(run.lo, run.hi) for run in state.runs] == [(0, 2), (2, 4), (4, 6)]
+    assert state.width == 2
     assert [(p.lo, p.hi) for p in state.pick] == [(col, col + 1) for col in range(6)]
     lone = SceneState.initial([4], 4)
     assert lone.r.shape == (4, 0) and lone.cr == [] and lone.pick == []
-    assert [(run.lo, run.hi) for run in lone.runs] == [(0, 0)]
+    assert lone.width == 0
 
 
 def _awkward_values(rng, shape):
@@ -343,10 +343,12 @@ def test_one_hot_products_select_exact_bytes(n):
     for col, pick in enumerate(state.pick):
         column = dc.matmul(Tensor(block), pick).values
         assert column.tobytes() == np.ascontiguousarray(block[:, col:col + 1]).tobytes()
-    for k, run in enumerate(state.runs):
-        part = dc.matmul(Tensor(block), run).values
-        assert part.tobytes() == np.ascontiguousarray(
-            block[:, k * (n - 1):(k + 1) * (n - 1)]).tobytes()
+    # the segment ops read pedestrian k's run as columns k (n - 1) ..
+    # (k + 1) (n - 1) - 1: a one-hot weight in each run selects its column
+    for m in range(n - 1):
+        weights = Tensor(np.tile(np.eye(n - 1)[m], n).reshape(1, -1))
+        part = dc.weighted_sum(weights, Tensor(block), width=state.width).values
+        assert part.tobytes() == np.ascontiguousarray(block[:, m::n - 1]).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9])
@@ -365,9 +367,9 @@ def test_a_stack_of_one_window_builds_the_plain_constants_exactly():
     plain = SceneState.initial(ids, hidden_dim=4)
     stack = SceneState.initial([(0, p) for p in ids], hidden_dim=4, stacked=True)
     assert stack.ped_ids == [(0, p) for p in plain.ped_ids]
-    for name in ("pick", "runs"):
-        for a, b in zip(getattr(plain, name), getattr(stack, name), strict=True):
-            assert type(a) is type(b) and (a.lo, a.hi, a.rows) == (b.lo, b.hi, b.rows)
+    for a, b in zip(plain.pick, stack.pick, strict=True):
+        assert type(a) is type(b) and (a.lo, a.hi, a.rows) == (b.lo, b.hi, b.rows)
+    assert plain.width == stack.width == 3
     for name in ("others", "own", "spread", "ones", "ones_pairs", "h", "c", "r"):
         a, b = getattr(plain, name), getattr(stack, name)
         assert type(a) is type(b) and a.values.tobytes() == b.values.tobytes()
@@ -386,16 +388,14 @@ def test_stacked_windows_see_only_their_own_neighbors(n):
     gathered = dc.matmul(Tensor(h), state.others).values
     repeated = dc.matmul(Tensor(h), state.own).values
     disp = dc.matmul(Tensor(pos), state.spread).values
+    assert state.width == n - 1
     for k, (i, p) in enumerate(state.ped_ids):
         picked = [j for j, (w, _) in enumerate(state.ped_ids) if w == i and j != k]
-        run = state.runs[k]
-        assert (run.lo, run.hi) == (k * (n - 1), (k + 1) * (n - 1))
-        assert gathered[:, run.lo:run.hi].tobytes() == \
-            np.ascontiguousarray(h[:, picked]).tobytes()
-        assert repeated[:, run.lo:run.hi].tobytes() == \
+        run = slice(k * state.width, (k + 1) * state.width)
+        assert gathered[:, run].tobytes() == np.ascontiguousarray(h[:, picked]).tobytes()
+        assert repeated[:, run].tobytes() == \
             np.ascontiguousarray(h[:, [k] * (n - 1)]).tobytes()
-        assert disp[:, run.lo:run.hi].tobytes() == \
-            (pos[:, picked] - pos[:, [k]]).tobytes()
+        assert disp[:, run].tobytes() == (pos[:, picked] - pos[:, [k]]).tobytes()
 
 
 def test_stacked_windows_must_hold_one_crowd_size():
@@ -405,13 +405,13 @@ def test_stacked_windows_must_hold_one_crowd_size():
 
 def test_scene_state_constants_take_no_gradient():
     state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
-    constants = [state.others, state.own, state.spread, *state.pick, *state.runs,
+    constants = [state.others, state.own, state.spread, *state.pick,
                  state.ones, state.ones_pairs, state.h, state.c, state.r, *state.cr]
     assert all(isinstance(t, Constant) for t in constants)
     # the one-hot matrices are selectors, the picks column ranges; spread's
     # differences are no selector
     assert type(state.others) is type(state.own) is dc.Selector
-    assert all(type(t) is dc.ColumnRange for t in (*state.pick, *state.runs))
+    assert all(type(t) is dc.ColumnRange for t in state.pick)
     assert not isinstance(state.spread, dc.Selector)
 
 
@@ -620,25 +620,27 @@ def test_attention_logits_score_a_block_column_by_column():
 
 
 def test_attention_weights_single_neighbor_is_exactly_one():
-    out = md.attention_weights(Tensor([[3.7]]))
-    assert out.values.tolist() == [[1.0]]
+    # three pedestrians with one neighbor each
+    out = md.attention_weights(Tensor([[3.7, -2.0, 1e3]]), 1)
+    assert out.values.tolist() == [[1.0, 1.0, 1.0]]
 
 
 def test_attention_weights_equal_logits_split_exactly():
-    out = md.attention_weights(Tensor(np.full((1, 4), 1.25)))
-    assert out.values.reshape(-1).tolist() == [0.25, 0.25, 0.25, 0.25]
+    out = md.attention_weights(Tensor(np.full((1, 8), 1.25)), 4)
+    assert out.values.reshape(-1).tolist() == [0.25] * 8
 
 
 def test_attention_weights_quarter_three_quarters():
-    out = md.attention_weights(Tensor([[0.0, np.log(3.0)]]))
+    # each run is normalized on its own, whatever the other runs hold
+    out = md.attention_weights(Tensor([[0.0, np.log(3.0), 50.0 + np.log(3.0), 50.0]]), 2)
     flat = out.values.reshape(-1)
-    assert abs(flat[0] - 0.25) < 1e-12
-    assert abs(flat[1] - 0.75) < 1e-12
+    for got, want in zip(flat, [0.25, 0.75, 0.75, 0.25]):
+        assert abs(got - want) < 1e-12
 
 
 def test_attention_weights_empty_neighbor_set():
     with pytest.raises(dc.EmptyNeighborSetError):
-        md.attention_weights(Tensor(np.zeros((1, 0))))
+        md.attention_weights(Tensor(np.zeros((1, 0))), 1)
 
 
 def neighbor_block(state):
@@ -648,16 +650,16 @@ def neighbor_block(state):
 
 def test_social_context_none_strategy_and_lonely_ped_are_zero():
     state = SceneState.initial([1, 2], hidden_dim=8)
-    ctx = md.social_context(state, [], None, AttentionStrategy.NONE)
+    ctx = md.social_context(state, None, None, AttentionStrategy.NONE)
     assert np.array_equal(ctx.values, np.zeros((8, 2)))
     solo = SceneState.initial([1], hidden_dim=8)
-    ctx = md.social_context(solo, [], None, AttentionStrategy.SRA)
+    ctx = md.social_context(solo, None, None, AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, np.zeros((8, 1)))
 
 
 def test_social_context_single_neighbor_copies_its_state():
     state = state_with_h(np.linspace(-1.0, 1.0, 16).reshape(8, 2))
-    weights = [md.attention_weights(Tensor([[0.9]])) for _ in range(2)]
+    weights = md.attention_weights(Tensor([[0.9, -0.4]]), 1)
     ctx = md.social_context(state, weights, neighbor_block(state), AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, state.h.values[:, ::-1])
 
@@ -665,22 +667,24 @@ def test_social_context_single_neighbor_copies_its_state():
 def test_social_context_weighted_mix_frozen():
     state = state_with_h(np.repeat([[0.0, 1.0, 2.0]], 8, axis=0))
     # pedestrian 1 weighs 2 and 3, pedestrian 2 weighs 1 and 3, 3 weighs 1 and 2
-    weights = [Tensor([[0.25, 0.75]]), Tensor([[0.5, 0.5]]), Tensor([[1.0, 0.0]])]
+    weights = Tensor([[0.25, 0.75, 0.5, 0.5, 1.0, 0.0]])
     ctx = md.social_context(state, weights, neighbor_block(state), AttentionStrategy.SRA)
     assert np.array_equal(ctx.values, np.repeat([[1.75, 1.0, 0.0]], 8, axis=0))
 
 
 def test_social_context_weight_count_mismatch():
     state = SceneState.initial([1, 2, 3], hidden_dim=8)
-    weights = [Tensor(np.array([[1.0]]))] * 3
+    # a weight per pedestrian, not per pair column
+    weights = Tensor(np.ones((1, 3)))
     with pytest.raises(dc.ShapeMismatchError):
         md.social_context(state, weights, neighbor_block(state), AttentionStrategy.SRA)
 
 
 def test_social_context_requires_weights_with_neighbors():
+    # weights for pedestrian 1's run alone: pedestrian 2 has a neighbor too
     state = SceneState.initial([1, 2], hidden_dim=8)
     with pytest.raises(ValueError):
-        md.social_context(state, [None, None], neighbor_block(state),
+        md.social_context(state, Tensor([[1.0]]), neighbor_block(state),
                           AttentionStrategy.SRA)
 
 

@@ -211,9 +211,10 @@ def test_predictions_hold_a_column_per_sorted_pedestrian_and_rows_by_step():
 
 def _scripted_rollout_abs(params, window):
     """Drive the single-step ops by hand: relations for all ordered pairs,
-    then attention, then motion. Each pedestrian is scored on its own run
-    of pair columns, where scene_step scores every pair in one block, so a
-    bit-for-bit match shows that scoring a block scores each column alone.
+    then attention, then motion. Each pedestrian is scored and normalized
+    on its own run of pair columns, where scene_step scores every pair in
+    one block and normalizes it in one segment softmax, so a bit-for-bit
+    match shows that the block ops treat each run as it is alone.
     Returns the predicted absolute positions and offsets, ped -> (pred_len,
     2)."""
     cfg = params.config
@@ -231,14 +232,16 @@ def _scripted_rollout_abs(params, window):
             gates = md.relation_gates(params, state, md.embed_relative(params, state, cur_abs))
             state.r = dc.concat([md.relation_step(params, state, col, gates)[0]
                                  for col in range(len(state.pick))], axis=1)
-        weights, h_j = [], None
+        weights = h_j = None
         if cfg.strategy is not AttentionStrategy.NONE and len(peds) > 1:
             h_i = dc.matmul(state.h, state.own)
             h_j = dc.matmul(state.h, state.others)
-            for run in state.runs:
-                r_k, h_ik, h_jk = (dc.matmul(t, run) for t in (state.r, h_i, h_j))
-                weights.append(md.attention_weights(
-                    md.attention_logits(params, cfg.strategy, r_k, h_ik, h_jk)))
+            w, pairs = state.width, len(state.pick)
+            runs = [dc.ColumnRange(lo, lo + w, pairs) for lo in range(0, pairs, w)]
+            weights = dc.concat([
+                md.attention_weights(md.attention_logits(
+                    params, cfg.strategy, *(dc.matmul(t, run) for t in (state.r, h_i, h_j))), w)
+                for run in runs], axis=1)
         context = md.social_context(state, weights, h_j, cfg.strategy)
         md.motion_step(params, state, md.embed_position(params, state, cur_nabs), context)
         preds = md.predict_offset(params, state)
@@ -470,22 +473,37 @@ def test_a_two_pedestrian_train_step_keeps_its_bits_without_the_dead_replay(
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 1, 350), ("sra", 2, 1144), ("sra", 4, 2624), ("sra", 8, 8776),
-    ("ra", 1, 350), ("ra", 2, 665), ("ra", 4, 815), ("ra", 8, 1115),
-    ("sa", 1, 350), ("sa", 2, 591), ("sa", 4, 741), ("sa", 8, 1041),
+    ("sra", 1, 350), ("sra", 2, 1013), ("sra", 4, 2343), ("sra", 8, 8195),
+    ("ra", 1, 350), ("ra", 2, 534), ("ra", 4, 534), ("ra", 8, 534),
+    ("sa", 1, 350), ("sa", 2, 461), ("sa", 4, 461), ("sa", 8, 461),
     ("none", 1, 350), ("none", 2, 350), ("none", 8, 350), ("none", 16, 350)],
     ids=["sra-1", "sra-2", "sra-4", "sra-8", "ra-1", "ra-2", "ra-4", "ra-8",
          "sa-1", "sa-2", "sa-4", "sa-8", "none-1", "none-2", "none-8", "none-16"])
 def test_tape_nodes_per_window(strategy, n, nodes):
     # the recorded work of one train step on the default model; this may
     # tighten as the recurrence records fewer nodes, and must never loosen.
-    # Without attention the scene is batched whole, so the count does not
-    # depend on n, and a lone pedestrian under sra records exactly that
+    # Without relation cells the scene is batched whole, so the count does
+    # not depend on n, and a lone pedestrian under sra records exactly none's
     params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
     window = random_walk_window(n, seed=n)
     with dc.Tape() as tape:
         l2_loss(rollout(params, window), window_truth_nabs(window))
     assert len(tape) == nodes
+
+
+@pytest.mark.parametrize("strategy,nodes", [("none", 350), ("sa", 461), ("ra", 534)])
+def test_tape_nodes_per_window_do_not_depend_on_the_crowd_size(strategy, nodes):
+    # every op of a scene step but the per-pair relation memory update runs
+    # once per step on a whole block, so without relation cells a train
+    # step records one count at every crowd size with neighbors
+    params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
+    counted = set()
+    for n in range(2, 33):
+        window = random_walk_window(n, seed=n)
+        with dc.Tape() as tape:
+            l2_loss(rollout(params, window), window_truth_nabs(window))
+        counted.add(len(tape))
+    assert counted == {nodes}
 
 
 @pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
@@ -531,8 +549,8 @@ def test_rollout_builds_absolute_positions_only_when_a_step_reads_them(
 @pytest.mark.parametrize("n,picks", [(2, 3 * 2), (3, 3 * 3 * 2)])
 def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
     # every ordered pair picks its column of each of the three activated
-    # gate blocks, as a view, and each pedestrian its run of the logits and
-    # of the neighbor states
+    # gate blocks, as a view; the softmax and the context sum read the
+    # logits and the neighbor states whole, so nothing else is picked
     params = small_params(seed=3)
     state = SceneState.initial(list(range(n)), hidden_dim=8)
     right, matmul = [], dc.matmul
@@ -544,8 +562,7 @@ def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
     picked = [(a, b) for a, b in right if any(b is pick for pick in state.pick)]
     assert len(picked) == picks
     assert all(b.lo == col for (_, b), col in zip(picked, np.repeat(range(len(state.pick)), 3)))
-    runs = [b for _, b in right if any(b is run for run in state.runs)]
-    assert runs == state.runs * 2
+    assert [b for _, b in right if type(b) is dc.ColumnRange] == [b for _, b in picked]
 
 
 @pytest.mark.parametrize("n", [3, 8])

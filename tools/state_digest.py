@@ -27,8 +27,9 @@ import os
 import sys
 import tempfile
 
+# sa and ra at 5 pedestrians put runs of 4 neighbors under every scorer
 CASES = ([(s, n) for s in ("none", "sa", "ra") for n in (1, 2, 3)]
-         + [("sra", n) for n in (1, 2, 3, 5, 8)])
+         + [("sra", n) for n in (1, 2, 3, 5, 8)] + [("sa", 5), ("ra", 5)])
 EPOCHS = 2
 WINDOWS = 2
 SEED = 0
