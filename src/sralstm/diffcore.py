@@ -11,7 +11,9 @@ Conventions:
     the adjoint an axis-1 ``concat`` hands its inputs, and ``backward``'s
     buffers of picked columns. A scene's pair blocks (laid out as
     ``model``'s docstring states) are wider than the cache, and an op on
-    a strided (h, 1) column took about twice as long;
+    a strided (h, 1) column took about twice as long. A product's output
+    is made column-major by a copy after the product: the copy keeps
+    every bit, and a product's vjp does not read its output;
   * binary entrywise ops require identical shapes (no broadcasting);
   * vectors are column matrices of shape (n, 1) unless noted;
   * ops record onto the active ``Tape`` when one is open, and compute
@@ -20,24 +22,25 @@ Conventions:
     op whose output is not finite raises ``NonFiniteError``. numpy may
     warn about the overflow first, unless the caller silences it with
     ``np.errstate`` (the command line does);
-  * a ``Constant`` is a tensor that takes no gradient (a one-hot selector,
-    a row of ones, an observed input). ``matmul`` and ``concat``, the ops
-    that meet constants, form no adjoint for one, and ``backward`` writes
-    no grad to one. ``matmul_or_constant`` and ``concat_or_constant`` do
-    work on constants alone without the tape and give a ``Constant``, so
-    no node records what no gradient can cross;
-  * a ``Selector`` is a ``Constant`` whose every column is one-hot, so
-    ``x @ s`` picks or repeats columns of ``x`` exactly. A ``ColumnRange``
-    is a ``Selector`` of contiguous columns, kept as their range alone;
-    ``x @ r`` is a view of those columns of ``x``, the only op whose
-    output shares memory with an input;
+  * a ``Constant`` is a tensor that takes no gradient (a ``Selector``, a
+    row of ones, an observed input). ``matmul``, ``concat`` and
+    ``weighted_sum`` (its columns) form no adjoint for one, and
+    ``backward`` writes no grad to one. ``matmul_or_constant`` and
+    ``concat_or_constant`` do work on constants alone without the tape
+    and give a ``Constant``, so no node records what no gradient crosses;
+  * a ``Selector`` is a one-hot matrix, or the difference of two, kept as
+    column indices: ``x @ s`` picks columns of ``x`` exactly, or exact
+    differences of two. With a slice it is a view of ``x``, the only op
+    output that shares memory with an input; with an int array, a
+    row-major gather;
   * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
     ``sigmoid`` and ``tanh``, the product of two such tensors, and the
-    columns a ``Selector`` picks from one.
+    columns a ``Selector`` without ``minus`` picks from one.
 
 Only the ops that can turn finite inputs into a non-finite output check
 it: ``matmul``, ``sub``, ``exp``, ``weighted_sum``, ``sum_all`` and
-``scale`` can all overflow, and so can ``mul`` and ``add`` unless an
+``scale`` can all overflow (``matmul`` by a ``Selector`` only when it
+takes differences), and so can ``mul`` and ``add`` unless an
 operand is ``Bounded``. A product with such an operand is at most the
 other operand in magnitude, and a sum at most one more, which rounds to
 the largest float64 at worst; so an LSTM cell's products and its sum run
@@ -46,7 +49,7 @@ first tests the self dot product of the output, and runs the exact
 elementwise test only when that is not finite (a NaN, an infinity, or
 finite values whose squares overflow). The other ops are bounded on
 finite inputs and skip the check: ``sigmoid`` and ``tanh`` map into
-[0, 1] and [-1, 1], ``relu``, ``concat`` and a ``matmul`` by a
+[0, 1] and [-1, 1], ``relu``, ``concat`` and any other ``matmul`` by a
 ``Selector`` only select input values, and ``masked_softmax`` divides
 terms in [0, 1] by a sum of at least 1.
 
@@ -71,9 +74,11 @@ kept lean accordingly:
     computed and a zero buffer it made itself, so never one a vjp
     returned: the incoming adjoint itself (``add``), a view of it or of
     its column-major copy (``concat``) or the root's seed of ones;
-  * the adjoint of a ``ColumnRange`` product is added into those columns
-    of one zero buffer per operand, exact for finite values as the
-    one-hot product is, with no product and no (N, N) matrix for N picks;
+  * a slice ``Selector``'s product adds its adjoint into those columns of
+    one zero buffer per operand, exact as the one-hot product is, with no
+    product and no (N, N) matrix for N picks; an index ``Selector``'s
+    replays as that product, whose factor ``transpose`` builds then, so a
+    tape-free pass builds no one-hot matrix;
   * a weight's gradient is formed in few products, by one rule for every
     product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint; ``backward``
     keeps the factors ``g`` and ``x.T`` instead and sums them as
@@ -162,60 +167,59 @@ class Tensor:
 
 
 class Constant(Tensor):
-    """A tensor that takes no gradient: a one-hot selector, a row of ones,
+    """A tensor that takes no gradient: a ``Selector``, a row of ones,
     an observed input, an initial state.
 
-    ``matmul`` and ``concat`` leave it out of the inputs of the node they
-    record, so no adjoint is formed for it; ``backward`` writes no grad to
-    it in any case.
+    ``matmul``, ``concat`` and ``weighted_sum`` (as its columns) leave it
+    out of the inputs of the node they record, so no adjoint is formed for
+    it; ``backward`` writes no grad to it in any case.
     """
 
     __slots__ = ()
 
 
 class Selector(Constant):
-    """A ``Constant`` whose every column is one-hot, so a product ``x @ s``
-    only picks or repeats columns of ``x``: each output entry is one input
-    entry, exactly. ``matmul`` skips the finite check of such a product
-    and keeps a ``Bounded`` ``x`` ``Bounded``."""
+    """A (rows, k) one-hot matrix, column c ``e[index[c]]``, kept as its
+    ``index``, a slice or an int array; with ``minus``, column c is
+    ``e[index[c]] - e[minus[c]]``. It has no ``values``: ``x @ s`` is
+    ``pick(x)``, exact entries of x or exact differences, which alone can
+    overflow. ``take`` gathers a row-major array, as a product gives.
+    ``backward`` replays an array pick as the one-hot product, with
+    ``transpose`` as its factor; called, a selector is that vjp."""
 
-    __slots__ = ()
+    __slots__ = ("index", "rows", "minus")
 
-
-class ColumnRange(Selector):
-    """A ``Selector`` that picks the contiguous columns ``lo .. hi - 1`` of
-    an operand with ``rows`` columns, kept as that range alone: a scene's
-    pair columns are picked one at a time, and their one-hot matrices
-    would take memory quadratic in their number. ``matmul`` returns a view
-    of the picked columns, and ``backward`` adds their adjoint into the
-    same columns; ``values`` builds the one-hot matrix on demand.
-
-    It is also the vjp its products record: called on the adjoint of the
-    picked columns, it returns the operand's adjoint, zero elsewhere.
-    ``backward`` instead adds it into one buffer per operand."""
-
-    __slots__ = ("lo", "hi", "rows")
-
-    def __init__(self, lo: int, hi: int, rows: int):
-        if not 0 <= lo <= hi <= rows:
-            raise ValueError(f"column range {lo}..{hi} outside {rows} columns")
-        self.lo, self.hi, self.rows = lo, hi, rows
-        self.grad = None
-
-    @property
-    def values(self) -> np.ndarray:
-        eye = np.zeros((self.rows, self.hi - self.lo))
-        eye[self.lo:self.hi] = np.eye(self.hi - self.lo)
-        return eye
+    def __init__(self, index, rows: int, minus=None):
+        if type(index) is slice:
+            ok = minus is None and index.step is None and 0 <= index.start <= index.stop <= rows
+        else:
+            index, minus = (a if a is None else np.asarray(a, np.intp) for a in (index, minus))
+            # a minus of another shape makes np.stack raise ValueError
+            both = np.stack([index, index if minus is None else minus])
+            ok = index.ndim == 1 and ((both >= 0) & (both < rows)).all()
+        if not ok:
+            raise ValueError(f"selector index outside {rows} columns")
+        self.index, self.rows, self.minus, self.grad = index, rows, minus, None
 
     @property
     def shape(self):
-        return (self.rows, self.hi - self.lo)
+        return (self.rows, np.arange(self.rows)[self.index].size)
+
+    def pick(self, x: np.ndarray) -> np.ndarray:
+        """The product ``x @ s`` of a 2-D array x."""
+        if x.ndim != 2 or x.shape[1] != self.rows:
+            raise ShapeMismatchError(f"matmul: shapes {x.shape} and {self.shape} do not chain")
+        if self.minus is not None:
+            return x.take(self.index, axis=1) - x.take(self.minus, axis=1)
+        return x[:, self.index] if type(self.index) is slice else x.take(self.index, axis=1)
+
+    def transpose(self) -> np.ndarray:
+        """The (k, rows) transpose of the matrix, column-major as a
+        row-major matrix's ``.T`` is."""
+        return self.pick(np.eye(self.rows)).T
 
     def __call__(self, g: np.ndarray) -> tuple:
-        dense = np.zeros((g.shape[0], self.rows))
-        dense[:, self.lo:self.hi] = g
-        return (dense,)
+        return (g.dot(self.transpose()),)
 
 
 class Bounded(Tensor):
@@ -311,21 +315,16 @@ class _MatmulVjp:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av = a.values
-    if type(b) is ColumnRange:
-        if av.ndim != 2 or av.shape[1] != b.rows:
-            raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-        out = _wrap(av[:, b.lo:b.hi], Bounded if type(a) is Bounded else Tensor)
+    if type(b) is Selector:
+        out = (_wrap if b.minus is None else _fresh)(
+            b.pick(a.values), Bounded if type(a) is Bounded and b.minus is None else Tensor)
         if _active_tape is not None:
             _active_tape.nodes.append(((a,) if not isinstance(a, Constant) else (), out, b))
         return out
-    bv = b.values
+    av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    if type(b) is Selector:
-        out = _wrap(av.dot(bv), Bounded if type(a) is Bounded else Tensor)
-    else:
-        out = _fresh(av.dot(bv))
+    out = _fresh(av.dot(bv))
     if _active_tape is not None:
         at = bt = None
         inputs = ()
@@ -522,7 +521,8 @@ def weighted_sum(weights: Tensor, columns: Tensor, width=None) -> Tensor:
     its (1, N) weights and (h, N) neighbor states). Each stacked product
     has the bits ``ndarray.dot`` gives on a run of a scene's block: the
     weights' adjoint is a gemv of the run copied to row-major, as ``dot``
-    copies a strided run of w > 1 columns (a scene drops it at w = 1)."""
+    copies a strided run of w > 1 columns (a scene drops it at w = 1).
+    ``Constant`` columns (a first step's zero states) take no adjoint."""
     cv = columns.values
     if cv.ndim != 2:
         raise ShapeMismatchError(f"weighted_sum needs 2-D columns, got shape {columns.shape}")
@@ -538,11 +538,13 @@ def weighted_sum(weights: Tensor, columns: Tensor, width=None) -> Tensor:
     if _active_tape is not None:
         def vjp(g):
             gt = np.ascontiguousarray(g.T)[:, :, np.newaxis]
-            gw = np.matmul(np.ascontiguousarray(runs.transpose(0, 2, 1)), gt)
-            gc = np.matmul(gt, w.transpose(0, 2, 1))
-            return gw.reshape(weights.shape), gc.transpose(1, 0, 2).reshape(h, size)
+            gw = np.matmul(np.ascontiguousarray(runs.swapaxes(1, 2)), gt).reshape(weights.shape)
+            if constant:
+                return (gw,)
+            return gw, np.matmul(gt, w.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(h, size)
 
-        _active_tape.nodes.append(((weights, columns), out, vjp))
+        constant = isinstance(columns, Constant)
+        _active_tape.nodes.append(((weights,) if constant else (weights, columns), out, vjp))
     return out
 
 
@@ -573,6 +575,8 @@ def scale(x: Tensor, alpha: float) -> Tensor:
 
 def matmul_or_constant(a: Tensor, b: Tensor) -> Tensor:
     """``matmul(a, b)``, or a ``Constant`` and no node when both are one."""
+    if isinstance(a, Constant) and type(b) is Selector:
+        return (_wrap if b.minus is None else _fresh)(b.pick(a.values), Constant)
     if isinstance(a, Constant) and isinstance(b, Constant):
         av, bv = a.values, b.values
         if av.ndim == 2 and bv.ndim == 2 and av.shape[1] == bv.shape[0]:
@@ -654,7 +658,7 @@ def backward(tape: Tape, root: Tensor) -> None:
 
     An adjoint is an array, or an ``_Adjoint`` once the tensor is a
     matmul's left operand, whose factor pairs ``(g, bt)`` are contracted
-    per ``CONTRACT_BLOCK`` columns, or a ``ColumnRange``'s, whose picked
+    per ``CONTRACT_BLOCK`` columns, or a slice ``Selector``'s, whose picked
     columns' adjoints go into a zero buffer. ``finish`` takes the whole
     adjoint when the tensor's node is replayed or, for a leaf, at the end.
     """
@@ -678,16 +682,18 @@ def backward(tape: Tape, root: Tensor) -> None:
     while nodes:
         inputs, output, vjp = nodes.pop()
         g = finish(output)
-        if g is None:
+        if g is None or not inputs:
             continue
-        # a column pick adds its adjoint into its operand's buffer
-        if type(vjp) is ColumnRange:
-            if inputs:
+        # a slice pick adds its adjoint into its operand's buffer; an
+        # array pick replays as the one-hot product it stands for
+        if type(vjp) is Selector:
+            if type(vjp.index) is slice:
                 acc = entry(inputs[0])
                 if acc.placed is None:
                     acc.placed = np.zeros((g.shape[0], vjp.rows), order="F")
-                acc.placed[:, vjp.lo:vjp.hi] += g
-            continue
+                acc.placed[:, vjp.index] += g
+                continue
+            vjp = _MatmulVjp(None, vjp.transpose())
         # a matmul replays inline, keeping its left operand's factor pair
         if type(vjp) is _MatmulVjp:
             at, bt = vjp.at, vjp.bt

@@ -40,25 +40,22 @@ activations (hidden, N), the repeated own and gathered neighbor motion
 states (hidden, N) and the attention logits and weights (1, N) are each
 one such block, so every op on them runs once per step for the whole
 scene; the softmax and the context sum take each run as a segment
-(``width=w``). Columns move by products with constant one-hot matrices,
-exact since each output entry has one nonzero term (two for a
+(``width=w``). Columns move by products with ``dc.Selector`` constants,
+which hold column indices and stand for one-hot matrices, so each
+output entry is exactly one input entry (one difference for a
 displacement):
 
-  * ``H @ others`` gathers every pair's neighbor column, ``H @ own``
-    repeats every pair's own column, and ``P @ spread``, with ``spread =
-    others - own``, is exactly ``p_j - p_k`` for every pair;
-  * ``state.pick[col]``, a ``dc.ColumnRange``, picks one pair's column of
-    a gate block. Its product is a view of that column, and ``backward``
-    adds the picked columns' adjoints back into them, so picking costs no
-    product and no (N, N) matrix.
+  * ``H @ others`` gathers every pair's neighbor column j, ``H @ own``
+    repeats every pair's own column k, and ``P @ spread``, the selector
+    of j minus k, is exactly ``p_j - p_k`` for every pair; each holds an
+    index per pair, O(n^2) in all;
+  * ``state.pick[col]``, a slice selector, picks one pair's column of a
+    gate block as a view.
 
-``others`` and ``own`` are ``dc.Selector`` matrices, every column one-hot,
-so their products skip the finite check and keep a ``Bounded`` operand
-``Bounded``; ``spread``'s differences can overflow, so it is a plain
-``Constant``. Work on constants alone (observed positions, the zero
-motion state of the first step) goes through ``dc.matmul_or_constant``
-and ``dc.concat_or_constant``, which give a ``Constant`` and record no
-tape node.
+Work on constants alone (observed positions, the zero motion state of
+the first step) goes through ``dc.matmul_or_constant`` and
+``dc.concat_or_constant``, which give a ``Constant`` and record no tape
+node.
 
 Every affine map is one product with its bias folded in, ``[W | b] @ [x;
 1]``: ``SceneState.fold`` concatenates each weight with its bias once per
@@ -253,10 +250,10 @@ class SceneState:
     canonical order, so listing the pedestrians in another order cannot
     change a result bit.
 
-    The constants are the one-hot matrices ``others`` and ``own``
-    (``Selector``), ``spread``, the pair picks ``pick`` (``ColumnRange``)
-    and the run width ``width``, built here, and the folded weights, built
-    by ``fold`` on first use. ``len(pick)`` is N, and ``width`` is 0, for
+    The constants are the selectors ``others``, ``own`` and ``spread``
+    (an index per pair), the pair picks ``pick`` (a slice each) and the
+    run width ``width``, built here, and the folded weights, built by
+    ``fold`` on first use. ``len(pick)`` is N, and ``width`` is 0, for
     lone pedestrians.
     """
 
@@ -265,10 +262,10 @@ class SceneState:
     c: Tensor
     r: Tensor             # (hidden, N) relation states, a column per ordered pair
     cr: list              # N (hidden, 1) relation cell states
-    others: Tensor        # (n, N): pair column k, m picks k's m-th neighbor
-    own: Tensor           # (n, N): pair column k, m picks k
-    spread: Tensor        # others - own
-    pick: list            # N ColumnRange: pair column col of an (·, N) block
+    others: Selector      # pair column k w + m picks k's m-th neighbor
+    own: Selector         # pair column k w + m picks k
+    spread: Selector      # others minus own
+    pick: list            # N Selectors: pair column col of an (·, N) block
     width: int            # pair columns per pedestrian: its run's width
     ones: Tensor          # (1, n)
     ones_pairs: Tensor    # (1, N)
@@ -303,16 +300,12 @@ class SceneState:
         m = np.tile(np.arange(width), n)
         i = k % size if width else k
         j = k - i + m + (m >= i)
-        others, own = np.zeros((n, pairs)), np.zeros((n, pairs))
-        others[j, np.arange(pairs)] = 1.0
-        own[k, np.arange(pairs)] = 1.0
         zeros = Constant.zeros
         return cls(
             ped_ids=ids, h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
             r=zeros((hidden_dim, pairs)), cr=[zeros((hidden_dim, 1)) for _ in range(pairs)],
-            others=Selector(others), own=Selector(own), spread=Constant(others - own),
-            pick=[dc.ColumnRange(col, col + 1, pairs) for col in range(pairs)],
-            width=width,
+            others=Selector(j, n), own=Selector(k, n), spread=Selector(j, n, minus=k),
+            pick=[Selector(slice(col, col + 1), pairs) for col in range(pairs)], width=width,
             ones=Constant(np.ones((1, n))), ones_pairs=Constant(np.ones((1, pairs))))
 
     def fold(self, params: ModelParams, name: str):
@@ -375,10 +368,9 @@ def relation_gates(params: ModelParams, state: SceneState, e: Tensor) -> tuple:
     per ordered pair. None of them reads a cell state, so each op runs
     once on the whole block.
 
-    The blocks are column-major, so the column each pair's
-    ``relation_step`` picks is contiguous: the gate products are copied
-    to that layout before activation, which keeps every bit, since a
-    product's output is not read by its own vjp."""
+    The gate products are copied column-major before activation, by the
+    rule of ``diffcore``'s conventions, so the column each pair's
+    ``relation_step`` picks is contiguous."""
     i, f, g, o = _gate_products(state.fold(params, "rel"), [e], state.r, state.ones_pairs)
     for t in (i, f, g, o):
         t.values = np.asfortranarray(t.values)

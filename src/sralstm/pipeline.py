@@ -108,7 +108,7 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
         weights = md.attention_weights(
             md.attention_logits(params, strategy, pair, h_i, h_j), state.width)
         if record_attention:
-            js = state.others.values.argmax(axis=0).reshape(-1, state.width)
+            js = state.others.index.reshape(-1, state.width)
             for p, run, w in zip(state.ped_ids, js, weights.values.reshape(-1, state.width)):
                 attention[p] = ([state.ped_ids[j] for j in run], w.copy())
     context = md.social_context(state, weights, h_j, strategy)
@@ -118,7 +118,7 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
     predictions = md.predict_offset(params, state)
     if by_ped:
         n = len(state.ped_ids)
-        predictions = {p: dc.matmul(predictions, dc.ColumnRange(k, k + 1, n))
+        predictions = {p: dc.matmul(predictions, dc.Selector(slice(k, k + 1), n))
                        for k, p in enumerate(state.ped_ids)}
     return predictions, attention
 

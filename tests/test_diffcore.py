@@ -264,13 +264,16 @@ def test_a_selector_product_picks_exact_entries_and_takes_no_gradient(monkeypatc
     # every column of a selector is one-hot, so the product only picks and
     # repeats columns: each entry exactly, with no finite check, and
     # columns of a bounded tensor are bounded
-    sel = dc.Selector([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+    sel = dc.Selector([1, 0, 2, 1], 3)
+    one_hot = np.eye(3)[:, [1, 0, 2, 1]]
+    assert sel.shape == (3, 4) and sel.transpose().tobytes() == one_hot.T.tobytes()
     big = Tensor([[sys.float_info.max, -1e-300, 3.0], [0.1, -sys.float_info.max, 5e-324]])
     checked, fresh = [], dc._fresh
     monkeypatch.setattr(dc, "_fresh", lambda arr: checked.append(arr) or fresh(arr))
     out = dc.matmul(big, sel)
     assert checked == [] and type(out) is Tensor
     assert out.values.tobytes() == big.values[:, [1, 0, 2, 1]].tobytes()
+    assert out.values.flags.c_contiguous
     x = Tensor(np.random.default_rng(4).normal(size=(2, 3)))
     weights = dc.Constant(np.arange(8.0).reshape(2, 4))
     with Tape() as tape:
@@ -281,17 +284,27 @@ def test_a_selector_product_picks_exact_entries_and_takes_no_gradient(monkeypatc
     assert not any(t is sel for inputs, _, _ in tape.nodes for t in inputs)
     dc.backward(tape, root)
     assert sel.grad is None
-    want = weights.values.dot(sel.values.T) * (1.0 - np.tanh(x.values) ** 2)
+    want = weights.values.dot(one_hot.T) * (1.0 - np.tanh(x.values) ** 2)
     assert rel_err(x.grad, want) <= 1e-15
+    # called, it is the one-hot product's vjp
+    g = np.arange(8.0).reshape(2, 4)
+    assert sel(g)[0].tobytes() == g.dot(one_hot.T).tobytes()
 
 
-def _range_pick_root(x, ranges, weights, one_hot: bool):
+def _pick(kind: str, lo: int, hi: int, cols: int) -> dc.Tensor:
+    """Columns lo .. hi - 1 of cols, picked by a slice or an index
+    ``Selector``, or by the plain one-hot ``Constant`` both stand for."""
+    if kind == "one-hot":
+        return dc.Constant(np.eye(cols)[:, lo:hi])
+    return dc.Selector(slice(lo, hi) if kind == "slice" else np.arange(lo, hi), cols)
+
+
+def _range_pick_root(x, ranges, weights, kind: str):
     """sum(tanh(x) @ R * weights) over the picks R of ranges, each by a
-    ColumnRange or by its dense one-hot Selector."""
+    pick of that kind."""
     root = None
     for (lo, hi), wt in zip(ranges, weights):
-        r = dc.ColumnRange(lo, hi, x.shape[1])
-        picked = dc.matmul(dc.tanh(x), dc.Selector(r.values) if one_hot else r)
+        picked = dc.matmul(dc.tanh(x), _pick(kind, lo, hi, x.shape[1]))
         term = dc.sum_all(dc.mul(picked, dc.Constant(wt)))
         root = term if root is None else dc.add(root, term)
     return root
@@ -303,26 +316,48 @@ def test_a_column_range_product_is_the_one_hot_product_bit_for_bit(ranges):
     rng = np.random.default_rng(len(ranges))
     x = Tensor(rng.normal(size=(5, 7)))
     weights = [rng.normal(size=(5, hi - lo)) for lo, hi in ranges]
-    r = dc.ColumnRange(*ranges[0], 7)
-    assert r.shape == r.values.shape == (7, ranges[0][1] - ranges[0][0])
-    assert r.values.tobytes() == np.eye(7)[:, slice(*ranges[0])].tobytes()
-    picked = dc.matmul(x, r)
-    assert picked.values.tobytes() == dc.matmul(x, dc.Selector(r.values)).values.tobytes()
-    assert np.shares_memory(picked.values, x.values)
+    kinds = ("one-hot", "slice", "index")
+    one_hot, r, gather = (_pick(kind, *ranges[0], 7) for kind in kinds)
+    assert r.shape == gather.shape == one_hot.shape == (7, ranges[0][1] - ranges[0][0])
+    picked = [dc.matmul(x, pick).values for pick in (one_hot, r, gather)]
+    assert picked[0].tobytes() == picked[1].tobytes() == picked[2].tobytes()
+    assert np.shares_memory(picked[1], x.values)
     grads = []
-    for one_hot in (True, False):
+    for kind in kinds:
         x.grad = None
         with Tape() as tape:
-            root = _range_pick_root(x, ranges, weights, one_hot)
+            root = _range_pick_root(x, ranges, weights, kind)
         dc.backward(tape, root)
         grads.append(x.grad)
     # overlapping picks of one tensor add their adjoints in replay order
+    assert grads[0].tobytes() == grads[1].tobytes() == grads[2].tobytes()
+
+
+def test_index_gathers_take_the_one_hot_products_gradient_bit_for_bit():
+    # three gathers of 132 of 12 columns, as a scene of 12 gathers its
+    # motion states: their factor pairs cross CONTRACT_BLOCK, and each
+    # replays with the one-hot matrix's transpose in the dense factor's
+    # column-major layout, so the contraction runs the same BLAS call
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(64, 12)))
+    idx = [rng.integers(0, 12, 132) for _ in range(3)]
+    cs = [dc.Constant(rng.normal(size=(64, 132))) for _ in range(3)]
+    assert 3 * 132 > dc.CONTRACT_BLOCK
+    grads = []
+    for pick in (lambda i: dc.Selector(i, 12), lambda i: dc.Constant(np.eye(12)[:, i])):
+        x.grad = None
+        with Tape() as tape:
+            terms = [dc.sum_all(dc.mul(dc.matmul(dc.tanh(x), pick(i)), c))
+                     for i, c in zip(idx, cs)]
+            root = dc.add(dc.add(terms[0], terms[1]), terms[2])
+        dc.backward(tape, root)
+        grads.append(x.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_a_column_range_picks_a_constant_or_a_bounded_operand():
     c = dc.Constant(np.arange(12.0).reshape(3, 4))
-    r = dc.ColumnRange(1, 3, 4)
+    r = dc.Selector(slice(1, 3), 4)
     with Tape() as tape:
         folded = dc.matmul_or_constant(c, r)
         assert len(tape) == 0
@@ -339,10 +374,46 @@ def test_a_column_range_picks_a_constant_or_a_bounded_operand():
 def test_a_column_range_checks_its_range_and_its_operand():
     for lo, hi in ((-1, 2), (3, 2), (0, 5)):
         with pytest.raises(ValueError, match="outside 4 columns"):
-            dc.ColumnRange(lo, hi, 4)
+            dc.Selector(slice(lo, hi), 4)
     for shape in ((3, 3), (3, 5), (4,), (2, 3, 4)):
         with pytest.raises(dc.ShapeMismatchError):
-            dc.matmul(Tensor(np.ones(shape)), dc.ColumnRange(0, 2, 4))
+            dc.matmul(Tensor(np.ones(shape)), dc.Selector(slice(0, 2), 4))
+
+
+def test_a_selector_index_outside_its_rows_or_a_minus_of_another_length_is_refused():
+    for index, minus in (([0, 4], None), ([-1, 2], None), ([0, 1], [0, 4]), ([[0, 1]], None)):
+        with pytest.raises(ValueError, match="outside 4 columns"):
+            dc.Selector(index, 4, minus=minus)
+    for minus in ([0], [0, 1, 2], [[0, 1]]):
+        with pytest.raises(ValueError):
+            dc.Selector([0, 1], 4, minus=minus)
+    # a slice picks a view and takes no difference
+    with pytest.raises(ValueError, match="outside 4 columns"):
+        dc.Selector(slice(0, 2), 4, minus=[0, 1])
+    assert dc.Selector([], 0).shape == (0, 0)
+
+
+def test_a_selector_difference_that_overflows_is_not_finite():
+    big = [[sys.float_info.max, -sys.float_info.max]]
+    spread = dc.Selector([0, 1], 2, minus=[1, 1])
+    for pick in (lambda: dc.matmul(Tensor(big), spread),
+                 lambda: dc.matmul_or_constant(dc.Constant(big), spread)):
+        with np.errstate(over="ignore"), pytest.raises(dc.NonFiniteError):
+            pick()
+    # where it stays finite, each entry is one exact difference
+    x = Tensor([[3.0, 5e-324, -1e300]])
+    out = dc.matmul(x, dc.Selector([0, 2, 1], 3, minus=[1, 0, 2]))
+    assert type(out) is Tensor
+    assert out.values.tolist() == [[3.0 - 5e-324, -1e300 - 3.0, 5e-324 + 1e300]]
+
+
+def test_an_index_gather_keeps_a_bounded_operand_bounded():
+    b = dc.tanh(Tensor([[0.5, -2.0, 3.0]]))
+    for pick in (dc.Selector([2, 0, 0], 3), dc.Selector(slice(1, 3), 3)):
+        assert type(dc.matmul(b, pick)) is dc.Bounded
+        assert type(dc.matmul(Tensor(b.values), pick)) is Tensor
+    # a difference of two entries in [-1, 1] may leave it
+    assert type(dc.matmul(b, dc.Selector([2], 3, minus=[1]))) is Tensor
 
 
 def test_column_range_gradients_match_finite_differences():
@@ -351,8 +422,8 @@ def test_column_range_gradients_match_finite_differences():
     probe = [dc.Constant(rng.normal(size=(3, 3))), dc.Constant(rng.normal(size=(3, 1)))]
 
     def f():
-        head = dc.matmul(dc.tanh(x), dc.ColumnRange(1, 4, 6))
-        tail = dc.matmul(x, dc.ColumnRange(3, 4, 6))
+        head = dc.matmul(dc.tanh(x), dc.Selector(slice(1, 4), 6))
+        tail = dc.matmul(x, dc.Selector(slice(3, 4), 6))
         return dc.add(dc.sum_all(dc.mul(dc.mul(head, head), probe[0])),
                       dc.sum_all(dc.mul(tail, probe[1])))
 
@@ -366,7 +437,7 @@ def test_column_range_gradients_match_finite_differences():
 def test_work_on_constants_alone_is_folded_and_recorded_nowhere():
     rng = np.random.default_rng(6)
     a, ones = dc.Constant(rng.normal(size=(2, 3))), dc.Constant(np.ones((1, 3)))
-    b, w = dc.Selector(np.eye(3)[:, [2, 0]]), Tensor(rng.normal(size=(2, 3)))
+    b, w = dc.Selector([2, 0], 3), Tensor(rng.normal(size=(2, 3)))
     with Tape() as tape:
         folded = [dc.matmul_or_constant(a, b), dc.concat_or_constant([a, ones], axis=0),
                   dc.concat_or_constant([a, a], axis=1)]
@@ -375,7 +446,8 @@ def test_work_on_constants_alone_is_folded_and_recorded_nowhere():
         assert len(tape) == 2
     assert all(type(t) is dc.Constant for t in folded)
     assert all(type(t) is Tensor for t in mixed)
-    plain = [dc.matmul(a, b), dc.concat([a, ones], axis=0), dc.concat([a, a], axis=1)]
+    plain = [dc.matmul(a, dc.Constant(np.eye(3)[:, [2, 0]])), dc.concat([a, ones], axis=0),
+             dc.concat([a, a], axis=1)]
     assert [t.values.tobytes() for t in folded] == [t.values.tobytes() for t in plain]
     # the checks of the primitives stay
     big = dc.Constant([[1e200]])
@@ -1080,7 +1152,7 @@ def test_one_adjoint_sums_factor_pairs_picks_and_dense_terms_in_order():
             elif k in ds:
                 y = dc.mul(w, dc.Constant(ds[k]))
             else:
-                y = dc.matmul(w, dc.ColumnRange(*ranges[k], 6))
+                y = dc.matmul(w, dc.Selector(slice(*ranges[k]), 6))
             cs[k] = rng.normal(size=y.shape)
             term = dc.sum_all(dc.mul(y, dc.Constant(cs[k])))
             loss = term if loss is None else dc.add(loss, term)
@@ -1170,9 +1242,9 @@ class OpGraph:
     row of ones, as a folded bias), ``x`` enters through a product with a
     constant, and ``y`` and ``z`` directly, so one op may hand both the same
     adjoint. Each op's operands may be one tensor. ``pick`` picks columns
-    of a sigmoid output by a ``Selector``, repeating some and dropping
-    others. ``columns`` joins a run of one operand's columns and an
-    overlapping run of the other's, picked by ``ColumnRange``, as a scene
+    of a sigmoid output by an index ``Selector``, repeating some and
+    dropping others. ``columns`` joins a run of one operand's columns and an
+    overlapping run of the other's, picked by slice ``Selector``s, as a scene
     step picks a pair's column of a pair block. ``softmax_runs`` normalizes
     each run of ``run`` columns of a score row, and ``sum_runs`` sums each
     run of one operand's columns weighted by a score row of the other, as
@@ -1196,14 +1268,15 @@ class OpGraph:
         self.target = dc.Constant(rng.normal(size=(r, width)) / (r * width))
         self.mask = rng.random(width) < 0.7
         self.mask[0] = True
-        self.pick = dc.Selector(np.eye(width)[:, rng.integers(0, width, width)])
+        self.pick = dc.Selector(rng.integers(0, width, width), width)
         split = int(rng.integers(0, width + 1))
         start = int(rng.integers(0, split + 1))
-        self.head = dc.ColumnRange(0, split, width)
-        self.tail = dc.ColumnRange(start, start + width - split, width)
+        self.head = dc.Selector(slice(0, split), width)
+        self.tail = dc.Selector(slice(start, start + width - split), width)
         self.run = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
         self.lift = dc.Constant(rng.normal(size=(r, 1)))
-        self.spread = dc.Constant(np.repeat(np.eye(width // self.run), self.run, axis=1))
+        runs = width // self.run
+        self.spread = dc.Selector(np.repeat(np.arange(runs), self.run), runs)
 
     def forward(self, ops):
         """The scalar root. Every tensor made on the way goes to ``built``,
@@ -1284,8 +1357,9 @@ def test_backward_on_random_op_graphs(spec):
         cols = t.values[:, :4]
         fd = fd_grad(lambda: graph.forward(ops).item(), cols, h=1e-6)
         assert rel_err(t.grad[:, :4], fd) <= 1e-4, name
+    # a selector holds indices, no array a grad could share
     values = [t.values for t in (*graph.built, *leaves, *vars(graph).values())
-              if isinstance(t, Tensor)]
+              if isinstance(t, Tensor) and type(t) is not dc.Selector]
     grads = [t.grad for t in leaves if t.grad is not None]
     for k, g in enumerate(grads):
         assert not any(np.shares_memory(g, other) for other in values + grads[k + 1:])

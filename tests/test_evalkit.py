@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import sralstm.diffcore as dc
 import sralstm.evalkit as ek
 import sralstm.model as md
 import sralstm.pipeline as pl
@@ -297,6 +298,19 @@ def test_evaluate_rolls_out_one_stack_per_cap_of_pedestrians(monkeypatch):
     calls.clear()
     evaluate(ModelParams.init(SMALL, seed=6), [big, big])
     assert [len(stack) for stack, _ in calls] == [1, 1]
+
+
+def test_a_tape_free_evaluation_builds_no_one_hot_matrix(monkeypatch):
+    # the gathers pick columns by index; only a backward pass replays one
+    # as the one-hot product it stands for
+    built, transpose = [], dc.Selector.transpose
+    monkeypatch.setattr(dc.Selector, "transpose", lambda s: built.append(s.rows) or transpose(s))
+    params = ModelParams.init(SMALL, seed=3)
+    windows = [random_walk_window(12, seed=s) for s in (1, 2)]
+    evaluate(params, windows)
+    assert built == []
+    pl.train_step(params, dc.AdamState(params.tensors()), windows[0])
+    assert built
 
 
 def test_records_and_ade_keep_the_input_order():

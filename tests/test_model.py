@@ -313,7 +313,8 @@ def test_scene_state_zero_start_and_canonical_roster():
         assert np.array_equal(t.values, np.zeros((4, 1)))
     # pedestrian k's neighbors are the run of columns 2k, 2k + 1
     assert state.width == 2
-    assert [(p.lo, p.hi) for p in state.pick] == [(col, col + 1) for col in range(6)]
+    assert [(p.index, p.rows) for p in state.pick] == \
+        [(slice(col, col + 1), 6) for col in range(6)]
     lone = SceneState.initial([4], 4)
     assert lone.r.shape == (4, 0) and lone.cr == [] and lone.pick == []
     assert lone.width == 0
@@ -368,9 +369,17 @@ def test_a_stack_of_one_window_builds_the_plain_constants_exactly():
     stack = SceneState.initial([(0, p) for p in ids], hidden_dim=4, stacked=True)
     assert stack.ped_ids == [(0, p) for p in plain.ped_ids]
     for a, b in zip(plain.pick, stack.pick, strict=True):
-        assert type(a) is type(b) and (a.lo, a.hi, a.rows) == (b.lo, b.hi, b.rows)
+        assert type(a) is type(b) and (a.index, a.rows) == (b.index, b.rows)
     assert plain.width == stack.width == 3
-    for name in ("others", "own", "spread", "ones", "ones_pairs", "h", "c", "r"):
+    # the gathers hold the same indices, so they stand for the same one-hot
+    # matrices
+    for name in ("others", "own", "spread"):
+        a, b = getattr(plain, name), getattr(stack, name)
+        assert type(a) is type(b) and a.rows == b.rows
+        assert [t if t is None else t.tobytes() for t in (a.index, a.minus)] == \
+            [t if t is None else t.tobytes() for t in (b.index, b.minus)]
+        assert a.transpose().tobytes() == b.transpose().tobytes()
+    for name in ("ones", "ones_pairs", "h", "c", "r"):
         a, b = getattr(plain, name), getattr(stack, name)
         assert type(a) is type(b) and a.values.tobytes() == b.values.tobytes()
 
@@ -408,37 +417,46 @@ def test_scene_state_constants_take_no_gradient():
     constants = [state.others, state.own, state.spread, *state.pick,
                  state.ones, state.ones_pairs, state.h, state.c, state.r, *state.cr]
     assert all(isinstance(t, Constant) for t in constants)
-    # the one-hot matrices are selectors, the picks column ranges; spread's
-    # differences are no selector
-    assert type(state.others) is type(state.own) is dc.Selector
-    assert all(type(t) is dc.ColumnRange for t in state.pick)
-    assert not isinstance(state.spread, dc.Selector)
+    # the gathers and the picks are selectors: the gathers hold index
+    # arrays, spread a difference of two, and the picks slices
+    assert all(type(t) is dc.Selector for t in [state.others, state.own, state.spread,
+                                                *state.pick])
+    assert state.others.minus is None and state.own.minus is None
+    assert state.spread.index is state.others.index and state.spread.minus is state.own.index
+    assert all(type(t.index) is slice and t.minus is None for t in state.pick)
 
 
-def test_a_scene_state_of_100_pedestrians_stays_within_32_5_mib_of_arrays():
-    # 9,900 ordered pairs: a one-hot (N, 1) matrix per pair pick would take
-    # 784 MB, so the picks are column ranges that hold no array; the
-    # gathers and the relation states are O(n^3) and stay at the 32.5 MiB
-    # the per-pedestrian blocks took. Array bytes, not the process's RSS
+def test_a_scene_state_of_100_pedestrians_holds_under_1_mib_of_constants_and_11_mb_in_all():
+    # 9,900 ordered pairs: the gathers hold a column index per pair, and
+    # each pair pick a slice, so the constants are O(n^2); a one-hot (n, N)
+    # matrix would take 7.9 MB and an (N, 1) one per pick 784 MB. Only the
+    # zero relation states h x N and their cell states are larger. Array
+    # bytes, each index counted once per selector that holds it, not the
+    # process's RSS
     state = SceneState.initial(list(range(100)), hidden_dim=64)
     assert len(state.pick) == 9900
-    total = 0
+    constants = states = 0
     for f in fields(state):
         value = getattr(state, f.name)
         for t in value if isinstance(value, list) else [value]:
-            if type(t) is dc.ColumnRange:
-                assert not hasattr(t, "__dict__")   # only its range and vjp
+            if type(t) is dc.Selector:
+                assert not hasattr(t, "__dict__")   # only its index and rows
+                constants += sum(a.nbytes for a in (t.index, t.minus)
+                                 if isinstance(a, np.ndarray))
+            elif f.name in ("h", "c", "r", "cr"):
+                states += t.values.nbytes
             elif isinstance(t, Tensor):
-                total += t.values.nbytes
-    assert total <= 34_080_000
+                constants += t.values.nbytes
+    assert constants < 2**20
+    assert constants + states < 11_000_000
 
 
 def test_pair_store_keeps_directions_distinct():
     # pair column 0 is 1 toward 2, column 1 is 2 toward 1
     state = SceneState.initial([1, 2], hidden_dim=4)
     assert state.cr[0] is not state.cr[1]
-    assert state.others.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert state.own.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert state.others.transpose().T.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert state.own.transpose().T.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     state.cr[0] = Tensor(np.ones((4, 1)))
     assert np.array_equal(state.cr[1].values, np.zeros((4, 1)))
 

@@ -237,7 +237,7 @@ def _scripted_rollout_abs(params, window):
             h_i = dc.matmul(state.h, state.own)
             h_j = dc.matmul(state.h, state.others)
             w, pairs = state.width, len(state.pick)
-            runs = [dc.ColumnRange(lo, lo + w, pairs) for lo in range(0, pairs, w)]
+            runs = [dc.Selector(slice(lo, lo + w), pairs) for lo in range(0, pairs, w)]
             weights = dc.concat([
                 md.attention_weights(md.attention_logits(
                     params, cfg.strategy, *(dc.matmul(t, run) for t in (state.r, h_i, h_j))), w)
@@ -561,8 +561,26 @@ def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
         scene_step(params, state, pos, pos)
     picked = [(a, b) for a, b in right if any(b is pick for pick in state.pick)]
     assert len(picked) == picks
-    assert all(b.lo == col for (_, b), col in zip(picked, np.repeat(range(len(state.pick)), 3)))
-    assert [b for _, b in right if type(b) is dc.ColumnRange] == [b for _, b in picked]
+    assert all(b.index == slice(col, col + 1)
+               for (_, b), col in zip(picked, np.repeat(range(len(state.pick)), 3)))
+    assert [b for _, b in right if type(b) is dc.Selector and type(b.index) is slice] == \
+        [b for _, b in picked]
+
+
+def test_no_context_sum_takes_a_constant_as_an_input(monkeypatch):
+    # the first step's neighbor states are the zero constant; like matmul
+    # and concat, the context sum leaves a constant out of its inputs, so
+    # backward forms no adjoint for it
+    outputs, weighted_sum = [], dc.weighted_sum
+    monkeypatch.setattr(dc, "weighted_sum",
+                        lambda *a, **k: outputs.append(weighted_sum(*a, **k)) or outputs[-1])
+    window = random_walk_window(3, seed=3)
+    with dc.Tape() as tape:
+        rollout(small_params(seed=3), window)
+    nodes = [inputs for inputs, out, _ in tape.nodes if any(out is o for o in outputs)]
+    assert len(nodes) == len(outputs) == 19
+    assert [len(inputs) for inputs in nodes] == [1] + [2] * 18
+    assert not any(isinstance(t, dc.Constant) for inputs in nodes for t in inputs)
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -577,7 +595,8 @@ def test_pair_columns_and_their_adjoints_are_contiguous(n):
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
     picks = [out for _, out, vjp in tape.nodes
-             if type(vjp) is dc.ColumnRange and vjp.hi - vjp.lo == 1 and vjp.rows == pairs]
+             if type(vjp) is dc.Selector and type(vjp.index) is slice
+             and vjp.shape == (pairs, 1)]
     assert len(picks) == 19 * pairs * 3
     assert all(out.values.flags.c_contiguous for out in picks)
     handed = []

@@ -27,9 +27,11 @@ import os
 import sys
 import tempfile
 
-# sa and ra at 5 pedestrians put runs of 4 neighbors under every scorer
+# sa and ra at 5 pedestrians put runs of 4 neighbors under every scorer;
+# sra at 12 gathers 2N = 264 motion-state columns a step, so their factor
+# pairs cross CONTRACT_BLOCK
 CASES = ([(s, n) for s in ("none", "sa", "ra") for n in (1, 2, 3)]
-         + [("sra", n) for n in (1, 2, 3, 5, 8)] + [("sa", 5), ("ra", 5)])
+         + [("sra", n) for n in (1, 2, 3, 5, 8)] + [("sa", 5), ("ra", 5), ("sra", 12)])
 EPOCHS = 2
 WINDOWS = 2
 SEED = 0
