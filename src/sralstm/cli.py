@@ -32,8 +32,8 @@ from .data import (DataError, GRID_DT, MAX_TRACK_FRAMES, SCENARIO_KINDS, Scene,
 from .evalkit import ablate, evaluate
 from .model import AttentionStrategy, ModelConfig, ModelParams
 from .pipeline import (CLIP_NORM, CheckpointCorruptError, CheckpointError, OutputError,
-                       ParamMismatchError, atomic_write_text, load_checkpoint, open_regular,
-                       rollout, save_checkpoint, train_epoch, unique_keys)
+                       ParamMismatchError, atomic_write_text, json_value, load_checkpoint,
+                       open_regular, rollout, save_checkpoint, train_epoch)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,10 +96,8 @@ def _read_config_file(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file {path}: {e}") from e
     try:
-        obj = json.loads(text, object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as e:
-        # ValueError: bad JSON or a repeated key; RecursionError: arrays or
-        # objects nested too deeply to decode
+        obj = json_value(text)
+    except ValueError as e:
         raise UsageError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise UsageError(f"config file {path} must hold a JSON object")

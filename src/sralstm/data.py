@@ -13,6 +13,7 @@ interpolation per pedestrian before windows are built.
 from __future__ import annotations
 
 import decimal
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -28,8 +29,8 @@ GRID_DT = 0.4
 # without limit.
 MAX_TRACK_FRAMES = 10_000
 
-# The longest line, in characters, that ``parse_annotations`` reads from a
-# file. A data line is four numbers, some tens of characters, and a long
+# The longest line, in characters, that ``parse_annotations`` reads. A
+# data line is four numbers, some tens of characters, and a long
 # comment fits well within this; without a bound a file with no line end
 # (a binary or sparse file) would be read whole into one string before its
 # first line could be refused.
@@ -144,27 +145,20 @@ def _id(token: str) -> int:
 
 
 def parse_annotations(source) -> list:
-    """Parse annotation text (a string, open file, or line iterable).
+    """Parse annotation text, a string or an open text file.
 
-    A string splits into lines as a text-mode file does, at ``\n``,
-    ``\r\n`` and ``\r`` only, so it parses as the same text read from
-    a file. Raises AnnotationError with a 1-based line number for
-    malformed lines and for duplicate (frame, pedestrian) observations.
-    A file is read a line at a time, each of at most ``MAX_LINE_CHARS``
-    characters; a longer line is an AnnotationError.
+    A string is read as a text-mode file holding it, so the two parse
+    alike: lines end at ``\n``, ``\r\n`` and ``\r`` only, and are read
+    a line at a time, each of at most ``MAX_LINE_CHARS`` characters.
+    Raises AnnotationError with a 1-based line number for a longer line,
+    a malformed line and a duplicate (frame, pedestrian) observation.
     """
-    limit = None
-    if isinstance(source, str):
-        lines = io.StringIO(source, newline=None)
-    elif hasattr(source, "readline"):
-        limit = MAX_LINE_CHARS
-        lines = iter(lambda: source.readline(limit), "")
-    else:
-        lines = source
+    f = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    lines = iter(functools.partial(f.readline, MAX_LINE_CHARS), "")
     rows: list[RawAnnotation] = []
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
-        if len(raw) == limit and not raw.endswith("\n"):
+        if len(raw) == MAX_LINE_CHARS and not raw.endswith("\n"):
             raise AnnotationError(
                 f"line {lineno}: longer than {MAX_LINE_CHARS - 1} characters")
         text = raw.split("#", 1)[0]
@@ -331,9 +325,6 @@ def leave_one_out(scenes: Mapping[str, Scene], held_out: str,
 # ---------------------------------------------------------------------------
 # synthetic scenarios
 
-SCENARIO_KINDS = ("parallel", "merging", "following", "meeting", "group_avoid")
-
-
 @dataclass(frozen=True)
 class SynthParams:
     speed: float = 1.2      # m/s
@@ -359,18 +350,11 @@ def synth_scenario(kind: str, params: Optional[SynthParams] = None,
                         f"{MAX_TRACK_FRAMES - p.frames} frames or more; frames plus lag "
                         f"must stay under {MAX_TRACK_FRAMES}")
     rng = np.random.default_rng(seed)
-    builders = {
-        "parallel": _synth_parallel,
-        "merging": _synth_merging,
-        "following": _synth_following,
-        "meeting": _synth_meeting,
-        "group_avoid": _synth_group_avoid,
-    }
-    if kind not in builders:
+    if kind not in _BUILDERS:
         raise DataError(f"unknown scenario kind {kind!r} (options: {', '.join(SCENARIO_KINDS)})")
     # overflow is caught by the finite check below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        tracks = builders[kind](p, rng)
+        tracks = _BUILDERS[kind](p, rng)
         if p.noise > 0:
             tracks = [pts + rng.normal(0.0, p.noise, size=pts.shape) for pts in tracks]
     scene = Scene(name=f"{kind}-{seed}")
@@ -490,6 +474,13 @@ def _synth_group_avoid(p: SynthParams, rng) -> list:
     u, a, b = _head_on(p, rng, 2.5, p.spacing)
     lane = _perp(u) * (p.spacing / 2.0)
     return [a - lane, a + lane, b - lane, b + lane]
+
+
+# kind -> builder, in a fixed order: perfbench/gen.py draws kinds by position
+_BUILDERS = {"parallel": _synth_parallel, "merging": _synth_merging,
+             "following": _synth_following, "meeting": _synth_meeting,
+             "group_avoid": _synth_group_avoid}
+SCENARIO_KINDS = tuple(_BUILDERS)
 
 
 def scene_to_annotation_text(scene: Scene) -> str:

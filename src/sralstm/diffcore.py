@@ -464,7 +464,8 @@ def _runs(op: str, size: int, width) -> tuple:
 def masked_softmax(logits: Tensor, mask=None, width=None) -> Tensor:
     """Softmax over the unmasked entries of a vector; masked entries are 0.
     Without a mask every entry is unmasked, and no mask is built; the
-    mask form's caller is acceptance gate 2's gradient suite. With a
+    mask form, whose caller is acceptance gate 2's gradient suite,
+    normalizes its unmasked entries as one run. With a
     ``width`` w instead, each run of w entries is normalized on its own,
     along its contiguous axis, with the bits of its own softmax: the
     segment softmax of graph attention (Velickovic et al. 2018,
@@ -479,10 +480,7 @@ def masked_softmax(logits: Tensor, mask=None, width=None) -> Tensor:
     if not flat.size:
         raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
     if mask is None:
-        unmasked = _runs("masked_softmax", flat.size, width)[1]
-        x = flat.reshape(-1, unmasked)
-        shifted = np.exp(x - x.max(axis=1, keepdims=True))
-        s = shifted / shifted.sum(axis=1, keepdims=True)
+        x = flat.reshape(-1, _runs("masked_softmax", flat.size, width)[1])
     else:
         if width is not None:
             raise ShapeMismatchError("masked_softmax takes a mask or a width, not both")
@@ -492,10 +490,12 @@ def masked_softmax(logits: Tensor, mask=None, width=None) -> Tensor:
                 f"masked_softmax: mask length {m.size} != logits length {flat.size}")
         if not m.any():
             raise EmptyNeighborSetError("masked_softmax over an empty neighbor set")
-        shifted = np.zeros((1, flat.size))
-        shifted[0, m] = np.exp(flat[m] - flat[m].max())
-        s = shifted / float(np.sum(shifted[0, m]))
-        unmasked = np.count_nonzero(m)
+        x = flat[m].reshape(1, -1)
+    shifted = np.exp(x - x.max(axis=1, keepdims=True))
+    s = shifted / shifted.sum(axis=1, keepdims=True)
+    if mask is not None:    # the one run, among zeros at the masked entries
+        run, s = s[0], np.zeros((1, flat.size))
+        s[0, m] = run
     out = _wrap(s.reshape(logits.shape))
     if _active_tape is not None:
         def vjp(g):
@@ -506,7 +506,7 @@ def masked_softmax(logits: Tensor, mask=None, width=None) -> Tensor:
             return ((s * (gs - inner)).reshape(out.shape),)
 
         _active_tape.nodes.append(
-            ((logits,), out, _no_adjoint if unmasked == 1 else vjp))
+            ((logits,), out, _no_adjoint if x.shape[1] == 1 else vjp))
     return out
 
 

@@ -379,15 +379,21 @@ def open_regular(path, mode: str = "rb", **kwargs):
         raise
 
 
-def unique_keys(pairs: list) -> dict:
-    """An ``object_pairs_hook`` for ``json.loads`` that refuses, with a
-    ValueError, a key repeated within one object instead of keeping its
-    last value."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return obj
+def json_value(text: str):
+    """text decoded as JSON. A key repeated within one object, which
+    ``json.loads`` would quietly give its last value, and arrays or objects
+    nested too deeply to decode are a ValueError, as bad JSON is."""
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError as e:
+        raise ValueError(str(e)) from e
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -457,11 +463,8 @@ def _read_checkpoint(path, f, size: int) -> Checkpoint:
         raise CheckpointCorruptError(f"{path} has a malformed header: it does not "
                                      f"start with '{{' but with {first!r}")
     try:
-        header = json.loads((first + f.read(header_len - 1)).decode("utf-8"),
-                            object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as e:
-        # ValueError: bad UTF-8, bad JSON or a repeated key; RecursionError:
-        # arrays or objects nested too deeply to decode
+        header = json_value((first + f.read(header_len - 1)).decode("utf-8"))
+    except ValueError as e:     # bad UTF-8 or malformed JSON
         raise CheckpointCorruptError(f"{path} has a malformed header: {e}") from e
     for key in ("config", "metadata", "arrays"):
         if key not in header:

@@ -6,6 +6,7 @@ disagree with the implementation if it is wrong.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -205,6 +206,77 @@ def reference_backward(tape, root) -> None:
     for key, t in holders.items():
         g = adjoint[key]
         t.grad = g.copy() if t.grad is None else t.grad + g
+
+
+# ---------------------------------------------------------------------------
+# the annotation grammar, as the README states it
+
+_LINE_END = re.compile(r"\r\n|\r|\n")
+_SEPARATORS = re.compile(r"[ \t]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# sign, integer digits, fraction digits, exponent; one digit at least
+_DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+
+
+def _reference_id(token):
+    """An id token's value: any integer, or a decimal of integral value at
+    most 2**53 in magnitude; None for anything else."""
+    if _INTEGER.fullmatch(token):
+        return int(token)
+    m = _DECIMAL.fullmatch(token)
+    if not m:
+        return None
+    digits = (m[2] + (m[3] or "")).lstrip("0")
+    if not digits:
+        return 0
+    shift = int(m[4] or 0) - len(m[3] or "")    # value = digits * 10**shift
+    if shift > 16 or -shift > len(digits):      # over 2**53, or a nonzero fraction
+        return None
+    if shift >= 0:
+        value = int(digits) * 10 ** shift
+    else:
+        value, rest = divmod(int(digits), 10 ** -shift)
+        if rest:
+            return None
+    return None if value > 2 ** 53 else (-value if m[1] == "-" else value)
+
+
+def _reference_coordinate(token):
+    """A coordinate token's value, a finite decimal float; None for anything else."""
+    if not _DECIMAL.fullmatch(token):
+        return None
+    value = float(token)
+    return value if abs(value) < float("inf") else None
+
+
+def reference_parse(text: str):
+    """The (frame, ped, x, y) rows of annotation text by the README's
+    grammar, or None where it refuses the text. Written from the grammar
+    alone: lines end at \\n, \\r\\n or \\r and hold at most 65,535
+    characters; a line's data part, the text before its first "#", is
+    blank (spaces and tabs) or four fields separated by spaces or tabs,
+    in printable ASCII other than "_"; ids are integers, or decimals of
+    integral value up to 2**53 in magnitude; coordinates are finite
+    decimal floats; no (frame, ped) pair repeats."""
+    rows, seen = [], set()
+    for line in _LINE_END.split(text):
+        if len(line) > 65_535:
+            return None
+        data = line.split("#", 1)[0]
+        if not data.strip(" \t"):
+            continue
+        if any(c == "_" or not (c == "\t" or " " <= c <= "~") for c in data):
+            return None
+        fields = _SEPARATORS.split(data.strip(" \t"))
+        if len(fields) != 4:
+            return None
+        frame, ped = _reference_id(fields[0]), _reference_id(fields[1])
+        x, y = _reference_coordinate(fields[2]), _reference_coordinate(fields[3])
+        if None in (frame, ped, x, y) or (frame, ped) in seen:
+            return None
+        seen.add((frame, ped))
+        rows.append((frame, ped, x, y))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ from sralstm.data import (AnnotationError, DataError, RawAnnotation, Scene,
                           SynthParams, Track, build_windows, leave_one_out,
                           parse_annotations, regrid, rotate_window,
                           scene_to_annotation_text, synth_scenario)
+from sralstm.pipeline import open_regular
+
+from helpers import reference_parse
 
 
 def gridded_scene(tracks, name="scene"):
@@ -67,16 +70,92 @@ def _parsed(source):
     ("0 1 0.0 0.0\u20281 1 0.5 0.5\n", "line 1: expected 4 fields, got 8"),
     ("0 1 0.0 0.0\r\n1 1 0.5 0.5\r\n", 2),
     ("0 1 0.0 0.0\r1 1 0.5 0.5\r2 1 1.0 1.0", 3),
-], ids=["form-feed", "next-line", "line-separator", "crlf", "cr"])
+    ("0 1 0.0 0.0\n#" + "x" * data.MAX_LINE_CHARS + "\n1 1 0.5 0.5\n",
+     "line 2: longer than 65535 characters"),
+], ids=["form-feed", "next-line", "line-separator", "crlf", "cr", "over-line-bound"])
 def test_parse_splits_a_string_into_lines_as_a_file_does(tmp_path, text, want):
     # before, str.splitlines() also broke the string at \x0c, \x85 and
-    # \u2028, so the string gave rows where the file gave an error
+    # \u2028, so the string gave rows where the file gave an error; and
+    # only a file's lines were bounded, so a string read a longer line
     path = tmp_path / "a.txt"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as f:
         from_file = _parsed(f)
     assert _parsed(text) == from_file
     assert (from_file if isinstance(want, str) else len(from_file)) == want
+
+
+# characters a mutation inserts or swaps in: Zs, Zl, Cc and Cf separators,
+# Nd digits, and the ASCII that makes or breaks a number or a comment
+MUTANTS = ["\u00a0", "\u2000", "\u3000", "\u2028", "\x00", "\x0b", "\x0c", "\x1c",
+           "\x1f", "\x7f", "\x85", "\u200b", "\u200e", "\ufeff", "\u0661", "\uff11",
+           "\U0001d7ce", "_", "+", "-", ".", "e", "E", "0", "5", "#", " ", "\t"]
+
+
+@st.composite
+def annotation_lines(draw):
+    """A data line, most often valid, or a comment or blank line, with
+    mostly no and at most two single-character edits: an insertion, a
+    replacement or a deletion."""
+    def number(valid, invalid):
+        # {} is a small integer, {u} its magnitude
+        k = draw(st.integers(-3, 12))
+        return draw(st.sampled_from(valid * 8 + invalid)).format(k, u=abs(k))
+
+    def id_():
+        return number(["{}", "+{u}", "{}.0", "{}.00e0", "{}e1", "{}0e-1", "9007199254740992.0"],
+                      ["{}.5", "{}e400", "9007199254740993.0", "nan", "inf"])
+
+    def coordinate():
+        return number(["{}", "{}.5", "-{u}.25", "{}e-3", "+.{u}", "{}.", "{}E2"],
+                      ["{}e999", "nan", "-inf", "{}_0"])
+
+    sep = st.sampled_from([" ", "\t", "  ", " \t"])
+    line = draw(st.sampled_from(["data"] * 4 + ["comment", "blank"]))
+    if line == "data":
+        text = (draw(st.sampled_from(["", " ", "\t"])) + id_() + draw(sep) + id_() + draw(sep)
+                + coordinate() + draw(sep) + coordinate()
+                + draw(st.sampled_from(["", " ", "  # \u00e9 1_0"])))
+    else:
+        text = "# caf\u00e9 \u0661_ 1 2 3 4" if line == "comment" else " \t "
+    edit = st.tuples(st.integers(0, 40), st.sampled_from(["insert", "replace", "delete"]),
+                     st.sampled_from(MUTANTS))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        at, how, c = draw(edit)
+        at %= len(text) + 1
+        text = text[:at] + ("" if how == "delete" else c) + text[at + (how != "insert"):]
+    return text
+
+
+@st.composite
+def annotation_texts(draw):
+    """Lines of annotation_lines, each ended by \\n, \\r\\n or \\r; the
+    text's last character is perhaps cut off."""
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in draw(st.lists(annotation_lines(), max_size=4)))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def test_parse_agrees_with_the_reference_grammar(tmp_path):
+    # a string and a file opened as the command line opens one give the
+    # rows the README's grammar gives, or an AnnotationError where it
+    # refuses the text; before, only an exit code was checked
+    path = tmp_path / "a.txt"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(annotation_texts())
+    def check(text):
+        want = reference_parse(text)
+        path.write_bytes(text.encode("utf-8"))
+        with open_regular(path, "r", encoding="utf-8") as f:
+            for got in (_parsed(text), _parsed(f)):
+                if want is None:
+                    assert isinstance(got, str)
+                else:
+                    assert [tuple(r) for r in got] == want
+                    assert all(type(r.frame) is int and type(r.ped) is int for r in got)
+
+    check()
 
 
 def test_parse_bad_number_reports_line():

@@ -845,6 +845,31 @@ def test_segment_forms_are_the_per_run_vector_forms_bit_for_bit(w):
         assert soft_vjp(g_weights) == (None,)
 
 
+def test_mask_form_is_one_run_of_the_segment_form_bit_for_bit():
+    # the mask form normalizes its unmasked entries as one segment run and
+    # scatters them among zeros; output and vjp keep the bits of its own
+    # former forward, inlined here, over random masks and vector shapes
+    rng = np.random.default_rng(3)
+    for case in range(3000):
+        k = int(rng.integers(1, 40))
+        shape = [(k,), (1, k), (k, 1)][case % 3]
+        flat = rng.normal(size=k) * rng.choice([0.1, 1.0, 10.0, 300.0])
+        mask = rng.random(k) < rng.random()
+        mask[rng.integers(k)] = True
+        g = rng.normal(size=shape)
+        shifted = np.zeros((1, k))
+        shifted[0, mask] = np.exp(flat[mask] - flat[mask].max())
+        s = shifted / float(np.sum(shifted[0, mask]))
+        gs = g.reshape(s.shape)
+        inner = np.matmul(gs[:, np.newaxis, :], s[:, :, np.newaxis])[:, 0]
+        out, vjp = _vjp_of(lambda: dc.masked_softmax(Tensor(flat.reshape(shape)), mask))
+        assert out.tobytes() == s.reshape(shape).tobytes()
+        if mask.sum() == 1:
+            assert vjp(g) == (None,)
+        else:
+            assert vjp(g)[0].tobytes() == (s * (gs - inner)).reshape(shape).tobytes()
+
+
 @pytest.mark.parametrize("w", [1, 2, 3, 7])
 def test_segment_forms_match_finite_differences(w):
     rng = np.random.default_rng(20 + w)

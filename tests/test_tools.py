@@ -94,3 +94,21 @@ def test_state_digest_prints_one_json_line_with_every_case():
     for losses in report["losses"].values():
         assert len(losses) == tool.EPOCHS
         assert all(float(loss) >= 0.0 for loss in losses)
+
+
+def test_code_lines_prints_total_and_code_lines(tmp_path):
+    package = tmp_path / "src" / "sralstm"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Module\ndocstring."""\n\n# a comment\nX = """not\na docstring"""\n\n\n'
+                                  'def f():\n    """One line."""\n    return X  # trailing\n')
+    (package / "b.py").write_text("")
+    proc = subprocess.run(
+        [sys.executable, os.path.join("tools", "code_lines.py"), str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # lines 5, 6, 9 and 11 of 11: a string that is no docstring counts
+    assert proc.stdout.splitlines() == ["total 11", "code 4"]
+    proc = subprocess.run(
+        [sys.executable, os.path.join("tools", "code_lines.py"), str(tmp_path / "none")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1 and "no src/sralstm/*.py" in proc.stderr
