@@ -36,6 +36,10 @@ MAX_TRACK_FRAMES = 10_000
 # first line could be refused.
 MAX_LINE_CHARS = 2**16
 
+# The largest magnitude of a frame or pedestrian id, for integer and
+# integral-float tokens alike: every id up to it is exact as a float64.
+MAX_ID = 2**53
+
 CANONICAL_SCENES = ("ETH-univ", "ETH-hotel", "UCY-zara01", "UCY-zara02", "UCY-univ")
 
 
@@ -127,21 +131,32 @@ class TrajectoryWindow:
 
 
 def _id(token: str) -> int:
-    """A frame or pedestrian id token as an int. Besides integers this reads
-    floats of integral value up to 2**53 in magnitude, such as "780.0", as
-    ETH/UCY text files commonly write their ids; anything else is a
+    """A frame or pedestrian id token as an int of magnitude at most
+    ``MAX_ID``: an integer, or a float of integral value such as "780.0",
+    as ETH/UCY text files commonly write their ids; anything else is a
     ValueError."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        pass
-    try:
-        d = decimal.Decimal(token)
-    except decimal.InvalidOperation:
-        raise ValueError(token) from None
-    if not (d.is_finite() and -2 ** 53 <= d <= 2 ** 53 and d == d.to_integral_value()):
+        signed = token[:1] in ("+", "-")
+        if token[signed:].isdigit():
+            # an integer of more digits than the interpreter lets int read
+            # (at least 640): read again without its leading zeros; if int
+            # still refuses it, it is far over MAX_ID, so the limit never
+            # decides
+            value = int(token[:signed] + (token[signed:].lstrip("0") or "0"))
+        else:
+            try:
+                d = decimal.Decimal(token)
+            except decimal.InvalidOperation:
+                raise ValueError(token) from None
+            if not (d.is_finite() and -MAX_ID <= d <= MAX_ID and d == d.to_integral_value()):
+                raise ValueError(token)
+            return int(d)
+    # no integer of at most 15 characters is over the bound
+    if len(token) > 15 and abs(value) > MAX_ID:
         raise ValueError(token)
-    return int(d)
+    return value
 
 
 def parse_annotations(source) -> list:
@@ -181,7 +196,7 @@ def parse_annotations(source) -> list:
             ped = _id(parts[1])
         except ValueError:
             raise AnnotationError(
-                f"line {lineno}: frame_id and ped_id must be integers"
+                f"line {lineno}: frame_id and ped_id must be integers of magnitude at most 2^53"
             ) from None
         try:
             x = float(parts[2])

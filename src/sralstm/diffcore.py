@@ -8,8 +8,9 @@ Conventions:
   * all values are float64 numpy arrays, row-major, except three kinds
     whose columns are read or written one at a time, which are
     column-major: the relation gate blocks of ``model.relation_gates``,
-    the adjoint an axis-1 ``concat`` hands its inputs, and ``backward``'s
-    buffers of picked columns. A scene's pair blocks (laid out as
+    the adjoint an axis-1 ``concat`` hands its inputs, and the adjoint
+    ``backward`` joins from the pieces of an axis-1 ``split``. A scene's
+    pair blocks (laid out as
     ``model``'s docstring states) are wider than the cache, and an op on
     a strided (h, 1) column took about twice as long. A product's output
     is made column-major by a copy after the product: the copy keeps
@@ -29,13 +30,15 @@ Conventions:
     ``concat_or_constant`` do work on constants alone without the tape
     and give a ``Constant``, so no node records what no gradient crosses;
   * a ``Selector`` is a one-hot matrix, or the difference of two, kept as
-    column indices: ``x @ s`` picks columns of ``x`` exactly, or exact
-    differences of two. With a slice it is a view of ``x``, the only op
-    output that shares memory with an input; with an int array, a
-    row-major gather;
+    an int array of column indices: ``x @ s`` gathers columns of ``x``
+    exactly, or exact differences of two, into a row-major array;
+  * ``split`` is no primitive: it cuts a tensor into equal views, which
+    record no node. Its pieces share their base's memory; no op output
+    shares memory with an input;
   * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
-    ``sigmoid`` and ``tanh``, the product of two such tensors, and the
-    columns a ``Selector`` without ``minus`` picks from one.
+    ``sigmoid`` and ``tanh``, the product of two such tensors, the
+    columns a ``Selector`` without ``minus`` picks from one and the
+    pieces of one.
 
 Only the ops that can turn finite inputs into a non-finite output check
 it: ``matmul``, ``sub``, ``exp``, ``weighted_sum``, ``sum_all`` and
@@ -44,7 +47,7 @@ takes differences), and so can ``mul`` and ``add`` unless an
 operand is ``Bounded``. A product with such an operand is at most the
 other operand in magnitude, and a sum at most one more, which rounds to
 the largest float64 at worst; so an LSTM cell's products and its sum run
-unchecked, on a whole block or on columns picked from one. The check
+unchecked, on a whole block or on pieces split from one. The check
 first tests the self dot product of the output, and runs the exact
 elementwise test only when that is not finite (a NaN, an infinity, or
 finite values whose squares overflow). The other ops are bounded on
@@ -71,14 +74,14 @@ kept lean accordingly:
     freeing each node and its output's adjoint as it replays it, and fills
     the grads of leaves only. Every sum of two contributions is a new
     array, and the only arrays it writes are a contraction it has just
-    computed and a zero buffer it made itself, so never one a vjp
+    computed and the array it joins a split's pieces into, so never one a vjp
     returned: the incoming adjoint itself (``add``), a view of it or of
     its column-major copy (``concat``) or the root's seed of ones;
-  * a slice ``Selector``'s product adds its adjoint into those columns of
-    one zero buffer per operand, exact as the one-hot product is, with no
-    product and no (N, N) matrix for N picks; an index ``Selector``'s
-    replays as that product, whose factor ``transpose`` builds then, so a
-    tape-free pass builds no one-hot matrix;
+  * a ``split`` notes its pieces on the tape instead of recording a node
+    per piece, and ``backward`` joins their adjoints into the base's with
+    one concatenate (see ``backward``); an index ``Selector``'s product
+    replays as the one-hot product, whose factor ``transpose`` builds
+    then, so a tape-free pass builds no one-hot matrix;
   * a weight's gradient is formed in few products, by one rule for every
     product. Each ``W @ x`` adds ``g @ x.T`` to ``W``'s adjoint; ``backward``
     keeps the factors ``g`` and ``x.T`` instead and sums them as
@@ -89,8 +92,7 @@ kept lean accordingly:
     same bits at 1 and 2 threads (see ``_contract``). A weight used once
     on one column gets the bits of its single outer product;
   * ``backward`` replays every node through its vjp, except a matmul,
-    which it replays inline to keep its factor pair or to place its
-    picked columns' adjoint;
+    which it replays inline to keep its factor pair;
   * a vjp returns None for an input whose adjoint is identically zero,
     and ``backward`` adds nothing for it; a node no adjoint reaches is not
     replayed, and a leaf none reaches keeps ``grad`` None. The case is
@@ -180,38 +182,33 @@ class Constant(Tensor):
 
 class Selector(Constant):
     """A (rows, k) one-hot matrix, column c ``e[index[c]]``, kept as its
-    ``index``, a slice or an int array; with ``minus``, column c is
+    int array ``index``; with ``minus``, column c is
     ``e[index[c]] - e[minus[c]]``. It has no ``values``: ``x @ s`` is
     ``pick(x)``, exact entries of x or exact differences, which alone can
     overflow. ``take`` gathers a row-major array, as a product gives.
-    ``backward`` replays an array pick as the one-hot product, with
+    ``backward`` replays a pick as the one-hot product, with
     ``transpose`` as its factor; called, a selector is that vjp."""
 
     __slots__ = ("index", "rows", "minus")
 
     def __init__(self, index, rows: int, minus=None):
-        if type(index) is slice:
-            ok = minus is None and index.step is None and 0 <= index.start <= index.stop <= rows
-        else:
-            index, minus = (a if a is None else np.asarray(a, np.intp) for a in (index, minus))
-            # a minus of another shape makes np.stack raise ValueError
-            both = np.stack([index, index if minus is None else minus])
-            ok = index.ndim == 1 and ((both >= 0) & (both < rows)).all()
-        if not ok:
+        index, minus = (a if a is None else np.asarray(a, np.intp) for a in (index, minus))
+        # a minus of another shape makes np.stack raise ValueError
+        both = np.stack([index, index if minus is None else minus])
+        if index.ndim != 1 or not ((both >= 0) & (both < rows)).all():
             raise ValueError(f"selector index outside {rows} columns")
         self.index, self.rows, self.minus, self.grad = index, rows, minus, None
 
     @property
     def shape(self):
-        return (self.rows, np.arange(self.rows)[self.index].size)
+        return (self.rows, self.index.size)
 
     def pick(self, x: np.ndarray) -> np.ndarray:
         """The product ``x @ s`` of a 2-D array x."""
         if x.ndim != 2 or x.shape[1] != self.rows:
             raise ShapeMismatchError(f"matmul: shapes {x.shape} and {self.shape} do not chain")
-        if self.minus is not None:
-            return x.take(self.index, axis=1) - x.take(self.minus, axis=1)
-        return x[:, self.index] if type(self.index) is slice else x.take(self.index, axis=1)
+        taken = x.take(self.index, axis=1)
+        return taken if self.minus is None else taken - x.take(self.minus, axis=1)
 
     def transpose(self) -> np.ndarray:
         """The (k, rows) transpose of the matrix, column-major as a
@@ -262,6 +259,8 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[tuple] = []   # (inputs, output, vjp)
+        self.splits: dict = {}         # base -> (its pieces, axis), per split
+        self.pieces: set = set()       # every piece of those splits
         self._gc_was_enabled = False
 
     def __enter__(self) -> "Tape":
@@ -594,6 +593,35 @@ def concat_or_constant(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# views
+
+def split(x: Tensor, k: int, axis: int) -> list:
+    """k equal views of x along ``axis`` (0 or 1), each of x's class, so
+    the pieces of a ``Bounded`` block are ``Bounded``. No primitive: it
+    records no node. Under a tape it notes x's pieces there, and
+    ``backward`` joins their adjoints into x's. A tensor is split at most
+    once on one tape, and a piece not at all, so each piece's adjoint has
+    one place in one base: a second split is a ValueError."""
+    v = x.values
+    if v.ndim != 2 or axis not in (0, 1) or k < 1 or v.shape[axis] % k:
+        raise ShapeMismatchError(f"split: {k} equal pieces along axis {axis} of shape {x.shape}")
+    w, cls = v.shape[axis] // k, type(x)
+    pieces = []
+    for lo in range(0, v.shape[axis], w):
+        # _wrap's body, inline: its call cost about as much as the view
+        piece = cls.__new__(cls)
+        piece.values, piece.grad = v[:, lo:lo + w] if axis else v[lo:lo + w], None
+        pieces.append(piece)
+    tape = _active_tape
+    if tape is not None and not isinstance(x, Constant):
+        if x in tape.splits or x in tape.pieces:
+            raise ValueError("split: a tensor split on this tape, or a piece of one, is split again")
+        tape.splits[x] = pieces, axis
+        tape.pieces.update(pieces)
+    return pieces
+
+
+# ---------------------------------------------------------------------------
 # reverse pass
 
 # pending factor columns at which ``backward`` contracts a tensor's pairs
@@ -622,13 +650,15 @@ def _contract(gs: list, bts: list) -> np.ndarray:
 
 class _Adjoint:
     """A tensor's adjoint in ``backward`` once it is a matmul's left operand
-    or is picked: the dense sum (``+`` adds to it, as to an array), pending
-    factor pairs with their column count, and the buffer of picked columns."""
+    or is split: the dense sum (``+`` adds to it, as to an array), pending
+    factor pairs with their column count, and the pieces and axis of its
+    split."""
 
-    __slots__ = ("dense", "columns", "gs", "bts", "placed")
+    __slots__ = ("dense", "columns", "gs", "bts", "pieces", "axis")
 
-    def __init__(self, dense):
-        self.dense, self.columns, self.gs, self.bts, self.placed = dense, 0, [], [], None
+    def __init__(self, dense, pieces=None, axis=None):
+        self.dense, self.columns, self.gs, self.bts = dense, 0, [], []
+        self.pieces, self.axis = pieces, axis
 
     def __add__(self, g):
         self.dense = g if self.dense is None else self.dense + g
@@ -639,14 +669,30 @@ class _Adjoint:
         self.columns, self.gs, self.bts = 0, [], []
         return g
 
-    def total(self):
-        """The pending pairs' contraction, plus the picked columns, plus
-        the dense sum, in that order; None if nothing was added."""
+    def total(self, table: dict):
+        """The pending pairs' contraction, plus the pieces' joined
+        adjoints, plus the dense sum, in that order; None if nothing was
+        added. The pieces' adjoints are taken out of the adjoint table."""
         g = self.contract() if self.gs else None
-        for part in (self.placed, self.dense):
-            if part is not None:
-                g = part if g is None else g + part
+        # a split none of whose pieces was reached costs one membership pass
+        if self.pieces and any(map(table.__contains__, self.pieces)):
+            part = self.joined(table)
+            g = part if g is None else g + part
+        if self.dense is not None:
+            g = self.dense if g is None else g + self.dense
         return g
+
+    def joined(self, table: dict) -> np.ndarray:
+        """The pieces' adjoints in one array, zeros for a piece none
+        reached, column-major along axis 1."""
+        pop = table.pop
+        gs = [pop(p, None) for p in self.pieces]
+        gs = [np.zeros(p.shape) if g is None else g.total(table) if type(g) is _Adjoint else g
+              for p, g in zip(self.pieces, gs)]
+        rows, cols = self.pieces[0].shape
+        k = len(gs)
+        out = np.empty((rows, cols * k), order="F") if self.axis else np.empty((rows * k, cols))
+        return np.concatenate(gs, axis=self.axis, out=out)
 
 
 def backward(tape: Tape, root: Tensor) -> None:
@@ -658,14 +704,20 @@ def backward(tape: Tape, root: Tensor) -> None:
 
     An adjoint is an array, or an ``_Adjoint`` once the tensor is a
     matmul's left operand, whose factor pairs ``(g, bt)`` are contracted
-    per ``CONTRACT_BLOCK`` columns, or a slice ``Selector``'s, whose picked
-    columns' adjoints go into a zero buffer. ``finish`` takes the whole
-    adjoint when the tensor's node is replayed or, for a leaf, at the end.
+    per ``CONTRACT_BLOCK`` columns, or the base of a ``split``, whose
+    pieces' adjoints are joined into it. ``finish`` takes the whole
+    adjoint when the tensor's node is replayed or, for a leaf, at the end;
+    a split's pieces are consumers of its base, so by then every node that
+    reads one has replayed.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
-    # tensors hash by identity, so they key their own adjoints
+    # tensors hash by identity, so they key their own adjoints; each split
+    # base's entry, made first, holds its pieces
     adjoint: dict = {root: np.ones_like(root.values)}
+    for x, (pieces, axis) in tape.splits.items():
+        adjoint[x] = _Adjoint(adjoint.get(x), pieces, axis)
+    tape.splits, tape.pieces = {}, set()
     get, pop, nodes = adjoint.get, adjoint.pop, tape.nodes
 
     def entry(t: Tensor) -> _Adjoint:
@@ -677,22 +729,15 @@ def backward(tape: Tape, root: Tensor) -> None:
     def finish(t: Tensor):
         """t's whole adjoint, or None if it got no contribution."""
         g = pop(t, None)
-        return g.total() if type(g) is _Adjoint else g
+        return g.total(adjoint) if type(g) is _Adjoint else g
 
     while nodes:
         inputs, output, vjp = nodes.pop()
         g = finish(output)
         if g is None or not inputs:
             continue
-        # a slice pick adds its adjoint into its operand's buffer; an
-        # array pick replays as the one-hot product it stands for
+        # a pick replays as the one-hot product it stands for
         if type(vjp) is Selector:
-            if type(vjp.index) is slice:
-                acc = entry(inputs[0])
-                if acc.placed is None:
-                    acc.placed = np.zeros((g.shape[0], vjp.rows), order="F")
-                acc.placed[:, vjp.index] += g
-                continue
             vjp = _MatmulVjp(None, vjp.transpose())
         # a matmul replays inline, keeping its left operand's factor pair
         if type(vjp) is _MatmulVjp:
@@ -713,8 +758,9 @@ def backward(tape: Tape, root: Tensor) -> None:
             prev = get(t)
             adjoint[t] = gi if prev is None else prev + gi
     # each produced tensor's adjoint went with its node, so only leaves are
-    # left; a first grad is a private copy, since the adjoint may be an
-    # array a vjp also handed to another tensor
+    # left, each leaf base's entry before its pieces'; a first grad is a
+    # private copy, since the adjoint may be an array a vjp also handed to
+    # another tensor
     for t in list(adjoint):
         g = finish(t)
         if g is None or isinstance(t, Constant):

@@ -43,14 +43,15 @@ scene; the softmax and the context sum take each run as a segment
 (``width=w``). Columns move by products with ``dc.Selector`` constants,
 which hold column indices and stand for one-hot matrices, so each
 output entry is exactly one input entry (one difference for a
-displacement):
+displacement), or as views:
 
   * ``H @ others`` gathers every pair's neighbor column j, ``H @ own``
     repeats every pair's own column k, and ``P @ spread``, the selector
     of j minus k, is exactly ``p_j - p_k`` for every pair; each holds an
     index per pair, O(n^2) in all;
-  * ``state.pick[col]``, a slice selector, picks one pair's column of a
-    gate block as a view.
+  * ``dc.split`` cuts each activated gate block into its N pair columns,
+    views that record no tape node, and ``relation_step`` takes its
+    pair's column of each by index.
 
 Work on constants alone (observed positions, the zero motion state of
 the first step) goes through ``dc.matmul_or_constant`` and
@@ -251,10 +252,11 @@ class SceneState:
     change a result bit.
 
     The constants are the selectors ``others``, ``own`` and ``spread``
-    (an index per pair), the pair picks ``pick`` (a slice each) and the
-    run width ``width``, built here, and the folded weights, built by
-    ``fold`` on first use. ``len(pick)`` is N, and ``width`` is 0, for
-    lone pedestrians.
+    (an index per pair) and the run width ``width``, built here, and the
+    folded weights, built by ``fold`` on first use. A pair's column of
+    each gate block is the piece ``relation_gates`` splits off, so the
+    state keeps no per-pair constant. ``len(cr)`` is N, and ``width`` is
+    0, for lone pedestrians.
     """
 
     ped_ids: list
@@ -265,7 +267,6 @@ class SceneState:
     others: Selector      # pair column k w + m picks k's m-th neighbor
     own: Selector         # pair column k w + m picks k
     spread: Selector      # others minus own
-    pick: list            # N Selectors: pair column col of an (·, N) block
     width: int            # pair columns per pedestrian: its run's width
     ones: Tensor          # (1, n)
     ones_pairs: Tensor    # (1, N)
@@ -304,8 +305,7 @@ class SceneState:
         return cls(
             ped_ids=ids, h=zeros((hidden_dim, n)), c=zeros((hidden_dim, n)),
             r=zeros((hidden_dim, pairs)), cr=[zeros((hidden_dim, 1)) for _ in range(pairs)],
-            others=Selector(j, n), own=Selector(k, n), spread=Selector(j, n, minus=k),
-            pick=[Selector(slice(col, col + 1), pairs) for col in range(pairs)], width=width,
+            others=Selector(j, n), own=Selector(k, n), spread=Selector(j, n, minus=k), width=width,
             ones=Constant(np.ones((1, n))), ones_pairs=Constant(np.ones((1, pairs))))
 
     def fold(self, params: ModelParams, name: str):
@@ -364,28 +364,30 @@ def relation_gates(params: ModelParams, state: SceneState, e: Tensor) -> tuple:
     """The activated gates of every relation cell of the scene, from the
     (e, N) embedded displacements of this step and the relation states of
     the last: the forget gate f, the input gate times the candidate, i*g,
-    and the output gate o, three ``Bounded`` (hidden, N) blocks, a column
-    per ordered pair. None of them reads a cell state, so each op runs
-    once on the whole block.
+    and the output gate o, three ``Bounded`` (hidden, N) blocks, each
+    split into its N pair columns (``dc.split``, views that record no
+    node). None of them reads a cell state, so each op runs once on the
+    whole block.
 
     The gate products are copied column-major before activation, by the
     rule of ``diffcore``'s conventions, so the column each pair's
-    ``relation_step`` picks is contiguous."""
+    ``relation_step`` reads is contiguous."""
     i, f, g, o = _gate_products(state.fold(params, "rel"), [e], state.r, state.ones_pairs)
     for t in (i, f, g, o):
         t.values = np.asfortranarray(t.values)
-    return dc.sigmoid(f), dc.mul(dc.sigmoid(i), dc.tanh(g)), dc.sigmoid(o)
+    pairs = len(state.cr)
+    return (dc.split(dc.sigmoid(f), pairs, axis=1),
+            dc.split(dc.mul(dc.sigmoid(i), dc.tanh(g)), pairs, axis=1),
+            dc.split(dc.sigmoid(o), pairs, axis=1))
 
 
 def relation_step(params: ModelParams, state: SceneState, col: int, gates):
     """Advance the relationship encoder of the ordered pair of column col,
-    on that column of the blocks ``relation_gates`` formed this step. Only
-    the memory update runs here, ``c = f*c + i*g`` and ``r = o*tanh(c)``.
-    Returns (r, cr) and keeps cr; ``pipeline.scene_step`` keeps the block
-    of the new r columns."""
-    f, ig, o = gates
-    pick = state.pick[col]
-    f, ig, o = dc.matmul(f, pick), dc.matmul(ig, pick), dc.matmul(o, pick)
+    on that column of the blocks ``relation_gates`` split this step. Only
+    the memory update runs here, ``c = f*c + i*g`` and ``r = o*tanh(c)``,
+    4 tape nodes. Returns (r, cr) and keeps cr; ``pipeline.scene_step``
+    keeps the block of the new r columns."""
+    f, ig, o = gates[0][col], gates[1][col], gates[2][col]
     c = state.cr[col] = dc.add(dc.mul(f, state.cr[col]), ig)
     return dc.mul(o, dc.tanh(c)), c
 

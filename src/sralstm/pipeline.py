@@ -104,7 +104,7 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
         if strategy is AttentionStrategy.SRA:
             gates = md.relation_gates(params, state, pair)
             pair = state.r = dc.concat([md.relation_step(params, state, col, gates)[0]
-                                        for col in range(len(state.pick))], axis=1)
+                                        for col in range(len(state.cr))], axis=1)
         weights = md.attention_weights(
             md.attention_logits(params, strategy, pair, h_i, h_j), state.width)
         if record_attention:
@@ -117,9 +117,7 @@ def scene_step(params: ModelParams, state: SceneState, nabs, abs_pos,
         return None, attention
     predictions = md.predict_offset(params, state)
     if by_ped:
-        n = len(state.ped_ids)
-        predictions = {p: dc.matmul(predictions, dc.Selector(slice(k, k + 1), n))
-                       for k, p in enumerate(state.ped_ids)}
+        predictions = dict(zip(state.ped_ids, dc.split(predictions, len(state.ped_ids), axis=1)))
     return predictions, attention
 
 
@@ -178,8 +176,8 @@ def rollout(params: ModelParams, windows, record_attention: bool = False) -> Rol
     peds = state.ped_ids
     track = np.stack([w.positions[w.index_of(p), :cfg.obs_len] for w, p in rows])
     anchors = track[:, -1]
-    reads_positions = bool(state.pick) and cfg.strategy in (AttentionStrategy.RA,
-                                                            AttentionStrategy.SRA)
+    reads_positions = bool(state.width) and cfg.strategy in (AttentionStrategy.RA,
+                                                             AttentionStrategy.SRA)
     anchor_columns = Constant(anchors.T) if reads_positions else None
     cur_abs = None
     steps = []

@@ -187,22 +187,45 @@ def reference_backward(tape, root) -> None:
     leaves. It reuses the tape's vjps: it checks how adjoints are
     accumulated, not the vjps. It fills every tensor's grad and leaves the
     tape as it was, so run it before ``diffcore.backward`` consumes the tape.
+
+    A split (``tape.splits``, base -> (pieces, axis)) is no node: just
+    before its base's node replays, or after the last node for a base no
+    node made, the pieces' adjoints, zeros for a piece none reached, are
+    joined along the axis and added last into the base's; a split none of
+    whose pieces was reached adds nothing.
     """
     if root.values.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
     adjoint = {id(root): np.ones_like(root.values)}
     holders = {id(root): root}
+
+    def add(t, g):
+        key = id(t)
+        prev = adjoint.get(key)
+        adjoint[key] = g if prev is None else prev + g
+        holders[key] = t
+
+    def join(base):
+        pieces, axis = tape.splits[base]
+        gs = [adjoint.get(id(p)) for p in pieces]
+        if any(g is not None for g in gs):
+            add(base, np.concatenate([np.zeros(p.shape) if g is None else g
+                                      for p, g in zip(pieces, gs)], axis=axis))
+
+    made = set()
     for inputs, output, vjp in reversed(tape.nodes):
+        made.add(id(output))
+        if output in tape.splits:
+            join(output)
         g = adjoint.get(id(output))
         if g is None:
             continue
         for t, gi in zip(inputs, vjp(g)):
-            if gi is None:
-                continue
-            key = id(t)
-            prev = adjoint.get(key)
-            adjoint[key] = gi if prev is None else prev + gi
-            holders[key] = t
+            if gi is not None:
+                add(t, gi)
+    for base in tape.splits:
+        if id(base) not in made:
+            join(base)
     for key, t in holders.items():
         g = adjoint[key]
         t.grad = g.copy() if t.grad is None else t.grad + g
@@ -213,31 +236,26 @@ def reference_backward(tape, root) -> None:
 
 _LINE_END = re.compile(r"\r\n|\r|\n")
 _SEPARATORS = re.compile(r"[ \t]+")
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 # sign, integer digits, fraction digits, exponent; one digit at least
 _DECIMAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 
 
 def _reference_id(token):
-    """An id token's value: any integer, or a decimal of integral value at
+    """An id token's value: an integer, or a decimal of integral value, at
     most 2**53 in magnitude; None for anything else."""
-    if _INTEGER.fullmatch(token):
-        return int(token)
     m = _DECIMAL.fullmatch(token)
     if not m:
         return None
     digits = (m[2] + (m[3] or "")).lstrip("0")
     if not digits:
         return 0
-    shift = int(m[4] or 0) - len(m[3] or "")    # value = digits * 10**shift
-    if shift > 16 or -shift > len(digits):      # over 2**53, or a nonzero fraction
+    # value = digits * 10**shift, with `whole` digits before the point; a
+    # nonzero digit leads, and 2**53 has 16 digits
+    shift = int(m[4] or 0) - len(m[3] or "")
+    whole = len(digits) + shift
+    if not 0 < whole <= 16 or digits[whole:].strip("0"):    # too large, or a fraction
         return None
-    if shift >= 0:
-        value = int(digits) * 10 ** shift
-    else:
-        value, rest = divmod(int(digits), 10 ** -shift)
-        if rest:
-            return None
+    value = int(digits[:whole] + "0" * max(shift, 0))
     return None if value > 2 ** 53 else (-value if m[1] == "-" else value)
 
 
@@ -256,7 +274,7 @@ def reference_parse(text: str):
     characters; a line's data part, the text before its first "#", is
     blank (spaces and tabs) or four fields separated by spaces or tabs,
     in printable ASCII other than "_"; ids are integers, or decimals of
-    integral value up to 2**53 in magnitude; coordinates are finite
+    integral value, up to 2**53 in magnitude; coordinates are finite
     decimal floats; no (frame, ped) pair repeats."""
     rows, seen = [], set()
     for line in _LINE_END.split(text):

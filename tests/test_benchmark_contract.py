@@ -4,9 +4,10 @@
 the autodiff primitives listed in its ``OPS``. A traced benchmark run fails
 when a wrapper never fires, or when the relationship LSTM runs other than
 19 n (n - 1) times per window; ``perfbench/counts.py`` reports tape nodes
-as counted primitive calls. These tests load ``spans.py`` as it is and
-hold the program to that contract, so a change to the scene step that
-would break the benchmark fails here first.
+as counted primitive calls. These tests load ``spans.py`` and
+``counts.py`` as they are and hold the program to that contract through
+their own counts, so the contract is written once, and a change to the
+scene step that would break the benchmark fails here first.
 """
 
 import importlib.util
@@ -37,35 +38,31 @@ def load_spans():
 SPANS = load_spans()
 
 
-def counting(monkeypatch, module, name: str, counts: dict):
-    """Replace module.name by a wrapper that counts its calls in counts[name]."""
-    fn = getattr(module, name)
-    counts[name] = 0
-
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
+def load_counts(monkeypatch):
+    """``perfbench/counts.py``, which imports spans.py as a sibling module."""
+    monkeypatch.syspath_prepend(os.path.dirname(SPANS_PATH))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_counts", os.path.join(os.path.dirname(SPANS_PATH), "counts.py"))
+    counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counts)
+    return counts
 
 
 @pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_relation_updates_and_tape_nodes_match_the_benchmark_counts(monkeypatch, strategy, n):
-    params = ModelParams.init(ModelConfig(embed_dim=6, hidden_dim=8, strategy=strategy),
-                              seed=n)
-    window = random_walk_window(n, seed=n)
-    calls = {}
-    counting(monkeypatch, md, "relation_step", calls)
-    pl.rollout(params, window)
-    assert calls["relation_step"] == (19 * n * (n - 1) if strategy == "sra" else 0)
-
-    ops = {}
-    for op in SPANS.OPS:
-        counting(monkeypatch, dc, op, ops)
+    # the benchmark's own counts: relation updates by the closed form, and
+    # counted primitive calls equal to the nodes a tape records on the
+    # same window and model
+    counts = load_counts(monkeypatch)
+    counted = counts.counts(strategy, n)
+    assert counted["model.relation_updates_per_window"] == \
+        (19 * n * (n - 1) if strategy == "sra" else 0)
+    params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
+    window = counts.window(n)
     with dc.Tape() as tape:
         pl.l2_loss(pl.rollout(params, window), pl.window_truth_nabs(window))
-    assert len(tape) == sum(ops.values())
+    assert len(tape) == counted["diffcore.tape_nodes_per_window"]
 
 
 def test_every_model_site_fires_in_an_sra_rollout():
@@ -86,13 +83,8 @@ def test_every_model_site_fires_in_an_sra_rollout():
 
 
 def test_readme_tape_node_table_matches_the_counts(monkeypatch):
-    # the README's "now" rows, against perfbench/counts.py's own counts;
-    # it imports spans.py as a sibling module
-    monkeypatch.syspath_prepend(os.path.dirname(SPANS_PATH))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_counts", os.path.join(os.path.dirname(SPANS_PATH), "counts.py"))
-    counts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(counts)
+    # the README's "now" rows, against perfbench/counts.py's own counts
+    counts = load_counts(monkeypatch)
     readme = Path(SPANS_PATH).parent.parent.joinpath("README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` now \|(.*)\|$", readme, re.M)
     table = {s: [int(c.replace(",", "")) for c in cells.split("|")] for s, cells in rows}

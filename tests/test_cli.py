@@ -792,10 +792,12 @@ def test_frame_ids_far_apart_are_data_error(tmp_path, trained, capsys):
 
 
 def test_frame_id_beyond_the_float_range_is_data_error(tmp_path, trained, capsys):
-    # before, OverflowError: int too large to convert to float
+    # before, OverflowError: int too large to convert to float; such an id
+    # is now over the ids' bound, so the parse refuses it
     assert predict_scene_text(tmp_path, trained,
                               straight_rows([0, 10 ** 400])) == EXIT_DATA
-    assert "pedestrian 1: frame times do not fit" in capsys.readouterr().err
+    assert "line 2: frame_id and ped_id must be integers of magnitude at most 2^53" in \
+        capsys.readouterr().err
 
 
 def test_coordinates_that_interpolate_to_non_finite_are_data_error(

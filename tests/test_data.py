@@ -223,6 +223,25 @@ def test_parse_ids_of_non_integral_or_unsafe_value_rejected(token):
             parse_annotations("0 1 0 0\n" + line + "\n")
 
 
+@pytest.mark.parametrize("token", ["1" * 4301, "-" + "9" * 5000, "9007199254740993",
+                                   "-9007199254740993", "1" + "0" * 16])
+def test_parse_integer_ids_beyond_2_to_the_53_are_refused_by_that_bound(token):
+    # before, an id of more than 4,300 digits met the interpreter's limit
+    # on integer strings (which PYTHONINTMAXSTRDIGITS moves) and was refused
+    # as no integer, while one of 17 to 4,300 digits was read
+    for line in (f"{token} 1 0 0", f"1 {token} 0 0"):
+        with pytest.raises(AnnotationError, match=r"line 2: frame_id and ped_id must be "
+                                                  r"integers of magnitude at most 2\^53$"):
+            parse_annotations("0 1 0 0\n" + line + "\n")
+
+
+def test_parse_zero_padded_ids_of_any_length():
+    rows = parse_annotations("0" * 5000 + "7 -" + "0" * 4400 + "9007199254740992 0 0\n"
+                             "+0000000000000000000000001.0 " + "0" * 4301 + " 1 1\n")
+    assert [(r.frame, r.ped) for r in rows] == [(7, -2 ** 53), (1, 0)]
+    assert all(type(r.frame) is int and type(r.ped) is int for r in rows)
+
+
 def test_parse_non_finite_coordinate_rejected():
     with pytest.raises(AnnotationError, match="non-finite"):
         parse_annotations("0 1 nan 0")

@@ -292,11 +292,11 @@ def test_a_selector_product_picks_exact_entries_and_takes_no_gradient(monkeypatc
 
 
 def _pick(kind: str, lo: int, hi: int, cols: int) -> dc.Tensor:
-    """Columns lo .. hi - 1 of cols, picked by a slice or an index
-    ``Selector``, or by the plain one-hot ``Constant`` both stand for."""
+    """Columns lo .. hi - 1 of cols, picked by an index ``Selector``, or
+    by the plain one-hot ``Constant`` it stands for."""
     if kind == "one-hot":
         return dc.Constant(np.eye(cols)[:, lo:hi])
-    return dc.Selector(slice(lo, hi) if kind == "slice" else np.arange(lo, hi), cols)
+    return dc.Selector(np.arange(lo, hi), cols)
 
 
 def _range_pick_root(x, ranges, weights, kind: str):
@@ -316,12 +316,12 @@ def test_a_column_range_product_is_the_one_hot_product_bit_for_bit(ranges):
     rng = np.random.default_rng(len(ranges))
     x = Tensor(rng.normal(size=(5, 7)))
     weights = [rng.normal(size=(5, hi - lo)) for lo, hi in ranges]
-    kinds = ("one-hot", "slice", "index")
-    one_hot, r, gather = (_pick(kind, *ranges[0], 7) for kind in kinds)
-    assert r.shape == gather.shape == one_hot.shape == (7, ranges[0][1] - ranges[0][0])
-    picked = [dc.matmul(x, pick).values for pick in (one_hot, r, gather)]
-    assert picked[0].tobytes() == picked[1].tobytes() == picked[2].tobytes()
-    assert np.shares_memory(picked[1], x.values)
+    kinds = ("one-hot", "index")
+    one_hot, gather = (_pick(kind, *ranges[0], 7) for kind in kinds)
+    assert gather.shape == one_hot.shape == (7, ranges[0][1] - ranges[0][0])
+    picked = [dc.matmul(x, pick).values for pick in (one_hot, gather)]
+    assert picked[0].tobytes() == picked[1].tobytes()
+    assert not np.shares_memory(picked[1], x.values)
     grads = []
     for kind in kinds:
         x.grad = None
@@ -330,7 +330,7 @@ def test_a_column_range_product_is_the_one_hot_product_bit_for_bit(ranges):
         dc.backward(tape, root)
         grads.append(x.grad)
     # overlapping picks of one tensor add their adjoints in replay order
-    assert grads[0].tobytes() == grads[1].tobytes() == grads[2].tobytes()
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_index_gathers_take_the_one_hot_products_gradient_bit_for_bit():
@@ -357,7 +357,7 @@ def test_index_gathers_take_the_one_hot_products_gradient_bit_for_bit():
 
 def test_a_column_range_picks_a_constant_or_a_bounded_operand():
     c = dc.Constant(np.arange(12.0).reshape(3, 4))
-    r = dc.Selector(slice(1, 3), 4)
+    r = dc.Selector([1, 2], 4)
     with Tape() as tape:
         folded = dc.matmul_or_constant(c, r)
         assert len(tape) == 0
@@ -372,12 +372,12 @@ def test_a_column_range_picks_a_constant_or_a_bounded_operand():
 
 
 def test_a_column_range_checks_its_range_and_its_operand():
-    for lo, hi in ((-1, 2), (3, 2), (0, 5)):
+    for index in ([-1, 0, 1], [3, 4], [0, 1, 2, 3, 4]):
         with pytest.raises(ValueError, match="outside 4 columns"):
-            dc.Selector(slice(lo, hi), 4)
+            dc.Selector(index, 4)
     for shape in ((3, 3), (3, 5), (4,), (2, 3, 4)):
         with pytest.raises(dc.ShapeMismatchError):
-            dc.matmul(Tensor(np.ones(shape)), dc.Selector(slice(0, 2), 4))
+            dc.matmul(Tensor(np.ones(shape)), dc.Selector([0, 1], 4))
 
 
 def test_a_selector_index_outside_its_rows_or_a_minus_of_another_length_is_refused():
@@ -387,9 +387,10 @@ def test_a_selector_index_outside_its_rows_or_a_minus_of_another_length_is_refus
     for minus in ([0], [0, 1, 2], [[0, 1]]):
         with pytest.raises(ValueError):
             dc.Selector([0, 1], 4, minus=minus)
-    # a slice picks a view and takes no difference
-    with pytest.raises(ValueError, match="outside 4 columns"):
-        dc.Selector(slice(0, 2), 4, minus=[0, 1])
+    # a view of columns is a piece of dc.split; a selector holds indices
+    for minus in (None, [0, 1]):
+        with pytest.raises(TypeError):
+            dc.Selector(slice(0, 2), 4, minus=minus)
     assert dc.Selector([], 0).shape == (0, 0)
 
 
@@ -409,7 +410,7 @@ def test_a_selector_difference_that_overflows_is_not_finite():
 
 def test_an_index_gather_keeps_a_bounded_operand_bounded():
     b = dc.tanh(Tensor([[0.5, -2.0, 3.0]]))
-    for pick in (dc.Selector([2, 0, 0], 3), dc.Selector(slice(1, 3), 3)):
+    for pick in (dc.Selector([2, 0, 0], 3), dc.Selector([1, 2], 3)):
         assert type(dc.matmul(b, pick)) is dc.Bounded
         assert type(dc.matmul(Tensor(b.values), pick)) is Tensor
     # a difference of two entries in [-1, 1] may leave it
@@ -422,8 +423,8 @@ def test_column_range_gradients_match_finite_differences():
     probe = [dc.Constant(rng.normal(size=(3, 3))), dc.Constant(rng.normal(size=(3, 1)))]
 
     def f():
-        head = dc.matmul(dc.tanh(x), dc.Selector(slice(1, 4), 6))
-        tail = dc.matmul(x, dc.Selector(slice(3, 4), 6))
+        head = dc.matmul(dc.tanh(x), dc.Selector([1, 2, 3], 6))
+        tail = dc.matmul(x, dc.Selector([3], 6))
         return dc.add(dc.sum_all(dc.mul(dc.mul(head, head), probe[0])),
                       dc.sum_all(dc.mul(tail, probe[1])))
 
@@ -432,6 +433,132 @@ def test_column_range_gradients_match_finite_differences():
     assert fd_check(lambda: f().item(), x) < FD_TOL
     # columns no range picks take an exact zero
     assert not x.grad[:, [0, 4, 5]].any()
+
+
+def test_split_cuts_equal_views_of_its_base_and_records_no_node():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(4, 6)))
+    b = dc.tanh(Tensor(rng.normal(size=(4, 6))))
+    c = dc.Constant(rng.normal(size=(4, 6)))
+    with Tape() as tape:
+        cols, rows, consts = dc.split(x, 3, axis=1), dc.split(b, 2, axis=0), dc.split(c, 6, 1)
+    assert len(tape) == 0
+    assert [p.shape for p in cols] == [(4, 2)] * 3 and [p.shape for p in rows] == [(2, 6)] * 2
+    for pieces, base, axis in ((cols, x, 1), (rows, b, 0), (consts, c, 1)):
+        # each of its base's class, so a bounded block's pieces are bounded
+        assert all(type(p) is type(base) for p in pieces)
+        assert all(np.shares_memory(p.values, base.values) for p in pieces)
+        joined = np.concatenate([p.values for p in pieces], axis=axis)
+        assert joined.tobytes() == base.values.tobytes()
+    # a constant takes no gradient, so its split is noted nowhere
+    assert list(tape.splits) == [x, b] and tape.pieces == {*cols, *rows}
+    assert [axis for _, axis in tape.splits.values()] == [1, 0]
+    # the column pieces of a column-major block, as a scene's gate block,
+    # are contiguous
+    block = Tensor(np.zeros((4, 5)))
+    block.values = np.asfortranarray(rng.normal(size=(4, 5)))
+    assert all(p.values.flags.c_contiguous for p in dc.split(block, 5, axis=1))
+
+
+def test_split_needs_equal_pieces_of_a_matrix_along_axis_0_or_1():
+    x = Tensor(np.ones((4, 6)))
+    for k, axis in ((4, 1), (0, 1), (3, 0), (2, 2), (2, -1)):
+        with pytest.raises(dc.ShapeMismatchError, match="split"):
+            dc.split(x, k, axis)
+    for shape in ((6,), (2, 2, 2)):
+        with pytest.raises(dc.ShapeMismatchError, match="split"):
+            dc.split(Tensor(np.ones(shape)), 2, 0)
+
+
+def test_a_tensor_is_split_once_per_tape_and_a_piece_not_at_all():
+    # each piece's adjoint has one place in one base; a second split of a
+    # tensor would otherwise take the place of the first
+    x = Tensor(np.ones((2, 4)))
+    with Tape() as tape:
+        pieces = dc.split(x, 2, axis=1)
+        for again in (lambda: dc.split(x, 2, axis=1), lambda: dc.split(x, 2, axis=0),
+                      lambda: dc.split(pieces[0], 2, axis=1)):
+            with pytest.raises(ValueError, match="split again"):
+                again()
+        assert tape.splits == {x: (pieces, 1)}
+        # a constant takes no gradient, so it may be split again
+        c = dc.Constant(np.ones((2, 4)))
+        assert len(dc.split(c, 2, axis=1)) == len(dc.split(c, 4, axis=1)) - 2
+    # without a tape nothing is noted, and backward empties the tape
+    assert len(dc.split(x, 4, axis=1)) == len(dc.split(x, 4, axis=1)) == 4
+    with Tape() as tape:
+        dc.split(x, 2, axis=1)
+        dc.backward(tape, dc.sum_all(x))
+        assert tape.splits == {} and tape.pieces == set()
+        dc.split(x, 2, axis=1)
+
+
+def test_a_split_joins_its_pieces_adjoints_into_its_base_exactly():
+    # piece 0 is used once and piece 3 twice; pieces 1 and 2 are not used,
+    # so their columns join as zeros. The join is one concatenate,
+    # column-major along the columns, and tanh's vjp scales it
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(3, 8)))
+    cs = [dc.Constant(rng.normal(size=(3, 2))) for _ in range(3)]
+    joined = []
+    with Tape() as tape:
+        t = dc.tanh(x)
+        pieces = dc.split(t, 4, axis=1)
+        terms = [dc.sum_all(dc.mul(pieces[k], c)) for k, c in zip((3, 0, 3), cs)]
+        root = dc.add(dc.add(terms[0], terms[1]), terms[2])
+    inputs, out, vjp = tape.nodes[0]
+    assert out is t
+    tape.nodes[0] = (inputs, out, lambda g: joined.append(g) or vjp(g))
+    reference_backward(tape, root)
+    want = x.grad
+    x.grad = None
+    dc.backward(tape, root)
+    assert x.grad.tobytes() == want.tobytes()
+    adjoint = np.hstack([cs[1].values, np.zeros((3, 4)), cs[0].values + cs[2].values])
+    # the reference pass replayed the node first
+    assert len(joined) == 2 and joined[1].flags.f_contiguous
+    assert joined[1].tobytes(order="A") == np.asfortranarray(adjoint).tobytes(order="A")
+    assert x.grad.tobytes() == (adjoint * (1.0 - t.values * t.values)).tobytes()
+
+
+def test_a_split_none_of_whose_pieces_is_reached_leaves_its_base_unreplayed():
+    # as at n = 2, where the one-neighbor softmax passes no adjoint to the
+    # relation encoder: no piece gets an adjoint, so neither does the base,
+    # its node is not replayed and the leaf behind it keeps grad None
+    rng = np.random.default_rng(11)
+    x, y = Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(1, 1)))
+    replayed = []
+    with Tape() as tape:
+        t = dc.tanh(x)
+        first, _, _ = dc.split(t, 3, axis=1)
+        weight = dc.masked_softmax(dc.matmul(dc.Constant(np.ones((1, 3))), first))
+        root = dc.sum_all(dc.mul(dc.mul(weight, y), y))
+    inputs, out, vjp = tape.nodes[0]
+    tape.nodes[0] = (inputs, out, lambda g: replayed.append(g) or vjp(g))
+    reference_backward(tape, root)
+    want = y.grad
+    dc.zero_grads([x, y, t])
+    dc.backward(tape, root)
+    assert replayed == [] and x.grad is None
+    assert y.grad.tobytes() == want.tobytes() == (2.0 * y.values).tobytes()
+
+
+def test_split_gradients_match_finite_differences():
+    # a leaf split by rows, and its tanh split by columns with one piece
+    # left out; the leaf's pieces join at the end, after every node
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(4, 6)))
+    probe = [dc.Constant(rng.normal(size=(4, 2))), dc.Constant(rng.normal(size=(2, 6)))]
+
+    def f():
+        a, _, c = dc.split(dc.tanh(x), 3, axis=1)
+        top, _ = dc.split(x, 2, axis=0)
+        return dc.add(dc.sum_all(dc.mul(dc.mul(a, c), probe[0])),
+                      dc.sum_all(dc.mul(dc.mul(top, top), probe[1])))
+
+    with Tape() as tape:
+        dc.backward(tape, f())
+    assert fd_check(lambda: f().item(), x) < FD_TOL
 
 
 def test_work_on_constants_alone_is_folded_and_recorded_nowhere():
@@ -1032,7 +1159,8 @@ def test_grad_reused_operand_sums_both_paths():
 def test_backward_matches_reference_bitwise_on_shared_operands():
     # add(x, x) hands the same adjoint to both slots; s feeds two concats
     # (their vjps hand out views) and two other ops, so its adjoint sums
-    # views and other contributions, each sum a new array
+    # views and other contributions, each sum a new array; wide's adjoint
+    # adds its split's joined pieces to its sigmoid's
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(3, 1)))
     y = Tensor(rng.normal(size=(2, 1)))
@@ -1041,10 +1169,12 @@ def test_backward_matches_reference_bitwise_on_shared_operands():
         s = dc.add(x, x)
         c = dc.concat([s, y], axis=0)
         wide = dc.concat([x, s, s], axis=1)
+        first, _, last = dc.split(wide, 3, axis=1)
         terms = [dc.sum_all(dc.tanh(dc.matmul(w, c))),
                  dc.sum_all(dc.mul(s, x)),
                  dc.sum_all(dc.sigmoid(wide)),
-                 dc.sum_all(dc.sub(s, x))]
+                 dc.sum_all(dc.sub(s, x)),
+                 dc.sum_all(dc.mul(first, last))]
         loss = terms[0]
         for term in terms[1:]:
             loss = dc.add(loss, term)
@@ -1157,19 +1287,20 @@ def test_weight_grad_adds_factors_and_dense_contributions(matmuls, dense):
 def test_one_adjoint_sums_factor_pairs_picks_and_dense_terms_in_order():
     # w is the left operand of three products whose factor pairs pass
     # CONTRACT_BLOCK columns, so one block is contracted mid-replay and the
-    # rest at the end; it is also picked by two overlapping column ranges
-    # and takes two dense adjoints. Each use's output adjoint is its
-    # constant c, and backward replays the uses last to first
+    # rest at the end; it is also split into three pairs of columns, two
+    # of them used, and takes two dense adjoints. Each use's output
+    # adjoint is its constant c, and backward replays the uses last to
+    # first
     rng = np.random.default_rng(21)
     w = Tensor(rng.normal(size=(4, 6)))
     xs = {"a": 50, "b": 220, "c": 100}
     xs = {k: rng.normal(size=(6, cols)) for k, cols in xs.items()}
     ds = {k: rng.normal(size=(4, 6)) for k in ("d1", "d2")}
-    ranges = {"p1": (1, 4), "p2": (3, 5)}
     order = ["a", "d1", "p1", "b", "d2", "p2", "c"]
     assert sum(x.shape[1] for x in xs.values()) > dc.CONTRACT_BLOCK
     cs = {}
     with Tape() as tape:
+        pieces = dict(zip(("p1", "unused", "p2"), dc.split(w, 3, axis=1)))
         loss = None
         for k in order:
             if k in xs:
@@ -1177,7 +1308,7 @@ def test_one_adjoint_sums_factor_pairs_picks_and_dense_terms_in_order():
             elif k in ds:
                 y = dc.mul(w, dc.Constant(ds[k]))
             else:
-                y = dc.matmul(w, dc.Selector(slice(*ranges[k]), 6))
+                y = pieces[k]
             cs[k] = rng.normal(size=y.shape)
             term = dc.sum_all(dc.mul(y, dc.Constant(cs[k])))
             loss = term if loss is None else dc.add(loss, term)
@@ -1187,11 +1318,10 @@ def test_one_adjoint_sums_factor_pairs_picks_and_dense_terms_in_order():
     dense = cs["d2"] * ds["d2"]
     dense = dense + dc._contract([cs["c"], cs["b"]], [xs["c"].T, xs["b"].T])
     dense = dense + cs["d1"] * ds["d1"]
-    placed = np.zeros((4, 6), order="F")
-    for k in ("p2", "p1"):
-        placed[:, slice(*ranges[k])] += cs[k]
+    # the unused piece's columns join as zeros, column-major
+    joined = np.asfortranarray(np.hstack([cs["p1"], np.zeros((4, 2)), cs["p2"]]))
     want = dc._contract([cs["a"]], [xs["a"].T])
-    want += placed
+    want += joined
     want += dense
     assert w.grad.tobytes() == want.tobytes()
 
@@ -1247,7 +1377,7 @@ UNARY = {"sigmoid": dc.sigmoid, "tanh": dc.tanh, "relu": dc.relu,
          "exp": lambda x: dc.exp(dc.tanh(x)), "scale": lambda x: dc.scale(x, -1.5)}
 BINARY = {"add": dc.add, "sub": dc.sub, "mul": dc.mul}
 GRAPH_OPS = (*UNARY, *BINARY, "weight", "rows", "mix", "stack", "join", "attend", "pick",
-             "columns", "softmax_runs", "sum_runs")
+             "split", "softmax_runs", "sum_runs")
 GRAPH_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
                           suppress_health_check=[HealthCheck.filter_too_much])
 
@@ -1268,9 +1398,10 @@ class OpGraph:
     constant, and ``y`` and ``z`` directly, so one op may hand both the same
     adjoint. Each op's operands may be one tensor. ``pick`` picks columns
     of a sigmoid output by an index ``Selector``, repeating some and
-    dropping others. ``columns`` joins a run of one operand's columns and an
-    overlapping run of the other's, picked by slice ``Selector``s, as a scene
-    step picks a pair's column of a pair block. ``softmax_runs`` normalizes
+    dropping others. ``split`` cuts a sigmoid output into runs of columns,
+    as a scene step splits a gate block into its pair columns, or into its
+    two rows, and joins the runs again with the first left out and the
+    last used twice, so one piece takes no adjoint. ``softmax_runs`` normalizes
     each run of ``run`` columns of a score row, and ``sum_runs`` sums each
     run of one operand's columns weighted by a score row of the other, as
     a scene step forms its attention weights and social contexts.
@@ -1294,10 +1425,6 @@ class OpGraph:
         self.mask = rng.random(width) < 0.7
         self.mask[0] = True
         self.pick = dc.Selector(rng.integers(0, width, width), width)
-        split = int(rng.integers(0, width + 1))
-        start = int(rng.integers(0, split + 1))
-        self.head = dc.Selector(slice(0, split), width)
-        self.tail = dc.Selector(slice(start, start + width - split), width)
         self.run = int(rng.choice([d for d in range(1, width + 1) if width % d == 0]))
         self.lift = dc.Constant(rng.normal(size=(r, 1)))
         runs = width // self.run
@@ -1330,8 +1457,12 @@ class OpGraph:
                 out = dc.matmul(dc.concat([a, b], axis=1), self.merge)
             elif op == "pick":
                 out = dc.matmul(dc.sigmoid(a), self.pick)
-            elif op == "columns":
-                out = dc.concat([dc.matmul(a, self.head), dc.matmul(b, self.tail)], axis=1)
+            elif op == "split":
+                # along the rows when i is odd or a run is the whole width
+                axis = int(i % 2 == 0 and self.run < a.shape[1])
+                pieces = dc.split(dc.sigmoid(a), a.shape[axis] // (self.run if axis else 1),
+                                  axis)
+                out = dc.concat([pieces[-1], *pieces[1:]], axis=axis)
             elif op == "softmax_runs":
                 scores = dc.matmul(self.score, a)
                 out = dc.matmul(self.lift, dc.masked_softmax(scores, width=self.run))
@@ -1350,7 +1481,7 @@ class OpGraph:
 @given(graph_specs)
 @example((7, 300, [("weight", 3, 0), ("mix", 4, 4), ("add", 1, 2), ("join", 5, 6),
                    ("stack", 7, 3), ("relu", 8, 0), ("attend", 9, 5)]))
-@example((4, 9, [("columns", 0, 1), ("columns", 4, 4), ("weight", 5, 0)]))
+@example((4, 12, [("split", 0, 1), ("split", 4, 4), ("split", 5, 0), ("weight", 6, 0)]))
 @example((2, 12, [("softmax_runs", 0, 0), ("sum_runs", 4, 1), ("sum_runs", 2, 5),
                   ("weight", 6, 0)]))
 def test_backward_on_random_op_graphs(spec):

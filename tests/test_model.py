@@ -313,10 +313,8 @@ def test_scene_state_zero_start_and_canonical_roster():
         assert np.array_equal(t.values, np.zeros((4, 1)))
     # pedestrian k's neighbors are the run of columns 2k, 2k + 1
     assert state.width == 2
-    assert [(p.index, p.rows) for p in state.pick] == \
-        [(slice(col, col + 1), 6) for col in range(6)]
     lone = SceneState.initial([4], 4)
-    assert lone.r.shape == (4, 0) and lone.cr == [] and lone.pick == []
+    assert lone.r.shape == (4, 0) and lone.cr == []
     assert lone.width == 0
 
 
@@ -341,9 +339,8 @@ def test_one_hot_products_select_exact_bytes(n):
     assert gathered.tobytes() == np.ascontiguousarray(h[:, js]).tobytes()
     repeated = dc.matmul(Tensor(h), state.own).values
     assert repeated.tobytes() == np.ascontiguousarray(h[:, ks]).tobytes()
-    for col, pick in enumerate(state.pick):
-        column = dc.matmul(Tensor(block), pick).values
-        assert column.tobytes() == np.ascontiguousarray(block[:, col:col + 1]).tobytes()
+    for col, piece in enumerate(dc.split(Tensor(block), len(state.cr), axis=1)):
+        assert piece.values.tobytes() == np.ascontiguousarray(block[:, col:col + 1]).tobytes()
     # the segment ops read pedestrian k's run as columns k (n - 1) ..
     # (k + 1) (n - 1) - 1: a one-hot weight in each run selects its column
     for m in range(n - 1):
@@ -368,8 +365,7 @@ def test_a_stack_of_one_window_builds_the_plain_constants_exactly():
     plain = SceneState.initial(ids, hidden_dim=4)
     stack = SceneState.initial([(0, p) for p in ids], hidden_dim=4, stacked=True)
     assert stack.ped_ids == [(0, p) for p in plain.ped_ids]
-    for a, b in zip(plain.pick, stack.pick, strict=True):
-        assert type(a) is type(b) and (a.index, a.rows) == (b.index, b.rows)
+    assert len(plain.cr) == len(stack.cr) == 12
     assert plain.width == stack.width == 3
     # the gathers hold the same indices, so they stand for the same one-hot
     # matrices
@@ -393,7 +389,7 @@ def test_stacked_windows_see_only_their_own_neighbors(n):
     rng = np.random.default_rng(n)
     pos = _awkward_values(rng, (2, 3 * n))
     h = _awkward_values(rng, (4, 3 * n))
-    assert len(state.pick) == 3 * n * (n - 1) and state.ones_pairs.shape == (1, 3 * n * (n - 1))
+    assert len(state.cr) == 3 * n * (n - 1) and state.ones_pairs.shape == (1, 3 * n * (n - 1))
     gathered = dc.matmul(Tensor(h), state.others).values
     repeated = dc.matmul(Tensor(h), state.own).values
     disp = dc.matmul(Tensor(pos), state.spread).values
@@ -414,27 +410,25 @@ def test_stacked_windows_must_hold_one_crowd_size():
 
 def test_scene_state_constants_take_no_gradient():
     state = SceneState.initial([5, 9, 7, 2], hidden_dim=4)
-    constants = [state.others, state.own, state.spread, *state.pick,
+    constants = [state.others, state.own, state.spread,
                  state.ones, state.ones_pairs, state.h, state.c, state.r, *state.cr]
     assert all(isinstance(t, Constant) for t in constants)
-    # the gathers and the picks are selectors: the gathers hold index
-    # arrays, spread a difference of two, and the picks slices
-    assert all(type(t) is dc.Selector for t in [state.others, state.own, state.spread,
-                                                *state.pick])
+    # the gathers are selectors that hold index arrays, spread a
+    # difference of two
+    assert all(type(t) is dc.Selector for t in [state.others, state.own, state.spread])
     assert state.others.minus is None and state.own.minus is None
     assert state.spread.index is state.others.index and state.spread.minus is state.own.index
-    assert all(type(t.index) is slice and t.minus is None for t in state.pick)
 
 
 def test_a_scene_state_of_100_pedestrians_holds_under_1_mib_of_constants_and_11_mb_in_all():
-    # 9,900 ordered pairs: the gathers hold a column index per pair, and
-    # each pair pick a slice, so the constants are O(n^2); a one-hot (n, N)
-    # matrix would take 7.9 MB and an (N, 1) one per pick 784 MB. Only the
+    # 9,900 ordered pairs: the gathers hold a column index per pair, so
+    # the constants are O(n^2); a one-hot (n, N) matrix would take 7.9 MB
+    # and an (N, 1) one per pair column 784 MB. Only the
     # zero relation states h x N and their cell states are larger. Array
     # bytes, each index counted once per selector that holds it, not the
     # process's RSS
     state = SceneState.initial(list(range(100)), hidden_dim=64)
-    assert len(state.pick) == 9900
+    assert len(state.cr) == 9900
     constants = states = 0
     for f in fields(state):
         value = getattr(state, f.name)
@@ -501,15 +495,20 @@ def test_relation_step_matches_lstm_oracle():
         r_before, cr_before = state.r, list(state.cr)
         x = rng.normal(size=(6, pairs))
         gates = md.relation_gates(params, state, Tensor(x))
-        # f, i*g and o, each in [-1, 1]
-        assert [g.shape for g in gates] == [(8, pairs)] * 3
-        assert all(type(g) is dc.Bounded for g in gates)
-        # pair columns 1 .. pairs - 1 advance; column 0 is left alone
+        # f, i*g and o, each in [-1, 1], split into their pair columns
+        assert [len(g) for g in gates] == [pairs] * 3
+        assert all(type(p) is dc.Bounded and p.shape == (8, 1) for g in gates for p in g)
+        # pair columns 1 .. pairs - 1 advance, each in the 4 nodes of its
+        # memory update; column 0 is left alone
         for col in range(1, pairs):
             want_h, want_c = oracle_lstm_from_gates(
                 params, "rel", x[:, col:col + 1], r_before.values[:, col:col + 1],
                 cr_before[col].values)
-            r, cr = md.relation_step(params, state, col, gates)
+            with dc.Tape() as tape:
+                r, cr = md.relation_step(params, state, col, gates)
+            assert len(tape) == 4
+            assert [t for inputs, _, _ in tape.nodes for t in inputs
+                    if any(t is g[col] for g in gates)] == [g[col] for g in gates]
             assert rel_err(r.values, want_h) < 1e-12
             assert rel_err(cr.values, want_c) < 1e-12
             # the cell state advanced in place
@@ -609,8 +608,8 @@ def test_ra_logit_needs_embedding_and_matches_oracle():
     with pytest.raises(ValueError):
         md.attention_logits(ra, AttentionStrategy.RA, None, h_i, h_j)
     state = SceneState.initial([1, 2], hidden_dim=8)
-    e_rel = dc.matmul(md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0))),
-                      state.pick[0])
+    e_rel = dc.split(md.embed_relative(ra, state, columns((0.0, 0.0), (1.0, -1.0))), 2,
+                     axis=1)[0]
     out = md.attention_logits(ra, AttentionStrategy.RA, e_rel, h_i, h_j)
     stacked = np.concatenate([e_rel.values, h_i.values, h_j.values], axis=0)
     assert rel_err(out.values, (ra["w_ra"].values @ stacked).item()) < 1e-12

@@ -231,16 +231,14 @@ def _scripted_rollout_abs(params, window):
         if len(peds) > 1:   # a lone pedestrian has no pairs
             gates = md.relation_gates(params, state, md.embed_relative(params, state, cur_abs))
             state.r = dc.concat([md.relation_step(params, state, col, gates)[0]
-                                 for col in range(len(state.pick))], axis=1)
+                                 for col in range(len(state.cr))], axis=1)
         weights = h_j = None
         if cfg.strategy is not AttentionStrategy.NONE and len(peds) > 1:
             h_i = dc.matmul(state.h, state.own)
             h_j = dc.matmul(state.h, state.others)
-            w, pairs = state.width, len(state.pick)
-            runs = [dc.Selector(slice(lo, lo + w), pairs) for lo in range(0, pairs, w)]
+            runs = zip(*(dc.split(t, len(peds), axis=1) for t in (state.r, h_i, h_j)))
             weights = dc.concat([
-                md.attention_weights(md.attention_logits(
-                    params, cfg.strategy, *(dc.matmul(t, run) for t in (state.r, h_i, h_j))), w)
+                md.attention_weights(md.attention_logits(params, cfg.strategy, *run), state.width)
                 for run in runs], axis=1)
         context = md.social_context(state, weights, h_j, cfg.strategy)
         md.motion_step(params, state, md.embed_position(params, state, cur_nabs), context)
@@ -473,7 +471,7 @@ def test_a_two_pedestrian_train_step_keeps_its_bits_without_the_dead_replay(
 
 
 @pytest.mark.parametrize("strategy,n,nodes", [
-    ("sra", 1, 350), ("sra", 2, 1013), ("sra", 4, 2343), ("sra", 8, 8195),
+    ("sra", 1, 350), ("sra", 2, 899), ("sra", 4, 1659), ("sra", 8, 5003),
     ("ra", 1, 350), ("ra", 2, 534), ("ra", 4, 534), ("ra", 8, 534),
     ("sa", 1, 350), ("sa", 2, 461), ("sa", 4, 461), ("sa", 8, 461),
     ("none", 1, 350), ("none", 2, 350), ("none", 8, 350), ("none", 16, 350)],
@@ -510,16 +508,18 @@ def test_tape_nodes_per_window_do_not_depend_on_the_crowd_size(strategy, nodes):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_a_train_step_records_only_work_that_reaches_the_loss(strategy, n):
     # walked before backward: every node has an input, so it is no work on
-    # constants alone, and a path to the loss, so its output is read
+    # constants alone, and a path to the loss, so its output is read; a
+    # split's piece is read as its base
     params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
     window = random_walk_window(n, seed=n)
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
     assert [out for inputs, out, _ in tape.nodes if not inputs] == []
+    base = {p: x for x, (pieces, _) in tape.splits.items() for p in pieces}
     live, dead = {loss}, 0
     for inputs, out, _ in reversed(tape.nodes):
         if out in live:
-            live.update(inputs)
+            live.update(base.get(t, t) for t in inputs)
         else:
             dead += 1
     assert dead == 0
@@ -548,23 +548,33 @@ def test_rollout_builds_absolute_positions_only_when_a_step_reads_them(
 
 @pytest.mark.parametrize("n,picks", [(2, 3 * 2), (3, 3 * 3 * 2)])
 def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
-    # every ordered pair picks its column of each of the three activated
-    # gate blocks, as a view; the softmax and the context sum read the
-    # logits and the neighbor states whole, so nothing else is picked
+    # each of the three activated gate blocks is split into its pair
+    # columns, views that record no node, and every ordered pair's memory
+    # update reads its column of each; the softmax and the context sum
+    # read the logits and the neighbor states whole, so nothing else is
+    # split, and the only products by a selector are the three gathers
     params = small_params(seed=3)
     state = SceneState.initial(list(range(n)), hidden_dim=8)
     right, matmul = [], dc.matmul
     monkeypatch.setattr(dc, "matmul", lambda a, b: right.append((a, b)) or matmul(a, b))
     pos = Tensor(np.arange(2.0 * n).reshape(2, n))
     state.h = Tensor(np.ones((8, n)))
-    with dc.Tape():
+    with dc.Tape() as tape:
         scene_step(params, state, pos, pos)
-    picked = [(a, b) for a, b in right if any(b is pick for pick in state.pick)]
-    assert len(picked) == picks
-    assert all(b.index == slice(col, col + 1)
-               for (_, b), col in zip(picked, np.repeat(range(len(state.pick)), 3)))
-    assert [b for _, b in right if type(b) is dc.Selector and type(b.index) is slice] == \
-        [b for _, b in picked]
+    pairs = n * (n - 1)
+    blocks = list(tape.splits)
+    assert [(type(x), x.shape, axis) for x, (_, axis) in tape.splits.items()] == \
+        [(dc.Bounded, (8, pairs), 1)] * 3
+    gates = [pieces for pieces, _ in tape.splits.values()]
+    assert sum(map(len, gates)) == picks
+    for x, pieces in zip(blocks, gates):
+        for col, piece in enumerate(pieces):
+            assert np.shares_memory(piece.values, x.values)
+            assert piece.values.tobytes() == x.values[:, col:col + 1].tobytes()
+    read = [t for inputs, _, _ in tape.nodes for t in inputs if t in tape.pieces]
+    assert read == [g[col] for col in range(pairs) for g in gates]
+    assert [b for _, b in right if type(b) is dc.Selector] == \
+        [state.own, state.others, state.spread]
 
 
 def test_no_context_sum_takes_a_constant_as_an_input(monkeypatch):
@@ -587,19 +597,25 @@ def test_no_context_sum_takes_a_constant_as_an_input(monkeypatch):
 def test_pair_columns_and_their_adjoints_are_contiguous(n):
     # each pair's memory update reads its column of the three gate blocks
     # and takes back its column of the new relation block's adjoint; both
-    # are contiguous, so no elementwise op on a pair strides across a block
-    # (layout only, not time)
+    # are contiguous, so no elementwise op on a pair strides across a block,
+    # and each block's adjoint is joined column-major (layout only, not
+    # time)
     params = small_params(seed=n)
     window = random_walk_window(n, seed=n)
     pairs = n * (n - 1)
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
-    picks = [out for _, out, vjp in tape.nodes
-             if type(vjp) is dc.Selector and type(vjp.index) is slice
-             and vjp.shape == (pairs, 1)]
-    assert len(picks) == 19 * pairs * 3
-    assert all(out.values.flags.c_contiguous for out in picks)
-    handed = []
+    picks = [p for x, (pieces, _) in tape.splits.items() if x.shape == (8, pairs)
+             for p in pieces]
+    assert len(picks) == 19 * pairs * 3 == len(tape.pieces)
+    assert all(p.values.flags.c_contiguous and p.shape == (8, 1) for p in picks)
+    joined, handed = [], []
+
+    def joins(vjp):
+        def pass_on(g):
+            joined.append(g.flags.f_contiguous)
+            return vjp(g)
+        return pass_on
 
     def recorded(vjp):
         def pass_on(g):
@@ -612,9 +628,11 @@ def test_pair_columns_and_their_adjoints_are_contiguous(n):
         if len(inputs) == pairs and out.shape == (8, pairs):
             assert all(t.shape == (8, 1) for t in inputs)
             tape.nodes[k] = (inputs, out, recorded(vjp))
+        elif out in tape.splits:
+            tape.nodes[k] = (inputs, out, joins(vjp))
     dc.backward(tape, loss)
-    assert len(handed) == 19 * pairs
-    assert all(handed)
+    assert len(handed) == 19 * pairs and len(joined) == 19 * 3
+    assert all(handed) and all(joined)
 
 
 def test_backward_matches_reference_on_a_rollout():
@@ -622,7 +640,7 @@ def test_backward_matches_reference_on_a_rollout():
     # folded into one, so backward sums its products' factor pairs in one
     # product per block where the plain dict-accumulating pass sums one
     # dense adjoint per use: only the summation order moves. At n = 5 each
-    # activated gate block takes 20 picked columns' adjoints back in place
+    # activated gate block joins the adjoints of its 20 pair columns
     for n in (3, 5):
         params = ModelParams.init(ModelConfig(strategy="sra"), seed=3)
         window = random_walk_window(n, seed=3)
