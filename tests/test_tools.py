@@ -112,3 +112,20 @@ def test_code_lines_prints_total_and_code_lines(tmp_path):
         [sys.executable, os.path.join("tools", "code_lines.py"), str(tmp_path / "none")],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1 and "no src/sralstm/*.py" in proc.stderr
+
+
+def test_step_memory_prints_one_json_line_per_crowd_size():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("tools", "step_memory.py"), ".", "--n", "1,3",
+         "--strategy", "sa"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["n"], r["strategy"], r["pairs"]) for r in rows] == [(1, "sa", 0), (3, "sa", 6)]
+    for r in rows:
+        assert r["rss_growth_mb"] >= 0.0 and r["traced_peak_mb"] > 0.0
+    for bad in ("2,x", "0"):
+        proc = subprocess.run(
+            [sys.executable, os.path.join("tools", "step_memory.py"), ".", "--n", bad],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and "--n" in proc.stderr
