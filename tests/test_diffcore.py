@@ -1739,3 +1739,17 @@ def test_adam_grads_left_untouched():
     t.grad = np.full((1, 1), 0.75)
     dc.adam_step(named, state)
     assert t.grad[0, 0] == 0.75
+
+
+def test_a_tensor_made_on_an_earlier_tape_is_a_leaf_of_a_later_one():
+    # y was produced by a node of the first tape; the second tape records
+    # no node for it, so there it is a leaf and takes its grad
+    x = Tensor(np.array([[2.0, -1.0]]))
+    with Tape() as tape:
+        y = dc.tanh(x)
+        dc.backward(tape, dc.sum_all(dc.mul(y, y)))
+    first = x.grad.copy()
+    with Tape() as tape:
+        dc.backward(tape, dc.sum_all(dc.mul(y, Tensor(np.array([[3.0, 5.0]])))))
+    assert y.grad.tolist() == [[3.0, 5.0]]
+    assert x.grad.tobytes() == first.tobytes()
