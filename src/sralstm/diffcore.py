@@ -24,9 +24,9 @@ Conventions:
     warn about the overflow first, unless the caller silences it with
     ``np.errstate`` (the command line does);
   * a ``Constant`` is a tensor that takes no gradient (a ``Selector``, a
-    row of ones, an observed input). ``matmul``, ``concat`` and
-    ``weighted_sum`` (its columns) form no adjoint for one, and
-    ``backward`` writes no grad to one. ``matmul_or_constant`` and
+    row of ones, an observed input). ``matmul``, ``mul``, ``add``,
+    ``sub``, ``concat`` and ``weighted_sum`` (its columns) form no adjoint
+    for one, and ``backward`` writes no grad to one. ``matmul_or_constant`` and
     ``concat_or_constant`` do work on constants alone without the tape
     and give a ``Constant``, so no node records what no gradient crosses;
   * a ``Selector`` is a one-hot matrix, or the difference of two, kept as
@@ -38,7 +38,18 @@ Conventions:
   * a ``Bounded`` tensor has every entry in [-1, 1]: the output of
     ``sigmoid`` and ``tanh``, the product of two such tensors, the
     columns a ``Selector`` without ``minus`` picks from one and the
-    pieces of one.
+    pieces of one;
+  * a tape owns identities, not tensors. A node is ``(inputs, key,
+    vjp)``: ``key`` names the node's output, which the node does not
+    hold, and each input is the key of the tensor read, or, for a tensor
+    no node of the tape made (a leaf, a split piece), the tensor itself.
+    A tensor's ``key`` slot holds its node's key, the fresh vjp or a
+    fresh ``object()`` where the vjp is shared, and is None for a tensor
+    no node made. So a recorded output's array lives while the caller
+    holds it or a vjp reads it, and no longer: of a train step's arrays
+    only those some vjp reads (an activation, a product's operands)
+    outlive the forward pass. A vjp keeps the arrays it reads and never
+    its output tensor.
 
 Only the ops that can turn finite inputs into a non-finite output check
 it: ``matmul``, ``sub``, ``exp``, ``weighted_sum``, ``sum_all`` and
@@ -67,7 +78,8 @@ kept lean accordingly:
     the same BLAS call with the same bits, at about 1 us less per call;
   * shape checks compare ``values.shape`` and ``values.ndim`` directly and
     call a helper only to raise;
-  * a node is a plain ``(inputs, output, vjp)`` tuple;
+  * a node is a plain ``(inputs, key, vjp)`` tuple, and a primitive
+    writes its output's key inline;
   * a primitive builds its vjp closure only while a tape is open, so a
     tape-free forward pass allocates no closures;
   * ``backward`` finds an adjoint with one table lookup, empties its tape,
@@ -77,9 +89,10 @@ kept lean accordingly:
     computed and the array it joins a split's pieces into, so never one a vjp
     returned: the incoming adjoint itself (``add``), a view of it or of
     its column-major copy (``concat``) or the root's seed of ones;
-  * a ``split`` notes its pieces on the tape instead of recording a node
-    per piece, and ``backward`` joins their adjoints into the base's with
-    one concatenate (see ``backward``); an index ``Selector``'s product
+  * a ``split`` notes its pieces on the tape, under its base's key,
+    instead of recording a node per piece, and ``backward`` joins their
+    adjoints into the base's with one concatenate, only for a split some
+    piece of which is reached (see ``backward``); an index ``Selector``'s product
     replays as the one-hot product, whose factor ``transpose`` builds
     then, so a tape-free pass builds no one-hot matrix;
   * a weight's gradient is formed in few products, by one rule for every
@@ -132,23 +145,28 @@ class MissingGradientError(RuntimeError):
     """An optimizer step touched a parameter whose grad slot is empty."""
 
 
-class Tensor:
-    """A float64 array plus an additively-accumulated gradient slot."""
+class StaleTensorError(RuntimeError):
+    """``backward`` reached a tensor that a node of an earlier tape made."""
 
-    __slots__ = ("values", "grad")
+
+class Tensor:
+    """A float64 array plus an additively-accumulated gradient slot, and
+    the key of the tape node that made it (None if none did)."""
+
+    __slots__ = ("values", "grad", "key")
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64, order="C")
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor constructed from non-finite values")
         self.values = arr
-        self.grad = None
+        self.grad = self.key = None
 
     @classmethod
     def zeros(cls, shape) -> "Tensor":
         t = cls.__new__(cls)
         t.values = np.zeros(shape, dtype=np.float64)
-        t.grad = None
+        t.grad = t.key = None
         return t
 
     @property
@@ -197,7 +215,8 @@ class Selector(Constant):
         both = np.stack([index, index if minus is None else minus])
         if index.ndim != 1 or not ((both >= 0) & (both < rows)).all():
             raise ValueError(f"selector index outside {rows} columns")
-        self.index, self.rows, self.minus, self.grad = index, rows, minus, None
+        self.index, self.rows, self.minus = index, rows, minus
+        self.grad = self.key = None
 
     @property
     def shape(self):
@@ -230,7 +249,7 @@ def _wrap(arr: np.ndarray, cls=Tensor) -> Tensor:
     """Wrap the output of an op that maps finite inputs to finite outputs."""
     t = cls.__new__(cls)
     t.values = arr
-    t.grad = None
+    t.grad = t.key = None
     return t
 
 
@@ -258,8 +277,8 @@ class Tape:
     """
 
     def __init__(self):
-        self.nodes: list[tuple] = []   # (inputs, output, vjp)
-        self.splits: dict = {}         # base -> (its pieces, axis), per split
+        self.nodes: list[tuple] = []   # (inputs, key, vjp), by the conventions
+        self.splits: dict = {}         # base's key or base -> (its pieces, axis)
         self.pieces: set = set()       # every piece of those splits
         self._gc_was_enabled = False
 
@@ -290,8 +309,9 @@ def _shapes_differ(op: str, a: Tensor, b: Tensor):
 # ---------------------------------------------------------------------------
 # primitives
 #
-# Each primitive records ``(inputs, output, vjp)`` on the open tape, if any,
-# and builds its vjp closure only then.
+# Each primitive records ``(inputs, key, vjp)`` on the open tape, if any, as
+# the conventions state, sets its output's ``key`` and builds its vjp closure
+# only then. ``x.key or x`` is what a node lists for an input x.
 
 class _MatmulVjp:
     """The vjp of ``a @ b``, with its factors exposed.
@@ -318,7 +338,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = (_wrap if b.minus is None else _fresh)(
             b.pick(a.values), Bounded if type(a) is Bounded and b.minus is None else Tensor)
         if _active_tape is not None:
-            _active_tape.nodes.append(((a,) if not isinstance(a, Constant) else (), out, b))
+            out.key = key = object()
+            _active_tape.nodes.append(
+                ((a.key or a,) if not isinstance(a, Constant) else (), key, b))
         return out
     av, bv = a.values, b.values
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
@@ -328,10 +350,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         at = bt = None
         inputs = ()
         if not isinstance(a, Constant):
-            bt, inputs = bv.T, (a,)
+            bt, inputs = bv.T, (a.key or a,)
         if not isinstance(b, Constant):
-            at, inputs = av.T, inputs + (b,)
-        _active_tape.nodes.append((inputs, out, _MatmulVjp(at, bt)))
+            at, inputs = av.T, inputs + (b.key or b,)
+        out.key = vjp = _MatmulVjp(at, bt)
+        _active_tape.nodes.append((inputs, vjp, vjp))
     return out
 
 
@@ -343,13 +366,40 @@ def _sub_vjp(g):
     return g, -g
 
 
+def _same(g):
+    return g
+
+
+def _record_with_constants(out: Tensor, a: Tensor, b: Tensor, da, db) -> None:
+    """Record the node of a binary entrywise op when an operand may be a
+    ``Constant``: it lists and replays the others only. ``da`` and ``db``
+    map the output's adjoint to a's and b's. The ops test for a plain
+    ``Tensor`` or ``Bounded`` operand inline first, which is cheaper."""
+    ca, cb = isinstance(a, Constant), isinstance(b, Constant)
+    if ca and cb:
+        inputs, vjp = (), lambda g: ()
+    elif ca:
+        inputs, vjp = (b.key or b,), lambda g: (db(g),)
+    elif cb:
+        inputs, vjp = (a.key or a,), lambda g: (da(g),)
+    else:
+        inputs, vjp = (a.key or a, b.key or b), lambda g: (da(g), db(g))
+    out.key = vjp
+    _active_tape.nodes.append((inputs, vjp, vjp))
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         _shapes_differ("add", a, b)
-    out = (_wrap if type(a) is Bounded or type(b) is Bounded else _fresh)(av + bv)
+    ta, tb = type(a), type(b)
+    out = (_wrap if ta is Bounded or tb is Bounded else _fresh)(av + bv)
     if _active_tape is not None:
-        _active_tape.nodes.append(((a, b), out, _add_vjp))
+        if (ta is Tensor or ta is Bounded) and (tb is Tensor or tb is Bounded):
+            out.key = key = object()
+            _active_tape.nodes.append(((a.key or a, b.key or b), key, _add_vjp))
+        else:
+            _record_with_constants(out, a, b, _same, _same)
     return out
 
 
@@ -359,7 +409,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _shapes_differ("sub", a, b)
     out = _fresh(av - bv)
     if _active_tape is not None:
-        _active_tape.nodes.append(((a, b), out, _sub_vjp))
+        ta, tb = type(a), type(b)
+        if (ta is Tensor or ta is Bounded) and (tb is Tensor or tb is Bounded):
+            out.key = key = object()
+            _active_tape.nodes.append(((a.key or a, b.key or b), key, _sub_vjp))
+        else:
+            _record_with_constants(out, a, b, _same, np.negative)
     return out
 
 
@@ -367,12 +422,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.shape != bv.shape:
         _shapes_differ("mul", a, b)
-    if type(a) is Bounded or type(b) is Bounded:
-        out = _wrap(av * bv, Bounded if type(a) is type(b) else Tensor)
+    ta, tb = type(a), type(b)
+    if ta is Bounded or tb is Bounded:
+        out = _wrap(av * bv, Bounded if ta is tb else Tensor)
     else:
         out = _fresh(av * bv)
     if _active_tape is not None:
-        _active_tape.nodes.append(((a, b), out, lambda g: (g * bv, g * av)))
+        if (ta is Bounded or ta is Tensor) and (tb is Bounded or tb is Tensor):
+            out.key = vjp = lambda g: (g * bv, g * av)
+            _active_tape.nodes.append(((a.key or a, b.key or b), vjp, vjp))
+        else:
+            _record_with_constants(out, a, b, lambda g: g * bv, lambda g: g * av)
     return out
 
 
@@ -390,7 +450,8 @@ def sigmoid(x: Tensor) -> Tensor:
     s += 1.0
     out = _wrap(np.reciprocal(s, out=s), Bounded)
     if _active_tape is not None:
-        _active_tape.nodes.append(((x,), out, lambda g: (g * s * (1.0 - s),)))
+        out.key = vjp = lambda g: (g * s * (1.0 - s),)
+        _active_tape.nodes.append(((x.key or x,), vjp, vjp))
     return out
 
 
@@ -398,7 +459,8 @@ def tanh(x: Tensor) -> Tensor:
     out = _wrap(np.tanh(x.values), Bounded)
     if _active_tape is not None:
         t = out.values
-        _active_tape.nodes.append(((x,), out, lambda g: (g * (1.0 - t * t),)))
+        out.key = vjp = lambda g: (g * (1.0 - t * t),)
+        _active_tape.nodes.append(((x.key or x,), vjp, vjp))
     return out
 
 
@@ -406,7 +468,8 @@ def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.values, 0.0))
     if _active_tape is not None:
         mask = x.values > 0.0
-        _active_tape.nodes.append(((x,), out, lambda g: (g * mask,)))
+        out.key = vjp = lambda g: (g * mask,)
+        _active_tape.nodes.append(((x.key or x,), vjp, vjp))
     return out
 
 
@@ -414,7 +477,8 @@ def exp(x: Tensor) -> Tensor:
     out = _fresh(np.exp(x.values))
     if _active_tape is not None:
         e = out.values
-        _active_tape.nodes.append(((x,), out, lambda g: (g * e,)))
+        out.key = vjp = lambda g: (g * e,)
+        _active_tape.nodes.append(((x.key or x,), vjp, vjp))
     return out
 
 
@@ -441,13 +505,14 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         for t, v in zip(tensors, vals):
             hi = lo + v.shape[axis]
             if not isinstance(t, Constant):
-                inputs.append(t)
+                inputs.append(t.key or t)
                 pieces.append((slice(lo, hi),) if axis == 0 else (slice(None), slice(lo, hi)))
             lo = hi
         def vjp(g):
             g = np.asfortranarray(g) if axis else g
             return tuple([g[p] for p in pieces])
-        _active_tape.nodes.append((tuple(inputs), out, vjp))
+        out.key = vjp
+        _active_tape.nodes.append((tuple(inputs), vjp, vjp))
     return out
 
 
@@ -497,15 +562,20 @@ def masked_softmax(logits: Tensor, mask=None, width=None) -> Tensor:
         s[0, m] = run
     out = _wrap(s.reshape(logits.shape))
     if _active_tape is not None:
+        shape = logits.shape
+
         def vjp(g):
             gs = g.reshape(s.shape)
             # one inner product per run, each a dot as a lone vector's is;
             # s is exactly 0 on masked entries, so they get exactly 0 gradient
             inner = np.matmul(gs[:, np.newaxis, :], s[:, :, np.newaxis])[:, 0]
-            return ((s * (gs - inner)).reshape(out.shape),)
+            return ((s * (gs - inner)).reshape(shape),)
 
-        _active_tape.nodes.append(
-            ((logits,), out, _no_adjoint if x.shape[1] == 1 else vjp))
+        if x.shape[1] == 1:
+            vjp, out.key = _no_adjoint, object()
+        else:
+            out.key = vjp
+        _active_tape.nodes.append(((logits.key or logits,), out.key, vjp))
     return out
 
 
@@ -535,15 +605,20 @@ def weighted_sum(weights: Tensor, columns: Tensor, width=None) -> Tensor:
     w = weights.values.reshape(n, width, 1)
     out = _fresh(np.ascontiguousarray(np.matmul(runs, w)[:, :, 0].T))
     if _active_tape is not None:
+        wshape = weights.shape
+
         def vjp(g):
             gt = np.ascontiguousarray(g.T)[:, :, np.newaxis]
-            gw = np.matmul(np.ascontiguousarray(runs.swapaxes(1, 2)), gt).reshape(weights.shape)
+            gw = np.matmul(np.ascontiguousarray(runs.swapaxes(1, 2)), gt).reshape(wshape)
             if constant:
                 return (gw,)
             return gw, np.matmul(gt, w.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(h, size)
 
         constant = isinstance(columns, Constant)
-        _active_tape.nodes.append(((weights,) if constant else (weights, columns), out, vjp))
+        out.key = vjp
+        _active_tape.nodes.append(
+            ((weights.key or weights,) if constant
+             else (weights.key or weights, columns.key or columns), vjp, vjp))
     return out
 
 
@@ -551,7 +626,8 @@ def sum_all(x: Tensor) -> Tensor:
     out = _fresh(np.asarray(np.sum(x.values)))
     if _active_tape is not None:
         shape = x.shape
-        _active_tape.nodes.append(((x,), out, lambda g: (np.full(shape, float(g)),)))
+        out.key = vjp = lambda g: (np.full(shape, float(g)),)
+        _active_tape.nodes.append(((x.key or x,), vjp, vjp))
     return out
 
 
@@ -559,7 +635,8 @@ def scale(x: Tensor, alpha: float) -> Tensor:
     a = float(alpha)
     out = _fresh(x.values * a)
     if _active_tape is not None:
-        _active_tape.nodes.append(((x,), out, lambda g: (g * a,)))
+        out.key = vjp = lambda g: (g * a,)
+        _active_tape.nodes.append(((x.key or x,), vjp, vjp))
     return out
 
 
@@ -610,13 +687,14 @@ def split(x: Tensor, k: int, axis: int) -> list:
     for lo in range(0, v.shape[axis], w):
         # _wrap's body, inline: its call cost about as much as the view
         piece = cls.__new__(cls)
-        piece.values, piece.grad = v[:, lo:lo + w] if axis else v[lo:lo + w], None
+        piece.values, piece.grad, piece.key = v[:, lo:lo + w] if axis else v[lo:lo + w], None, None
         pieces.append(piece)
     tape = _active_tape
     if tape is not None and not isinstance(x, Constant):
-        if x in tape.splits or x in tape.pieces:
+        base = x.key or x
+        if base in tape.splits or x in tape.pieces:
             raise ValueError("split: a tensor split on this tape, or a piece of one, is split again")
-        tape.splits[x] = pieces, axis
+        tape.splits[base] = pieces, axis
         tape.pieces.update(pieces)
     return pieces
 
@@ -649,16 +727,16 @@ def _contract(gs: list, bts: list) -> np.ndarray:
 
 
 class _Adjoint:
-    """A tensor's adjoint in ``backward`` once it is a matmul's left operand
-    or is split: the dense sum (``+`` adds to it, as to an array), pending
-    factor pairs with their column count, and the pieces and axis of its
-    split."""
+    """A tensor's adjoint in ``backward`` once it is a matmul's left operand,
+    or a split base's once a dense term reaches it: the dense sum (``+``
+    adds to it, as to an array), pending factor pairs with their column
+    count, and the base's split ``(pieces, axis)``, if any."""
 
-    __slots__ = ("dense", "columns", "gs", "bts", "pieces", "axis")
+    __slots__ = ("dense", "columns", "gs", "bts", "split")
 
-    def __init__(self, dense, pieces=None, axis=None):
+    def __init__(self, dense, split=None):
         self.dense, self.columns, self.gs, self.bts = dense, 0, [], []
-        self.pieces, self.axis = pieces, axis
+        self.split = split
 
     def __add__(self, g):
         self.dense = g if self.dense is None else self.dense + g
@@ -672,68 +750,85 @@ class _Adjoint:
     def total(self, table: dict):
         """The pending pairs' contraction, plus the pieces' joined
         adjoints, plus the dense sum, in that order; None if nothing was
-        added. The pieces' adjoints are taken out of the adjoint table."""
+        added."""
         g = self.contract() if self.gs else None
-        # a split none of whose pieces was reached costs one membership pass
-        if self.pieces and any(map(table.__contains__, self.pieces)):
-            part = self.joined(table)
-            g = part if g is None else g + part
+        if self.split is not None:
+            part = _joined_pieces(self.split, table)
+            if part is not None:
+                g = part if g is None else g + part
         if self.dense is not None:
             g = self.dense if g is None else g + self.dense
         return g
 
-    def joined(self, table: dict) -> np.ndarray:
-        """The pieces' adjoints in one array, zeros for a piece none
-        reached, column-major along axis 1."""
-        pop = table.pop
-        gs = [pop(p, None) for p in self.pieces]
-        gs = [np.zeros(p.shape) if g is None else g.total(table) if type(g) is _Adjoint else g
-              for p, g in zip(self.pieces, gs)]
-        rows, cols = self.pieces[0].shape
-        k = len(gs)
-        out = np.empty((rows, cols * k), order="F") if self.axis else np.empty((rows * k, cols))
-        return np.concatenate(gs, axis=self.axis, out=out)
+
+def _joined_pieces(split: tuple, table: dict):
+    """A split's pieces' adjoints, taken out of the adjoint table, in one
+    array, zeros for a piece none reached, column-major along axis 1;
+    None, after one membership pass, if none was reached."""
+    pieces, axis = split
+    if not any(map(table.__contains__, pieces)):
+        return None
+    gs = [_total(table.pop(p, None), table) for p in pieces]
+    gs = [np.zeros(p.shape) if g is None else g for p, g in zip(pieces, gs)]
+    rows, cols = pieces[0].shape
+    k = len(gs)
+    out = np.empty((rows, cols * k), order="F") if axis else np.empty((rows * k, cols))
+    return np.concatenate(gs, axis=axis, out=out)
+
+
+def _total(g, table: dict):
+    """An adjoint table entry as one array, or None if nothing was added:
+    an ``_Adjoint``'s total, the joined pieces of a split that no dense
+    term reached, or the entry itself."""
+    if type(g) is _Adjoint:
+        return g.total(table)
+    if type(g) is tuple:
+        return _joined_pieces(g, table)
+    return g
 
 
 def backward(tape: Tape, root: Tensor) -> None:
     """Add d(root)/d(leaf) into every leaf's grad slot, emptying the tape.
 
-    Leaves are the tensors no node of the tape produced (parameters, inputs,
-    initial states); grads accumulate across tapes until zeroed. Every sum
-    of two contributions to an adjoint is a new array.
+    Leaves are the tensors no node of the tape made (parameters, inputs,
+    initial states), which its nodes list as themselves; grads accumulate
+    across tapes until zeroed. A tensor made on an earlier tape is listed
+    by that tape's key, which names no node here: if an adjoint reaches
+    one, ``StaleTensorError`` is raised before any grad is written, since
+    the tape cannot reach the tensor to give it its gradient. Every sum of
+    two contributions to an adjoint is a new array.
 
-    An adjoint is an array, or an ``_Adjoint`` once the tensor is a
-    matmul's left operand, whose factor pairs ``(g, bt)`` are contracted
-    per ``CONTRACT_BLOCK`` columns, or the base of a ``split``, whose
-    pieces' adjoints are joined into it. ``finish`` takes the whole
-    adjoint when the tensor's node is replayed or, for a leaf, at the end;
-    a split's pieces are consumers of its base, so by then every node that
-    reads one has replayed.
+    The adjoint table is keyed by the nodes' keys and the leaves. An
+    adjoint is an array, or an ``_Adjoint`` once the tensor is a matmul's
+    left operand, whose factor pairs ``(g, bt)`` are contracted per
+    ``CONTRACT_BLOCK`` columns. A split base's entry starts as its split,
+    ``(pieces, axis)``, and becomes an ``_Adjoint`` only when a dense term
+    or a factor pair reaches the base, so a split none of whose pieces is
+    reached builds nothing and costs one membership pass. The whole
+    adjoint is taken when the tensor's node is replayed or, for a leaf, at
+    the end; a split's pieces are consumers of its base, so by then every
+    node that reads one has replayed.
     """
     if root.values.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {root.shape}")
-    # tensors hash by identity, so they key their own adjoints; each split
-    # base's entry, made first, holds its pieces
-    adjoint: dict = {root: np.ones_like(root.values)}
-    for x, (pieces, axis) in tape.splits.items():
-        adjoint[x] = _Adjoint(adjoint.get(x), pieces, axis)
+    adjoint = tape.splits
     tape.splits, tape.pieces = {}, set()
-    get, pop, nodes = adjoint.get, adjoint.pop, tape.nodes
+    seed, ref = np.ones_like(root.values), root.key or root
+    split = adjoint.get(ref)
+    adjoint[ref] = seed if split is None else _Adjoint(seed, split)
+    get, pop, nodes, ndarray = adjoint.get, adjoint.pop, tape.nodes, np.ndarray
 
-    def entry(t: Tensor) -> _Adjoint:
-        acc = get(t)
+    def entry(ref) -> _Adjoint:
+        acc = get(ref)
         if type(acc) is not _Adjoint:
-            acc = adjoint[t] = _Adjoint(acc)
+            acc = adjoint[ref] = _Adjoint(None, acc) if type(acc) is tuple else _Adjoint(acc)
         return acc
 
-    def finish(t: Tensor):
-        """t's whole adjoint, or None if it got no contribution."""
-        g = pop(t, None)
-        return g.total(adjoint) if type(g) is _Adjoint else g
-
     while nodes:
-        inputs, output, vjp = nodes.pop()
-        g = finish(output)
+        inputs, key, vjp = nodes.pop()
+        g = pop(key, None)
+        if type(g) is not ndarray:
+            g = _total(g, adjoint)
         if g is None or not inputs:
             continue
         # a pick replays as the one-hot product it stands for
@@ -752,20 +847,34 @@ def backward(tape: Tape, root: Tensor) -> None:
                     contributions += ((inputs[0], acc.contract()),)
         else:
             contributions = zip(inputs, vjp(g))
-        for t, gi in contributions:
+        for ref, gi in contributions:
             if gi is None:
                 continue
-            prev = get(t)
-            adjoint[t] = gi if prev is None else prev + gi
-    # each produced tensor's adjoint went with its node, so only leaves are
-    # left, each leaf base's entry before its pieces'; a first grad is a
-    # private copy, since the adjoint may be an array a vjp also handed to
-    # another tensor
-    for t in list(adjoint):
-        g = finish(t)
-        if g is None or isinstance(t, Constant):
-            continue
-        t.grad = g.copy() if t.grad is None else t.grad + g
+            prev = get(ref)
+            if prev is None:
+                adjoint[ref] = gi
+            elif type(prev) is tuple:   # a split base's first dense term
+                adjoint[ref] = _Adjoint(gi, prev)
+            else:
+                adjoint[ref] = prev + gi
+    # each node's adjoint went with it, so only leaves are left (and the
+    # keys of tensors made on earlier tapes), each leaf base's entry before
+    # its pieces'
+    grads = []
+    for ref in list(adjoint):
+        g = _total(pop(ref, None), adjoint)
+        if g is not None:
+            grads.append((ref, g))
+    for ref, _ in grads:
+        if not isinstance(ref, Tensor):
+            raise StaleTensorError(
+                "backward reached a tensor made on an earlier tape; no node of this "
+                "tape made it, and the tape cannot reach it to write its grad")
+    # a first grad is a private copy, since the adjoint may be an array a
+    # vjp also handed to another tensor
+    for t, g in grads:
+        if not isinstance(t, Constant):
+            t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -312,7 +312,10 @@ class SceneState:
         """params' weight of the affine map ``name`` ("re", "rae", "e" or
         "p") with its bias as the last column, ``[W | b]``; for an LSTM
         ("rel" or "motion"), that of each gate, in the order i, f, g, o.
-        Each is built on first use, so on the tape open then."""
+        Each is built on first use, so on the tape open then; a state
+        stepped on a later tape gives that tape's ``backward`` folds it
+        did not make, which it refuses (``dc.StaleTensorError``) rather
+        than leave the named weights without their gradient."""
         if self.folded_for is not params:
             self.folded_for, self.folded = params, {}
         w = self.folded.get(name)

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from sralstm.data import TrajectoryWindow
-from sralstm.diffcore import ShapeMismatchError
+from sralstm.diffcore import ShapeMismatchError, Tensor
 
 REL_FLOOR = 0.01  # denominators below this are treated as this
 
@@ -185,50 +185,50 @@ def reference_backward(tape, root) -> None:
     Every sum of two contributions is a fresh array and nothing is written
     in place, so ``diffcore.backward`` must match it bit for bit on the
     leaves. It reuses the tape's vjps: it checks how adjoints are
-    accumulated, not the vjps. It fills every tensor's grad and leaves the
-    tape as it was, so run it before ``diffcore.backward`` consumes the tape.
+    accumulated, not the vjps. It keys its table as the tape lists
+    tensors, by the key of a node's output and by the tensor itself for
+    one no node made (``diffcore``'s conventions), fills the grad of every
+    tensor so listed (leaves and split pieces), and leaves the tape as it
+    was, so run it before ``diffcore.backward`` consumes the tape.
 
-    A split (``tape.splits``, base -> (pieces, axis)) is no node: just
-    before its base's node replays, or after the last node for a base no
-    node made, the pieces' adjoints, zeros for a piece none reached, are
-    joined along the axis and added last into the base's; a split none of
-    whose pieces was reached adds nothing.
+    A split (``tape.splits``, base's key or base -> (pieces, axis)) is no
+    node: just before its base's node replays, or after the last node for
+    a base no node made, the pieces' adjoints, zeros for a piece none
+    reached, are joined along the axis and added last into the base's; a
+    split none of whose pieces was reached adds nothing.
     """
     if root.values.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.shape}")
-    adjoint = {id(root): np.ones_like(root.values)}
-    holders = {id(root): root}
+    adjoint = {root.key or root: np.ones_like(root.values)}
 
-    def add(t, g):
-        key = id(t)
-        prev = adjoint.get(key)
-        adjoint[key] = g if prev is None else prev + g
-        holders[key] = t
+    def add(ref, g):
+        prev = adjoint.get(ref)
+        adjoint[ref] = g if prev is None else prev + g
 
     def join(base):
         pieces, axis = tape.splits[base]
-        gs = [adjoint.get(id(p)) for p in pieces]
+        gs = [adjoint.get(p) for p in pieces]
         if any(g is not None for g in gs):
             add(base, np.concatenate([np.zeros(p.shape) if g is None else g
                                       for p, g in zip(pieces, gs)], axis=axis))
 
     made = set()
-    for inputs, output, vjp in reversed(tape.nodes):
-        made.add(id(output))
-        if output in tape.splits:
-            join(output)
-        g = adjoint.get(id(output))
+    for inputs, key, vjp in reversed(tape.nodes):
+        made.add(key)
+        if key in tape.splits:
+            join(key)
+        g = adjoint.get(key)
         if g is None:
             continue
-        for t, gi in zip(inputs, vjp(g)):
+        for ref, gi in zip(inputs, vjp(g)):
             if gi is not None:
-                add(t, gi)
+                add(ref, gi)
     for base in tape.splits:
-        if id(base) not in made:
+        if base not in made:
             join(base)
-    for key, t in holders.items():
-        g = adjoint[key]
-        t.grad = g.copy() if t.grad is None else t.grad + g
+    for ref, g in adjoint.items():
+        if isinstance(ref, Tensor):
+            ref.grad = g.copy() if ref.grad is None else ref.grad + g
 
 
 # ---------------------------------------------------------------------------

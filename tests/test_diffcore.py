@@ -506,9 +506,9 @@ def test_a_split_joins_its_pieces_adjoints_into_its_base_exactly():
         pieces = dc.split(t, 4, axis=1)
         terms = [dc.sum_all(dc.mul(pieces[k], c)) for k, c in zip((3, 0, 3), cs)]
         root = dc.add(dc.add(terms[0], terms[1]), terms[2])
-    inputs, out, vjp = tape.nodes[0]
-    assert out is t
-    tape.nodes[0] = (inputs, out, lambda g: joined.append(g) or vjp(g))
+    inputs, key, vjp = tape.nodes[0]
+    assert key is t.key and tape.splits == {t.key: (pieces, 1)}
+    tape.nodes[0] = (inputs, key, lambda g: joined.append(g) or vjp(g))
     reference_backward(tape, root)
     want = x.grad
     x.grad = None
@@ -784,10 +784,10 @@ def test_a_one_entry_softmax_is_recorded_but_passes_no_adjoint(mask):
         weights = dc.masked_softmax(logits, mask)
         root = dc.sum_all(dc.weighted_sum(weights, values))
     assert len(tape) == 4
-    assert tape.nodes[1][:2] == ((logits,), weights)
+    assert tape.nodes[1][:2] == ((logits.key,), weights.key)
     replayed = []
-    inputs, out, vjp = tape.nodes[0]
-    tape.nodes[0] = (inputs, out, lambda g: replayed.append(g) or vjp(g))
+    inputs, key, vjp = tape.nodes[0]
+    tape.nodes[0] = (inputs, key, lambda g: replayed.append(g) or vjp(g))
     dc.backward(tape, root)
     assert replayed == []
     assert a.grad is None and b.grad is None
@@ -1030,7 +1030,7 @@ def test_a_one_wide_segment_softmax_is_recorded_but_passes_no_adjoint():
         weights = dc.masked_softmax(logits, width=1)
         root = dc.sum_all(dc.weighted_sum(weights, Tensor(np.ones((2, 3))), width=1))
     assert weights.values.tolist() == [[1.0, 1.0, 1.0]]
-    assert tape.nodes[0][:2] == ((logits,), weights)
+    assert tape.nodes[0][:2] == ((logits,), weights.key)
     assert tape.nodes[0][2](np.ones((1, 3))) == (None,)
     dc.backward(tape, root)
     assert logits.grad is None
@@ -1179,14 +1179,18 @@ def test_backward_matches_reference_bitwise_on_shared_operands():
         for term in terms[1:]:
             loss = dc.add(loss, term)
     leaves = (x, y, w)
-    intermediates = [out for _, out, _ in tape.nodes]
+    # the tape lists the outputs by their keys and holds no output itself
+    intermediates = [s, c, wide, *terms, loss]
+    assert {t.key for t in intermediates} <= {key for _, key, _ in tape.nodes}
+    assert not any(type(t) is Tensor for inputs, _, _ in tape.nodes for t in inputs
+                   if t not in (*leaves, first, last))
     reference_backward(tape, loss)
     expected = [t.grad for t in leaves]
-    dc.zero_grads([*leaves, *intermediates])
+    dc.zero_grads([*leaves, first, last])
     dc.backward(tape, loss)
     for t, e in zip(leaves, expected):
         assert t.grad.tobytes() == e.tobytes()
-    assert all(t.grad is None for t in intermediates)
+    assert all(t.grad is None for t in (*intermediates, first, last))
 
 
 @pytest.mark.parametrize("b_cols", [1, 3])
@@ -1249,7 +1253,7 @@ def test_weight_grad_over_column_matmuls_matches_reference(uses):
         tape, loss, w, xs = _weight_tape(uses, width)
         reference_backward(tape, loss)
         expected = [t.grad for t in (w, *xs)]
-        dc.zero_grads([w, *xs, *(out for _, out, _ in tape.nodes)])
+        dc.zero_grads([w, *xs])
         dc.backward(tape, loss)
         if uses == 1:
             # a single narrow factor pair keeps the bits of the vjp's product
@@ -1741,15 +1745,25 @@ def test_adam_grads_left_untouched():
     assert t.grad[0, 0] == 0.75
 
 
-def test_a_tensor_made_on_an_earlier_tape_is_a_leaf_of_a_later_one():
-    # y was produced by a node of the first tape; the second tape records
-    # no node for it, so there it is a leaf and takes its grad
+def test_a_tensor_made_on_an_earlier_tape_is_refused_where_an_adjoint_reaches_it():
+    # y was made by a node of the first tape; the second lists it by that
+    # node's key, which names no node there and cannot reach y, so backward
+    # raises before it writes any grad rather than lose y's
     x = Tensor(np.array([[2.0, -1.0]]))
     with Tape() as tape:
         y = dc.tanh(x)
         dc.backward(tape, dc.sum_all(dc.mul(y, y)))
     first = x.grad.copy()
+    probe = Tensor(np.array([[3.0, 5.0]]))
     with Tape() as tape:
-        dc.backward(tape, dc.sum_all(dc.mul(y, Tensor(np.array([[3.0, 5.0]])))))
-    assert y.grad.tolist() == [[3.0, 5.0]]
+        root = dc.sum_all(dc.mul(y, probe))
+        assert tape.nodes[0][0] == (y.key, probe)
+        with pytest.raises(dc.StaleTensorError, match="earlier tape"):
+            dc.backward(tape, root)
+    assert y.grad is None and probe.grad is None
     assert x.grad.tobytes() == first.tobytes()
+    # read where no adjoint reaches it, it is no error
+    with Tape() as tape:
+        dc.mul(y, probe)
+        dc.backward(tape, dc.sum_all(dc.mul(probe, probe)))
+    assert probe.grad.tolist() == [[6.0, 10.0]] and y.grad is None

@@ -417,15 +417,20 @@ def test_loss_gradient_reaches_all_parameters():
         assert np.any(t.grad != 0.0), name
 
 
-def test_loss_truth_is_a_constant_that_takes_no_grad():
+def test_loss_truth_is_a_constant_that_takes_no_grad(monkeypatch):
+    # the sub node lists the prediction alone: a constant operand takes no
+    # adjoint, so the truth is read from the call
     params = small_params(seed=29)
     window = cv_window(n_peds=2, seed=15)
+    operands, sub = [], dc.sub
+    monkeypatch.setattr(dc, "sub", lambda a, b: operands.append((a, b)) or sub(a, b))
     with dc.Tape() as tape:
         result = rollout(params, window)
         loss = l2_loss(result, window_truth_nabs(window))
         # the loss chain is sub -> mul -> sum_all -> scale
-        prediction, truth = tape.nodes[-4][0]
+        assert tape.nodes[-4][0] == (result.predictions.key,)
         dc.backward(tape, loss)
+    (prediction, truth), = operands
     assert prediction is result.predictions
     assert type(truth) is dc.Constant
     assert truth.grad is None
@@ -507,18 +512,18 @@ def test_tape_nodes_per_window_do_not_depend_on_the_crowd_size(strategy, nodes):
 @pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_a_train_step_records_only_work_that_reaches_the_loss(strategy, n):
-    # walked before backward: every node has an input, so it is no work on
-    # constants alone, and a path to the loss, so its output is read; a
-    # split's piece is read as its base
+    # walked before backward, by the keys the tape lists: every node has an
+    # input, so it is no work on constants alone, and a path to the loss,
+    # so its output is read; a split's piece is read as its base
     params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
     window = random_walk_window(n, seed=n)
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
-    assert [out for inputs, out, _ in tape.nodes if not inputs] == []
+    assert [key for inputs, key, _ in tape.nodes if not inputs] == []
     base = {p: x for x, (pieces, _) in tape.splits.items() for p in pieces}
-    live, dead = {loss}, 0
-    for inputs, out, _ in reversed(tape.nodes):
-        if out in live:
+    live, dead = {loss.key}, 0
+    for inputs, key, _ in reversed(tape.nodes):
+        if key in live:
             live.update(base.get(t, t) for t in inputs)
         else:
             dead += 1
@@ -557,13 +562,16 @@ def test_every_pair_picks_its_column_of_each_gate_block(monkeypatch, n, picks):
     state = SceneState.initial(list(range(n)), hidden_dim=8)
     right, matmul = [], dc.matmul
     monkeypatch.setattr(dc, "matmul", lambda a, b: right.append((a, b)) or matmul(a, b))
+    blocks, split = [], dc.split
+    monkeypatch.setattr(dc, "split", lambda x, k, axis: blocks.append(x) or split(x, k, axis))
     pos = Tensor(np.arange(2.0 * n).reshape(2, n))
     state.h = Tensor(np.ones((8, n)))
     with dc.Tape() as tape:
         scene_step(params, state, pos, pos)
     pairs = n * (n - 1)
-    blocks = list(tape.splits)
-    assert [(type(x), x.shape, axis) for x, (_, axis) in tape.splits.items()] == \
+    # the tape notes each split by its base's key
+    assert list(tape.splits) == [x.key for x in blocks]
+    assert [(type(x), x.shape, axis) for x, (_, axis) in zip(blocks, tape.splits.values())] == \
         [(dc.Bounded, (8, pairs), 1)] * 3
     gates = [pieces for pieces, _ in tape.splits.values()]
     assert sum(map(len, gates)) == picks
@@ -587,14 +595,14 @@ def test_no_context_sum_takes_a_constant_as_an_input(monkeypatch):
     window = random_walk_window(3, seed=3)
     with dc.Tape() as tape:
         rollout(small_params(seed=3), window)
-    nodes = [inputs for inputs, out, _ in tape.nodes if any(out is o for o in outputs)]
+    nodes = [inputs for inputs, key, _ in tape.nodes if any(key is o.key for o in outputs)]
     assert len(nodes) == len(outputs) == 19
     assert [len(inputs) for inputs in nodes] == [1] + [2] * 18
     assert not any(isinstance(t, dc.Constant) for inputs in nodes for t in inputs)
 
 
 @pytest.mark.parametrize("n", [3, 8])
-def test_pair_columns_and_their_adjoints_are_contiguous(n):
+def test_pair_columns_and_their_adjoints_are_contiguous(monkeypatch, n):
     # each pair's memory update reads its column of the three gate blocks
     # and takes back its column of the new relation block's adjoint; both
     # are contiguous, so no elementwise op on a pair strides across a block,
@@ -603,10 +611,24 @@ def test_pair_columns_and_their_adjoints_are_contiguous(n):
     params = small_params(seed=n)
     window = random_walk_window(n, seed=n)
     pairs = n * (n - 1)
+    # the new relation blocks, each the concat of its pairs' r columns
+    blocks, concat = {}, dc.concat
+
+    def noted(tensors, axis):
+        out = concat(tensors, axis)
+        if len(tensors) == pairs:
+            assert out.shape == (8, pairs) and all(t.shape == (8, 1) for t in tensors)
+            blocks[out.key] = out
+        return out
+
+    monkeypatch.setattr(dc, "concat", noted)
+    split, bases = dc.split, []
+    monkeypatch.setattr(dc, "split", lambda x, k, axis: bases.append(x) or split(x, k, axis))
     with dc.Tape() as tape:
         loss = l2_loss(rollout(params, window), window_truth_nabs(window))
-    picks = [p for x, (pieces, _) in tape.splits.items() if x.shape == (8, pairs)
-             for p in pieces]
+    assert [x.shape for x in bases] == [(8, pairs)] * 19 * 3
+    assert list(tape.splits) == [x.key for x in bases] and len(blocks) == 19
+    picks = [p for pieces, _ in tape.splits.values() for p in pieces]
     assert len(picks) == 19 * pairs * 3 == len(tape.pieces)
     assert all(p.values.flags.c_contiguous and p.shape == (8, 1) for p in picks)
     joined, handed = [], []
@@ -624,15 +646,64 @@ def test_pair_columns_and_their_adjoints_are_contiguous(n):
             return pieces
         return pass_on
 
-    for k, (inputs, out, vjp) in enumerate(tape.nodes):
-        if len(inputs) == pairs and out.shape == (8, pairs):
-            assert all(t.shape == (8, 1) for t in inputs)
-            tape.nodes[k] = (inputs, out, recorded(vjp))
-        elif out in tape.splits:
-            tape.nodes[k] = (inputs, out, joins(vjp))
+    for k, (inputs, key, vjp) in enumerate(tape.nodes):
+        if key in blocks:
+            tape.nodes[k] = (inputs, key, recorded(vjp))
+        elif key in tape.splits:
+            tape.nodes[k] = (inputs, key, joins(vjp))
     dc.backward(tape, loss)
     assert len(handed) == 19 * pairs and len(joined) == 19 * 3
     assert all(handed) and all(joined)
+
+
+@pytest.mark.parametrize("strategy", ["none", "sa", "ra", "sra"])
+def test_no_node_of_a_train_window_lists_a_constant_input(strategy):
+    # every op leaves a constant operand out of its node, so backward forms
+    # no adjoint for one: the first step's zero cell states in each pair's
+    # f * c, the anchors added to the fed-back offsets, the loss's truth
+    params = ModelParams.init(ModelConfig(strategy=strategy), seed=0)
+    window = random_walk_window(3, seed=3)
+    with dc.Tape() as tape:
+        l2_loss(rollout(params, window), window_truth_nabs(window))
+    assert not any(isinstance(t, dc.Constant) for inputs, _, _ in tape.nodes for t in inputs)
+
+
+def test_a_two_pedestrian_train_step_builds_no_accumulator_for_an_unreached_split(
+        monkeypatch):
+    # behind the one-neighbor softmax no piece of a gate block is reached,
+    # so each block's split stays a note in the adjoint table; the only
+    # accumulators built hold the folded weights' factor pairs
+    built, init = [], dc._Adjoint.__init__
+
+    def noted(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(dc._Adjoint, "__init__", noted)
+    bases, split = [], dc.split
+    monkeypatch.setattr(dc, "split", lambda x, k, axis: bases.append(x) or split(x, k, axis))
+    params = ModelParams.init(ModelConfig(strategy="sra"), seed=0)
+    train_step(params, dc.AdamState(params.tensors()), random_walk_window(2, seed=2))
+    assert len(bases) == 19 * 3
+    assert built and all(acc.split is None for acc in built)
+
+
+def test_an_eight_pedestrian_train_step_peaks_under_13_mb():
+    # the tape keeps the arrays its vjps read and no other output of the
+    # step (a step kept every output until backward, and peaked at 17 MB)
+    import tracemalloc
+
+    params = ModelParams.init(ModelConfig(strategy="sra"), seed=0)
+    opt = dc.AdamState(params.tensors())
+    train_step(params, opt, random_walk_window(1, seed=1))   # what any step loads once
+    window = random_walk_window(8, seed=8)
+    tracemalloc.start()
+    try:
+        train_step(params, opt, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20, peak / 2**20
 
 
 def test_backward_matches_reference_on_a_rollout():

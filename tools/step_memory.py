@@ -3,10 +3,12 @@
     python3 tools/step_memory.py CHECKOUT [--n 2,8,12,16,32] [--strategy sra]
 
 For each listed crowd size n it starts a fresh Python process that
-imports ``CHECKOUT/src/sralstm``, builds one seeded random-walk window of
-n pedestrians and a fresh default-size model (seed 0) of the given
-attention strategy, and makes one warm-up train step on a window of one
-pedestrian, which loads what any step loads once. It then measures two
+imports ``CHECKOUT/src/sralstm``, takes the window of n pedestrians that
+``CHECKOUT/perfbench/counts.py`` counts tape nodes on (``window(n)``), so
+the memory and the node counts are of one input, builds a fresh
+default-size model (seed 0) of the given attention strategy, and makes
+one warm-up train step on the window of one pedestrian, which loads what
+any step loads once. It then measures two
 train steps (rollout, loss, backward, clip and Adam) on the n-pedestrian
 window: the growth of the process's peak resident set (``ru_maxrss``)
 over the first, untraced, and the ``tracemalloc`` peak of the second.
@@ -22,10 +24,13 @@ environment already sets ``OPENBLAS_NUM_THREADS``.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -49,22 +54,21 @@ def measure(root: str, n: int, strategy: str) -> dict:
     import resource
     import tracemalloc
 
-    src = os.path.join(os.path.abspath(root), "src")
-    sys.path.insert(0, src)
-    import numpy as np
+    root = os.path.abspath(root)
+    src, bench = os.path.join(root, "src"), os.path.join(root, "perfbench")
+    # counts.py puts CHECKOUT/src first on the path and imports spans.py
+    # as a sibling module
+    sys.path.insert(0, bench)
+    spec = importlib.util.spec_from_file_location("counts", os.path.join(bench, "counts.py"))
+    counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counts)
     import sralstm
     from sralstm import diffcore as dc
     from sralstm import model, pipeline
-    from sralstm.data import TrajectoryWindow
 
     if not os.path.abspath(sralstm.__file__).startswith(src + os.sep):
         raise SystemExit(f"error: imported sralstm from {sralstm.__file__}")
-
-    def window(peds: int) -> TrajectoryWindow:
-        rng = np.random.default_rng(peds)
-        steps = rng.normal(0.0, 0.35, size=(peds, 20, 2))
-        positions = np.cumsum(steps, axis=1) + rng.uniform(-3.0, 3.0, size=(peds, 1, 2))
-        return TrajectoryWindow("memory", 0, list(range(peds)), positions, 8, 12)
+    window = counts.window
 
     params = model.ModelParams.init(model.ModelConfig(strategy=strategy), seed=0)
     opt = dc.AdamState(params.tensors())
@@ -92,15 +96,12 @@ def main(argv=None) -> int:
     ap.add_argument("checkout")
     ap.add_argument("--n", type=sizes, default=[2, 8, 12, 16, 32])
     ap.add_argument("--strategy", choices=STRATEGIES, default="sra")
-    ap.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.one:
-        print(json.dumps(measure(args.checkout, args.n[0], args.strategy)))
-        return 0
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import step_memory; "
+             "print(json.dumps(step_memory.measure(sys.argv[2], int(sys.argv[3]), sys.argv[4])))")
     for n in args.n:
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), args.checkout, "--n", str(n),
-             "--strategy", args.strategy, "--one"],
+            [sys.executable, "-c", child, HERE, args.checkout, str(n), args.strategy],
             capture_output=True, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
