@@ -8,9 +8,8 @@ imports ``CHECKOUT/src/sralstm``, takes the window of n pedestrians that
 the memory and the node counts are of one input, builds a fresh
 default-size model (seed 0) of the given attention strategy, and makes
 one warm-up train step on the window of one pedestrian, which loads what
-any step loads once. It then measures two
-train steps (rollout, loss, backward, clip and Adam) on the n-pedestrian
-window: the growth of the process's peak resident set (``ru_maxrss``)
+any step loads once. It then measures two train steps (rollout, loss,
+backward, clip and Adam) on the n-pedestrian window: the growth of the process's peak resident set (``ru_maxrss``)
 over the first, untraced, and the ``tracemalloc`` peak of the second.
 Each process prints one JSON line, which this script passes on:
 ``n``, ``strategy``, ``pairs`` (ordered pairs, n (n - 1)),
