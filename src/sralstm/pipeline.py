@@ -345,17 +345,21 @@ class Checkpoint:
         return state
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
+def atomic_write_bytes(path, data) -> None:
+    """Write data, one bytes-like object or an iterable of them written in
+    order, via a sibling temp file and rename, so readers never see a
     partial file. A failed write leaves no temp file and raises
     OutputError naming path."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = (data,)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in data:
+                f.write(chunk)
         os.replace(tmp, path)
     except OSError as e:
         raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
@@ -401,7 +405,8 @@ def atomic_write_text(path, text: str) -> None:
 def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState] = None,
                     metadata: Optional[dict] = None) -> None:
     """Serialize params (and optionally Adam state) using the documented
-    byte layout. The write is atomic."""
+    byte layout. The write is atomic, and streams each array's buffer to
+    the file, so it holds no copy of the payload."""
     arrays = {name: t.values for name, t in params.tensors().items()}
     opt_header = None
     if optimizer is not None:
@@ -419,13 +424,12 @@ def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState]
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise OutputError(f"cannot write {path}: its {len(header_bytes)}-byte header "
                           f"is over the bound of {MAX_HEADER_BYTES}")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes))
-    blob += header_bytes
-    for entry in directory:
-        blob += np.ascontiguousarray(arrays[entry["name"]], dtype="<f8").tobytes()
-    atomic_write_bytes(path, bytes(blob))
+    # each array's own buffer goes to the file; a float64 C-order array
+    # on a little-endian host is not copied
+    atomic_write_bytes(path, [
+        CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
+        header_bytes,
+        *(np.ascontiguousarray(arrays[entry["name"]], dtype="<f8") for entry in directory)])
 
 
 def load_checkpoint(path) -> Checkpoint:

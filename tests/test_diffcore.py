@@ -435,29 +435,35 @@ def test_column_range_gradients_match_finite_differences():
     assert not x.grad[:, [0, 4, 5]].any()
 
 
-def test_split_cuts_equal_views_of_its_base_and_records_no_node():
-    rng = np.random.default_rng(9)
-    x = Tensor(rng.normal(size=(4, 6)))
-    b = dc.tanh(Tensor(rng.normal(size=(4, 6))))
-    c = dc.Constant(rng.normal(size=(4, 6)))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rows=st.integers(1, 5), k=st.integers(1, 70), w=st.integers(0, 3),
+       axis=st.sampled_from([0, 1]), order=st.sampled_from("CF"),
+       cls=st.sampled_from([Tensor, dc.Bounded, dc.Constant]))
+def test_split_cuts_equal_views_of_its_base_and_records_no_node(rows, k, w, axis, order, cls):
+    # k runs from the sliced pieces of a few to the strided view of many
+    # (dc.SPLIT_VIEWS_FROM), on a row-major base and a column-major one,
+    # as a scene's gate block is
+    shape = (k * w, rows) if axis == 0 else (rows, k * w)
+    x = cls.__new__(cls)
+    x.values = np.asarray(np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape), order=order)
+    x.grad = x.key = None
     with Tape() as tape:
-        cols, rows, consts = dc.split(x, 3, axis=1), dc.split(b, 2, axis=0), dc.split(c, 6, 1)
-    assert len(tape) == 0
-    assert [p.shape for p in cols] == [(4, 2)] * 3 and [p.shape for p in rows] == [(2, 6)] * 2
-    for pieces, base, axis in ((cols, x, 1), (rows, b, 0), (consts, c, 1)):
+        pieces = dc.split(x, k, axis)
+    assert len(tape) == 0 and len(pieces) == k
+    for i, p in enumerate(pieces):
+        want = x.values[i * w:(i + 1) * w] if axis == 0 else x.values[:, i * w:(i + 1) * w]
+        assert p.values.shape == want.shape and p.values.tobytes() == want.tobytes()
         # each of its base's class, so a bounded block's pieces are bounded
-        assert all(type(p) is type(base) for p in pieces)
-        assert all(np.shares_memory(p.values, base.values) for p in pieces)
-        joined = np.concatenate([p.values for p in pieces], axis=axis)
-        assert joined.tobytes() == base.values.tobytes()
+        assert type(p) is cls and p.key is None and p.grad is None
+        assert np.shares_memory(p.values, x.values) or not p.values.size
+        # the pieces of a block along its contiguous axis are contiguous
+        if (axis, order) in ((0, "C"), (1, "F")):
+            assert p.values.flags.c_contiguous or p.values.flags.f_contiguous
     # a constant takes no gradient, so its split is noted nowhere
-    assert list(tape.splits) == [x, b] and tape.pieces == {*cols, *rows}
-    assert [axis for _, axis in tape.splits.values()] == [1, 0]
-    # the column pieces of a column-major block, as a scene's gate block,
-    # are contiguous
-    block = Tensor(np.zeros((4, 5)))
-    block.values = np.asfortranarray(rng.normal(size=(4, 5)))
-    assert all(p.values.flags.c_contiguous for p in dc.split(block, 5, axis=1))
+    if cls is dc.Constant:
+        assert tape.splits == {} and tape.pieces == set()
+    else:
+        assert tape.splits == {x: (pieces, axis)} and tape.pieces == set(pieces)
 
 
 def test_split_needs_equal_pieces_of_a_matrix_along_axis_0_or_1():
@@ -631,6 +637,37 @@ def test_concat_gradient_splits_by_position():
         dc.backward(tape, dc.sum_all(weighted))
     assert a.grad.tolist() == [[10.0, 20.0]]
     assert b.grad.tolist() == [[30.0]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 64])
+def test_a_concat_of_single_columns_hands_each_a_contiguous_view_of_its_adjoint(k):
+    # a step's new relation columns: the vjp cuts the adjoint's column-major
+    # copy into its columns as the items of one view
+    rng = np.random.default_rng(k)
+    cols = [dc.Bounded(rng.uniform(-1, 1, size=(5, 1))) for _ in range(k)]
+    g = rng.normal(size=(5, k))
+    with Tape() as tape:
+        out = dc.concat(cols, axis=1)
+    (inputs, key, vjp), = tape.nodes
+    assert inputs == tuple(cols) and key is out.key
+    adjoints = vjp(g)
+    assert len(adjoints) == k
+    for c, a in enumerate(adjoints):
+        assert a.shape == (5, 1) and a.flags.c_contiguous
+        assert a.tobytes() == g[:, c:c + 1].tobytes()
+        assert a.base is not None   # a view, not a copy of its own
+    # a Constant among them takes no adjoint; the others get theirs by position
+    mixed = [cols[0], dc.Constant(np.ones((5, 1))), *cols[1:]]
+    with Tape() as tape:
+        dc.concat(mixed, axis=1)
+    (inputs, _, vjp), = tape.nodes
+    assert inputs == tuple(cols)
+    g = rng.normal(size=(5, k + 1))
+    adjoints = vjp(g)
+    assert len(adjoints) == k
+    for c, a in zip([0, *range(2, k + 1)], adjoints):
+        assert a.shape == (5, 1) and a.flags.c_contiguous
+        assert a.tobytes() == g[:, c:c + 1].tobytes()
 
 
 def test_concat_rejects_off_axis_mismatch_and_bad_axis():

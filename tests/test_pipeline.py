@@ -863,6 +863,26 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
         assert np.array_equal(opt2.v[name], opt.v[name])
 
 
+def test_saving_a_checkpoint_streams_its_arrays_without_copying_them(tmp_path):
+    # each array's buffer goes to the temp file as it is; the write held a
+    # copy of the whole payload, and then a second, and peaked at 2x its size
+    import tracemalloc
+
+    params = ModelParams.init(ModelConfig(), seed=0)
+    opt = dc.AdamState(params.tensors())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, opt)
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, params, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 4, (peak, size)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_without_optimizer(tmp_path):
     params = small_params(seed=59)
     path = tmp_path / "bare.ckpt"

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -72,10 +74,22 @@ def test_bench_file_leaves_a_one_seed_group_unresolved(tmp_path):
                         "diffcore.backward_ms": "improved"}}
 
 
-def test_state_digest_prints_one_json_line_with_every_case():
-    proc = subprocess.run(
-        [sys.executable, os.path.join("tools", "state_digest.py"), "."],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+@pytest.fixture(scope="module")
+def state_digests():
+    """``tools/state_digest.py .`` run with BLAS on 1 and on 2 threads,
+    keyed by the thread count; each test reads what it needs."""
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads)))
+        runs[threads] = subprocess.run(
+            [sys.executable, os.path.join("tools", "state_digest.py"), "."],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    return runs
+
+
+def test_state_digest_prints_one_json_line_with_every_case(state_digests):
+    proc = state_digests[1]
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
@@ -94,6 +108,18 @@ def test_state_digest_prints_one_json_line_with_every_case():
     for losses in report["losses"].values():
         assert len(losses) == tool.EPOCHS
         assert all(float(loss) >= 0.0 for loss in losses)
+
+
+def test_state_digest_has_the_same_bits_at_1_and_2_blas_threads(state_digests):
+    # every product whose bits could follow the thread count is computed in
+    # a shape whose bits do not (see diffcore._contract)
+    reports = []
+    for threads, proc in state_digests.items():
+        assert proc.returncode == 0, (threads, proc.stderr)
+        reports.append(json.loads(proc.stdout))
+    one, two = reports
+    assert one["sha256"] == two["sha256"]
+    assert one["parts"] == two["parts"]
 
 
 def test_code_lines_prints_total_and_code_lines(tmp_path):

@@ -7,14 +7,17 @@ Imports ``A/src/sralstm`` and ``B/src/sralstm`` under distinct package
 names, builds K (default 1) seeded random-walk windows of each listed
 crowd size N and a fresh default-size model (seed 0) of the given
 attention strategy (default ``sra``) for each side, and then alternates
-the sides call by call, the order flipping each repetition: one
-tape-free ``evalkit.evaluate`` call over all the windows (``--mode
-eval``), or one ``train_step`` with Adam on the first window of each
-listed size, in the listed order (``--mode train``). A list such as
-``--n 2,2,2,2,2,2,2,2,4,4`` times a mix of crowd sizes, as a training
-epoch over mixed windows meets them. Each side makes one untimed warm-up
-call first. It prints one line per side with its best and median call
-time, then the ratios A/B, and writes and asserts nothing.
+the sides call by call, the order flipping each repetition. A call is
+one tape-free ``evalkit.evaluate`` request per listed size, over its K
+windows (``--mode eval``), or one ``train_step`` with Adam on the first
+window of each listed size (``--mode train``), in the listed order. A
+list times a mix of crowd sizes as a workload meets them: ``--n
+2,2,2,2,2,2,2,2,4,4 --mode train`` is a training epoch over mixed
+windows, and ``--n 1,2,2,3,3,4,4,5,5,6,6,7,8,12,16 --windows 2`` the
+requests of the benchmark's eval-crowd workload. Each side makes one
+untimed warm-up call first. It prints one line per side with its best
+and median call time, then the ratios A/B, and writes and asserts
+nothing.
 
 Timings of separate processes swing widely on a shared host; alternating
 in one process puts the same drift on both sides, but the ratio still
@@ -68,8 +71,8 @@ def make_call(mods: dict, positions: list, mode: str, strategy: str):
                for p in group] for group in positions]
     params = md.ModelParams.init(md.ModelConfig(strategy=strategy), seed=0)
     if mode == "eval":
-        windows = [w for group in groups for w in group]
-        return lambda: mods["evalkit"].evaluate(params, windows)
+        evaluate = mods["evalkit"].evaluate
+        return lambda: [evaluate(params, group) for group in groups]
     opt = mods["diffcore"].AdamState(params.tensors())
     train_step = mods["pipeline"].train_step
 
@@ -94,7 +97,7 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=crowd_sizes, default=[8],
                     help="pedestrians per window, or a comma list of crowd sizes")
     ap.add_argument("--windows", type=int, default=1,
-                    help="windows one eval call scores")
+                    help="windows of each listed size, one eval request")
     ap.add_argument("--mode", choices=("eval", "train"), default="eval")
     ap.add_argument("--reps", type=int, default=20, help="timed calls per side")
     ap.add_argument("--strategy", choices=("none", "sa", "ra", "sra"), default="sra",
