@@ -89,16 +89,12 @@ kept lean accordingly:
     computed and the array it joins a split's pieces into, so never one a vjp
     returned: the incoming adjoint itself (``add``), a view of it or of
     its column-major copy (``concat``) or the root's seed of ones;
-  * a scene step cuts three blocks into N pair columns and joins N new
-    ones, so a Python slice per column cost more than the work on it.
-    ``split`` takes its k pieces as the items of one strided view of the
-    base, which numpy builds in C (``v.reshape(rows, k, w).swapaxes(0, 1)``
-    on axis 1, ``v.reshape(k, w, cols)`` on axis 0), from
-    ``SPLIT_VIEWS_FROM`` pieces on, and fewer as k slices, whose fixed
-    cost is lower. An axis-1 ``concat`` of single columns, none a
-    ``Constant``, lists its inputs' keys alone, and its vjp hands out the
-    columns of the adjoint's column-major copy as the items of
-    ``g.T.copy()[:, :, newaxis]``;
+  * a scene step cuts three blocks into N pair columns, so a Python slice
+    per column cost more than the work on it. ``split`` takes its k
+    pieces as the items of one strided view of the base, which numpy
+    builds in C (``v.reshape(rows, k, w).swapaxes(0, 1)`` on axis 1,
+    ``v.reshape(k, w, cols)`` on axis 0); splitting one axis never
+    copies, so each piece is a view of the base in any memory order;
   * a ``split`` notes its pieces on the tape, under its base's key,
     instead of recording a node per piece, and ``backward`` joins their
     adjoints into the base's with one concatenate, only for a split some
@@ -503,32 +499,13 @@ def _joined(tensors: Sequence[Tensor], vals: list, axis: int) -> np.ndarray:
     return arr
 
 
-def _column_adjoints(g):
-    # g.T.copy() is g's column-major copy, as rows; its items are views.
-    # np.asfortranarray(g).T took 0.2 us more at 2 columns (2-core x86-64)
-    return tuple(g.T.copy()[:, :, np.newaxis])
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     vals = [t.values for t in tensors]
     out = _wrap(_joined(tensors, vals, axis))
     if _active_tape is not None:
-        # k single columns, none a Constant (a step's new relation
-        # columns): the vjp hands out the columns of the adjoint's
-        # column-major copy as the items of one view
-        if axis:
-            inputs = []
-            for t, v in zip(tensors, vals):
-                if v.shape[1] != 1 or isinstance(t, Constant):
-                    break
-                inputs.append(t.key or t)
-            else:
-                out.key = key = object()
-                _active_tape.nodes.append((tuple(inputs), key, _column_adjoints))
-                return out
-        # otherwise the vjp hands out views of the incoming adjoint, one
-        # per input that takes a gradient; on axis 1 they are views of a
-        # column-major copy, so each input's columns are contiguous
+        # the vjp hands out views of the incoming adjoint, one per input
+        # that takes a gradient; on axis 1 they are views of a column-major
+        # copy, so each input's columns are contiguous
         inputs, pieces = [], []
         lo = 0
         for t, v in zip(tensors, vals):
@@ -701,16 +678,6 @@ def concat_or_constant(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # views
 
-# the piece count from which ``split`` takes its pieces as the items of
-# one strided view, not as k slices. The view costs about 0.5 us more to
-# set up (a reshape, a swap and an iterator) and about 200 ns less a
-# piece, on (64, k) blocks of either order on a shared 2-core x86-64 host:
-# at k = 2, 5, 6, 12 and 56 slicing took 1.41, 2.60, 2.97, 5.55 and
-# 21.7 us, the view 1.91, 2.64, 2.88, 4.34 and 14.0 us. A 2-pedestrian
-# scene's 2 pair columns are sliced; 3 pedestrians' 6 make a view.
-SPLIT_VIEWS_FROM = 6
-
-
 def split(x: Tensor, k: int, axis: int) -> list:
     """k equal views of x along ``axis`` (0 or 1), each of x's class, so
     the pieces of a ``Bounded`` block are ``Bounded``. No primitive: it
@@ -721,20 +688,14 @@ def split(x: Tensor, k: int, axis: int) -> list:
     v = x.values
     if v.ndim != 2 or axis not in (0, 1) or k < 1 or v.shape[axis] % k:
         raise ShapeMismatchError(f"split: {k} equal pieces along axis {axis} of shape {x.shape}")
-    w, cls = v.shape[axis] // k, type(x)
+    (rows, cols), cls = v.shape, type(x)
     pieces = []
-    if k < SPLIT_VIEWS_FROM and w:
-        for lo in range(0, v.shape[axis], w):
-            # _wrap's body, inline: its call cost about as much as the view
-            piece = cls.__new__(cls)
-            piece.values, piece.grad, piece.key = v[:, lo:lo + w] if axis else v[lo:lo + w], None, None
-            pieces.append(piece)
-    else:
-        for view in (v.reshape(v.shape[0], k, w).swapaxes(0, 1) if axis
-                     else v.reshape(k, w, v.shape[1])):
-            piece = cls.__new__(cls)
-            piece.values, piece.grad, piece.key = view, None, None
-            pieces.append(piece)
+    for view in (v.reshape(rows, k, cols // k).swapaxes(0, 1) if axis
+                 else v.reshape(k, rows // k, cols)):
+        # _wrap's body, inline: its call cost about as much as the view
+        piece = cls.__new__(cls)
+        piece.values, piece.grad, piece.key = view, None, None
+        pieces.append(piece)
     tape = _active_tape
     if tape is not None and not isinstance(x, Constant):
         base = x.key or x
@@ -810,20 +771,12 @@ class _Adjoint:
 def _joined_pieces(split: tuple, table: dict):
     """A split's pieces' adjoints, taken out of the adjoint table, in one
     array, zeros for a piece none reached, column-major along axis 1;
-    None, after one membership pass, if none was reached. A piece's entry
-    is almost always an array, which is joined as it is; only another
-    entry goes through ``_total``."""
+    None, after one membership pass, if none was reached."""
     pieces, axis = split
     if not any(map(table.__contains__, pieces)):
         return None
-    pop, ndarray, gs = table.pop, np.ndarray, []
-    for p in pieces:
-        g = pop(p, None)
-        if type(g) is not ndarray:
-            g = _total(g, table)
-            if g is None:
-                g = np.zeros(p.shape)
-        gs.append(g)
+    gs = [_total(table.pop(p, None), table) for p in pieces]
+    gs = [np.zeros(p.shape) if g is None else g for p, g in zip(pieces, gs)]
     rows, cols = pieces[0].shape
     k = len(gs)
     out = np.empty((rows, cols * k), order="F") if axis else np.empty((rows * k, cols))

@@ -345,20 +345,17 @@ class Checkpoint:
         return state
 
 
-def atomic_write_bytes(path, data) -> None:
-    """Write data, one bytes-like object or an iterable of them written in
-    order, via a sibling temp file and rename, so readers never see a
-    partial file. A failed write leaves no temp file and raises
-    OutputError naming path."""
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        data = (data,)
+def atomic_write_bytes(path, chunks) -> None:
+    """Write chunks, an iterable of bytes-like objects, in order, via a
+    sibling temp file and rename, so readers never see a partial file. A
+    failed write leaves no temp file and raises OutputError naming path."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
-            for chunk in data:
+            for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
     except OSError as e:
@@ -399,7 +396,7 @@ def json_value(text: str):
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
 def save_checkpoint(path, params: ModelParams, optimizer: Optional[dc.AdamState] = None,

@@ -440,9 +440,8 @@ def test_column_range_gradients_match_finite_differences():
        axis=st.sampled_from([0, 1]), order=st.sampled_from("CF"),
        cls=st.sampled_from([Tensor, dc.Bounded, dc.Constant]))
 def test_split_cuts_equal_views_of_its_base_and_records_no_node(rows, k, w, axis, order, cls):
-    # k runs from the sliced pieces of a few to the strided view of many
-    # (dc.SPLIT_VIEWS_FROM), on a row-major base and a column-major one,
-    # as a scene's gate block is
+    # from a few pieces to a large crowd's pair columns, on a row-major
+    # base and a column-major one, as a scene's gate block is
     shape = (k * w, rows) if axis == 0 else (rows, k * w)
     x = cls.__new__(cls)
     x.values = np.asarray(np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape), order=order)
@@ -641,8 +640,8 @@ def test_concat_gradient_splits_by_position():
 
 @pytest.mark.parametrize("k", [1, 2, 64])
 def test_a_concat_of_single_columns_hands_each_a_contiguous_view_of_its_adjoint(k):
-    # a step's new relation columns: the vjp cuts the adjoint's column-major
-    # copy into its columns as the items of one view
+    # a step's new relation columns: the vjp hands each its column of the
+    # adjoint's column-major copy
     rng = np.random.default_rng(k)
     cols = [dc.Bounded(rng.uniform(-1, 1, size=(5, 1))) for _ in range(k)]
     g = rng.normal(size=(5, k))
